@@ -10,7 +10,6 @@ route.  See the ``audit`` console script for the command-line surface.
 from .certificates import (
     CertificateError,
     ExtensionCheck,
-    ExtensionEntry,
     Method,
     RowError,
     SurfaceCertificate,
@@ -51,7 +50,6 @@ from .families import (
     FamilyTableError,
     ParseError,
     ValidationError,
-    get_family,
     load_families,
     load_packaged_families,
     serialize_families,
@@ -80,7 +78,6 @@ from .lemmas import (
     contracted_divisibility_certificate,
     contracted_unsafe_set,
     contracted_verdict,
-    degree_bound,
     shared_factor_check,
     shared_factor_set,
     tangent_indices,
@@ -95,7 +92,6 @@ from .wps import (
     coordinate_point_on_hypersurface,
     format_rational,
     parse_rational,
-    stratum_degree,
 )
 
 __version__ = "1.0.0"
@@ -104,19 +100,18 @@ __all__ = [
     "__version__",
     # wps
     "Rational", "Weights", "StratumCurve", "anticanonical_cube",
-    "stratum_degree", "coordinate_point_on_hypersurface",
+    "coordinate_point_on_hypersurface",
     "format_rational", "parse_rational",
     # families
     "FAMILY_COUNT", "FamilyRecord", "FamilyDatabase", "FamilyTableError",
     "ParseError", "ValidationError", "FamilyNotFoundError",
     "load_families", "load_packaged_families", "serialize_families",
-    "get_family",
     # lemmas
     "CaseTag", "BoundStatus", "ContractedReason", "WrongCaseError",
     "SharedFactorPreconditionError", "DivisibilityViolation",
     "Comparison", "PointCaseReport", "Case1Verdict", "SharedFactorCheck",
     "ContractedVerdict", "DivisibilityEntry", "DivisibilityCertificate",
-    "classify_case", "degree_bound", "case1_point_cases", "case1_verdict",
+    "classify_case", "case1_point_cases", "case1_verdict",
     "shared_factor_check", "case2_verdict", "case3_integer_filter",
     "contracted_verdict", "tangent_indices",
     "contracted_divisibility_certificate", "case_partition", "verdict_sets",
@@ -125,7 +120,6 @@ __all__ = [
     "CertificateError", "RowError", "SurfaceRowParseError", "Method",
     "TestClassCertificate", "TwoCurveCertificate", "SurfaceRow",
     "SurfaceCertificate", "TableVerification", "ExtensionCheck",
-    "ExtensionEntry",
     "test_class_value", "test_class_value_expanded",
     "case3_test_class_certificates", "different_total",
     "curve_self_intersection", "surface_exclusion_value",

@@ -26,6 +26,7 @@ from math import gcd
 from typing import Iterable
 
 from .families import (
+    FAMILY_COUNT,
     FamilyDatabase,
     FamilyRecord,
     Source,
@@ -35,6 +36,7 @@ from .families import (
 from .lemmas import (
     BoundStatus,
     CaseTag,
+    Comparison,
     case1_verdict,
     case2_verdict,
     classify_case,
@@ -133,6 +135,22 @@ class TestClassCertificate:
     p_a: int
     value: Rational
 
+    @classmethod
+    def build(
+        cls, f: FamilyRecord, curve: str, b: int, deg_c: Rational, p_a: int = 0
+    ) -> "TestClassCertificate":
+        """Evaluate the test class b·A − E over one curve of family f."""
+        deg_c = Fraction(deg_c)
+        return cls(
+            family=f.number,
+            curve=curve,
+            b=b,
+            a_cube=f.a_cube,
+            deg_c=deg_c,
+            p_a=p_a,
+            value=test_class_value(b, f.a_cube, deg_c, p_a),
+        )
+
     @property
     def valid(self) -> bool:
         return self.value < 0
@@ -161,20 +179,10 @@ def case3_test_class_certificates(
     whose degree cap is >= 1, and insist every value is strictly negative."""
     certs = []
     for number, curve, b, deg_c in _TEST_CLASS_CURVES:
-        f = db.get(number)
-        value = test_class_value(b, f.a_cube, Fraction(deg_c), 0)
-        cert = TestClassCertificate(
-            family=number,
-            curve=curve,
-            b=b,
-            a_cube=f.a_cube,
-            deg_c=Fraction(deg_c),
-            p_a=0,
-            value=value,
-        )
+        cert = TestClassCertificate.build(db.get(number), curve, b, deg_c)
         if not cert.valid:
             raise CertificateError(
-                f"family {number} ({curve}): test-class value {value} is not "
+                f"family {number} ({curve}): test-class value {cert.value} is not "
                 "strictly negative"
             )
         certs.append(cert)
@@ -286,8 +294,10 @@ class SurfaceRow:
     m: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.family <= 95:
-            raise ValueError(f"family number must lie in 1..95, got {self.family}")
+        if not 1 <= self.family <= FAMILY_COUNT:
+            raise ValueError(
+                f"family number must lie in 1..{FAMILY_COUNT}, got {self.family}"
+            )
         if len(self.vanishing) != 3 or not all(0 <= i <= 4 for i in self.vanishing):
             raise ValueError(
                 f"vanishing set must be 3 distinct indices in 0..4, got "
@@ -523,47 +533,25 @@ def verify_surface_table(db: FamilyDatabase, rows: Iterable[SurfaceRow]) -> Tabl
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ExtensionEntry:
-    """One comparison in the extension argument, with what a non-strict
-    outcome would require (the geometric step the engine cannot check)."""
-
-    label: str
-    lhs: Rational
-    rhs: Rational
-    assumption_if_not_strict: str
-
-    @property
-    def relation(self) -> str:
-        if self.lhs > self.rhs:
-            return ">"
-        if self.lhs == self.rhs:
-            return "="
-        return "<"
-
-    @property
-    def strict(self) -> bool:
-        """True when the inequality alone kills the candidate curve."""
-        return self.lhs > self.rhs
-
-
-@dataclass(frozen=True)
 class ExtensionCheck:
     """All numeric comparisons behind extending the Case-1 bound to one of
-    the families where it fails outright."""
+    the families where it fails outright.  Each entry's note names what a
+    non-strict outcome would require (the geometric step the engine cannot
+    check)."""
 
     family: int
     a_cube: Rational
-    entries: tuple[ExtensionEntry, ...]
+    entries: tuple[Comparison, ...]
 
     @property
-    def strict_entries(self) -> tuple[ExtensionEntry, ...]:
-        return tuple(e for e in self.entries if e.strict)
+    def strict_entries(self) -> tuple[Comparison, ...]:
+        return tuple(e for e in self.entries if e.contradiction)
 
     @property
-    def assumption_entries(self) -> tuple[ExtensionEntry, ...]:
+    def assumption_entries(self) -> tuple[Comparison, ...]:
         """Entries that are equalities or reversed — each one leans on the
         recorded geometric assumption instead of arithmetic."""
-        return tuple(e for e in self.entries if not e.strict)
+        return tuple(e for e in self.entries if not e.contradiction)
 
 
 def extension_check(f: FamilyRecord) -> ExtensionCheck:
@@ -590,33 +578,33 @@ def extension_check(f: FamilyRecord) -> ExtensionCheck:
     if h > 1:
         binomial_label += f" (shared factor {h} drops the fibre degree)"
     entries = (
-        ExtensionEntry(
+        Comparison(
             "image curve in the weighted plane",
             Fraction(1, a[1] * a[2]),
             cap,
             "equality forces the curve onto a stratum; excluded by the "
             "stratum-pair analysis",
         ),
-        ExtensionEntry(
+        Comparison(
             "image point on the first coordinate orbit",
             Fraction(1, a[3]),
             cap,
             "fibre over the first coordinate point not excluded by degree",
         ),
-        ExtensionEntry(
+        Comparison(
             binomial_label,
             binomial_degree,
             cap,
             "fibre over the binomial point not excluded by degree",
         ),
-        ExtensionEntry(
+        Comparison(
             "image point on the second coordinate orbit",
             Fraction(1, a[1] * a[3]),
             cap,
             "candidate equals a stratum-pair curve; excluded by the "
             "stratum-pair analysis",
         ),
-        ExtensionEntry(
+        Comparison(
             "two-form section through the last orbit",
             a[1] * cap,
             cap,

@@ -97,17 +97,9 @@ def cmd_lists(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-class _CheckFailure(Exception):
-    """A certificate set could not even be assembled as valid."""
-
-
 def _certificates(db, rows):
-    try:
-        tc = case3_test_class_certificates(db)
-    except CertificateError as exc:
-        raise _CheckFailure(str(exc)) from exc
-    verification = verify_surface_table(db, rows)
-    return tc, verification
+    """Every certificate; raises CertificateError when one cannot be built."""
+    return case3_test_class_certificates(db), verify_surface_table(db, rows)
 
 
 def cmd_certify(args) -> int:
@@ -115,7 +107,7 @@ def cmd_certify(args) -> int:
     rows = _load_rows(args)
     try:
         tc, verification = _certificates(db, rows)
-    except _CheckFailure as exc:
+    except CertificateError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     if args.format == "json":
@@ -137,7 +129,7 @@ def cmd_full(args) -> int:
     rows = _load_rows(args)
     try:
         tc, verification = _certificates(db, rows)
-    except _CheckFailure as exc:
+    except CertificateError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     coverage = build_coverage(db, rows)

@@ -63,12 +63,13 @@ class Annotation:
 
 @dataclass(frozen=True)
 class RouteEntry:
-    """One verified route for one curve class of one family."""
+    """One route for one curve class of one family, with the gaps it leaves."""
 
     route: str
     detail: str
     values: tuple[tuple[str, str], ...] = ()
     annotations: tuple[Annotation, ...] = ()
+    gaps: tuple[str, ...] = ()  # names of curve classes left without a route
 
 
 Status = Literal["Covered", "Gap"]
@@ -82,7 +83,10 @@ class FamilyCoverage:
     case: CaseTag
     residual: RouteEntry
     contracted: RouteEntry
-    gaps: tuple[str, ...] = ()  # names of curve classes left without a route
+
+    @property
+    def gaps(self) -> tuple[str, ...]:
+        return self.residual.gaps + self.contracted.gaps
 
     @property
     def status(self) -> Status:
@@ -127,14 +131,6 @@ _CONTAINMENT_NOTE = Annotation(
 )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, int):
-        return str(value)
-    return format_rational(value)
-
-
 def _surface_row_values(
     certs: Iterable[SurfaceCertificate],
 ) -> tuple[tuple[str, str], ...]:
@@ -164,9 +160,8 @@ def _residual_route(
     f: FamilyRecord,
     certs: tuple[SurfaceCertificate, ...],
     test_class_by_family: dict[int, TestClassCertificate],
-) -> tuple[RouteEntry, list[str]]:
-    """Route and gap list for the residual (non-contracted) curve classes."""
-    gaps: list[str] = []
+) -> RouteEntry:
+    """Route for the residual (non-contracted) curve classes."""
     case = classify_case(f)
     a = f.weights
 
@@ -178,7 +173,6 @@ def _residual_route(
             ("a2*a4", str(verdict.a2a4)),
             ("degree cap", format_rational(f.a_cube)),
         ]
-        annotations: list[Annotation] = []
         if verdict.status is BoundStatus.FAILS:
             check = extension_check(f)
             for e in check.entries:
@@ -186,21 +180,18 @@ def _residual_route(
                     (e.label, f"{format_rational(e.lhs)} {e.relation} "
                               f"{format_rational(e.rhs)}")
                 )
-                if not e.strict:
-                    annotations.append(
-                        Annotation(AnnotationKind.GENERALITY, e.assumption_if_not_strict)
-                    )
-            return (
-                RouteEntry(
-                    route="extension-checks",
-                    detail="residual bound fails outright; every double-projection "
-                    "image is compared against the degree cap, with the "
-                    "non-strict comparisons closed by recorded assumptions",
-                    values=tuple(values),
-                    annotations=tuple(annotations),
+            return RouteEntry(
+                route="extension-checks",
+                detail="residual bound fails outright; every double-projection "
+                "image is compared against the degree cap, with the "
+                "non-strict comparisons closed by recorded assumptions",
+                values=tuple(values),
+                annotations=tuple(
+                    Annotation(AnnotationKind.GENERALITY, e.note)
+                    for e in check.assumption_entries
                 ),
-                gaps,
             )
+        gaps = ()
         if gcd(a[1], a[2]) > 1:
             chk = shared_factor_check(f)
             values.append(
@@ -210,130 +201,109 @@ def _residual_route(
                 )
             )
             if not chk.applies:
-                gaps.append("residual (shared-factor image point uncovered)")
+                gaps = ("residual (shared-factor image point uncovered)",)
         if verdict.status is BoundStatus.STRONG_A:
-            return (
-                RouteEntry(
-                    route="strong-bound",
-                    detail="d < a1*a4, so every residual curve class exceeds the "
-                    "degree cap with no extra assumptions",
-                    values=tuple(values),
-                ),
-                gaps,
-            )
-        return (
-            RouteEntry(
-                route="weak-bound",
-                detail="a1*a4 <= d < a2*a4: residual classes exceed the cap "
-                "except the two-form section class, closed by irreducibility",
+            return RouteEntry(
+                route="strong-bound",
+                detail="d < a1*a4, so every residual curve class exceeds the "
+                "degree cap with no extra assumptions",
                 values=tuple(values),
-                annotations=(_WEAK_BOUND_NOTE,),
-            ),
-            gaps,
+                gaps=gaps,
+            )
+        return RouteEntry(
+            route="weak-bound",
+            detail="a1*a4 <= d < a2*a4: residual classes exceed the cap "
+            "except the two-form section class, closed by irreducibility",
+            values=tuple(values),
+            annotations=(_WEAK_BOUND_NOTE,),
+            gaps=gaps,
         )
 
     if case is CaseTag.CASE2:
         if case2_verdict(f):
-            return (
-                RouteEntry(
-                    route="pencil-bound",
-                    detail="d < a2*a4: every residual class outside the base "
-                    "pencil exceeds the cap; classes inside it satisfy the "
-                    "allowed containment conclusion",
-                    values=(
-                        ("d", str(f.d)),
-                        ("a2*a4", str(a[2] * a[4])),
-                        ("degree cap", format_rational(f.a_cube)),
-                    ),
+            return RouteEntry(
+                route="pencil-bound",
+                detail="d < a2*a4: every residual class outside the base "
+                "pencil exceeds the cap; classes inside it satisfy the "
+                "allowed containment conclusion",
+                values=(
+                    ("d", str(f.d)),
+                    ("a2*a4", str(a[2] * a[4])),
+                    ("degree cap", format_rational(f.a_cube)),
                 ),
-                gaps,
             )
+        gaps = []
         if not certs:
             gaps.append("residual (pencil bound fails and no surface rows)")
         if any(not c.valid for c in certs):
             gaps.append("residual (invalid surface certificate)")
-        return (
-            RouteEntry(
-                route="surface-rows",
-                detail="pencil bound fails; the candidate strata are excluded "
-                "row by row on surfaces through them",
-                values=_surface_row_values(certs),
-                annotations=(_CLASSIFICATION_NOTE, _INDEX_RULE_NOTE),
-            ),
-            gaps,
+        return RouteEntry(
+            route="surface-rows",
+            detail="pencil bound fails; the candidate strata are excluded "
+            "row by row on surfaces through them",
+            values=_surface_row_values(certs),
+            annotations=(_CLASSIFICATION_NOTE, _INDEX_RULE_NOTE),
+            gaps=tuple(gaps),
         )
 
     # Case 3.
     if case3_integer_filter(f):
-        return (
-            RouteEntry(
-                route="integer-filter",
-                detail="degree cap below 1: residual classes have integer "
-                "degree, so all exceed the cap; doubly-contracted classes "
-                "land inside two-form sections, the permitted conclusion",
-                values=(("degree cap", format_rational(f.a_cube)),),
-            ),
-            gaps,
+        return RouteEntry(
+            route="integer-filter",
+            detail="degree cap below 1: residual classes have integer "
+            "degree, so all exceed the cap; doubly-contracted classes "
+            "land inside two-form sections, the permitted conclusion",
+            values=(("degree cap", format_rational(f.a_cube)),),
         )
     cert = test_class_by_family.get(f.number)
     if cert is None:
-        gaps.append("residual (degree cap >= 1 and no test-class certificate)")
-        return (
-            RouteEntry(
-                route="test-class",
-                detail="no certificate available",
-            ),
-            gaps,
-        )
-    if not cert.valid:
-        gaps.append("residual (test-class value not strictly negative)")
-    return (
-        RouteEntry(
+        return RouteEntry(
             route="test-class",
-            detail=f"candidates outside two-form sections reduce to a "
-            f"{cert.curve}; its blowup class value is strictly negative",
-            values=(
-                ("curve", cert.curve),
-                ("multiplier", str(cert.b)),
-                ("curve degree", format_rational(cert.deg_c)),
-                ("value", format_rational(cert.value)),
-            ),
-            annotations=(_CLASSIFICATION_NOTE,),
+            detail="no certificate available",
+            gaps=("residual (degree cap >= 1 and no test-class certificate)",),
+        )
+    gaps = () if cert.valid else ("residual (test-class value not strictly negative)",)
+    return RouteEntry(
+        route="test-class",
+        detail=f"candidates outside two-form sections reduce to a "
+        f"{cert.curve}; its blowup class value is strictly negative",
+        values=(
+            ("curve", cert.curve),
+            ("multiplier", str(cert.b)),
+            ("curve degree", format_rational(cert.deg_c)),
+            ("value", format_rational(cert.value)),
         ),
-        gaps,
+        annotations=(_CLASSIFICATION_NOTE,),
+        gaps=gaps,
     )
 
 
 def _contracted_route(
     f: FamilyRecord,
     certs: tuple[SurfaceCertificate, ...],
-) -> tuple[RouteEntry, list[str]]:
-    """Route and gap list for the curve classes contracted by the projection
-    away from the largest-weight coordinate."""
-    gaps: list[str] = []
+) -> RouteEntry:
+    """Route for the curve classes contracted by the projection away from
+    the largest-weight coordinate."""
     verdict = contracted_verdict(f)
     a = f.weights
 
     if verdict.safe and verdict.reason is ContractedReason.NO_CONTRACTED_CURVES:
-        return (
-            RouteEntry(
-                route="no-contracted-curves",
-                detail="the largest weight divides d, so the last coordinate "
-                "point misses a general member and the projection contracts "
-                "no curves",
-                values=(("d", str(f.d)), ("a4", str(a[4]))),
-            ),
-            gaps,
+        return RouteEntry(
+            route="no-contracted-curves",
+            detail="the largest weight divides d, so the last coordinate "
+            "point misses a general member and the projection contracts "
+            "no curves",
+            values=(("d", str(f.d)), ("a4", str(a[4]))),
         )
 
+    gaps: list[str] = []
     if verdict.safe:  # reason is DEGREE_BOUND
         values = [
             ("d", str(f.d)),
             ("a1*a2*a3", str(a[1] * a[2] * a[3])),
             ("degree cap", format_rational(f.a_cube)),
         ]
-        indices = tangent_indices(f)
-        for j in indices:
+        for j in tangent_indices(f):
             try:
                 cert = contracted_divisibility_certificate(f, j)
             except DivisibilityViolation as exc:
@@ -344,27 +314,22 @@ def _contracted_route(
                 for e in cert.entries
             ) or "no reduced weights above 1"
             values.append((f"tangent index {j} divisibility", witness))
-        return (
-            RouteEntry(
-                route="contracted-degree-bound",
-                detail="d < a1*a2*a3: a contracted curve would pass through "
-                "only the last coordinate point, giving degree above the cap; "
-                "the divisibility certificates pin its singular support",
-                values=tuple(values),
-                annotations=(_DEGREE_BOUND_NOTE,),
-            ),
-            gaps,
+        return RouteEntry(
+            route="contracted-degree-bound",
+            detail="d < a1*a2*a3: a contracted curve would pass through "
+            "only the last coordinate point, giving degree above the cap; "
+            "the divisibility certificates pin its singular support",
+            values=tuple(values),
+            annotations=(_DEGREE_BOUND_NOTE,),
+            gaps=tuple(gaps),
         )
 
     if classify_case(f) is CaseTag.CASE3:
-        return (
-            RouteEntry(
-                route="containment-assertion",
-                detail="contracted classes are asserted to lie inside a "
-                "two-form section (permitted conclusion); not machine-checked",
-                annotations=(_CONTAINMENT_NOTE,),
-            ),
-            gaps,
+        return RouteEntry(
+            route="containment-assertion",
+            detail="contracted classes are asserted to lie inside a "
+            "two-form section (permitted conclusion); not machine-checked",
+            annotations=(_CONTAINMENT_NOTE,),
         )
 
     through_last = tuple(c for c in certs if 4 not in c.curve.vanishing)
@@ -372,15 +337,13 @@ def _contracted_route(
         gaps.append("contracted (no surface row through the last coordinate point)")
     if any(not c.valid for c in through_last):
         gaps.append("contracted (invalid surface certificate)")
-    return (
-        RouteEntry(
-            route="surface-rows",
-            detail="contracted candidates reduce to strata through the last "
-            "coordinate point, excluded on surfaces through them",
-            values=_surface_row_values(through_last),
-            annotations=(_CLASSIFICATION_NOTE, _INDEX_RULE_NOTE),
-        ),
-        gaps,
+    return RouteEntry(
+        route="surface-rows",
+        detail="contracted candidates reduce to strata through the last "
+        "coordinate point, excluded on surfaces through them",
+        values=_surface_row_values(through_last),
+        annotations=(_CLASSIFICATION_NOTE, _INDEX_RULE_NOTE),
+        gaps=tuple(gaps),
     )
 
 
@@ -399,15 +362,12 @@ def build_coverage(
     out = []
     for f in db:
         certs = tuple(by_family.get(f.number, ()))
-        residual, residual_gaps = _residual_route(f, certs, test_class_by_family)
-        contracted, contracted_gaps = _contracted_route(f, certs)
         out.append(
             FamilyCoverage(
                 family=f.number,
                 case=classify_case(f),
-                residual=residual,
-                contracted=contracted,
-                gaps=tuple(residual_gaps + contracted_gaps),
+                residual=_residual_route(f, certs, test_class_by_family),
+                contracted=_contracted_route(f, certs),
             )
         )
     return tuple(out)

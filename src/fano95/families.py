@@ -171,11 +171,6 @@ def serialize_families(db: FamilyDatabase) -> str:
     return "\n".join(lines) + "\n"
 
 
-def get_family(db: FamilyDatabase, number: int) -> FamilyRecord:
-    """Module-level accessor mirroring FamilyDatabase.get."""
-    return db.get(number)
-
-
 def packaged_data_path(name: str) -> Path:
     """Filesystem path of a data file shipped inside the package."""
     return Path(str(resources.files("fano95").joinpath("data", name)))

@@ -72,11 +72,6 @@ def classify_case(f: FamilyRecord) -> CaseTag:
     return CaseTag.CASE3
 
 
-def degree_bound(f: FamilyRecord) -> Rational:
-    """The absolute degree cap: every curve class of degree above it is excluded."""
-    return f.a_cube
-
-
 @dataclass(frozen=True)
 class Comparison:
     """One evaluated inequality lhs vs rhs, with the exclusion reading lhs > rhs."""
@@ -127,7 +122,6 @@ class Case1Verdict:
     d: int
     a1a4: int
     a2a4: int
-    point_cases: PointCaseReport
 
     @property
     def strong_inequality(self) -> bool:
@@ -199,7 +193,6 @@ def case1_verdict(f: FamilyRecord) -> Case1Verdict:
         d=f.d,
         a1a4=a1a4,
         a2a4=a2a4,
-        point_cases=case1_point_cases(f),
     )
 
 

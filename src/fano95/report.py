@@ -22,17 +22,16 @@ import json
 from typing import Iterable, Mapping
 
 from .certificates import (
+    CertificateError,
     Method,
     SurfaceCertificate,
+    SurfaceRow,
     TableVerification,
     TestClassCertificate,
-    curve_self_intersection,
-    different_total,
-    surface_exclusion_value,
-    test_class_value,
+    certify_row,
 )
 from .coverage import FamilyCoverage
-from .families import FamilyDatabase
+from .families import FAMILY_COUNT, FamilyDatabase, FamilyRecord
 from .lemmas import (
     BoundStatus,
     case2_exception_set,
@@ -41,7 +40,7 @@ from .lemmas import (
     shared_factor_set,
     verdict_sets,
 )
-from .wps import format_rational, parse_rational
+from .wps import Weights, format_rational, parse_rational
 
 #: Expected membership lists, used only to cross-check the derived ones.
 GOLDEN_LISTS: dict[str, tuple[int, ...]] = {
@@ -93,34 +92,36 @@ def list_mismatches(
 # JSON sections
 # ---------------------------------------------------------------------------
 
+def _family_json(f: FamilyRecord) -> dict:
+    return {
+        "number": f.number,
+        "d": f.d,
+        "weights": list(f.weights),
+        "degree_cap": format_rational(f.a_cube),
+        "case": classify_case(f).value,
+    }
+
+
 def families_section(db: FamilyDatabase) -> list[dict]:
-    return [
-        {
-            "number": f.number,
-            "d": f.d,
-            "weights": list(f.weights),
-            "degree_cap": format_rational(f.a_cube),
-            "case": classify_case(f).value,
-        }
-        for f in db
-    ]
+    return [_family_json(f) for f in db]
+
+
+def _test_class_json(c: TestClassCertificate) -> dict:
+    return {
+        "family": c.family,
+        "curve": c.curve,
+        "b": c.b,
+        "a_cube": format_rational(c.a_cube),
+        "deg_c": format_rational(c.deg_c),
+        "p_a": c.p_a,
+        "value": format_rational(c.value),
+        "valid": c.valid,
+        "boundary": c.boundary,
+    }
 
 
 def test_class_section(certs: Iterable[TestClassCertificate]) -> list[dict]:
-    return [
-        {
-            "family": c.family,
-            "curve": c.curve,
-            "b": c.b,
-            "a_cube": format_rational(c.a_cube),
-            "deg_c": format_rational(c.deg_c),
-            "p_a": c.p_a,
-            "value": format_rational(c.value),
-            "valid": c.valid,
-            "boundary": c.boundary,
-        }
-        for c in certs
-    ]
+    return [_test_class_json(c) for c in certs]
 
 
 def _surface_cert_json(cert: SurfaceCertificate, a_cube, fails) -> dict:
@@ -165,11 +166,12 @@ def surface_section(db: FamilyDatabase, verification: TableVerification, rows) -
 
 def lists_section(db: FamilyDatabase) -> dict:
     derived = derived_lists(db)
+    mismatches = list_mismatches(derived)
     return {
         name: {
             "families": list(derived[name]),
             "expected": list(GOLDEN_LISTS[name]),
-            "match": tuple(derived[name]) == GOLDEN_LISTS[name],
+            "match": name not in mismatches,
         }
         for name in sorted(GOLDEN_LISTS)
     }
@@ -226,84 +228,122 @@ def to_json(document: Mapping) -> str:
 # Round-trip revalidation
 # ---------------------------------------------------------------------------
 
-def revalidate_document(document: Mapping) -> tuple[str, ...]:
-    """Re-derive every certificate value in a parsed JSON document.
+#: What rebuilding a malformed entry, or one the engine rejects, can raise.
+_REBUILD_ERRORS = (CertificateError, KeyError, TypeError, ValueError)
 
-    Returns human-readable problem descriptions; an empty tuple means every
-    serialized certificate re-validates from its own serialized inputs.
+#: Stands in for a field that one side of a comparison lacks.
+_ABSENT = "<absent>"
+
+#: Reader-facing names of serialized fields, for mismatch reports.
+_FIELD_NAMES = {
+    "c2t": "self-intersection",
+    "c_prime_sq": "companion self-intersection",
+    "deg_c_prime": "companion degree",
+    "diff_total": "different total",
+    "exclusion_value": "exclusion value",
+    "valid": "valid flag",
+}
+
+
+def _objects(problems: list[str], name: str, section) -> Iterable[dict]:
+    """The entries of a section that are JSON objects; reports the others."""
+    for i, entry in enumerate(section or ()):
+        if isinstance(entry, dict):
+            yield entry
+        else:
+            problems.append(f"{name} entry {i} is not an object")
+
+
+def revalidate_document(document: Mapping) -> tuple[str, ...]:
+    """Rebuild every serialized entry with the engine's own code and compare.
+
+    Each family is rebuilt from its number, degree and weights; each
+    test-class certificate from its curve on its family's degree cap; each
+    surface certificate from its row (family, vanishing, fails, method, m)
+    through ``certify_row``.  The rebuilt record is serialized exactly as
+    ``build_document`` serializes it, and every field that differs is
+    reported.  Returns human-readable problem descriptions; an empty tuple
+    means the document re-derives from its own inputs.  A malformed entry,
+    or one the engine rejects, is reported as a problem, never raised.
     """
     problems: list[str] = []
+    records: dict[int, FamilyRecord] = {}
+
+    def recheck(label: str, entry: dict, rebuild) -> None:
+        try:
+            expected = rebuild(entry)
+        except _REBUILD_ERRORS as exc:
+            problems.append(f"{label}: does not rebuild ({type(exc).__name__}: {exc})")
+            return
+        if expected == entry:
+            return
+        for key in sorted(expected.keys() | entry.keys()):
+            got, want = entry.get(key, _ABSENT), expected.get(key, _ABSENT)
+            if got != want:
+                problems.append(
+                    f"{label}: {_FIELD_NAMES.get(key, key)} does not recompute "
+                    f"(serialized {got!r}, recomputed {want!r})"
+                )
+
+    def family_of(entry: dict) -> FamilyRecord:
+        number = entry["family"]
+        if number not in records:
+            raise ValueError(f"no valid families entry for family {number}")
+        return records[number]
+
+    def rebuild_family(f: dict) -> dict:
+        record = FamilyRecord.build(f["number"], f["d"], Weights(tuple(f["weights"])))
+        records[record.number] = record
+        return _family_json(record)
+
+    def rebuild_test_class(c: dict) -> dict:
+        cert = TestClassCertificate.build(
+            family_of(c), c["curve"], c["b"], parse_rational(c["deg_c"]), c["p_a"]
+        )
+        return _test_class_json(cert)
+
+    def rebuild_surface(s: dict) -> dict:
+        f = family_of(s)
+        row = SurfaceRow(
+            family=s["family"],
+            vanishing=frozenset(s["vanishing"]),
+            fails=frozenset(s["fails"]),
+            method=Method(s["method"]),
+            m=s["m"],
+        )
+        return _surface_cert_json(certify_row(f, row), f.a_cube, row.fails)
 
     families = document.get("families")
-    if families is not None and [f["number"] for f in families] != list(range(1, 96)):
-        problems.append("families section does not list numbers 1..95 in order")
-    for f in families or ():
-        if f["d"] != sum(f["weights"][1:]):
-            problems.append(
-                f"family {f['number']}: d = {f['d']} does not equal the weight sum"
-            )
+    numbers = []
+    for f in _objects(problems, "families", families):
+        numbers.append(f.get("number"))
+        recheck(f"family {f.get('number')}", f, rebuild_family)
+    if families is not None and numbers != list(range(1, FAMILY_COUNT + 1)):
+        problems.append(
+            f"families section does not list numbers 1..{FAMILY_COUNT} in order"
+        )
 
     certificates = document.get("certificates") or {}
-    for c in certificates.get("test_class") or ():
-        value = test_class_value(
-            c["b"], parse_rational(c["a_cube"]), parse_rational(c["deg_c"]), c["p_a"]
+    for c in _objects(problems, "test-class", certificates.get("test_class")):
+        recheck(f"test-class family {c.get('family')}", c, rebuild_test_class)
+    for s in _objects(problems, "surface", certificates.get("surface")):
+        recheck(
+            f"surface family {s.get('family')} row {s.get('vanishing')}",
+            s,
+            rebuild_surface,
         )
-        if format_rational(value) != c["value"]:
-            problems.append(
-                f"test-class family {c['family']}: serialized value {c['value']} "
-                f"!= recomputed {format_rational(value)}"
-            )
-        if c["valid"] != (value < 0):
-            problems.append(
-                f"test-class family {c['family']}: valid flag does not match value"
-            )
-
-    for s in certificates.get("surface") or ():
-        label = f"surface family {s['family']} row {s['vanishing']}"
-        diff = different_total(s["diff_indices"])
-        if format_rational(diff) != s["diff_total"]:
-            problems.append(f"{label}: different total does not recompute")
-            continue
-        deg_c = parse_rational(s["deg_c"])
-        a_cube = parse_rational(s["a_cube"])
-        c2t = curve_self_intersection(s["m"], deg_c, diff)
-        if format_rational(c2t) != s["c2t"]:
-            problems.append(f"{label}: self-intersection does not recompute")
-            continue
-        if s["method"] == "41":
-            value = surface_exclusion_value(s["m"], a_cube, deg_c, c2t)
-            if format_rational(value) != s["exclusion_value"]:
-                problems.append(f"{label}: exclusion value does not recompute")
-            if s["valid"] != (value < 0):
-                problems.append(f"{label}: valid flag does not match value")
-        else:
-            deg_c_prime = s["m"] * a_cube - deg_c
-            if format_rational(deg_c_prime) != s["deg_c_prime"]:
-                problems.append(f"{label}: companion degree does not recompute")
-                continue
-            c_prime_sq = curve_self_intersection(s["m"], deg_c_prime, diff)
-            if format_rational(c_prime_sq) != s["c_prime_sq"]:
-                problems.append(
-                    f"{label}: companion self-intersection does not recompute"
-                )
-                continue
-            alpha = c_prime_sq < 0
-            contradiction = deg_c + deg_c_prime > a_cube
-            if s["forces_alpha_one"] != alpha or s["degree_contradiction"] != contradiction:
-                problems.append(f"{label}: two-curve flags do not recompute")
-            if s["valid"] != (alpha and contradiction):
-                problems.append(f"{label}: valid flag does not match conditions")
 
     coverage = document.get("coverage")
     if coverage is not None:
-        numbers = [c["family"] for c in coverage]
-        if numbers != list(range(1, 96)):
-            problems.append("coverage section does not list families 1..95 in order")
-        for c in coverage:
-            has_gaps = bool(c["gaps"])
-            if (c["status"] == "Covered") == has_gaps:
+        entries = list(_objects(problems, "coverage", coverage))
+        if [c.get("family") for c in entries] != list(range(1, FAMILY_COUNT + 1)):
+            problems.append(
+                f"coverage section does not list families 1..{FAMILY_COUNT} in order"
+            )
+        for c in entries:
+            if (c.get("status") == "Covered") == bool(c.get("gaps")):
                 problems.append(
-                    f"coverage family {c['family']}: status does not match gap list"
+                    f"coverage family {c.get('family')}: status does not match gap list"
                 )
 
     return tuple(problems)

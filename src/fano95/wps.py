@@ -122,11 +122,6 @@ def anticanonical_cube(d: int, weights: Weights) -> Rational:
     return Fraction(d, weights.tail_product)
 
 
-def stratum_degree(curve: StratumCurve) -> Rational:
-    """Degree 1/(w1*w2) of a coordinate-stratum curve."""
-    return curve.degree
-
-
 def format_rational(q: Rational | int) -> str:
     """Canonical "p/q" rendering used in all text and JSON output.
 

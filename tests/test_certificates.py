@@ -325,8 +325,8 @@ def test_extension_checks_cover_derived_set(db):
         assert len(check.entries) == 5
         # every non-strict entry must name its fallback assumption
         for entry in check.entries:
-            if not entry.strict:
-                assert entry.assumption_if_not_strict
+            if not entry.contradiction:
+                assert entry.note
 
 
 def test_extension_check_family_18_values(db):

@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from fano95 import cli, revalidate_document
+from fano95 import cli, report, revalidate_document
 from fano95.certificates import SURFACE_ROWS_FILENAME
 from fano95.families import packaged_data_path
 
@@ -97,6 +97,20 @@ def test_lists_detect_derivation_drift(capsys, tmp_path):
     assert "MISMATCH contracted_unsafe" in out
 
 
+def test_lists_json_match_flag_compares_members_not_order(capsys, monkeypatch):
+    derive = report.derived_lists
+
+    def reordered(db):
+        lists = dict(derive(db))
+        lists["shared_factor"] = lists["shared_factor"][::-1]
+        return lists
+
+    monkeypatch.setattr(report, "derived_lists", reordered)
+    code, out, _ = run(capsys, "lists", "--format", "json")
+    assert code == cli.EXIT_OK
+    assert all(entry["match"] for entry in json.loads(out)["lists"].values())
+
+
 # ---------------------------------------------------------------------------
 # certify
 
@@ -145,6 +159,19 @@ def test_certify_reports_tag_mismatch(capsys, tmp_path):
     code, out, _ = run(capsys, "certify", "--table", str(bad))
     assert code == cli.EXIT_CHECK_FAILED
     assert "TAG MISMATCH" in out
+
+
+@pytest.mark.parametrize("command", ["certify", "full"])
+def test_nonpositive_companion_degree_is_a_certificate_failure(capsys, tmp_path, command):
+    bad = tmp_path / "rows.tsv"
+    bad.write_text("20\t2,3,4\t\t42\t1\n")
+    code, out, err = run(capsys, command, "--table", str(bad))
+    assert code == cli.EXIT_CHECK_FAILED
+    assert out == ""
+    assert err == (
+        "certificate failure: family 20: two-curve method needs positive "
+        "companion degree, got -47/60\n"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from fano95 import (
     ParseError,
     ValidationError,
     Weights,
-    get_family,
     load_families,
     serialize_families,
 )
@@ -38,7 +37,7 @@ def test_get_family_returns_unique_record(db):
     f = db.get(20)
     assert f.d == 13
     assert tuple(f.weights) == (1, 1, 3, 4, 5)
-    f29 = get_family(db, 29)
+    f29 = db.get(29)
     assert f29.d == 16
     assert tuple(f29.weights) == (1, 1, 2, 5, 8)
 

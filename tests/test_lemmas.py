@@ -21,7 +21,6 @@ from fano95 import (
     contracted_divisibility_certificate,
     contracted_unsafe_set,
     contracted_verdict,
-    degree_bound,
     shared_factor_check,
     shared_factor_set,
     tangent_indices,
@@ -50,11 +49,6 @@ def test_case_partition_covers_all_families(db):
 )
 def test_classify_case_examples(db, number, tag):
     assert classify_case(db.get(number)) is tag
-
-
-def test_degree_bound_equals_cached_cap(db):
-    for f in db:
-        assert degree_bound(f) == f.a_cube
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +97,7 @@ def test_point_cases_weak_family_last_comparison_fails(db):
     assert [c.contradiction for c in report] == [True, True, True, False]
     # the fallback section has degree a1 * cap, strictly above the cap
     assert report.case4_section_degree == 2 * Fraction(14, 120)
-    assert report.case4_section_degree > degree_bound(db.get(23))
+    assert report.case4_section_degree > db.get(23).a_cube
 
 
 def test_point_cases_failing_family(db):

@@ -171,6 +171,34 @@ def test_revalidate_detects_status_gap_disagreement(full_document):
     assert any("status does not match gap list" in p for p in problems)
 
 
+@pytest.mark.parametrize("field, forged", [("degree_cap", "1/1"), ("case", "case1")])
+def test_revalidate_rebuilds_family_entries(full_document, field, forged):
+    doc = json.loads(to_json(full_document))
+    doc["families"][6][field] = forged
+    problems = revalidate_document(doc)
+    assert any(p.startswith(f"family 7: {field} does not recompute") for p in problems)
+
+
+def test_revalidate_reports_malformed_entries(full_document):
+    doc = json.loads(to_json(full_document))
+    del doc["certificates"]["surface"][0]["m"]
+    doc["families"][0]["weights"] = 7
+    doc["certificates"]["test_class"][1] = "conic"
+    problems = revalidate_document(doc)
+    assert any(p.startswith("surface family 7 row [0, 2, 3]: does not rebuild") for p in problems)
+    assert any(p.startswith("family 1: does not rebuild") for p in problems)
+    assert "test-class entry 1 is not an object" in problems
+
+
+def test_revalidate_reports_nonpositive_companion_degree(full_document):
+    doc = json.loads(to_json(full_document))
+    victim = doc["certificates"]["surface"][9]
+    assert (victim["family"], victim["method"], victim["m"]) == (15, "42", 2)
+    victim["m"] = 1  # m*A^3 - deg C = 1/3 - 1/3 = 0
+    problems = revalidate_document(doc)
+    assert any("two-curve method needs positive companion degree" in p for p in problems)
+
+
 # ---------------------------------------------------------------------------
 # Text rendering
 

@@ -11,7 +11,6 @@ from fano95 import (
     coordinate_point_on_hypersurface,
     format_rational,
     parse_rational,
-    stratum_degree,
 )
 
 
@@ -135,10 +134,10 @@ def test_stratum_curve_requires_three_distinct_indices():
 
 def test_stratum_degree_at_most_one_with_equality_iff_unit_weights():
     unit = StratumCurve.from_vanishing(Weights((1, 1, 1, 3, 4)), (2, 3, 4))
-    assert stratum_degree(unit) == 1
+    assert unit.degree == 1
     mixed = StratumCurve.from_vanishing(Weights((1, 1, 1, 3, 4)), (0, 1, 2))
-    assert stratum_degree(mixed) == Fraction(1, 12)
-    assert stratum_degree(mixed) < 1
+    assert mixed.degree == Fraction(1, 12)
+    assert mixed.degree < 1
 
 
 # ---------------------------------------------------------------------------
