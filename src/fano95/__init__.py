@@ -64,11 +64,9 @@ from .lemmas import (
     DivisibilityCertificate,
     DivisibilityEntry,
     DivisibilityViolation,
-    PointCaseReport,
     SharedFactorCheck,
     SharedFactorPreconditionError,
     WrongCaseError,
-    case1_point_cases,
     case1_verdict,
     case2_exception_set,
     case2_verdict,
@@ -109,9 +107,9 @@ __all__ = [
     # lemmas
     "CaseTag", "BoundStatus", "ContractedReason", "WrongCaseError",
     "SharedFactorPreconditionError", "DivisibilityViolation",
-    "Comparison", "PointCaseReport", "Case1Verdict", "SharedFactorCheck",
+    "Comparison", "Case1Verdict", "SharedFactorCheck",
     "ContractedVerdict", "DivisibilityEntry", "DivisibilityCertificate",
-    "classify_case", "case1_point_cases", "case1_verdict",
+    "classify_case", "case1_verdict",
     "shared_factor_check", "case2_verdict", "case3_integer_filter",
     "contracted_verdict", "tangent_indices",
     "contracted_divisibility_certificate", "case_partition", "verdict_sets",

@@ -238,8 +238,13 @@ class TwoCurveCertificate:
         return self.c_prime_sq < 0
 
     @property
+    def degree_sum(self) -> Rational:
+        """deg C + deg C′, the combined degree compared against the cap."""
+        return self.deg_c + self.deg_c_prime
+
+    @property
     def degree_contradiction(self) -> bool:
-        return self.deg_c + self.deg_c_prime > self.a_cube
+        return self.degree_sum > self.a_cube
 
     @property
     def valid(self) -> bool:
@@ -247,7 +252,7 @@ class TwoCurveCertificate:
 
     @property
     def boundary(self) -> bool:
-        return self.c_prime_sq == 0 or self.deg_c + self.deg_c_prime == self.a_cube
+        return self.c_prime_sq == 0 or self.degree_sum == self.a_cube
 
 
 def two_curve_certificate(
@@ -413,6 +418,16 @@ class SurfaceCertificate:
         return self.curve.degree
 
     @property
+    def quantities(self) -> tuple[tuple[str, Rational], ...]:
+        """The evaluated quantities in report order, keyed by JSON field name;
+        every view of the certificate (JSON, text, coverage) reads them here."""
+        chain = (("deg_c", self.deg_c), ("diff_total", self.diff_total), ("c2t", self.c2t))
+        if self.method is Method.M41:
+            return chain + (("exclusion_value", self.exclusion_value),)
+        cp = self.companion
+        return chain + (("deg_c_prime", cp.deg_c_prime), ("c_prime_sq", cp.c_prime_sq))
+
+    @property
     def valid(self) -> bool:
         if self.method is Method.M41:
             return self.exclusion_value < 0
@@ -496,13 +511,16 @@ class TableVerification:
     """Outcome of verifying the whole surface-row table."""
 
     certificates: tuple[SurfaceCertificate, ...]
-    invalid: tuple[SurfaceCertificate, ...]
     tag_mismatches: tuple[tuple[int, frozenset[str], frozenset[str]], ...]
     # (family, tags in the row file, tags re-derived from the weights)
 
     @property
+    def invalid(self) -> tuple[SurfaceCertificate, ...]:
+        return tuple(c for c in self.certificates if not c.valid)
+
+    @property
     def ok(self) -> bool:
-        return not self.invalid and not self.tag_mismatches
+        return not self.tag_mismatches and all(c.valid for c in self.certificates)
 
 
 def verify_surface_table(db: FamilyDatabase, rows: Iterable[SurfaceRow]) -> TableVerification:
@@ -510,20 +528,15 @@ def verify_surface_table(db: FamilyDatabase, rows: Iterable[SurfaceRow]) -> Tabl
     re-derived verdicts.  Never raises for invalid certificates; they are
     collected so callers can report all failures at once."""
     certificates = []
-    invalid = []
     mismatches = []
     for row in rows:
         f = db.get(row.family)
-        cert = certify_row(f, row)
-        certificates.append(cert)
-        if not cert.valid:
-            invalid.append(cert)
+        certificates.append(certify_row(f, row))
         expected = expected_fail_tags(f)
         if row.fails != expected:
             mismatches.append((row.family, row.fails, expected))
     return TableVerification(
         certificates=tuple(certificates),
-        invalid=tuple(invalid),
         tag_mismatches=tuple(mismatches),
     )
 

@@ -88,9 +88,10 @@ def cmd_validate(args) -> int:
 
 def cmd_lists(args) -> int:
     db = _load_db(args)
-    ok = not report.list_mismatches(report.derived_lists(db))
     if args.format == "json":
-        rc = _emit_json(report.build_document(db, lists=report.lists_section(db)))
+        lists = report.lists_section(db)
+        rc = _emit_json(report.build_document(db, lists=lists))
+        ok = all(entry["match"] for entry in lists.values())
         return rc if ok else EXIT_CHECK_FAILED
     text, ok = report.render_lists(db)
     sys.stdout.write(text)
@@ -226,3 +227,7 @@ def entrypoint() -> None:
         os.dup2(devnull, sys.stdout.fileno())
         code = 128 + 13
     raise SystemExit(code)
+
+
+if __name__ == "__main__":
+    entrypoint()

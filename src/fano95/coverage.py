@@ -21,7 +21,6 @@ from math import gcd
 from typing import Iterable, Literal
 
 from .certificates import (
-    Method,
     SurfaceCertificate,
     SurfaceRow,
     TestClassCertificate,
@@ -131,26 +130,31 @@ _CONTAINMENT_NOTE = Annotation(
 )
 
 
+#: Coverage labels of the certificate quantities a surface-row route shows.
+_ROW_VALUE_LABELS = {
+    "deg_c": "deg",
+    "exclusion_value": "value",
+    "c_prime_sq": "companion self-intersection",
+}
+
+
 def _surface_row_values(
     certs: Iterable[SurfaceCertificate],
 ) -> tuple[tuple[str, str], ...]:
     values = []
     for cert in certs:
         key = f"row {{{','.join(str(i) for i in sorted(cert.curve.vanishing))}}}"
-        if cert.method is Method.M41:
-            values.append((f"{key} deg", format_rational(cert.deg_c)))
-            values.append((f"{key} value", format_rational(cert.exclusion_value)))
-        else:
-            cp = cert.companion
-            values.append((f"{key} deg", format_rational(cert.deg_c)))
-            values.append(
-                (f"{key} companion self-intersection", format_rational(cp.c_prime_sq))
-            )
+        values.extend(
+            (f"{key} {_ROW_VALUE_LABELS[field]}", format_rational(value))
+            for field, value in cert.quantities
+            if field in _ROW_VALUE_LABELS
+        )
+        cp = cert.companion
+        if cp is not None:
             values.append(
                 (
                     f"{key} degree sum vs cap",
-                    f"{format_rational(cp.deg_c + cp.deg_c_prime)} vs "
-                    f"{format_rational(cp.a_cube)}",
+                    f"{format_rational(cp.degree_sum)} vs {format_rational(cp.a_cube)}",
                 )
             )
     return tuple(values)

@@ -96,24 +96,6 @@ class Comparison:
 
 
 @dataclass(frozen=True)
-class PointCaseReport:
-    """The four image-point cases in the proof of the Case-1 bound.
-
-    Projecting twice lands the candidate curve on a point of the weighted
-    plane P(1, a1, a2); each possible image point gives a fibre curve whose
-    degree is compared against the degree cap.
-    """
-
-    family: int
-    entries: tuple[Comparison, ...]
-    case4_section_degree: Rational  # degree a1 * A^3 of the two-form section
-    case4_flag: bool                # a1 > 1, so the section degree exceeds the cap
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
-@dataclass(frozen=True)
 class Case1Verdict:
     """Verdict of the Case-1 residual bound with its witness inequalities."""
 
@@ -123,14 +105,6 @@ class Case1Verdict:
     a1a4: int
     a2a4: int
 
-    @property
-    def strong_inequality(self) -> bool:
-        return self.d < self.a1a4
-
-    @property
-    def weak_inequality(self) -> bool:
-        return self.d < self.a2a4
-
 
 def _require_case(f: FamilyRecord, tag: CaseTag, op: str) -> None:
     actual = classify_case(f)
@@ -138,41 +112,6 @@ def _require_case(f: FamilyRecord, tag: CaseTag, op: str) -> None:
         raise WrongCaseError(
             f"{op}: family {f.number} is {actual.value}, requires {tag.value}"
         )
-
-
-def case1_point_cases(f: FamilyRecord) -> PointCaseReport:
-    """Evaluate the four image-point comparisons for a Case-1 family.
-
-    Cases 1 and 2 compare the fibre degree 1/a3 with the cap; case 3 compares
-    1/(a1*a3), equivalently a2*a4 vs d; case 4 compares 1/(a2*a3),
-    equivalently a1*a4 vs d, with the fallback section of degree a1*A^3
-    recorded separately (it needs an irreducibility assumption).
-    """
-    _require_case(f, CaseTag.CASE1, "case1_point_cases")
-    a = f.weights
-    cap = f.a_cube
-    entries = (
-        Comparison("image point {y=z=0}", Fraction(1, a[3]), cap),
-        Comparison("image point {y^q+z^p=x=0}", Fraction(1, a[3]), cap),
-        Comparison(
-            "image point {x=z=0}",
-            Fraction(1, a[1] * a[3]),
-            cap,
-            note=f"equivalent to a2*a4 = {a[2] * a[4]} vs d = {f.d}",
-        ),
-        Comparison(
-            "image point {x=y=0}",
-            Fraction(1, a[2] * a[3]),
-            cap,
-            note=f"equivalent to a1*a4 = {a[1] * a[4]} vs d = {f.d}",
-        ),
-    )
-    return PointCaseReport(
-        family=f.number,
-        entries=entries,
-        case4_section_degree=a[1] * cap,
-        case4_flag=a[1] > 1,
-    )
 
 
 def case1_verdict(f: FamilyRecord) -> Case1Verdict:
@@ -251,8 +190,7 @@ class ContractedVerdict:
     """Safety verdict for the contracted-curve classes of one family."""
 
     family: int
-    p4_on_x: bool             # last coordinate point lies on a general member
-    product_bound_holds: bool  # d < a1*a2*a3
+    p4_on_x: bool  # last coordinate point lies on a general member
     safe: bool
     reason: ContractedReason | None  # set only when safe
 
@@ -266,14 +204,12 @@ def contracted_verdict(f: FamilyRecord) -> ContractedVerdict:
     """
     a = f.weights
     p4_on_x = coordinate_point_on_hypersurface(f.d, a, 4)
-    product_bound = f.d < a[1] * a[2] * a[3]
     if not p4_on_x:
-        return ContractedVerdict(f.number, p4_on_x, product_bound, True,
+        return ContractedVerdict(f.number, p4_on_x, True,
                                  ContractedReason.NO_CONTRACTED_CURVES)
-    if product_bound:
-        return ContractedVerdict(f.number, p4_on_x, product_bound, True,
-                                 ContractedReason.DEGREE_BOUND)
-    return ContractedVerdict(f.number, p4_on_x, product_bound, False, None)
+    if f.d < a[1] * a[2] * a[3]:
+        return ContractedVerdict(f.number, p4_on_x, True, ContractedReason.DEGREE_BOUND)
+    return ContractedVerdict(f.number, p4_on_x, False, None)
 
 
 def tangent_indices(f: FamilyRecord) -> tuple[int, ...]:

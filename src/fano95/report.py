@@ -92,6 +92,18 @@ def list_mismatches(
 # JSON sections
 # ---------------------------------------------------------------------------
 
+#: Reader-facing names of serialized fields, for text lines and mismatch reports.
+_FIELD_NAMES = {
+    "c2t": "self-intersection",
+    "c_prime_sq": "companion self-intersection",
+    "deg_c": "curve degree",
+    "deg_c_prime": "companion degree",
+    "diff_total": "different total",
+    "exclusion_value": "exclusion value",
+    "valid": "valid flag",
+}
+
+
 def _family_json(f: FamilyRecord) -> dict:
     return {
         "number": f.number,
@@ -132,10 +144,7 @@ def _surface_cert_json(cert: SurfaceCertificate, a_cube, fails) -> dict:
         "method": cert.method.value,
         "m": cert.m,
         "a_cube": format_rational(a_cube),
-        "deg_c": format_rational(cert.deg_c),
         "diff_indices": list(cert.diff_indices),
-        "diff_total": format_rational(cert.diff_total),
-        "c2t": format_rational(cert.c2t),
         "exclusion_value": None,
         "deg_c_prime": None,
         "c_prime_sq": None,
@@ -144,12 +153,9 @@ def _surface_cert_json(cert: SurfaceCertificate, a_cube, fails) -> dict:
         "valid": cert.valid,
         "boundary": cert.boundary,
     }
-    if cert.method is Method.M41:
-        base["exclusion_value"] = format_rational(cert.exclusion_value)
-    else:
-        cp = cert.companion
-        base["deg_c_prime"] = format_rational(cp.deg_c_prime)
-        base["c_prime_sq"] = format_rational(cp.c_prime_sq)
+    base.update((field, format_rational(value)) for field, value in cert.quantities)
+    cp = cert.companion
+    if cp is not None:
         base["forces_alpha_one"] = cp.forces_alpha_one
         base["degree_contradiction"] = cp.degree_contradiction
     return base
@@ -233,16 +239,6 @@ _REBUILD_ERRORS = (CertificateError, KeyError, TypeError, ValueError)
 
 #: Stands in for a field that one side of a comparison lacks.
 _ABSENT = "<absent>"
-
-#: Reader-facing names of serialized fields, for mismatch reports.
-_FIELD_NAMES = {
-    "c2t": "self-intersection",
-    "c_prime_sq": "companion self-intersection",
-    "deg_c_prime": "companion degree",
-    "diff_total": "different total",
-    "exclusion_value": "exclusion value",
-    "valid": "valid flag",
-}
 
 
 def _objects(problems: list[str], name: str, section) -> Iterable[dict]:
@@ -401,26 +397,20 @@ def render_certificates(
         if cert.boundary:
             flag += " boundary"
         key = ",".join(str(i) for i in sorted(cert.curve.vanishing))
-        if cert.method is Method.M41:
-            lines.append(
-                f"surface family {cert.family} row {{{key}}} method 41 m={cert.m}: "
-                f"curve degree {format_rational(cert.deg_c)}, "
-                f"different total {format_rational(cert.diff_total)}, "
-                f"self-intersection {format_rational(cert.c2t)}, "
-                f"exclusion value {format_rational(cert.exclusion_value)} [{flag}]"
+        values = ", ".join(
+            f"{_FIELD_NAMES[field]} {format_rational(value)}"
+            for field, value in cert.quantities
+        )
+        cp = cert.companion
+        if cp is not None:
+            values += (
+                f", degree sum {format_rational(cp.degree_sum)} vs cap "
+                f"{format_rational(cp.a_cube)}"
             )
-        else:
-            cp = cert.companion
-            lines.append(
-                f"surface family {cert.family} row {{{key}}} method 42 m={cert.m}: "
-                f"curve degree {format_rational(cert.deg_c)}, "
-                f"different total {format_rational(cert.diff_total)}, "
-                f"self-intersection {format_rational(cert.c2t)}, "
-                f"companion degree {format_rational(cp.deg_c_prime)}, "
-                f"companion self-intersection {format_rational(cp.c_prime_sq)}, "
-                f"degree sum {format_rational(cp.deg_c + cp.deg_c_prime)} vs cap "
-                f"{format_rational(cp.a_cube)} [{flag}]"
-            )
+        lines.append(
+            f"surface family {cert.family} row {{{key}}} method {cert.method.value} "
+            f"m={cert.m}: {values} [{flag}]"
+        )
     ok = ok and verification.ok
     for family, got, expected in verification.tag_mismatches:
         lines.append(

@@ -1,7 +1,11 @@
 """End-to-end CLI behaviour: subcommands, exit codes, data resolution, JSON."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from fano95.families import packaged_data_path
 
 FAMILIES = packaged_data_path("families.tsv")
 ROWS = packaged_data_path(SURFACE_ROWS_FILENAME)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -95,6 +100,12 @@ def test_lists_detect_derivation_drift(capsys, tmp_path):
     assert code == cli.EXIT_CHECK_FAILED
     assert "MISMATCH pencil_exceptions" in out
     assert "MISMATCH contracted_unsafe" in out
+    code, out, _ = run(capsys, "lists", "--families", str(bad), "--format", "json")
+    assert code == cli.EXIT_CHECK_FAILED
+    lists = json.loads(out)["lists"]
+    assert [name for name, entry in lists.items() if not entry["match"]] == [
+        "contracted_unsafe", "pencil_exceptions",
+    ]
 
 
 def test_lists_json_match_flag_compares_members_not_order(capsys, monkeypatch):
@@ -265,3 +276,30 @@ def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# python -m
+
+
+def run_module(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_python_m_cli_runs_the_command(capsys):
+    _, expected, _ = run(capsys, "full", "--format", "json")
+    result = run_module("fano95.cli", "full", "--format", "json")
+    assert result.returncode == cli.EXIT_OK, result.stderr
+    assert result.stdout == expected
+
+
+def test_python_m_package_runs_the_command():
+    result = run_module("fano95", "validate")
+    assert result.returncode == cli.EXIT_OK, result.stderr
+    assert result.stdout.startswith("ok: 95 families validated")

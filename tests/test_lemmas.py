@@ -11,7 +11,6 @@ from fano95 import (
     DivisibilityViolation,
     SharedFactorPreconditionError,
     WrongCaseError,
-    case1_point_cases,
     case1_verdict,
     case2_exception_set,
     case2_verdict,
@@ -74,36 +73,14 @@ def test_case1_verdict_examples(db, number, status):
 def test_case1_verdict_records_witness_products(db):
     v = case1_verdict(db.get(23))
     assert (v.d, v.a1a4, v.a2a4) == (14, 10, 15)
-    assert v.strong_inequality is False
-    assert v.weak_inequality is True
+    assert v.status is BoundStatus.WEAK_B
 
 
 def test_case1_verdict_rejects_other_cases(db):
     with pytest.raises(WrongCaseError, match="case2"):
         case1_verdict(db.get(7))
     with pytest.raises(WrongCaseError, match="case3"):
-        case1_point_cases(db.get(1))
-
-
-def test_point_cases_strong_family_all_contradictions(db):
-    report = case1_point_cases(db.get(40))
-    assert [c.contradiction for c in report] == [True, True, True, True]
-    assert report.case4_section_degree == 3 * Fraction(19, 420)
-    assert report.case4_flag is True
-
-
-def test_point_cases_weak_family_last_comparison_fails(db):
-    report = case1_point_cases(db.get(23))
-    assert [c.contradiction for c in report] == [True, True, True, False]
-    # the fallback section has degree a1 * cap, strictly above the cap
-    assert report.case4_section_degree == 2 * Fraction(14, 120)
-    assert report.case4_section_degree > db.get(23).a_cube
-
-
-def test_point_cases_failing_family(db):
-    report = case1_point_cases(db.get(18))
-    assert [c.contradiction for c in report] == [True, True, False, False]
-    assert [c.relation for c in report] == [">", ">", "<", "<"]
+        case1_verdict(db.get(1))
 
 
 def test_verdict_sets_partition_case1(db):

@@ -146,6 +146,13 @@ def test_revalidate_detects_tampered_surface_chain(full_document):
     assert any("self-intersection does not recompute" in p for p in problems)
 
 
+def test_revalidate_names_forged_curve_degree(full_document):
+    doc = json.loads(to_json(full_document))
+    doc["certificates"]["surface"][0]["deg_c"] = "1/7"
+    problems = revalidate_document(doc)
+    assert any("curve degree does not recompute" in p for p in problems)
+
+
 def test_revalidate_detects_flag_forgery(full_document):
     doc = json.loads(to_json(full_document))
     victim = doc["certificates"]["surface"][0]
@@ -226,6 +233,59 @@ def test_render_certificates_lines(db, rows):
     assert len([l for l in lines if l.startswith("surface")]) == 21
     assert any("blowup-class value -4/1 [valid]" in l for l in lines)
     assert any("exclusion value -4/3 [valid]" in l for l in lines)
+
+
+_SURFACE_VIEWS = [
+    (
+        20,
+        [0, 2, 3],
+        "surface family 20 row {0,2,3} method 41 m=4: curve degree 1/5, "
+        "different total 4/5, self-intersection -9/5, exclusion value -4/3 [valid]",
+        {
+            "a_cube": "13/60", "boundary": False, "c2t": "-9/5", "c_prime_sq": None,
+            "deg_c": "1/5", "deg_c_prime": None, "degree_contradiction": None,
+            "diff_indices": [5], "diff_total": "4/5", "exclusion_value": "-4/3",
+            "fails": ["contracted"], "family": 20, "forces_alpha_one": None,
+            "m": 4, "method": "41", "valid": True, "vanishing": [0, 2, 3],
+        },
+        [["row {0,2,3} deg", "1/5"], ["row {0,2,3} value", "-4/3"]],
+    ),
+    (
+        29,
+        [0, 2, 4],
+        "surface family 29 row {0,2,4} method 42 m=2: curve degree 1/5, "
+        "different total 4/5, self-intersection -7/5, companion degree 1/5, "
+        "companion self-intersection -7/5, degree sum 2/5 vs cap 1/5 [valid]",
+        {
+            "a_cube": "1/5", "boundary": False, "c2t": "-7/5", "c_prime_sq": "-7/5",
+            "deg_c": "1/5", "deg_c_prime": "1/5", "degree_contradiction": True,
+            "diff_indices": [5], "diff_total": "4/5", "exclusion_value": None,
+            "fails": ["residual"], "family": 29, "forces_alpha_one": True,
+            "m": 2, "method": "42", "valid": True, "vanishing": [0, 2, 4],
+        },
+        [
+            ["row {0,2,4} deg", "1/5"],
+            ["row {0,2,4} companion self-intersection", "-7/5"],
+            ["row {0,2,4} degree sum vs cap", "2/5 vs 1/5"],
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "family, vanishing, line, entry, values", _SURFACE_VIEWS, ids=["m41", "m42"]
+)
+def test_surface_certificate_views(
+    db, rows, full_document, family, vanishing, line, entry, values
+):
+    text, _ = report.render_certificates((), verify_surface_table(db, rows))
+    assert line in text.splitlines()
+    surface = full_document["certificates"]["surface"]
+    assert [s for s in surface if (s["family"], s["vanishing"]) == (family, vanishing)] == [entry]
+    (coverage,) = [c for c in full_document["coverage"] if c["family"] == family]
+    key = "row {" + ",".join(map(str, vanishing)) + "}"
+    routes = (coverage["residual"], coverage["contracted"])
+    assert [v for r in routes for v in r["values"] if v[0].startswith(key)] == values
 
 
 def test_render_coverage_summary(db, rows):
