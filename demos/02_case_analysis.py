@@ -16,7 +16,6 @@ from fano95 import (
     case1_verdict,
     case2_verdict,
     case3_integer_filter,
-    case_partition,
     classify_case,
     contracted_divisibility_certificate,
     contracted_verdict,
@@ -28,7 +27,9 @@ from fano95 import (
 
 db = load_packaged_families()
 
-parts = case_partition(db)
+parts = {tag: [] for tag in CaseTag}
+for f in db:
+    parts[classify_case(f)].append(f.number)
 print("case partition (by the two smallest nontrivial weights):")
 for tag, numbers in parts.items():
     print(f"  {tag.value}: {len(numbers)} families")

@@ -67,19 +67,16 @@ from .lemmas import (
     SharedFactorCheck,
     SharedFactorPreconditionError,
     WrongCaseError,
+    binomial_fibre_degree,
     case1_verdict,
-    case2_exception_set,
     case2_verdict,
     case3_integer_filter,
-    case_partition,
     classify_case,
     contracted_divisibility_certificate,
-    contracted_unsafe_set,
     contracted_verdict,
+    family_lists,
     shared_factor_check,
-    shared_factor_set,
     tangent_indices,
-    verdict_sets,
 )
 from .report import GOLDEN_LISTS, build_document, derived_lists, revalidate_document, to_json
 from .wps import (
@@ -109,11 +106,10 @@ __all__ = [
     "SharedFactorPreconditionError", "DivisibilityViolation",
     "Comparison", "Case1Verdict", "SharedFactorCheck",
     "ContractedVerdict", "DivisibilityEntry", "DivisibilityCertificate",
-    "classify_case", "case1_verdict",
+    "classify_case", "case1_verdict", "binomial_fibre_degree",
     "shared_factor_check", "case2_verdict", "case3_integer_filter",
     "contracted_verdict", "tangent_indices",
-    "contracted_divisibility_certificate", "case_partition", "verdict_sets",
-    "case2_exception_set", "contracted_unsafe_set", "shared_factor_set",
+    "contracted_divisibility_certificate", "family_lists",
     # certificates
     "CertificateError", "RowError", "SurfaceRowParseError", "Method",
     "TestClassCertificate", "TwoCurveCertificate", "SurfaceRow",

@@ -30,17 +30,15 @@ from .families import (
     FamilyDatabase,
     FamilyRecord,
     Source,
-    _iter_lines,
+    _data_lines,
     packaged_data_path,
 )
 from .lemmas import (
     BoundStatus,
-    CaseTag,
     Comparison,
+    binomial_fibre_degree,
     case1_verdict,
-    case2_verdict,
-    classify_case,
-    contracted_verdict,
+    family_lists,
 )
 from .wps import Rational, StratumCurve
 
@@ -327,10 +325,15 @@ def parse_surface_row(line: str, line_number: int | None = None) -> SurfaceRow:
     raw_family, raw_vanishing, raw_fails, raw_method, raw_m = fields
     try:
         family = int(raw_family)
-        vanishing = frozenset(int(p) for p in raw_vanishing.split(","))
+        indices = [int(p) for p in raw_vanishing.split(",")]
         m = int(raw_m)
     except ValueError as exc:
         raise SurfaceRowParseError(f"non-integer field: {exc}", line_number) from exc
+    vanishing = frozenset(indices)
+    if len(vanishing) != len(indices):
+        raise SurfaceRowParseError(
+            f"vanishing field lists an index twice: {raw_vanishing!r}", line_number
+        )
     fails = frozenset(p for p in raw_fails.split(",") if p)
     try:
         method = Method(raw_method)
@@ -355,10 +358,7 @@ def load_surface_rows(source: Source) -> tuple[SurfaceRow, ...]:
     """
     rows: list[SurfaceRow] = []
     seen: set[tuple[int, frozenset[int]]] = set()
-    for line_number, raw in enumerate(_iter_lines(source), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for line_number, raw in _data_lines(source):
         row = parse_surface_row(raw, line_number)
         key = (row.family, row.vanishing)
         if key in seen:
@@ -494,16 +494,15 @@ def certify_row(f: FamilyRecord, row: SurfaceRow) -> SurfaceCertificate:
     )
 
 
+#: The fail tag of each list whose members' surface rows must carry it.
+_FAIL_TAGS = {"pencil_exceptions": "residual", "contracted_unsafe": "contracted"}
+
+
 def expected_fail_tags(f: FamilyRecord) -> frozenset[str]:
-    """Which coarse bounds genuinely fail for this family, re-derived from the
-    weights: "residual" when the second-case curve bound fails, "contracted"
-    when neither contracted-curve dismissal applies."""
-    tags = set()
-    if classify_case(f) is CaseTag.CASE2 and not case2_verdict(f):
-        tags.add("residual")
-    if not contracted_verdict(f).safe:
-        tags.add("contracted")
-    return frozenset(tags)
+    """Which coarse bounds genuinely fail for this family, read off its list
+    membership: "residual" for a pencil exception (the second-case curve bound
+    fails), "contracted" when neither contracted-curve dismissal applies."""
+    return frozenset(_FAIL_TAGS[name] for name in family_lists(f) if name in _FAIL_TAGS)
 
 
 @dataclass(frozen=True)
@@ -529,10 +528,13 @@ def verify_surface_table(db: FamilyDatabase, rows: Iterable[SurfaceRow]) -> Tabl
     collected so callers can report all failures at once."""
     certificates = []
     mismatches = []
+    expected_by_family: dict[int, frozenset[str]] = {}
     for row in rows:
         f = db.get(row.family)
         certificates.append(certify_row(f, row))
-        expected = expected_fail_tags(f)
+        if f.number not in expected_by_family:
+            expected_by_family[f.number] = expected_fail_tags(f)
+        expected = expected_by_family[f.number]
         if row.fails != expected:
             mismatches.append((row.family, row.fails, expected))
     return TableVerification(
@@ -586,7 +588,6 @@ def extension_check(f: FamilyRecord) -> ExtensionCheck:
     a = f.weights
     cap = f.a_cube
     h = gcd(a[1], a[2])
-    binomial_degree = Fraction(1, a[3] * h)
     binomial_label = "image point on the binomial orbit"
     if h > 1:
         binomial_label += f" (shared factor {h} drops the fibre degree)"
@@ -606,7 +607,7 @@ def extension_check(f: FamilyRecord) -> ExtensionCheck:
         ),
         Comparison(
             binomial_label,
-            binomial_degree,
+            binomial_fibre_degree(f),
             cap,
             "fibre over the binomial point not excluded by degree",
         ),
@@ -630,9 +631,6 @@ def extension_check(f: FamilyRecord) -> ExtensionCheck:
 def extension_checks(db: FamilyDatabase) -> tuple[ExtensionCheck, ...]:
     """Extension reports for every Case-1 family with a failing residual
     bound, in family order (the set is derived, not hard-coded)."""
-    out = []
-    for f in db:
-        if classify_case(f) is CaseTag.CASE1:
-            if case1_verdict(f).status is BoundStatus.FAILS:
-                out.append(extension_check(f))
-    return tuple(out)
+    return tuple(
+        extension_check(f) for f in db if "extension_required" in family_lists(f)
+    )

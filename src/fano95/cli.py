@@ -56,7 +56,7 @@ def _load_db(args):
     path = resolve_data_path(args.families, FAMILIES_FILENAME)
     try:
         return load_families(path)
-    except (OSError, FamilyTableError) as exc:
+    except (OSError, UnicodeDecodeError, FamilyTableError) as exc:
         raise _InputError(f"families table {path}: {exc}") from exc
 
 
@@ -64,7 +64,7 @@ def _load_rows(args):
     path = resolve_data_path(args.table, SURFACE_ROWS_FILENAME)
     try:
         return load_surface_rows(path)
-    except (OSError, SurfaceRowParseError) as exc:
+    except (OSError, UnicodeDecodeError, SurfaceRowParseError) as exc:
         raise _InputError(f"surface-row table {path}: {exc}") from exc
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd
 from typing import Iterable, Literal
 
 from .certificates import (
@@ -40,6 +39,7 @@ from .lemmas import (
     classify_case,
     contracted_divisibility_certificate,
     contracted_verdict,
+    family_lists,
     shared_factor_check,
     tangent_indices,
 )
@@ -196,7 +196,7 @@ def _residual_route(
                 ),
             )
         gaps = ()
-        if gcd(a[1], a[2]) > 1:
+        if "shared_factor" in family_lists(f):
             chk = shared_factor_check(f)
             values.append(
                 (

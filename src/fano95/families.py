@@ -114,15 +114,18 @@ class FamilyDatabase:
 Source = Union[str, Path, IO[str], IO[bytes]]
 
 
-def _iter_lines(source: Source) -> Iterator[str]:
+def _data_lines(source: Source) -> Iterator[tuple[int, str]]:
+    """The numbered lines of a TSV table, skipping blank lines and '#' comments."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            yield from fh
-        return
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    yield from io.StringIO(data)
+        lines = open(source, "r", encoding="utf-8")
+    else:
+        data = source.read()
+        lines = io.StringIO(data.decode("utf-8") if isinstance(data, bytes) else data)
+    with lines:
+        for line_number, line in enumerate(lines, start=1):
+            stripped = line.strip()
+            if stripped and not stripped.startswith("#"):
+                yield line_number, line
 
 
 def parse_family_line(line_number: int, line: str) -> FamilyRecord:
@@ -153,13 +156,7 @@ def load_families(source: Source) -> FamilyDatabase:
     ValidationError (including a count error when the table does not hold
     exactly 95 records), or OSError for unreadable paths.
     """
-    records = []
-    for line_number, line in enumerate(_iter_lines(source), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        records.append(parse_family_line(line_number, line))
-    return FamilyDatabase(records)
+    return FamilyDatabase(parse_family_line(n, line) for n, line in _data_lines(source))
 
 
 def serialize_families(db: FamilyDatabase) -> str:

@@ -11,9 +11,9 @@ weight coordinate either contracts C to a point or maps it to a curve; we call
 the non-contracted classes *residual*.  Each case has a coarse inequality
 under which every low-degree residual curve is excluded outright, and a
 separate product bound handles the contracted classes.  This module evaluates
-those inequalities exactly, derives the exception sets from the weights alone
-(never from stored lists), and emits the divisibility certificates used when
-the projection genuinely contracts curves.
+those inequalities exactly, decides each family's list membership from the
+weights alone (never from stored lists), and emits the divisibility
+certificates used when the projection genuinely contracts curves.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .families import FamilyDatabase, FamilyRecord
+from .families import FamilyRecord
 from .wps import Rational, coordinate_point_on_hypersurface
 
 
@@ -157,16 +157,23 @@ class SharedFactorCheck:
         return self.value == self.a_cube
 
 
-def shared_factor_check(f: FamilyRecord) -> SharedFactorCheck:
-    """Evaluate 1/(a3*gcd(a1,a2)) against the degree cap; requires gcd > 1."""
+def binomial_fibre_degree(f: FamilyRecord) -> Rational:
+    """Degree 1/(a3*h), h = gcd(a1, a2), of the fibre over the binomial orbit
+    of the weighted plane P(1, a1, a2)."""
     a = f.weights
-    h = gcd(a[1], a[2])
+    return Fraction(1, a[3] * gcd(a[1], a[2]))
+
+
+def shared_factor_check(f: FamilyRecord) -> SharedFactorCheck:
+    """Evaluate the binomial fibre degree against the degree cap; requires
+    gcd(a1, a2) > 1."""
+    h = gcd(f.weights[1], f.weights[2])
     if h == 1:
         raise SharedFactorPreconditionError(
             f"family {f.number}: gcd(a1, a2) = 1, shared-factor check does not apply"
         )
     return SharedFactorCheck(
-        family=f.number, h=h, value=Fraction(1, a[3] * h), a_cube=f.a_cube
+        family=f.number, h=h, value=binomial_fibre_degree(f), a_cube=f.a_cube
     )
 
 
@@ -293,41 +300,28 @@ def contracted_divisibility_certificate(f: FamilyRecord, j: int) -> Divisibility
 
 
 # ---------------------------------------------------------------------------
-# Derived set producers.  These re-derive every list from the weights; the
-# golden expectations live only in tests and in the CLI's comparison step.
+# List membership.  Every derived list, the surface rows' fail tags and the
+# extension set read this one rule; the golden expectations live only in
+# tests and in the report's comparison step.
 # ---------------------------------------------------------------------------
 
-def case_partition(db: FamilyDatabase) -> dict[CaseTag, tuple[int, ...]]:
-    """Family numbers of each case, ascending."""
-    out: dict[CaseTag, list[int]] = {tag: [] for tag in CaseTag}
-    for f in db:
-        out[classify_case(f)].append(f.number)
-    return {tag: tuple(nums) for tag, nums in out.items()}
+#: The derived membership lists, in report order; the first three hold the
+#: Case-1 families by bound status, in the order of ``BoundStatus``.
+LIST_NAMES = ("strong_bound", "weak_bound", "extension_required",
+              "pencil_exceptions", "contracted_unsafe", "shared_factor")
+_STATUS_LIST = dict(zip(BoundStatus, LIST_NAMES))
 
 
-def verdict_sets(db: FamilyDatabase) -> dict[BoundStatus, tuple[int, ...]]:
-    """Case-1 families partitioned by bound status, ascending."""
-    out: dict[BoundStatus, list[int]] = {status: [] for status in BoundStatus}
-    for f in db:
-        if classify_case(f) is CaseTag.CASE1:
-            out[case1_verdict(f).status].append(f.number)
-    return {status: tuple(nums) for status, nums in out.items()}
-
-
-def case2_exception_set(db: FamilyDatabase) -> tuple[int, ...]:
-    """Case-2 families where the residual bound fails (d >= a2*a4)."""
-    return tuple(
-        f.number
-        for f in db
-        if classify_case(f) is CaseTag.CASE2 and not case2_verdict(f)
-    )
-
-
-def contracted_unsafe_set(db: FamilyDatabase) -> tuple[int, ...]:
-    """Families whose contracted curves are not dismissed by the verdict."""
-    return tuple(f.number for f in db if not contracted_verdict(f).safe)
-
-
-def shared_factor_set(db: FamilyDatabase) -> tuple[int, ...]:
-    """Families with gcd(a1, a2) > 1."""
-    return tuple(f.number for f in db if gcd(f.weights[1], f.weights[2]) > 1)
+def family_lists(f: FamilyRecord) -> frozenset[str]:
+    """Names of the derived lists family f belongs to, decided from its weights."""
+    names = set()
+    case = classify_case(f)
+    if case is CaseTag.CASE1:
+        names.add(_STATUS_LIST[case1_verdict(f).status])
+    elif case is CaseTag.CASE2 and not case2_verdict(f):
+        names.add("pencil_exceptions")
+    if not contracted_verdict(f).safe:
+        names.add("contracted_unsafe")
+    if gcd(f.weights[1], f.weights[2]) > 1:
+        names.add("shared_factor")
+    return frozenset(names)

@@ -32,14 +32,7 @@ from .certificates import (
 )
 from .coverage import FamilyCoverage
 from .families import FAMILY_COUNT, FamilyDatabase, FamilyRecord
-from .lemmas import (
-    BoundStatus,
-    case2_exception_set,
-    classify_case,
-    contracted_unsafe_set,
-    shared_factor_set,
-    verdict_sets,
-)
+from .lemmas import LIST_NAMES, classify_case, family_lists
 from .wps import Weights, format_rational, parse_rational
 
 #: Expected membership lists, used only to cross-check the derived ones.
@@ -61,15 +54,11 @@ GOLDEN_LISTS: dict[str, tuple[int, ...]] = {
 
 def derived_lists(db: FamilyDatabase) -> dict[str, tuple[int, ...]]:
     """Recompute every membership list from the weights alone."""
-    status_sets = verdict_sets(db)
-    return {
-        "strong_bound": status_sets[BoundStatus.STRONG_A],
-        "weak_bound": status_sets[BoundStatus.WEAK_B],
-        "extension_required": status_sets[BoundStatus.FAILS],
-        "pencil_exceptions": case2_exception_set(db),
-        "contracted_unsafe": contracted_unsafe_set(db),
-        "shared_factor": shared_factor_set(db),
-    }
+    lists: dict[str, list[int]] = {name: [] for name in LIST_NAMES}
+    for f in db:
+        for name in family_lists(f):
+            lists[name].append(f.number)
+    return {name: tuple(numbers) for name, numbers in lists.items()}
 
 
 def list_mismatches(

@@ -128,7 +128,6 @@ def format_rational(q: Rational | int) -> str:
     Integers keep an explicit denominator ("4/1") so the format is uniform
     and parses back without a special case.
     """
-    q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
 
 

@@ -180,6 +180,15 @@ def test_parse_surface_row_rejects_malformed(line):
         C.parse_surface_row(line)
 
 
+def test_parse_surface_row_rejects_repeated_vanishing_index():
+    # Read as a set, "2,3,3,4" would silently become the stratum {2, 3, 4}.
+    with pytest.raises(SurfaceRowParseError) as excinfo:
+        C.parse_surface_row("20\t2,3,3,4\t\t41\t2", 1)
+    assert str(excinfo.value) == (
+        "line 1: vanishing field lists an index twice: '2,3,3,4'"
+    )
+
+
 def test_parse_surface_row_error_carries_line_number():
     with pytest.raises(SurfaceRowParseError, match="line 12"):
         C.parse_surface_row("7\t0,2,3\tresidual\t43\t2", 12)

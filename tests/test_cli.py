@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: subcommands, exit codes, data resolution, JSON."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -172,6 +173,36 @@ def test_certify_reports_tag_mismatch(capsys, tmp_path):
     assert "TAG MISMATCH" in out
 
 
+def test_certify_rejects_repeated_vanishing_index(capsys, tmp_path):
+    bad = tmp_path / "rows.tsv"
+    bad.write_text("20\t2,3,3,4\t\t41\t2\n")
+    code, out, err = run(capsys, "certify", "--table", str(bad))
+    assert code == cli.EXIT_INPUT_ERROR
+    assert out == ""
+    assert err == (
+        f"error: surface-row table {bad}: line 1: vanishing field lists an "
+        "index twice: '2,3,3,4'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, table",
+    [
+        (["validate", "--families"], "families table"),
+        (["certify", "--table"], "surface-row table"),
+    ],
+    ids=["validate", "certify"],
+)
+def test_table_that_is_not_utf8_is_an_input_error(capsys, tmp_path, argv, table):
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(b"\xff\xfe\x00bad\n")
+    code, out, err = run(capsys, *argv, str(bad))
+    assert code == cli.EXIT_INPUT_ERROR
+    assert out == ""
+    assert err.startswith(f"error: {table} {bad}: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["certify", "full"])
 def test_nonpositive_companion_degree_is_a_certificate_failure(capsys, tmp_path, command):
     bad = tmp_path / "rows.tsv"
@@ -208,6 +239,21 @@ def test_full_json_byte_deterministic(capsys):
     _, first, _ = run(capsys, "full", "--format", "json")
     _, second, _ = run(capsys, "full", "--format", "json")
     assert first.encode() == second.encode()
+
+
+#: SHA-256 of the stdout of ``full`` on the packaged tables.  A change that
+#: alters the output on purpose updates these digests and says so.
+FULL_OUTPUT_SHA256 = {
+    "json": "543201ddcd546e09d4440027b526d171927f8a14887c8f4e6e84c20b44f1f7ad",
+    "text": "a876c50b02c1cf85d44cbec72d37480a75a14eea86a623491779e156a03276fd",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(FULL_OUTPUT_SHA256))
+def test_full_output_bytes_are_pinned(capsys, fmt):
+    code, out, err = run(capsys, "full", "--format", fmt)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == FULL_OUTPUT_SHA256[fmt]
 
 
 def test_full_reports_coverage_gap(capsys, tmp_path):

@@ -1,4 +1,5 @@
-"""Case classification, bound verdicts, and contracted-curve certificates."""
+"""Case classification, bound verdicts, list membership, and contracted-curve
+certificates."""
 
 from fractions import Fraction
 
@@ -12,18 +13,17 @@ from fano95 import (
     SharedFactorPreconditionError,
     WrongCaseError,
     case1_verdict,
-    case2_exception_set,
     case2_verdict,
     case3_integer_filter,
-    case_partition,
     classify_case,
     contracted_divisibility_certificate,
-    contracted_unsafe_set,
     contracted_verdict,
+    derived_lists,
+    expected_fail_tags,
+    extension_checks,
+    family_lists,
     shared_factor_check,
-    shared_factor_set,
     tangent_indices,
-    verdict_sets,
 )
 
 CASE3_FAMILIES = (1, 2, 3, 4, 5, 6, 8, 10, 14)
@@ -33,11 +33,13 @@ CASE3_FAMILIES = (1, 2, 3, 4, 5, 6, 8, 10, 14)
 # Case partition
 
 
-def test_case_partition_covers_all_families(db):
-    parts = case_partition(db)
+def test_classify_case_covers_all_families(db):
+    parts = {tag: [] for tag in CaseTag}
+    for f in db:
+        parts[classify_case(f)].append(f.number)
     assert len(parts[CaseTag.CASE1]) == 54
     assert len(parts[CaseTag.CASE2]) == 32
-    assert parts[CaseTag.CASE3] == CASE3_FAMILIES
+    assert tuple(parts[CaseTag.CASE3]) == CASE3_FAMILIES
     combined = sorted(parts[CaseTag.CASE1] + parts[CaseTag.CASE2] + parts[CaseTag.CASE3])
     assert combined == list(range(1, 96))
 
@@ -83,19 +85,8 @@ def test_case1_verdict_rejects_other_cases(db):
         case1_verdict(db.get(1))
 
 
-def test_verdict_sets_partition_case1(db):
-    sets = verdict_sets(db)
-    sizes = {status: len(nums) for status, nums in sets.items()}
-    assert sizes == {BoundStatus.STRONG_A: 27, BoundStatus.WEAK_B: 22, BoundStatus.FAILS: 5}
-    assert sets[BoundStatus.FAILS] == (18, 19, 22, 27, 28)
-
-
 # ---------------------------------------------------------------------------
 # Shared-factor check
-
-
-def test_shared_factor_set_derivation(db):
-    assert shared_factor_set(db) == (18, 22, 28, 43, 52, 59, 69, 73, 81)
 
 
 def test_shared_factor_values(db):
@@ -130,7 +121,6 @@ def test_shared_factor_requires_common_divisor(db):
 def test_case2_verdict_and_exceptions(db):
     assert case2_verdict(db.get(20)) is True   # d=13 < a2*a4=15
     assert case2_verdict(db.get(7)) is False   # d=8 >= a2*a4=6
-    assert case2_exception_set(db) == (7, 9, 11, 12, 13, 15, 16, 17, 21, 24, 29, 34)
     with pytest.raises(WrongCaseError):
         case2_verdict(db.get(18))
 
@@ -161,10 +151,6 @@ def test_contracted_verdict_reasons(db):
     assert not v2.safe and v2.reason is None
 
 
-def test_contracted_unsafe_set(db):
-    assert contracted_unsafe_set(db) == (2, 5, 7, 8, 12, 13, 16, 18, 20, 24, 25, 26, 46)
-
-
 def test_tangent_indices_examples(db):
     assert tangent_indices(db.get(2)) == (0, 1, 2, 3)   # all weights 1
     assert tangent_indices(db.get(18)) == (1, 2)        # weight-2 coordinates
@@ -174,12 +160,12 @@ def test_tangent_indices_examples(db):
 
 def test_unsafe_families_admit_a_tangent_index(db):
     # The contracting equation shape x_j*x4^2 + ... requires some a_j = d - 2*a4.
-    for n in contracted_unsafe_set(db):
+    for n in derived_lists(db)["contracted_unsafe"]:
         assert tangent_indices(db.get(n)), n
 
 
 def test_divisibility_certificates_hold_for_all_unsafe_tangents(db):
-    for n in contracted_unsafe_set(db):
+    for n in derived_lists(db)["contracted_unsafe"]:
         f = db.get(n)
         for j in tangent_indices(f):
             cert = contracted_divisibility_certificate(f, j)
@@ -217,3 +203,33 @@ def test_divisibility_violation_raised_loudly():
     bad = FamilyRecord.build(number=24, d=17, weights=Weights((1, 1, 3, 5, 8)))
     with pytest.raises(DivisibilityViolation, match="weight 5"):
         contracted_divisibility_certificate(bad, 0)
+
+
+# ---------------------------------------------------------------------------
+# List membership
+
+
+@pytest.mark.parametrize(
+    "number, lists",
+    [
+        (1, set()),
+        (7, {"pencil_exceptions", "contracted_unsafe"}),
+        (18, {"extension_required", "contracted_unsafe", "shared_factor"}),
+        (43, {"weak_bound", "shared_factor"}),
+    ],
+)
+def test_family_lists_examples(db, number, lists):
+    assert family_lists(db.get(number)) == frozenset(lists)
+
+
+def test_fail_tags_and_extension_set_follow_the_derived_lists(db):
+    derived = derived_lists(db)
+    for f in db:
+        expected = set()
+        if f.number in derived["pencil_exceptions"]:
+            expected.add("residual")
+        if f.number in derived["contracted_unsafe"]:
+            expected.add("contracted")
+        assert expected_fail_tags(f) == expected, f.number
+    extended = tuple(c.family for c in extension_checks(db))
+    assert extended == derived["extension_required"]
