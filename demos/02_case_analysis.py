@@ -9,6 +9,7 @@ Run:  python3 demos/02_case_analysis.py
 """
 
 from collections import Counter
+from math import gcd
 
 from fano95 import (
     CaseTag,
@@ -47,10 +48,12 @@ print("\nWhen a1 and a2 share a factor h > 1 the image-point argument changes:")
 print("the fibre degree drops to 1/(a3*h) and the bound applies only if that")
 print("still exceeds the degree cap — equality is not enough:")
 for n in (43, 22, 18):
-    c = shared_factor_check(db.get(n))
-    verdict = "applies" if c.applies else ("exact equality" if c.is_equality else "fails")
-    print(f"  family {n:2d}: h = {c.h}, 1/(a3*h) = {c.value} vs A^3 = {c.a_cube}"
-          f"  ->  {verdict}")
+    f = db.get(n)
+    c = shared_factor_check(f)
+    verdict = "applies" if c.contradiction else (
+        "exact equality" if c.relation == "=" else "fails")
+    print(f"  family {n:2d}: h = {gcd(f.weights[1], f.weights[2])}, "
+          f"1/(a3*h) = {c.lhs} vs A^3 = {c.rhs}  ->  {verdict}")
 
 print("\nCase 2 (a1 = 1 < a2): the residual bound is d < a2*a4.")
 exceptions = [n for n in parts[CaseTag.CASE2] if not case2_verdict(db.get(n))]

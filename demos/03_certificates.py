@@ -45,11 +45,10 @@ print("the same surface; both self-intersections negative plus a degree-sum")
 print("contradiction excludes both.  Family 29's row:\n")
 row29 = next(r for r in rows if r.family == 29 and r.method is Method.M42)
 cert29 = certify_row(db.get(29), row29)
-comp = cert29.companion
 print(f"  deg C = {cert29.deg_c}, C^2 = {cert29.c2t}")
-print(f"  deg C' = {comp.deg_c_prime}, C'^2 = {comp.c_prime_sq}")
-print(f"  degree sum {cert29.deg_c + comp.deg_c_prime} > cap {comp.a_cube}: "
-      f"{comp.degree_contradiction}")
+print(f"  deg C' = {cert29.deg_c_prime}, C'^2 = {cert29.c_prime_sq}")
+print(f"  degree sum {cert29.degree_sum} > cap {cert29.a_cube}: "
+      f"{cert29.degree_contradiction}")
 print(f"  valid = {cert29.valid}")
 
 verification = verify_surface_table(db, rows)

@@ -17,7 +17,6 @@ from .certificates import (
     SurfaceRowParseError,
     TableVerification,
     TestClassCertificate,
-    TwoCurveCertificate,
     case3_test_class_certificates,
     certify_row,
     curve_self_intersection,
@@ -31,7 +30,6 @@ from .certificates import (
     surface_exclusion_value,
     test_class_value,
     test_class_value_expanded,
-    two_curve_certificate,
     verify_surface_table,
 )
 from .coverage import (
@@ -64,7 +62,6 @@ from .lemmas import (
     DivisibilityCertificate,
     DivisibilityEntry,
     DivisibilityViolation,
-    SharedFactorCheck,
     SharedFactorPreconditionError,
     WrongCaseError,
     binomial_fibre_degree,
@@ -104,7 +101,7 @@ __all__ = [
     # lemmas
     "CaseTag", "BoundStatus", "ContractedReason", "WrongCaseError",
     "SharedFactorPreconditionError", "DivisibilityViolation",
-    "Comparison", "Case1Verdict", "SharedFactorCheck",
+    "Comparison", "Case1Verdict",
     "ContractedVerdict", "DivisibilityEntry", "DivisibilityCertificate",
     "classify_case", "case1_verdict", "binomial_fibre_degree",
     "shared_factor_check", "case2_verdict", "case3_integer_filter",
@@ -112,12 +109,12 @@ __all__ = [
     "contracted_divisibility_certificate", "family_lists",
     # certificates
     "CertificateError", "RowError", "SurfaceRowParseError", "Method",
-    "TestClassCertificate", "TwoCurveCertificate", "SurfaceRow",
+    "TestClassCertificate", "SurfaceRow",
     "SurfaceCertificate", "TableVerification", "ExtensionCheck",
     "test_class_value", "test_class_value_expanded",
     "case3_test_class_certificates", "different_total",
     "curve_self_intersection", "surface_exclusion_value",
-    "two_curve_certificate", "certify_row", "expected_fail_tags",
+    "certify_row", "expected_fail_tags",
     "verify_surface_table", "load_surface_rows", "serialize_surface_rows",
     "load_packaged_surface_rows", "extension_check", "extension_checks",
     # coverage

@@ -72,6 +72,12 @@ class SurfaceRowParseError(ValueError):
         self.line_number = line_number
 
 
+def _check_integer(what: str, value) -> None:
+    """Reject a non-integer, a bool included: a float would make values inexact."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Test-class certificates
 # ---------------------------------------------------------------------------
@@ -102,6 +108,8 @@ def test_class_value(b: int, a_cube: Rational, deg_c: Rational, p_a: int) -> Rat
     triple-product expansion on every call, so the two derivations cannot
     drift apart.
     """
+    _check_integer("test-class multiplier", b)
+    _check_integer("arithmetic genus", p_a)
     if b < 1:
         raise ValueError(f"test-class multiplier must be >= 1, got {b}")
     deg_c = Fraction(deg_c)
@@ -220,60 +228,6 @@ def surface_exclusion_value(
     return m * Fraction(a_cube) - 2 * Fraction(deg_c) + Fraction(c2t)
 
 
-@dataclass(frozen=True)
-class TwoCurveCertificate:
-    """Pencil-variant certificate: T carries a second curve C′ with
-    C + C′ ~ A|_T.  Negativity of C′² forces the mobile part onto C′, and the
-    combined degree then violates the global degree cap."""
-
-    a_cube: Rational
-    deg_c: Rational
-    deg_c_prime: Rational
-    c_prime_sq: Rational
-
-    @property
-    def forces_alpha_one(self) -> bool:
-        return self.c_prime_sq < 0
-
-    @property
-    def degree_sum(self) -> Rational:
-        """deg C + deg C′, the combined degree compared against the cap."""
-        return self.deg_c + self.deg_c_prime
-
-    @property
-    def degree_contradiction(self) -> bool:
-        return self.degree_sum > self.a_cube
-
-    @property
-    def valid(self) -> bool:
-        return self.forces_alpha_one and self.degree_contradiction
-
-    @property
-    def boundary(self) -> bool:
-        return self.c_prime_sq == 0 or self.degree_sum == self.a_cube
-
-
-def two_curve_certificate(
-    a_cube: Rational,
-    deg_c: Rational,
-    deg_c_prime: Rational,
-    c_prime_sq: Rational,
-) -> TwoCurveCertificate:
-    """Evaluate the two-curve pencil contradiction from its four inputs."""
-    deg_c = Fraction(deg_c)
-    deg_c_prime = Fraction(deg_c_prime)
-    if deg_c <= 0 or deg_c_prime <= 0:
-        raise ValueError(
-            f"curve degrees must be positive, got {deg_c} and {deg_c_prime}"
-        )
-    return TwoCurveCertificate(
-        a_cube=Fraction(a_cube),
-        deg_c=deg_c,
-        deg_c_prime=deg_c_prime,
-        c_prime_sq=Fraction(c_prime_sq),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Surface-row table
 # ---------------------------------------------------------------------------
@@ -309,6 +263,7 @@ class SurfaceRow:
         bad = self.fails - VALID_FAIL_TAGS
         if bad:
             raise ValueError(f"unknown fail tags {sorted(bad)}")
+        _check_integer("surface-system multiplier", self.m)
         if self.m < 1:
             raise ValueError(f"surface-system multiplier must be >= 1, got {self.m}")
 
@@ -351,7 +306,7 @@ def parse_surface_row(line: str, line_number: int | None = None) -> SurfaceRow:
 
 
 def load_surface_rows(source: Source) -> tuple[SurfaceRow, ...]:
-    """Load surface rows from a path, open stream, or TSV text.
+    """Load surface rows from a path or an open stream of TSV text.
 
     Blank lines and lines starting with "#" are skipped.  Rows keep file
     order; duplicates are rejected.
@@ -401,17 +356,23 @@ def load_packaged_surface_rows() -> tuple[SurfaceRow, ...]:
 
 @dataclass(frozen=True)
 class SurfaceCertificate:
-    """Fully evaluated surface certificate for one table row."""
+    """Fully evaluated surface certificate for one table row.  Method 42
+    pairs C with the companion C′ of the pencil C + C′ ~ A|_T; each method's
+    own fields are None for the other, and so are the method-42 properties."""
 
-    family: int
+    row: SurfaceRow
     curve: StratumCurve
-    m: int
-    method: Method
+    a_cube: Rational
     diff_indices: tuple[int, ...]
     diff_total: Rational
     c2t: Rational
-    exclusion_value: Rational | None = None       # method 41 only
-    companion: TwoCurveCertificate | None = None  # method 42 only
+    exclusion_value: Rational | None  # method 41 only
+    deg_c_prime: Rational | None      # method 42 only
+    c_prime_sq: Rational | None       # method 42 only
+
+    @property
+    def family(self) -> int:
+        return self.row.family
 
     @property
     def deg_c(self) -> Rational:
@@ -422,24 +383,36 @@ class SurfaceCertificate:
         """The evaluated quantities in report order, keyed by JSON field name;
         every view of the certificate (JSON, text, coverage) reads them here."""
         chain = (("deg_c", self.deg_c), ("diff_total", self.diff_total), ("c2t", self.c2t))
-        if self.method is Method.M41:
+        if self.row.method is Method.M41:
             return chain + (("exclusion_value", self.exclusion_value),)
-        cp = self.companion
-        return chain + (("deg_c_prime", cp.deg_c_prime), ("c_prime_sq", cp.c_prime_sq))
+        return chain + (("deg_c_prime", self.deg_c_prime), ("c_prime_sq", self.c_prime_sq))
+
+    @property
+    def degree_sum(self) -> Rational | None:
+        """deg C + deg C′, the combined degree compared against the cap."""
+        return None if self.deg_c_prime is None else self.deg_c + self.deg_c_prime
+
+    @property
+    def forces_alpha_one(self) -> bool | None:
+        return None if self.c_prime_sq is None else self.c_prime_sq < 0
+
+    @property
+    def degree_contradiction(self) -> bool | None:
+        return None if self.deg_c_prime is None else self.degree_sum > self.a_cube
 
     @property
     def valid(self) -> bool:
-        if self.method is Method.M41:
+        if self.row.method is Method.M41:
             return self.exclusion_value < 0
-        return self.companion.valid
+        return self.forces_alpha_one and self.degree_contradiction
 
     @property
     def boundary(self) -> bool:
         """True when some deciding quantity is exactly zero/equal — reported
         separately because validity demands strict inequalities."""
-        if self.method is Method.M41:
+        if self.row.method is Method.M41:
             return self.exclusion_value == 0
-        return self.companion.boundary
+        return self.c_prime_sq == 0 or self.degree_sum == self.a_cube
 
 
 def certify_row(f: FamilyRecord, row: SurfaceRow) -> SurfaceCertificate:
@@ -459,38 +432,30 @@ def certify_row(f: FamilyRecord, row: SurfaceRow) -> SurfaceCertificate:
     diff_indices = tuple(sorted(w for w in curve.surviving_weights if w > 1))
     diff = different_total(diff_indices)
     c2t = curve_self_intersection(row.m, deg_c, diff)
+    exclusion_value = deg_c_prime = c_prime_sq = None
     if row.method is Method.M41:
-        value = surface_exclusion_value(row.m, f.a_cube, deg_c, c2t)
-        return SurfaceCertificate(
-            family=f.number,
-            curve=curve,
-            m=row.m,
-            method=row.method,
-            diff_indices=diff_indices,
-            diff_total=diff,
-            c2t=c2t,
-            exclusion_value=value,
-        )
-    # Method 42: the pencil A|_T cuts out C + C', so deg C' = m*A^3 - deg C;
-    # C' meets the same singular points, giving its self-intersection by the
-    # same adjunction formula.
-    deg_c_prime = row.m * f.a_cube - deg_c
-    if deg_c_prime <= 0:
-        raise RowError(
-            f.number,
-            f"two-curve method needs positive companion degree, got {deg_c_prime}",
-        )
-    c_prime_sq = curve_self_intersection(row.m, deg_c_prime, diff)
-    companion = two_curve_certificate(f.a_cube, deg_c, deg_c_prime, c_prime_sq)
+        exclusion_value = surface_exclusion_value(row.m, f.a_cube, deg_c, c2t)
+    else:
+        # Method 42: the pencil A|_T cuts out C + C', so deg C' = m*A^3 - deg C;
+        # C' meets the same singular points, giving its self-intersection by
+        # the same adjunction formula.
+        deg_c_prime = row.m * f.a_cube - deg_c
+        if deg_c_prime <= 0:
+            raise RowError(
+                f.number,
+                f"two-curve method needs positive companion degree, got {deg_c_prime}",
+            )
+        c_prime_sq = curve_self_intersection(row.m, deg_c_prime, diff)
     return SurfaceCertificate(
-        family=f.number,
+        row=row,
         curve=curve,
-        m=row.m,
-        method=row.method,
+        a_cube=f.a_cube,
         diff_indices=diff_indices,
         diff_total=diff,
         c2t=c2t,
-        companion=companion,
+        exclusion_value=exclusion_value,
+        deg_c_prime=deg_c_prime,
+        c_prime_sq=c_prime_sq,
     )
 
 

@@ -149,12 +149,11 @@ def _surface_row_values(
             for field, value in cert.quantities
             if field in _ROW_VALUE_LABELS
         )
-        cp = cert.companion
-        if cp is not None:
+        if cert.degree_sum is not None:
             values.append(
                 (
                     f"{key} degree sum vs cap",
-                    f"{format_rational(cp.degree_sum)} vs {format_rational(cp.a_cube)}",
+                    f"{format_rational(cert.degree_sum)} vs {format_rational(cert.a_cube)}",
                 )
             )
     return tuple(values)
@@ -199,12 +198,9 @@ def _residual_route(
         if "shared_factor" in family_lists(f):
             chk = shared_factor_check(f)
             values.append(
-                (
-                    "shared-factor image degree vs cap",
-                    f"{format_rational(chk.value)} vs {format_rational(chk.a_cube)}",
-                )
+                (chk.label, f"{format_rational(chk.lhs)} vs {format_rational(chk.rhs)}")
             )
-            if not chk.applies:
+            if not chk.contradiction:
                 gaps = ("residual (shared-factor image point uncovered)",)
         if verdict.status is BoundStatus.STRONG_A:
             return RouteEntry(

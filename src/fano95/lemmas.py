@@ -135,28 +135,6 @@ def case1_verdict(f: FamilyRecord) -> Case1Verdict:
     )
 
 
-@dataclass(frozen=True)
-class SharedFactorCheck:
-    """The image-curve degree bound when a1 and a2 share a factor h > 1.
-
-    The binomial image point degenerates to a curve of degree 1/(a3*h); the
-    argument applies exactly when that degree still exceeds the cap.
-    """
-
-    family: int
-    h: int
-    value: Rational
-    a_cube: Rational
-
-    @property
-    def applies(self) -> bool:
-        return self.value > self.a_cube
-
-    @property
-    def is_equality(self) -> bool:
-        return self.value == self.a_cube
-
-
 def binomial_fibre_degree(f: FamilyRecord) -> Rational:
     """Degree 1/(a3*h), h = gcd(a1, a2), of the fibre over the binomial orbit
     of the weighted plane P(1, a1, a2)."""
@@ -164,16 +142,16 @@ def binomial_fibre_degree(f: FamilyRecord) -> Rational:
     return Fraction(1, a[3] * gcd(a[1], a[2]))
 
 
-def shared_factor_check(f: FamilyRecord) -> SharedFactorCheck:
-    """Evaluate the binomial fibre degree against the degree cap; requires
-    gcd(a1, a2) > 1."""
-    h = gcd(f.weights[1], f.weights[2])
-    if h == 1:
+def shared_factor_check(f: FamilyRecord) -> Comparison:
+    """When a1 and a2 share a factor h > 1 the binomial image point becomes a
+    curve of degree 1/(a3*h); the argument applies exactly when that degree
+    exceeds the cap (a contradiction).  Requires gcd(a1, a2) > 1."""
+    if gcd(f.weights[1], f.weights[2]) == 1:
         raise SharedFactorPreconditionError(
             f"family {f.number}: gcd(a1, a2) = 1, shared-factor check does not apply"
         )
-    return SharedFactorCheck(
-        family=f.number, h=h, value=binomial_fibre_degree(f), a_cube=f.a_cube
+    return Comparison(
+        "shared-factor image degree vs cap", binomial_fibre_degree(f), f.a_cube
     )
 
 

@@ -125,38 +125,31 @@ def test_class_section(certs: Iterable[TestClassCertificate]) -> list[dict]:
     return [_test_class_json(c) for c in certs]
 
 
-def _surface_cert_json(cert: SurfaceCertificate, a_cube, fails) -> dict:
+def _surface_cert_json(cert: SurfaceCertificate) -> dict:
+    row = cert.row
     base = {
-        "family": cert.family,
-        "vanishing": sorted(cert.curve.vanishing),
-        "fails": sorted(fails),
-        "method": cert.method.value,
-        "m": cert.m,
-        "a_cube": format_rational(a_cube),
+        "family": row.family,
+        "vanishing": sorted(row.vanishing),
+        "fails": sorted(row.fails),
+        "method": row.method.value,
+        "m": row.m,
+        "a_cube": format_rational(cert.a_cube),
         "diff_indices": list(cert.diff_indices),
         "exclusion_value": None,
         "deg_c_prime": None,
         "c_prime_sq": None,
-        "forces_alpha_one": None,
-        "degree_contradiction": None,
+        "forces_alpha_one": cert.forces_alpha_one,
+        "degree_contradiction": cert.degree_contradiction,
         "valid": cert.valid,
         "boundary": cert.boundary,
     }
     base.update((field, format_rational(value)) for field, value in cert.quantities)
-    cp = cert.companion
-    if cp is not None:
-        base["forces_alpha_one"] = cp.forces_alpha_one
-        base["degree_contradiction"] = cp.degree_contradiction
     return base
 
 
 def surface_section(db: FamilyDatabase, verification: TableVerification, rows) -> list[dict]:
-    by_key = {(r.family, r.vanishing): r for r in rows}
-    out = []
-    for cert in verification.certificates:
-        row = by_key[(cert.family, cert.curve.vanishing)]
-        out.append(_surface_cert_json(cert, db.get(cert.family).a_cube, row.fails))
-    return out
+    """JSON entries of the surface certificates; ``db`` and ``rows`` are unused."""
+    return [_surface_cert_json(cert) for cert in verification.certificates]
 
 
 def lists_section(db: FamilyDatabase) -> dict:
@@ -231,8 +224,12 @@ _ABSENT = "<absent>"
 
 
 def _objects(problems: list[str], name: str, section) -> Iterable[dict]:
-    """The entries of a section that are JSON objects; reports the others."""
-    for i, entry in enumerate(section or ()):
+    """The entries of an array section that are objects; reports the others."""
+    if not isinstance(section, list):
+        if section is not None:
+            problems.append(f"{name} section is not an array")
+        return
+    for i, entry in enumerate(section):
         if isinstance(entry, dict):
             yield entry
         else:
@@ -251,6 +248,8 @@ def revalidate_document(document: Mapping) -> tuple[str, ...]:
     means the document re-derives from its own inputs.  A malformed entry,
     or one the engine rejects, is reported as a problem, never raised.
     """
+    if not isinstance(document, Mapping):
+        return ("document is not an object",)
     problems: list[str] = []
     records: dict[int, FamilyRecord] = {}
 
@@ -288,7 +287,6 @@ def revalidate_document(document: Mapping) -> tuple[str, ...]:
         return _test_class_json(cert)
 
     def rebuild_surface(s: dict) -> dict:
-        f = family_of(s)
         row = SurfaceRow(
             family=s["family"],
             vanishing=frozenset(s["vanishing"]),
@@ -296,7 +294,7 @@ def revalidate_document(document: Mapping) -> tuple[str, ...]:
             method=Method(s["method"]),
             m=s["m"],
         )
-        return _surface_cert_json(certify_row(f, row), f.a_cube, row.fails)
+        return _surface_cert_json(certify_row(family_of(s), row))
 
     families = document.get("families")
     numbers = []
@@ -308,7 +306,11 @@ def revalidate_document(document: Mapping) -> tuple[str, ...]:
             f"families section does not list numbers 1..{FAMILY_COUNT} in order"
         )
 
-    certificates = document.get("certificates") or {}
+    certificates = document.get("certificates")
+    if not isinstance(certificates, dict):
+        if certificates is not None:
+            problems.append("certificates section is not an object")
+        certificates = {}
     for c in _objects(problems, "test-class", certificates.get("test_class")):
         recheck(f"test-class family {c.get('family')}", c, rebuild_test_class)
     for s in _objects(problems, "surface", certificates.get("surface")):
@@ -390,15 +392,14 @@ def render_certificates(
             f"{_FIELD_NAMES[field]} {format_rational(value)}"
             for field, value in cert.quantities
         )
-        cp = cert.companion
-        if cp is not None:
+        if cert.degree_sum is not None:
             values += (
-                f", degree sum {format_rational(cp.degree_sum)} vs cap "
-                f"{format_rational(cp.a_cube)}"
+                f", degree sum {format_rational(cert.degree_sum)} vs cap "
+                f"{format_rational(cert.a_cube)}"
             )
         lines.append(
-            f"surface family {cert.family} row {{{key}}} method {cert.method.value} "
-            f"m={cert.m}: {values} [{flag}]"
+            f"surface family {cert.family} row {{{key}}} method {cert.row.method.value} "
+            f"m={cert.row.m}: {values} [{flag}]"
         )
     ok = ok and verification.ok
     for family, got, expected in verification.tag_mismatches:

@@ -54,16 +54,16 @@ def test_acceptance_2_worked_examples_are_exact(db, rows):
     # family-29 two-curve pair: equal self-intersections, both conditions hold
     pair = certs[(29, (0, 2, 4))]
     assert pair.c2t == Fraction(-7, 5)
-    assert pair.companion.c_prime_sq == Fraction(-7, 5)
-    assert pair.companion.forces_alpha_one is True
-    assert pair.companion.degree_contradiction is True
+    assert pair.c_prime_sq == Fraction(-7, 5)
+    assert pair.forces_alpha_one is True
+    assert pair.degree_contradiction is True
 
     # shared-factor comparisons: strict for family 43, equalities for 22 and 28
     c43 = shared_factor_check(db.get(43))
-    assert (c43.value, c43.a_cube) == (Fraction(1, 10), Fraction(1, 18))
-    assert c43.applies is True
+    assert (c43.lhs, c43.rhs) == (Fraction(1, 10), Fraction(1, 18))
+    assert c43.contradiction is True
     for n in (22, 28):
-        assert shared_factor_check(db.get(n)).is_equality is True
+        assert shared_factor_check(db.get(n)).relation == "="
 
 
 def test_acceptance_3_certificates_complete(db, rows):

@@ -23,7 +23,6 @@ from fano95 import (
     load_surface_rows,
     serialize_surface_rows,
     surface_exclusion_value,
-    two_curve_certificate,
     verify_surface_table,
 )
 from fano95.families import packaged_data_path
@@ -131,18 +130,16 @@ def test_surface_exclusion_value_examples():
     assert surface_exclusion_value(1, Fraction(4), Fraction(1), Fraction(-2)) == 0
 
 
-def test_two_curve_certificate_flags():
-    cert = two_curve_certificate(
-        Fraction(2, 5), Fraction(1, 5), Fraction(1, 5), Fraction(-7, 5)
-    )
+def test_two_curve_certificate_flags(db):
+    # With m = 1 the pencil gives deg C + deg C' = A^3 exactly.
+    cert = certify_row(db.get(2), C.parse_surface_row("2\t0,1,2\t\t42\t1"))
+    assert (cert.deg_c, cert.deg_c_prime) == (Fraction(1, 2), Fraction(2))
     assert cert.forces_alpha_one is True       # companion self-intersection < 0
-    assert cert.degree_contradiction is False  # 1/5 + 1/5 = 2/5 is not > 2/5
+    assert cert.degree_contradiction is False  # 1/2 + 2 = 5/2 is not > 5/2
     assert cert.valid is False
     assert cert.boundary is True
 
-    good = two_curve_certificate(
-        Fraction(2, 5), Fraction(1, 5), Fraction(2, 5), Fraction(-7, 5)
-    )
+    good = certify_row(db.get(2), C.parse_surface_row("2\t0,1,2\t\t42\t2"))
     assert good.degree_contradiction is True and good.valid is True
 
 
@@ -233,7 +230,8 @@ def test_certify_row_worked_chain(db):
     assert cert.c2t == Fraction(-9, 5)
     assert cert.exclusion_value == Fraction(-4, 3)
     assert cert.valid and not cert.boundary
-    assert cert.companion is None
+    assert cert.deg_c_prime is None and cert.c_prime_sq is None
+    assert cert.forces_alpha_one is None and cert.degree_contradiction is None
 
 
 def test_certify_row_two_curve_chain(db):
@@ -242,10 +240,9 @@ def test_certify_row_two_curve_chain(db):
     assert cert.deg_c == Fraction(1, 5)
     assert cert.c2t == Fraction(-7, 5)
     assert cert.exclusion_value is None
-    comp = cert.companion
-    assert comp.deg_c_prime == Fraction(1, 5)  # 2 * cap - deg = 2/5 - 1/5
-    assert comp.c_prime_sq == Fraction(-7, 5)
-    assert comp.forces_alpha_one and comp.degree_contradiction
+    assert cert.deg_c_prime == Fraction(1, 5)  # 2 * cap - deg = 2/5 - 1/5
+    assert cert.c_prime_sq == Fraction(-7, 5)
+    assert cert.forces_alpha_one and cert.degree_contradiction
     assert cert.valid
 
 
@@ -290,7 +287,7 @@ def test_verify_packaged_table_is_clean(db, rows):
     assert verification.tag_mismatches == ()
     assert len(verification.certificates) == 21
     values = {
-        (c.family, tuple(sorted(c.curve.vanishing)), c.m): c
+        (c.family, tuple(sorted(c.curve.vanishing)), c.row.m): c
         for c in verification.certificates
     }
     assert values[(7, (0, 2, 3), 2)].exclusion_value == Fraction(-1)

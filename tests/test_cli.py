@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: subcommands, exit codes, data resolution, JSON."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from fano95 import cli, report, revalidate_document
+from fano95 import cli, load_packaged_families, report, revalidate_document
 from fano95.certificates import SURFACE_ROWS_FILENAME
 from fano95.families import packaged_data_path
 
@@ -254,6 +255,49 @@ def test_full_output_bytes_are_pinned(capsys, fmt):
     code, out, err = run(capsys, "full", "--format", fmt)
     assert (code, err) == (cli.EXIT_OK, "")
     assert hashlib.sha256(out.encode()).hexdigest() == FULL_OUTPUT_SHA256[fmt]
+
+
+#: Exit code and stdout SHA-256 of the other commands.  "T" stands for the
+#: seed-11 ``perfbench/widetable.py`` table, whose method-42 rows, INVALID
+#: rows, tag mismatches and gaps reach every surface view.
+OUTPUT_SHA256 = {
+    "certify": (0, "1f07e25638f4f3c8e18849af7db5d1b18335918c8df16041b59a5359068b58f3"),
+    "certify --format json": (
+        0, "cdb81f31c263273f0e6c7457697028306ed55234fa1b8531f4ede0b502335bf6"
+    ),
+    "lists": (0, "6d1dd7a8bcf1db01809ac38b4dd84b2b5bbb90f44e3c120e42dd1addc29e1338"),
+    "lists --format json": (
+        0, "a4dcbc1d36eac870a60ebd7f734b62da90eda891e7b76f321df2eff5f2229bfe"
+    ),
+    "validate": (0, "70e861dcd7a17b0470400447801e0f1e7101129da6250641fdc0399f76a9ff28"),
+    "full --table T": (
+        1, "574e4c1fe6af33daf58edcd450e53ce5eeff37f8c92556e3afd07a0e1e235332"
+    ),
+    "full --table T --format json": (
+        1, "2bee361b52b23a7d12adfe4ea06a898f723cb1d4f9a71cc6a6b539f2b3d45de9"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def wide_table(tmp_path_factory):
+    spec = importlib.util.spec_from_file_location(
+        "widetable", ROOT / "perfbench" / "widetable.py"
+    )
+    widetable = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(widetable)
+    text, _ = widetable.generate(load_packaged_families(), 11)
+    path = tmp_path_factory.mktemp("wide") / "rows.tsv"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_SHA256))
+def test_output_bytes_are_pinned(capsys, wide_table, command):
+    argv = [wide_table if a == "T" else a for a in command.split()]
+    code, out, err = run(capsys, *argv)
+    assert err == ""
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == OUTPUT_SHA256[command]
 
 
 def test_full_reports_coverage_gap(capsys, tmp_path):

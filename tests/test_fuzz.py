@@ -1,0 +1,122 @@
+"""Seeded fuzz over the two TSV parsers and the JSON revalidator.
+
+Each case mutates one line of a packaged table, or replaces one value of the
+``full --format json`` document.  A table must load or raise its parser's own
+error; revalidation must return a tuple of problems and raise nothing.
+"""
+
+import contextlib
+import io
+import json
+import random
+
+import pytest
+
+from fano95 import (
+    FamilyTableError,
+    SurfaceRowParseError,
+    cli,
+    load_families,
+    load_surface_rows,
+    revalidate_document,
+)
+from fano95.certificates import SURFACE_ROWS_FILENAME
+from fano95.families import packaged_data_path
+
+SEEDS = range(250)
+
+#: Characters a mutation may insert: digits, separators, signs and one
+#: non-ASCII digit (``int`` accepts it).
+_ALPHABET = "0123456789\t,#-+/. x٣"
+
+
+def _mutate_line(rng: random.Random, line: str) -> str:
+    fields = line.split("\t")
+    kind = rng.randrange(7)
+    if kind == 0 and line:  # replace one character
+        i = rng.randrange(len(line))
+        return line[:i] + rng.choice(_ALPHABET) + line[i + 1:]
+    if kind == 1 and line:  # delete one character
+        i = rng.randrange(len(line))
+        return line[:i] + line[i + 1:]
+    if kind == 2:  # insert one character
+        i = rng.randrange(len(line) + 1)
+        return line[:i] + rng.choice(_ALPHABET) + line[i:]
+    if kind == 3:  # drop a field
+        del fields[rng.randrange(len(fields))]
+    elif kind == 4:  # duplicate a field
+        fields.insert(rng.randrange(len(fields) + 1), rng.choice(fields))
+    elif kind == 5:  # replace a field by a random integer
+        fields[rng.randrange(len(fields))] = str(rng.randint(-3, 400))
+    else:  # swap two fields
+        i, j = rng.randrange(len(fields)), rng.randrange(len(fields))
+        fields[i], fields[j] = fields[j], fields[i]
+    return "\t".join(fields)
+
+
+def _mutated_table(filename: str, seed: int) -> io.StringIO:
+    rng = random.Random(seed)
+    lines = packaged_data_path(filename).read_text(encoding="utf-8").split("\n")
+    i = rng.randrange(len(lines))
+    lines[i] = _mutate_line(rng, lines[i])
+    return io.StringIO("\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    "filename, load, error",
+    [
+        ("families.tsv", load_families, FamilyTableError),
+        (SURFACE_ROWS_FILENAME, load_surface_rows, SurfaceRowParseError),
+    ],
+    ids=["families", "surface-rows"],
+)
+def test_fuzzed_table_loads_or_raises_its_parse_error(filename, load, error):
+    for seed in SEEDS:
+        try:
+            load(_mutated_table(filename, seed))
+        except error:
+            pass
+        except Exception as exc:  # any other exception is an escape
+            pytest.fail(f"seed {seed}: {type(exc).__name__}: {exc}")
+
+
+@pytest.fixture(scope="module")
+def full_json():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["full", "--format", "json"]) == cli.EXIT_OK
+    return out.getvalue()
+
+
+def _paths(node, prefix=()):
+    """The path to every value below ``node``, containers included."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def test_fuzzed_document_revalidates_to_problems(full_json):
+    # Paths are drawn per shape (list indices wildcarded), so each of the
+    # ~100 kinds of field is as likely as any other, however many it has.
+    by_shape: dict[tuple, list[tuple]] = {}
+    for path in _paths(json.loads(full_json)):
+        shape = tuple("*" if isinstance(k, int) else k for k in path)
+        by_shape.setdefault(shape, []).append(path)
+    shapes = sorted(by_shape, key=repr)
+    replacements = (None, True, False, 7, 1.5, "x", [], {})
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        *parents, last = rng.choice(by_shape[rng.choice(shapes)])
+        doc = json.loads(full_json)
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = rng.choice(replacements)
+        try:
+            problems = revalidate_document(doc)
+        except Exception as exc:  # any exception is an escape
+            pytest.fail(f"seed {seed}: {type(exc).__name__}: {exc}")
+        assert isinstance(problems, tuple)

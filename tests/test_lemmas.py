@@ -2,6 +2,7 @@
 certificates."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -90,23 +91,26 @@ def test_case1_verdict_rejects_other_cases(db):
 
 
 def test_shared_factor_values(db):
+    def h(n):
+        return gcd(*db.get(n).weights[1:3])
+
     c18 = shared_factor_check(db.get(18))
-    assert (c18.h, c18.value, c18.a_cube) == (2, Fraction(1, 6), Fraction(1, 5))
-    assert c18.applies is False and c18.is_equality is False
+    assert (h(18), c18.lhs, c18.rhs) == (2, Fraction(1, 6), Fraction(1, 5))
+    assert c18.contradiction is False and c18.relation == "<"
 
     c43 = shared_factor_check(db.get(43))
-    assert (c43.h, c43.value, c43.a_cube) == (2, Fraction(1, 10), Fraction(1, 18))
-    assert c43.applies is True
+    assert (h(43), c43.lhs, c43.rhs) == (2, Fraction(1, 10), Fraction(1, 18))
+    assert c43.contradiction is True
 
     for n in (22, 28):
         c = shared_factor_check(db.get(n))
-        assert c.is_equality is True and c.applies is False
+        assert c.relation == "=" and c.contradiction is False
 
 
 def test_shared_factor_strict_on_remaining_families(db):
     for n in (52, 59, 69, 73, 81):
         c = shared_factor_check(db.get(n))
-        assert c.applies is True and c.is_equality is False
+        assert c.contradiction is True and c.relation == ">"
 
 
 def test_shared_factor_requires_common_divisor(db):

@@ -197,6 +197,41 @@ def test_revalidate_reports_malformed_entries(full_document):
     assert "test-class entry 1 is not an object" in problems
 
 
+@pytest.mark.parametrize(
+    "path, value, problem",
+    [
+        (
+            ("certificates", "surface", 0, "m"),
+            1.5,
+            "surface family 7 row [0, 2, 3]: does not rebuild "
+            "(TypeError: surface-system multiplier must be an integer, got 1.5)",
+        ),
+        (
+            ("certificates", "test_class", 0, "b"),
+            2.5,
+            "test-class family 1: does not rebuild "
+            "(TypeError: test-class multiplier must be an integer, got 2.5)",
+        ),
+        (("certificates",), "x", "certificates section is not an object"),
+        (("families",), 5, "families section is not an array"),
+        ((), [], "document is not an object"),
+    ],
+    ids=["surface-m-float", "test-class-b-float", "certificates-string",
+         "families-number", "document-array"],
+)
+def test_revalidate_reports_wrong_json_types(full_document, path, value, problem):
+    doc = json.loads(to_json(full_document))
+    if path:
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+    else:
+        doc = value
+    assert problem in revalidate_document(doc)
+
+
 def test_revalidate_reports_nonpositive_companion_degree(full_document):
     doc = json.loads(to_json(full_document))
     victim = doc["certificates"]["surface"][9]
