@@ -30,6 +30,7 @@ from .families import (
     FamilyDatabase,
     FamilyRecord,
     Source,
+    _check_integer,
     _data_lines,
     packaged_data_path,
 )
@@ -70,12 +71,6 @@ class SurfaceRowParseError(ValueError):
             message = f"line {line_number}: {message}"
         super().__init__(message)
         self.line_number = line_number
-
-
-def _check_integer(what: str, value) -> None:
-    """Reject a non-integer, a bool included: a float would make values inexact."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +210,7 @@ def curve_self_intersection(m: int, deg_c: Rational, diff_total: Rational) -> Ra
     deg(K_C + Diff) = (K + T)·C + C²_T with K + T ~ (m−1)·A."""
     if m < 1:
         raise ValueError(f"surface-system multiplier must be >= 1, got {m}")
-    return -2 + Fraction(diff_total) - (m - 1) * Fraction(deg_c)
+    return -2 + diff_total - (m - 1) * deg_c
 
 
 def surface_exclusion_value(
@@ -225,7 +220,7 @@ def surface_exclusion_value(
     m·A³ − 2·deg_c + C²_T.  Strict negativity excludes the curve."""
     if m < 1:
         raise ValueError(f"surface-system multiplier must be >= 1, got {m}")
-    return m * Fraction(a_cube) - 2 * Fraction(deg_c) + Fraction(c2t)
+    return m * a_cube - 2 * deg_c + c2t
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,12 @@ class FamilyNotFoundError(FamilyTableError):
     """Requested family number is not present in the database."""
 
 
+def _check_integer(what: str, value) -> None:
+    """Reject a non-integer, a bool included: a float would make values inexact."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FamilyRecord:
     """One family: its number, hypersurface degree, weights and degree invariant."""
@@ -60,7 +66,9 @@ class FamilyRecord:
 
     @classmethod
     def build(cls, number: int, d: int, weights: Weights) -> "FamilyRecord":
-        """Construct and validate a record; raises ValidationError on bad data."""
+        """Construct and validate a record; raises ValidationError on bad data
+        and TypeError on a number that is not an integer."""
+        _check_integer("family number", number)
         if not 1 <= number <= FAMILY_COUNT:
             raise ValidationError(number, f"family number must lie in 1..{FAMILY_COUNT}")
         if d != sum(weights.tail):

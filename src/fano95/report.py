@@ -31,7 +31,7 @@ from .certificates import (
     certify_row,
 )
 from .coverage import FamilyCoverage
-from .families import FAMILY_COUNT, FamilyDatabase, FamilyRecord
+from .families import FAMILY_COUNT, FamilyDatabase, FamilyRecord, _check_integer
 from .lemmas import LIST_NAMES, classify_case, family_lists
 from .wps import Weights, format_rational, parse_rational
 
@@ -271,6 +271,7 @@ def revalidate_document(document: Mapping) -> tuple[str, ...]:
 
     def family_of(entry: dict) -> FamilyRecord:
         number = entry["family"]
+        _check_integer("family number", number)
         if number not in records:
             raise ValueError(f"no valid families entry for family {number}")
         return records[number]
@@ -328,6 +329,10 @@ def revalidate_document(document: Mapping) -> tuple[str, ...]:
                 f"coverage section does not list families 1..{FAMILY_COUNT} in order"
             )
         for c in entries:
+            try:
+                _check_integer("family number", c.get("family"))
+            except TypeError as exc:
+                problems.append(f"coverage family {c.get('family')}: {exc}")
             if (c.get("status") == "Covered") == bool(c.get("gaps")):
                 problems.append(
                     f"coverage family {c.get('family')}: status does not match gap list"

@@ -295,6 +295,15 @@ def test_verify_packaged_table_is_clean(db, rows):
     assert values[(21, (0, 2, 4), 7)].exclusion_value is not None
 
 
+@pytest.mark.parametrize("seed", [None, 11], ids=["packaged", "wide-11"])
+def test_certificate_quantities_are_exact(db, rows, wide_tables, seed):
+    table = rows if seed is None else load_surface_rows(wide_tables[seed])
+    for cert in verify_surface_table(db, table).certificates:
+        assert type(cert.a_cube) is Fraction
+        for field, value in cert.quantities:
+            assert type(value) is Fraction, (cert.family, field, value)
+
+
 def test_verify_table_reports_tag_mismatch(db, rows):
     tampered = list(rows)
     victim = tampered[0]

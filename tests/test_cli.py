@@ -1,7 +1,6 @@
 """End-to-end CLI behaviour: subcommands, exit codes, data resolution, JSON."""
 
 import hashlib
-import importlib.util
 import json
 import os
 import shutil
@@ -11,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from fano95 import cli, load_packaged_families, report, revalidate_document
-from fano95.certificates import SURFACE_ROWS_FILENAME
+from fano95 import certificates, cli, report, revalidate_document
+from fano95.certificates import SURFACE_ROWS_FILENAME, load_surface_rows
 from fano95.families import packaged_data_path
 
 FAMILIES = packaged_data_path("families.tsv")
@@ -257,9 +256,10 @@ def test_full_output_bytes_are_pinned(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == FULL_OUTPUT_SHA256[fmt]
 
 
-#: Exit code and stdout SHA-256 of the other commands.  "T" stands for the
-#: seed-11 ``perfbench/widetable.py`` table, whose method-42 rows, INVALID
-#: rows, tag mismatches and gaps reach every surface view.
+#: Exit code and stdout SHA-256 of the other commands.  "T" and "T3" stand
+#: for the seed-11 and seed-3 ``perfbench/widetable.py`` tables, whose
+#: method-42 rows, INVALID rows, tag mismatches and gaps reach every surface
+#: view; two seeds, so the pins do not rest on one draw.
 OUTPUT_SHA256 = {
     "certify": (0, "1f07e25638f4f3c8e18849af7db5d1b18335918c8df16041b59a5359068b58f3"),
     "certify --format json": (
@@ -276,28 +276,45 @@ OUTPUT_SHA256 = {
     "full --table T --format json": (
         1, "2bee361b52b23a7d12adfe4ea06a898f723cb1d4f9a71cc6a6b539f2b3d45de9"
     ),
+    "full --table T3": (
+        1, "44fb66a83c961b5282b51d302250227f2d6be720f82ba213c6916a99e6551ea1"
+    ),
+    "full --table T3 --format json": (
+        1, "9d5b498b9c24567de8e6f7635eb5fcddaac34f342f60ab2377d6e9973bd55d6e"
+    ),
 }
 
-
-@pytest.fixture(scope="module")
-def wide_table(tmp_path_factory):
-    spec = importlib.util.spec_from_file_location(
-        "widetable", ROOT / "perfbench" / "widetable.py"
-    )
-    widetable = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(widetable)
-    text, _ = widetable.generate(load_packaged_families(), 11)
-    path = tmp_path_factory.mktemp("wide") / "rows.tsv"
-    path.write_text(text, encoding="utf-8")
-    return str(path)
+#: The wide-table seed each placeholder in OUTPUT_SHA256 stands for.
+_WIDE_PLACEHOLDERS = {"T": 11, "T3": 3}
 
 
 @pytest.mark.parametrize("command", sorted(OUTPUT_SHA256))
-def test_output_bytes_are_pinned(capsys, wide_table, command):
-    argv = [wide_table if a == "T" else a for a in command.split()]
+def test_output_bytes_are_pinned(capsys, wide_tables, command):
+    argv = [
+        wide_tables[_WIDE_PLACEHOLDERS[a]] if a in _WIDE_PLACEHOLDERS else a
+        for a in command.split()
+    ]
     code, out, err = run(capsys, *argv)
     assert err == ""
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == OUTPUT_SHA256[command]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("seed", [None, 11], ids=["packaged", "wide-11"])
+def test_full_certifies_each_row_once(capsys, monkeypatch, wide_tables, seed, fmt):
+    # The revalidator rebuilds surface entries through report.certify_row,
+    # which the patch leaves alone, so only the audit's own certification counts.
+    table = ROWS if seed is None else wide_tables[seed]
+    calls = []
+    certify_row = certificates.certify_row
+
+    def counted(f, row):
+        calls.append(row)
+        return certify_row(f, row)
+
+    monkeypatch.setattr(certificates, "certify_row", counted)
+    run(capsys, "full", "--table", str(table), "--format", fmt)
+    assert len(calls) == len(load_surface_rows(table))
 
 
 def test_full_reports_coverage_gap(capsys, tmp_path):

@@ -9,9 +9,11 @@ from fano95 import (
     AnnotationKind,
     CaseTag,
     build_coverage,
+    case3_test_class_certificates,
     containment_annotated_families,
     load_surface_rows,
     serialize_surface_rows,
+    verify_surface_table,
 )
 
 
@@ -22,6 +24,18 @@ def coverage(db, rows):
 
 def _entry(coverage, number):
     return next(c for c in coverage if c.family == number)
+
+
+@pytest.mark.parametrize("seed", [None, 11], ids=["packaged", "wide-11"])
+def test_coverage_reuses_passed_certificates(db, rows, wide_tables, seed):
+    table = rows if seed is None else load_surface_rows(wide_tables[seed])
+    reused = build_coverage(
+        db,
+        table,
+        verification=verify_surface_table(db, table),
+        test_classes=case3_test_class_certificates(db),
+    )
+    assert reused == build_coverage(db, table)
 
 
 def test_coverage_lists_every_family_once(coverage):

@@ -106,7 +106,7 @@ def test_fuzzed_document_revalidates_to_problems(full_json):
         shape = tuple("*" if isinstance(k, int) else k for k in path)
         by_shape.setdefault(shape, []).append(path)
     shapes = sorted(by_shape, key=repr)
-    replacements = (None, True, False, 7, 1.5, "x", [], {})
+    replacements = (None, True, False, 7, 1.0, 1.5, "x", [], {})
     for seed in SEEDS:
         rng = random.Random(seed)
         *parents, last = rng.choice(by_shape[rng.choice(shapes)])

@@ -212,11 +212,36 @@ def test_revalidate_reports_malformed_entries(full_document):
             "test-class family 1: does not rebuild "
             "(TypeError: test-class multiplier must be an integer, got 2.5)",
         ),
+        (
+            ("families", 0, "number"),
+            1.0,
+            "family 1.0: does not rebuild "
+            "(TypeError: family number must be an integer, got 1.0)",
+        ),
+        (
+            ("certificates", "test_class", 0, "family"),
+            1.0,
+            "test-class family 1.0: does not rebuild "
+            "(TypeError: family number must be an integer, got 1.0)",
+        ),
+        (
+            ("certificates", "surface", 0, "family"),
+            7.0,
+            "surface family 7.0 row [0, 2, 3]: does not rebuild "
+            "(TypeError: family number must be an integer, got 7.0)",
+        ),
+        (
+            ("coverage", 0, "family"),
+            True,
+            "coverage family True: family number must be an integer, got True",
+        ),
         (("certificates",), "x", "certificates section is not an object"),
         (("families",), 5, "families section is not an array"),
         ((), [], "document is not an object"),
     ],
-    ids=["surface-m-float", "test-class-b-float", "certificates-string",
+    ids=["surface-m-float", "test-class-b-float", "families-number-float",
+         "test-class-family-float", "surface-family-float", "coverage-family-bool",
+         "certificates-string",
          "families-number", "document-array"],
 )
 def test_revalidate_reports_wrong_json_types(full_document, path, value, problem):
