@@ -133,7 +133,7 @@ def cmd_full(args) -> int:
     except CertificateError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    coverage = build_coverage(db, rows, verification=verification, test_classes=tc)
+    coverage = build_coverage(db, rows, verification=verification)
     lists_ok = not report.list_mismatches(report.derived_lists(db))
     certs_ok = all(c.valid for c in tc) and verification.ok
     coverage_ok = all(c.status == "Covered" for c in coverage)

@@ -353,19 +353,18 @@ def build_coverage(
     rows: Iterable[SurfaceRow],
     *,
     verification: TableVerification | None = None,
-    test_classes: Iterable[TestClassCertificate] | None = None,
 ) -> tuple[FamilyCoverage, ...]:
     """Assemble the full 95-family coverage report from the shipped inputs.
-    A passed-in ``verification`` or ``test_classes`` must be built from the
-    same ``db`` and ``rows``; whichever is None is built here."""
+    A passed-in ``verification`` must be ``verify_surface_table(db, rows)``
+    of the same ``db`` and ``rows``; when None it is built here."""
     if verification is None:
         verification = verify_surface_table(db, rows)
-    if test_classes is None:
-        test_classes = case3_test_class_certificates(db)
     by_family: dict[int, list[SurfaceCertificate]] = {}
     for cert in verification.certificates:
         by_family.setdefault(cert.family, []).append(cert)
-    test_class_by_family = {c.family: c for c in test_classes}
+    test_class_by_family = {
+        c.family: c for c in case3_test_class_certificates(db)
+    }
 
     out = []
     for f in db:

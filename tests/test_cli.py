@@ -302,8 +302,9 @@ def test_output_bytes_are_pinned(capsys, wide_tables, command):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("seed", [None, 11], ids=["packaged", "wide-11"])
 def test_full_certifies_each_row_once(capsys, monkeypatch, wide_tables, seed, fmt):
-    # The revalidator rebuilds surface entries through report.certify_row,
-    # which the patch leaves alone, so only the audit's own certification counts.
+    # The patch counts only calls made through the certificates module: the
+    # revalidator rebuilds surface entries through report's own imported
+    # certify_row, which it leaves alone, so only the audit's certification counts.
     table = ROWS if seed is None else wide_tables[seed]
     calls = []
     certify_row = certificates.certify_row
@@ -313,7 +314,11 @@ def test_full_certifies_each_row_once(capsys, monkeypatch, wide_tables, seed, fm
         return certify_row(f, row)
 
     monkeypatch.setattr(certificates, "certify_row", counted)
-    run(capsys, "full", "--table", str(table), "--format", fmt)
+    code, _, err = run(capsys, "full", "--table", str(table), "--format", fmt)
+    assert (code, err) == (
+        cli.EXIT_OK if seed is None else cli.EXIT_CHECK_FAILED,
+        "",
+    )
     assert len(calls) == len(load_surface_rows(table))
 
 

@@ -9,7 +9,6 @@ from fano95 import (
     AnnotationKind,
     CaseTag,
     build_coverage,
-    case3_test_class_certificates,
     containment_annotated_families,
     load_surface_rows,
     serialize_surface_rows,
@@ -30,10 +29,7 @@ def _entry(coverage, number):
 def test_coverage_reuses_passed_certificates(db, rows, wide_tables, seed):
     table = rows if seed is None else load_surface_rows(wide_tables[seed])
     reused = build_coverage(
-        db,
-        table,
-        verification=verify_surface_table(db, table),
-        test_classes=case3_test_class_certificates(db),
+        db, table, verification=verify_surface_table(db, table)
     )
     assert reused == build_coverage(db, table)
 
