@@ -37,11 +37,12 @@ for tag, numbers in parts.items():
 
 print("\nCase 1 (a1 > 1): compare d against a1*a4 and a2*a4.")
 for n in (40, 23, 18):
-    v = case1_verdict(db.get(n))
-    print(f"  family {n:2d}: d = {v.d:2d}, a1*a4 = {v.a1a4:3d}, "
-          f"a2*a4 = {v.a2a4:3d}  ->  {v.status.value}")
+    f = db.get(n)
+    a = f.weights
+    print(f"  family {n:2d}: d = {f.d:2d}, a1*a4 = {a[1] * a[4]:3d}, "
+          f"a2*a4 = {a[2] * a[4]:3d}  ->  {case1_verdict(f).value}")
 case1 = [db.get(n) for n in parts[CaseTag.CASE1]]
-counts = Counter(case1_verdict(f).status.value for f in case1)
+counts = Counter(case1_verdict(f).value for f in case1)
 print(f"  verdict counts over all {len(case1)} Case-1 families: {dict(counts)}")
 
 print("\nWhen a1 and a2 share a factor h > 1 the image-point argument changes:")
@@ -70,15 +71,15 @@ for n in parts[CaseTag.CASE3]:
 print("\nContracted classes: projecting away from the largest-weight coordinate")
 print("can contract curves only when the last coordinate point lies on X and")
 print("the product bound d < a1*a2*a3 fails:")
-unsafe = [f.number for f in db if not contracted_verdict(f).safe]
+unsafe = [f.number for f in db if contracted_verdict(f) is None]
 print(f"  families needing a separate contracted argument: {unsafe}")
 
 f20 = db.get(20)
 j = tangent_indices(f20)[0]
-cert = contracted_divisibility_certificate(f20, j)
+witnesses = contracted_divisibility_certificate(f20, j)
 print(f"\n  e.g. family 20, tangent index {j}: each reduced weight divides")
-print(f"  d - a4 = {cert.d - cert.a4} or d = {cert.d}: "
-      f"{[(e.weight, e.holds) for e in cert.entries]} -> holds = {cert.holds}")
+print(f"  d - a4 = {f20.d - f20.weights[4]} or d = {f20.d}: "
+      + ", ".join(f"{w} | {divisor}" for w, divisor in witnesses))
 
 derived = derived_lists(db)
 agree = derived == {k: tuple(v) for k, v in GOLDEN_LISTS.items()}

@@ -12,7 +12,8 @@ from fano95 import (
     Method,
     case3_test_class_certificates,
     certify_row,
-    extension_checks,
+    derived_lists,
+    extension_check,
     load_packaged_families,
     load_packaged_surface_rows,
     verify_surface_table,
@@ -61,10 +62,10 @@ print("\nExtension checks (Case-1 families where the residual bound fails):")
 print("project twice and compare every possible image against the cap; strict")
 print("inequalities are certificates, non-strict entries name the geometric")
 print("assumption they lean on:\n")
-for check in extension_checks(db):
-    strict = len(check.strict_entries)
-    assumed = len(check.assumption_entries)
-    print(f"  family {check.family}: {strict} strict, {assumed} assumption-backed")
-check18 = next(c for c in extension_checks(db) if c.family == 18)
-for e in check18.entries:
+for n in derived_lists(db)["extension_required"]:
+    comparisons = extension_check(db.get(n))
+    strict = sum(e.contradiction for e in comparisons)
+    print(f"  family {n}: {strict} strict, "
+          f"{len(comparisons) - strict} assumption-backed")
+for e in extension_check(db.get(18)):
     print(f"    18: {e.label:55s} {e.lhs} {e.relation} {e.rhs}")

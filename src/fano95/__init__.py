@@ -9,7 +9,6 @@ route.  See the ``audit`` console script for the command-line surface.
 
 from .certificates import (
     CertificateError,
-    ExtensionCheck,
     Method,
     RowError,
     SurfaceCertificate,
@@ -23,7 +22,6 @@ from .certificates import (
     different_total,
     expected_fail_tags,
     extension_check,
-    extension_checks,
     load_packaged_surface_rows,
     load_surface_rows,
     serialize_surface_rows,
@@ -54,13 +52,9 @@ from .families import (
 )
 from .lemmas import (
     BoundStatus,
-    Case1Verdict,
     CaseTag,
     Comparison,
     ContractedReason,
-    ContractedVerdict,
-    DivisibilityCertificate,
-    DivisibilityEntry,
     DivisibilityViolation,
     SharedFactorPreconditionError,
     WrongCaseError,
@@ -101,22 +95,20 @@ __all__ = [
     # lemmas
     "CaseTag", "BoundStatus", "ContractedReason", "WrongCaseError",
     "SharedFactorPreconditionError", "DivisibilityViolation",
-    "Comparison", "Case1Verdict",
-    "ContractedVerdict", "DivisibilityEntry", "DivisibilityCertificate",
-    "classify_case", "case1_verdict", "binomial_fibre_degree",
+    "Comparison", "classify_case", "case1_verdict", "binomial_fibre_degree",
     "shared_factor_check", "case2_verdict", "case3_integer_filter",
     "contracted_verdict", "tangent_indices",
     "contracted_divisibility_certificate", "family_lists",
     # certificates
     "CertificateError", "RowError", "SurfaceRowParseError", "Method",
     "TestClassCertificate", "SurfaceRow",
-    "SurfaceCertificate", "TableVerification", "ExtensionCheck",
+    "SurfaceCertificate", "TableVerification",
     "test_class_value", "test_class_value_expanded",
     "case3_test_class_certificates", "different_total",
     "curve_self_intersection", "surface_exclusion_value",
     "certify_row", "expected_fail_tags",
     "verify_surface_table", "load_surface_rows", "serialize_surface_rows",
-    "load_packaged_surface_rows", "extension_check", "extension_checks",
+    "load_packaged_surface_rows", "extension_check",
     # coverage
     "AnnotationKind", "Annotation", "RouteEntry", "FamilyCoverage",
     "build_coverage", "containment_annotated_families",

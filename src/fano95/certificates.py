@@ -30,7 +30,6 @@ from .families import (
     FamilyDatabase,
     FamilyRecord,
     Source,
-    _check_integer,
     _data_lines,
     packaged_data_path,
 )
@@ -41,7 +40,7 @@ from .lemmas import (
     case1_verdict,
     family_lists,
 )
-from .wps import Rational, StratumCurve
+from .wps import Rational, StratumCurve, _check_integer
 
 SURFACE_ROWS_FILENAME = "surface_rows.tsv"
 
@@ -250,6 +249,8 @@ class SurfaceRow:
             raise ValueError(
                 f"family number must lie in 1..{FAMILY_COUNT}, got {self.family}"
             )
+        for i in self.vanishing:
+            _check_integer("vanishing index", i)
         if len(self.vanishing) != 3 or not all(0 <= i <= 4 for i in self.vanishing):
             raise ValueError(
                 f"vanishing set must be 3 distinct indices in 0..4, got "
@@ -507,43 +508,23 @@ def verify_surface_table(db: FamilyDatabase, rows: Iterable[SurfaceRow]) -> Tabl
 # Extension checks for the Case-1 families where the residual bound fails
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExtensionCheck:
-    """All numeric comparisons behind extending the Case-1 bound to one of
-    the families where it fails outright.  Each entry's note names what a
-    non-strict outcome would require (the geometric step the engine cannot
-    check)."""
-
-    family: int
-    a_cube: Rational
-    entries: tuple[Comparison, ...]
-
-    @property
-    def strict_entries(self) -> tuple[Comparison, ...]:
-        return tuple(e for e in self.entries if e.contradiction)
-
-    @property
-    def assumption_entries(self) -> tuple[Comparison, ...]:
-        """Entries that are equalities or reversed — each one leans on the
-        recorded geometric assumption instead of arithmetic."""
-        return tuple(e for e in self.entries if not e.contradiction)
-
-
-def extension_check(f: FamilyRecord) -> ExtensionCheck:
-    """Evaluate the double-projection comparisons for one Case-1 family whose
-    residual bound fails (d >= a2*a4).
+def extension_check(f: FamilyRecord) -> tuple[Comparison, ...]:
+    """The double-projection comparisons for one Case-1 family whose residual
+    bound fails (d >= a2*a4).
 
     The candidate curve projects twice; either the image is a curve (degree
     1/(a1*a2)) or a point of the weighted plane P(1, a1, a2), whose four
     orbits give fibres of degree 1/a3 (twice, with the binomial orbit
     degenerating to 1/(a3*h) when h = gcd(a1, a2) > 1), 1/(a1*a3), or the
     section of degree a1*A^3 — each compared against the degree cap A^3.
+    A strict comparison is a certificate; each non-strict one leans on the
+    geometric step its note names, which the engine cannot check.
     """
-    verdict = case1_verdict(f)
-    if verdict.status is not BoundStatus.FAILS:
+    status = case1_verdict(f)
+    if status is not BoundStatus.FAILS:
         raise ValueError(
             f"family {f.number}: extension checks apply only where the "
-            f"residual bound fails, status is {verdict.status.value}"
+            f"residual bound fails, status is {status.value}"
         )
     a = f.weights
     cap = f.a_cube
@@ -551,7 +532,7 @@ def extension_check(f: FamilyRecord) -> ExtensionCheck:
     binomial_label = "image point on the binomial orbit"
     if h > 1:
         binomial_label += f" (shared factor {h} drops the fibre degree)"
-    entries = (
+    return (
         Comparison(
             "image curve in the weighted plane",
             Fraction(1, a[1] * a[2]),
@@ -584,13 +565,4 @@ def extension_check(f: FamilyRecord) -> ExtensionCheck:
             cap,
             "needs irreducibility of the section curve",
         ),
-    )
-    return ExtensionCheck(family=f.number, a_cube=cap, entries=entries)
-
-
-def extension_checks(db: FamilyDatabase) -> tuple[ExtensionCheck, ...]:
-    """Extension reports for every Case-1 family with a failing residual
-    bound, in family order (the set is derived, not hard-coded)."""
-    return tuple(
-        extension_check(f) for f in db if "extension_required" in family_lists(f)
     )

@@ -170,16 +170,16 @@ def _residual_route(
     a = f.weights
 
     if case is CaseTag.CASE1:
-        verdict = case1_verdict(f)
+        status = case1_verdict(f)
         values = [
             ("d", str(f.d)),
-            ("a1*a4", str(verdict.a1a4)),
-            ("a2*a4", str(verdict.a2a4)),
+            ("a1*a4", str(a[1] * a[4])),
+            ("a2*a4", str(a[2] * a[4])),
             ("degree cap", format_rational(f.a_cube)),
         ]
-        if verdict.status is BoundStatus.FAILS:
-            check = extension_check(f)
-            for e in check.entries:
+        if status is BoundStatus.FAILS:
+            comparisons = extension_check(f)
+            for e in comparisons:
                 values.append(
                     (e.label, f"{format_rational(e.lhs)} {e.relation} "
                               f"{format_rational(e.rhs)}")
@@ -192,7 +192,8 @@ def _residual_route(
                 values=tuple(values),
                 annotations=tuple(
                     Annotation(AnnotationKind.GENERALITY, e.note)
-                    for e in check.assumption_entries
+                    for e in comparisons
+                    if not e.contradiction
                 ),
             )
         gaps = ()
@@ -203,7 +204,7 @@ def _residual_route(
             )
             if not chk.contradiction:
                 gaps = ("residual (shared-factor image point uncovered)",)
-        if verdict.status is BoundStatus.STRONG_A:
+        if status is BoundStatus.STRONG_A:
             return RouteEntry(
                 route="strong-bound",
                 detail="d < a1*a4, so every residual curve class exceeds the "
@@ -285,10 +286,10 @@ def _contracted_route(
 ) -> RouteEntry:
     """Route for the curve classes contracted by the projection away from
     the largest-weight coordinate."""
-    verdict = contracted_verdict(f)
+    reason = contracted_verdict(f)
     a = f.weights
 
-    if verdict.safe and verdict.reason is ContractedReason.NO_CONTRACTED_CURVES:
+    if reason is ContractedReason.NO_CONTRACTED_CURVES:
         return RouteEntry(
             route="no-contracted-curves",
             detail="the largest weight divides d, so the last coordinate "
@@ -298,7 +299,7 @@ def _contracted_route(
         )
 
     gaps: list[str] = []
-    if verdict.safe:  # reason is DEGREE_BOUND
+    if reason is ContractedReason.DEGREE_BOUND:
         values = [
             ("d", str(f.d)),
             ("a1*a2*a3", str(a[1] * a[2] * a[3])),
@@ -306,13 +307,12 @@ def _contracted_route(
         ]
         for j in tangent_indices(f):
             try:
-                cert = contracted_divisibility_certificate(f, j)
+                witnesses = contracted_divisibility_certificate(f, j)
             except DivisibilityViolation as exc:
                 gaps.append(f"contracted (divisibility certificate fails: {exc})")
                 continue
             witness = ", ".join(
-                f"{e.weight} | {f.d - a[4] if e.divides_d_minus_a4 else f.d}"
-                for e in cert.entries
+                f"{w} | {divisor}" for w, divisor in witnesses
             ) or "no reduced weights above 1"
             values.append((f"tangent index {j} divisibility", witness))
         return RouteEntry(

@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
-from .wps import Rational, Weights, anticanonical_cube
+from .wps import Rational, Weights, _check_integer, anticanonical_cube
 
 #: Number of families in the classification.
 FAMILY_COUNT = 95
@@ -49,12 +49,6 @@ class FamilyNotFoundError(FamilyTableError):
     """Requested family number is not present in the database."""
 
 
-def _check_integer(what: str, value) -> None:
-    """Reject a non-integer, a bool included: a float would make values inexact."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class FamilyRecord:
     """One family: its number, hypersurface degree, weights and degree invariant."""
@@ -67,8 +61,9 @@ class FamilyRecord:
     @classmethod
     def build(cls, number: int, d: int, weights: Weights) -> "FamilyRecord":
         """Construct and validate a record; raises ValidationError on bad data
-        and TypeError on a number that is not an integer."""
+        and TypeError on a number or degree that is not an integer."""
         _check_integer("family number", number)
+        _check_integer("degree", d)
         if not 1 <= number <= FAMILY_COUNT:
             raise ValidationError(number, f"family number must lie in 1..{FAMILY_COUNT}")
         if d != sum(weights.tail):

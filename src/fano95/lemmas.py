@@ -14,6 +14,17 @@ separate product bound handles the contracted classes.  This module evaluates
 those inequalities exactly, decides each family's list membership from the
 weights alone (never from stored lists), and emits the divisibility
 certificates used when the projection genuinely contracts curves.
+
+Each verdict returns only the fact it decides; the weights and degree it
+compares stay on the family record the caller already holds:
+
+* ``case1_verdict``: a ``BoundStatus``; ``case2_verdict`` and
+  ``case3_integer_filter``: a bool;
+* ``contracted_verdict``: a ``ContractedReason``, or None when neither
+  dismissal applies;
+* ``contracted_divisibility_certificate``: (weight, divisor) witness pairs;
+* ``shared_factor_check``: a ``Comparison`` (``certificates.extension_check``
+  returns a tuple of them).
 """
 
 from __future__ import annotations
@@ -95,17 +106,6 @@ class Comparison:
         return self.lhs > self.rhs
 
 
-@dataclass(frozen=True)
-class Case1Verdict:
-    """Verdict of the Case-1 residual bound with its witness inequalities."""
-
-    family: int
-    status: BoundStatus
-    d: int
-    a1a4: int
-    a2a4: int
-
-
 def _require_case(f: FamilyRecord, tag: CaseTag, op: str) -> None:
     actual = classify_case(f)
     if actual is not tag:
@@ -114,25 +114,16 @@ def _require_case(f: FamilyRecord, tag: CaseTag, op: str) -> None:
         )
 
 
-def case1_verdict(f: FamilyRecord) -> Case1Verdict:
-    """Classify a Case-1 family by the residual-curve inequalities."""
+def case1_verdict(f: FamilyRecord) -> BoundStatus:
+    """Classify a Case-1 family by the residual-curve inequalities
+    d < a1*a4 and d < a2*a4."""
     _require_case(f, CaseTag.CASE1, "case1_verdict")
     a = f.weights
-    a1a4 = a[1] * a[4]
-    a2a4 = a[2] * a[4]
-    if f.d < a1a4:
-        status = BoundStatus.STRONG_A
-    elif f.d < a2a4:
-        status = BoundStatus.WEAK_B
-    else:
-        status = BoundStatus.FAILS
-    return Case1Verdict(
-        family=f.number,
-        status=status,
-        d=f.d,
-        a1a4=a1a4,
-        a2a4=a2a4,
-    )
+    if f.d < a[1] * a[4]:
+        return BoundStatus.STRONG_A
+    if f.d < a[2] * a[4]:
+        return BoundStatus.WEAK_B
+    return BoundStatus.FAILS
 
 
 def binomial_fibre_degree(f: FamilyRecord) -> Rational:
@@ -170,31 +161,20 @@ def case3_integer_filter(f: FamilyRecord) -> bool:
     return f.a_cube < 1
 
 
-@dataclass(frozen=True)
-class ContractedVerdict:
-    """Safety verdict for the contracted-curve classes of one family."""
-
-    family: int
-    p4_on_x: bool  # last coordinate point lies on a general member
-    safe: bool
-    reason: ContractedReason | None  # set only when safe
-
-
-def contracted_verdict(f: FamilyRecord) -> ContractedVerdict:
-    """Whether contracted curves are impossible or excluded by the product bound.
+def contracted_verdict(f: FamilyRecord) -> ContractedReason | None:
+    """Why contracted curves are impossible or excluded by the product bound,
+    or None when neither dismissal applies (the family is unsafe).
 
     When the last coordinate point is off X the projection has finite fibres
     and contracts nothing; that alone settles the family, without inspecting
     the product bound.
     """
     a = f.weights
-    p4_on_x = coordinate_point_on_hypersurface(f.d, a, 4)
-    if not p4_on_x:
-        return ContractedVerdict(f.number, p4_on_x, True,
-                                 ContractedReason.NO_CONTRACTED_CURVES)
+    if not coordinate_point_on_hypersurface(f.d, a, 4):
+        return ContractedReason.NO_CONTRACTED_CURVES
     if f.d < a[1] * a[2] * a[3]:
-        return ContractedVerdict(f.number, p4_on_x, True, ContractedReason.DEGREE_BOUND)
-    return ContractedVerdict(f.number, p4_on_x, False, None)
+        return ContractedReason.DEGREE_BOUND
+    return None
 
 
 def tangent_indices(f: FamilyRecord) -> tuple[int, ...]:
@@ -204,42 +184,16 @@ def tangent_indices(f: FamilyRecord) -> tuple[int, ...]:
     return tuple(j for j in range(4) if a[j] + 2 * a[4] == f.d)
 
 
-@dataclass(frozen=True)
-class DivisibilityEntry:
-    """One reduced weight and which of the two divisibilities it satisfies."""
+def contracted_divisibility_certificate(
+    f: FamilyRecord, j: int
+) -> tuple[tuple[int, int], ...]:
+    """Certify that the base points of the contracting pencil for tangent
+    index j avoid the singular points of the residual weighted plane.
 
-    index: int
-    weight: int
-    divides_d_minus_a4: bool
-    divides_d: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.divides_d_minus_a4 or self.divides_d
-
-
-@dataclass(frozen=True)
-class DivisibilityCertificate:
-    """Certificate that the base points of the contracting pencil avoid the
-    singular points of the residual weighted plane.
-
-    Given the tangent relation a_j + 2*a4 = d, each reduced weight a > 1
-    (the weights away from j and 4) must divide d - a4 or d.
-    """
-
-    family: int
-    j: int
-    d: int
-    a4: int
-    entries: tuple[DivisibilityEntry, ...]
-
-    @property
-    def holds(self) -> bool:
-        return all(e.holds for e in self.entries)
-
-
-def contracted_divisibility_certificate(f: FamilyRecord, j: int) -> DivisibilityCertificate:
-    """Build the divisibility certificate for tangent index j.
+    Given the tangent relation a_j + 2*a4 = d, each reduced weight a > 1 (the
+    weights away from j and 4) must divide d - a4 or d.  Returns one
+    (weight, divisor) witness pair per reduced weight, the divisor being
+    d - a4 when the weight divides it and d otherwise.
 
     Raises ValueError if a_j + 2*a4 != d, and DivisibilityViolation if some
     reduced weight divides neither d - a4 nor d (impossible for valid data —
@@ -253,28 +207,20 @@ def contracted_divisibility_certificate(f: FamilyRecord, j: int) -> Divisibility
             f"family {f.number}: a_{j} + 2*a4 = {a[j] + 2 * a[4]} != d = {f.d}; "
             "not a valid tangent index"
         )
-    entries = []
+    witnesses = []
     for i in range(4):
-        if i == j:
-            continue
         w = a[i]
-        if w == 1:
+        if i == j or w == 1:
             continue
-        entry = DivisibilityEntry(
-            index=i,
-            weight=w,
-            divides_d_minus_a4=(f.d - a[4]) % w == 0,
-            divides_d=f.d % w == 0,
-        )
-        if not entry.holds:
+        divisor = next((n for n in (f.d - a[4], f.d) if n % w == 0), None)
+        if divisor is None:
             raise DivisibilityViolation(
                 f"family {f.number}: reduced weight {w} (index {i}) divides neither "
                 f"d - a4 = {f.d - a[4]} nor d = {f.d}"
             )
-        entries.append(entry)
-    return DivisibilityCertificate(
-        family=f.number, j=j, d=f.d, a4=a[4], entries=tuple(entries)
-    )
+        witnesses.append((w, divisor))
+    return tuple(witnesses)
+
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +241,10 @@ def family_lists(f: FamilyRecord) -> frozenset[str]:
     names = set()
     case = classify_case(f)
     if case is CaseTag.CASE1:
-        names.add(_STATUS_LIST[case1_verdict(f).status])
+        names.add(_STATUS_LIST[case1_verdict(f)])
     elif case is CaseTag.CASE2 and not case2_verdict(f):
         names.add("pencil_exceptions")
-    if not contracted_verdict(f).safe:
+    if contracted_verdict(f) is None:
         names.add("contracted_unsafe")
     if gcd(f.weights[1], f.weights[2]) > 1:
         names.add("shared_factor")

@@ -31,9 +31,9 @@ from .certificates import (
     certify_row,
 )
 from .coverage import FamilyCoverage
-from .families import FAMILY_COUNT, FamilyDatabase, FamilyRecord, _check_integer
+from .families import FAMILY_COUNT, FamilyDatabase, FamilyRecord
 from .lemmas import LIST_NAMES, classify_case, family_lists
-from .wps import Weights, format_rational, parse_rational
+from .wps import Weights, _check_integer, format_rational, parse_rational
 
 #: Expected membership lists, used only to cross-check the derived ones.
 GOLDEN_LISTS: dict[str, tuple[int, ...]] = {

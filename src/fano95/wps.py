@@ -21,6 +21,12 @@ from math import gcd
 Rational = Fraction
 
 
+def _check_integer(what: str, value) -> None:
+    """Reject a non-integer, a bool included: a float would make values inexact."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Weights:
     """The five coordinate weights (1, a1, a2, a3, a4) of the ambient space.
@@ -33,7 +39,9 @@ class Weights:
     a: tuple[int, int, int, int, int]
 
     def __post_init__(self) -> None:
-        a = tuple(int(x) for x in self.a)
+        a = tuple(self.a)
+        for x in a:
+            _check_integer("weight", x)
         object.__setattr__(self, "a", a)
         if len(a) != 5:
             raise ValueError(f"need exactly five weights, got {len(a)}: {a}")
@@ -84,24 +92,25 @@ class StratumCurve:
     surviving_weights: tuple[int, int]
 
     def __post_init__(self) -> None:
-        vanishing = frozenset(int(i) for i in self.vanishing)
+        vanishing = frozenset(self.vanishing)
+        surviving = tuple(self.surviving_weights)
+        for i in vanishing:
+            _check_integer("vanishing index", i)
+        for w in surviving:
+            _check_integer("surviving weight", w)
         object.__setattr__(self, "vanishing", vanishing)
-        object.__setattr__(
-            self, "surviving_weights", tuple(int(w) for w in self.surviving_weights)
-        )
+        object.__setattr__(self, "surviving_weights", surviving)
         if len(vanishing) != 3:
             raise ValueError(f"need exactly three vanishing indices, got {sorted(vanishing)}")
         if not vanishing <= set(range(5)):
             raise ValueError(f"vanishing indices must lie in 0..4: {sorted(vanishing)}")
-        if len(self.surviving_weights) != 2 or any(w < 1 for w in self.surviving_weights):
-            raise ValueError(f"surviving weights must be two positive integers: {self.surviving_weights}")
+        if len(surviving) != 2 or any(w < 1 for w in surviving):
+            raise ValueError(f"surviving weights must be two positive integers: {surviving}")
 
     @classmethod
     def from_vanishing(cls, weights: Weights, vanishing) -> "StratumCurve":
         """Build the stratum curve of ``weights`` with the given vanishing indices."""
-        v = frozenset(int(i) for i in vanishing)
-        if len(v) != 3 or not v <= set(range(5)):
-            raise ValueError(f"vanishing indices must be three distinct values in 0..4: {sorted(v)}")
+        v = frozenset(vanishing)
         surviving = tuple(weights[i] for i in sorted(set(range(5)) - v))
         return cls(vanishing=v, surviving_weights=surviving)  # type: ignore[arg-type]
 

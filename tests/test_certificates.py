@@ -15,10 +15,10 @@ from fano95 import (
     case3_test_class_certificates,
     certify_row,
     curve_self_intersection,
+    derived_lists,
     different_total,
     expected_fail_tags,
     extension_check,
-    extension_checks,
     load_families,
     load_surface_rows,
     serialize_surface_rows,
@@ -334,33 +334,33 @@ def test_verify_table_reports_invalid_row(db, rows):
 
 
 def test_extension_checks_cover_derived_set(db):
-    checks = extension_checks(db)
-    assert [c.family for c in checks] == [18, 19, 22, 27, 28]
-    for check in checks:
-        assert len(check.entries) == 5
+    derived = derived_lists(db)["extension_required"]
+    assert derived == (18, 19, 22, 27, 28)
+    for number in derived:
+        comparisons = extension_check(db.get(number))
+        assert len(comparisons) == 5
         # every non-strict entry must name its fallback assumption
-        for entry in check.entries:
+        for entry in comparisons:
             if not entry.contradiction:
                 assert entry.note
 
 
 def test_extension_check_family_18_values(db):
-    check = extension_check(db.get(18))
-    assert [e.relation for e in check.entries] == [">", ">", "<", "<", ">"]
-    assert [e.lhs for e in check.entries] == [
+    comparisons = extension_check(db.get(18))
+    assert [e.relation for e in comparisons] == [">", ">", "<", "<", ">"]
+    assert [e.lhs for e in comparisons] == [
         Fraction(1, 4),
         Fraction(1, 3),
         Fraction(1, 6),
         Fraction(1, 6),
         Fraction(2, 5),
     ]
-    assert len(check.assumption_entries) == 2
-    assert len(check.strict_entries) == 3
+    assert sum(not e.contradiction for e in comparisons) == 2
 
 
 def test_extension_check_family_19_has_two_equalities(db):
-    check = extension_check(db.get(19))
-    assert [e.relation for e in check.entries] == ["=", ">", ">", "=", ">"]
+    comparisons = extension_check(db.get(19))
+    assert [e.relation for e in comparisons] == ["=", ">", ">", "=", ">"]
 
 
 def test_extension_check_rejects_non_failing_family(db):

@@ -216,6 +216,27 @@ def test_nonpositive_companion_degree_is_a_certificate_failure(capsys, tmp_path,
     )
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["certify", "full"])
+def test_nonnegative_test_class_value_is_a_certificate_failure(
+    capsys, tmp_path, command, fmt
+):
+    # Family 3 as d = 4 over unit weights: the conic's test class 6*A - E
+    # has value 6*4 - 7*2 - 2 = 8, which excludes nothing.
+    lines = FAMILIES.read_text(encoding="utf-8").splitlines(keepends=True)
+    [i] = [k for k, line in enumerate(lines) if line.startswith("3\t")]
+    lines[i] = "3\t4\t1\t1\t1\t1\t1\n"
+    bad = tmp_path / "families.tsv"
+    bad.write_text("".join(lines), encoding="utf-8")
+    code, out, err = run(capsys, command, "--families", str(bad), "--format", fmt)
+    assert code == cli.EXIT_CHECK_FAILED
+    assert out == ""
+    assert err == (
+        "certificate failure: family 3 (conic): test-class value 8 is not "
+        "strictly negative\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # full
 

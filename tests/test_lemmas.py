@@ -20,8 +20,9 @@ from fano95 import (
     contracted_divisibility_certificate,
     contracted_verdict,
     derived_lists,
+    coordinate_point_on_hypersurface,
     expected_fail_tags,
-    extension_checks,
+    extension_check,
     family_lists,
     shared_factor_check,
     tangent_indices,
@@ -69,14 +70,7 @@ def test_classify_case_examples(db, number, tag):
     ],
 )
 def test_case1_verdict_examples(db, number, status):
-    verdict = case1_verdict(db.get(number))
-    assert verdict.status is status
-
-
-def test_case1_verdict_records_witness_products(db):
-    v = case1_verdict(db.get(23))
-    assert (v.d, v.a1a4, v.a2a4) == (14, 10, 15)
-    assert v.status is BoundStatus.WEAK_B
+    assert case1_verdict(db.get(number)) is status
 
 
 def test_case1_verdict_rejects_other_cases(db):
@@ -143,16 +137,15 @@ def test_case3_integer_filter(db):
 
 
 def test_contracted_verdict_reasons(db):
-    v3 = contracted_verdict(db.get(3))  # d=6 divisible by a4=3
-    assert v3.safe and v3.reason is ContractedReason.NO_CONTRACTED_CURVES
-    assert v3.p4_on_x is False
+    f3 = db.get(3)  # d=6 divisible by a4=3
+    assert contracted_verdict(f3) is ContractedReason.NO_CONTRACTED_CURVES
+    assert coordinate_point_on_hypersurface(f3.d, f3.weights, 4) is False
 
-    v47 = contracted_verdict(db.get(47))  # point on X but d=21 < 5*7=35... product 1*5*7
-    assert v47.p4_on_x is True
-    assert v47.safe and v47.reason is ContractedReason.DEGREE_BOUND
+    f47 = db.get(47)  # point on X but d=21 < a1*a2*a3 = 1*5*7
+    assert coordinate_point_on_hypersurface(f47.d, f47.weights, 4) is True
+    assert contracted_verdict(f47) is ContractedReason.DEGREE_BOUND
 
-    v2 = contracted_verdict(db.get(2))
-    assert not v2.safe and v2.reason is None
+    assert contracted_verdict(db.get(2)) is None
 
 
 def test_tangent_indices_examples(db):
@@ -172,20 +165,19 @@ def test_divisibility_certificates_hold_for_all_unsafe_tangents(db):
     for n in derived_lists(db)["contracted_unsafe"]:
         f = db.get(n)
         for j in tangent_indices(f):
-            cert = contracted_divisibility_certificate(f, j)
-            assert cert.holds, (n, j)
-            for entry in cert.entries:
-                assert entry.weight > 1
-                assert entry.index != j
+            witnesses = contracted_divisibility_certificate(f, j)
+            reduced = [f.weights[i] for i in range(4) if i != j and f.weights[i] > 1]
+            assert [w for w, _ in witnesses] == reduced, (n, j)
+            d_minus_a4 = f.d - f.weights[4]
+            for w, divisor in witnesses:
+                # d - a4 is the witness whenever the weight divides it
+                assert divisor == (d_minus_a4 if d_minus_a4 % w == 0 else f.d), (n, j)
+                assert divisor % w == 0, (n, j)
 
 
 def test_divisibility_certificate_witness_values(db):
-    cert = contracted_divisibility_certificate(db.get(20), 2)
-    assert (cert.d, cert.a4) == (13, 5)
-    [entry] = cert.entries
-    assert (entry.index, entry.weight) == (3, 4)
-    assert entry.divides_d_minus_a4 is True  # 8 = 13 - 5
-    assert entry.divides_d is False
+    # family 20, d = 13, a4 = 5: the one reduced weight 4 divides 8 = 13 - 5
+    assert contracted_divisibility_certificate(db.get(20), 2) == ((4, 8),)
 
 
 def test_divisibility_certificate_rejects_bad_tangent_index(db):
@@ -201,7 +193,7 @@ def test_divisibility_violation_raised_loudly():
 
     f = FamilyRecord.build(number=13, d=11, weights=Weights((1, 1, 2, 3, 5)))
     # j=0: 1 + 10 = 11 = d; reduced weights 2 and 3 both divide d - a4 = 6.
-    assert contracted_divisibility_certificate(f, 0).holds
+    assert contracted_divisibility_certificate(f, 0) == ((2, 6), (3, 6))
     # Synthetic system outside the real table: weights (1,1,3,5,8), d=17,
     # j=0 is tangent (1 + 16 = 17) but 5 divides neither d - a4 = 9 nor d = 17.
     bad = FamilyRecord.build(number=24, d=17, weights=Weights((1, 1, 3, 5, 8)))
@@ -235,5 +227,11 @@ def test_fail_tags_and_extension_set_follow_the_derived_lists(db):
         if f.number in derived["contracted_unsafe"]:
             expected.add("contracted")
         assert expected_fail_tags(f) == expected, f.number
-    extended = tuple(c.family for c in extension_checks(db))
-    assert extended == derived["extension_required"]
+    extended = []
+    for f in db:
+        try:
+            extension_check(f)
+        except ValueError:  # WrongCaseError included
+            continue
+        extended.append(f.number)
+    assert tuple(extended) == derived["extension_required"]

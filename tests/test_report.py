@@ -235,12 +235,44 @@ def test_revalidate_reports_malformed_entries(full_document):
             True,
             "coverage family True: family number must be an integer, got True",
         ),
+        (
+            ("families", 0, "weights", 1),
+            1.0,
+            "family 1: does not rebuild "
+            "(TypeError: weight must be an integer, got 1.0)",
+        ),
+        (
+            ("families", 0, "weights", 0),
+            True,
+            "family 1: does not rebuild "
+            "(TypeError: weight must be an integer, got True)",
+        ),
+        (
+            ("families", 0, "d"),
+            4.0,
+            "family 1: does not rebuild "
+            "(TypeError: degree must be an integer, got 4.0)",
+        ),
+        (
+            ("certificates", "surface", 0, "vanishing"),
+            [0.0, 2, 3],
+            "surface family 7 row [0.0, 2, 3]: does not rebuild "
+            "(TypeError: vanishing index must be an integer, got 0.0)",
+        ),
+        (
+            ("certificates", "surface", 0, "vanishing"),
+            [False, 2, 3],
+            "surface family 7 row [False, 2, 3]: does not rebuild "
+            "(TypeError: vanishing index must be an integer, got False)",
+        ),
         (("certificates",), "x", "certificates section is not an object"),
         (("families",), 5, "families section is not an array"),
         ((), [], "document is not an object"),
     ],
     ids=["surface-m-float", "test-class-b-float", "families-number-float",
          "test-class-family-float", "surface-family-float", "coverage-family-bool",
+         "families-weight-float", "families-weight-bool", "families-d-float",
+         "surface-vanishing-float", "surface-vanishing-bool",
          "certificates-string",
          "families-number", "document-array"],
 )

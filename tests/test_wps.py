@@ -52,6 +52,13 @@ def test_weights_requires_positive_entries():
         Weights((1, 0, 2, 3, 4))
 
 
+@pytest.mark.parametrize("bad", [2.9, True], ids=["float", "bool"])
+def test_weights_rejects_non_integer_entries(bad):
+    # 2.9 used to be truncated to 2 and True read as 1
+    with pytest.raises(TypeError, match="weight must be an integer"):
+        Weights((1, bad, 3, 5, 7))
+
+
 def test_weights_rejects_three_way_common_factor():
     # (2, 4, 6) share the factor 2, so this system is not well-formed.
     with pytest.raises(ValueError):
@@ -130,6 +137,16 @@ def test_stratum_curve_requires_three_distinct_indices():
         StratumCurve.from_vanishing(w, (0, 1, 1))
     with pytest.raises(ValueError):
         StratumCurve.from_vanishing(w, (0, 1, 5))
+
+
+@pytest.mark.parametrize(
+    "vanishing, surviving",
+    [({0.0, 2, 3}, (1, 5)), ({False, 2, 3}, (1, 5)), ({0, 2, 3}, (1, 5.0))],
+    ids=["index-float", "index-bool", "weight-float"],
+)
+def test_stratum_curve_rejects_non_integers(vanishing, surviving):
+    with pytest.raises(TypeError, match="must be an integer"):
+        StratumCurve(vanishing=frozenset(vanishing), surviving_weights=surviving)
 
 
 def test_stratum_degree_at_most_one_with_equality_iff_unit_weights():
