@@ -19,6 +19,7 @@ re-derived from the classification verdicts and any mismatch is an error.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -196,20 +197,26 @@ def case3_test_class_certificates(
 def different_total(indices: Iterable[int]) -> Rational:
     """Total coefficient of the adjunction different: Σ (m−1)/m over the
     singular-point indices the curve passes through."""
-    total = Fraction(0)
+    num, den = 0, 1
     for m in indices:
         if m < 2:
             raise ValueError(f"singular-point index must be >= 2, got {m}")
-        total += Fraction(m - 1, m)
-    return total
+        num, den = num * m + (m - 1) * den, den * m
+    return Fraction(num, den)
 
+
+# The two formulas below take int or Fraction arguments and evaluate on their
+# numerators over the product of their denominators: one Fraction, normalised
+# once, instead of a Fraction per operation.
 
 def curve_self_intersection(m: int, deg_c: Rational, diff_total: Rational) -> Rational:
     """C² on a general surface T in |m·A − C|, by adjunction:
     deg(K_C + Diff) = (K + T)·C + C²_T with K + T ~ (m−1)·A."""
     if m < 1:
         raise ValueError(f"surface-system multiplier must be >= 1, got {m}")
-    return -2 + diff_total - (m - 1) * deg_c
+    p, q = deg_c.numerator, deg_c.denominator
+    r, s = diff_total.numerator, diff_total.denominator
+    return Fraction((r - 2 * s) * q - (m - 1) * p * s, q * s)
 
 
 def surface_exclusion_value(
@@ -219,7 +226,10 @@ def surface_exclusion_value(
     m·A³ − 2·deg_c + C²_T.  Strict negativity excludes the curve."""
     if m < 1:
         raise ValueError(f"surface-system multiplier must be >= 1, got {m}")
-    return m * a_cube - 2 * deg_c + c2t
+    a, b = a_cube.numerator, a_cube.denominator
+    p, q = deg_c.numerator, deg_c.denominator
+    r, s = c2t.numerator, c2t.denominator
+    return Fraction((m * a * q - 2 * p * b) * s + r * b * q, b * q * s)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +243,14 @@ class Method(Enum):
     M42 = "42"  # two-curve pencil contradiction
 
 
-@dataclass(frozen=True)
+_METHODS = {m.value: m for m in Method}
+
+#: The integer fields of a surface row (family, vanishing, m) in ASCII digits;
+#: ``int()`` alone would also take "+1", "1_0", " 1" and other digit scripts.
+_ROW_INTEGERS = re.compile(r"-?[0-9]+\t-?[0-9]+(?:,-?[0-9]+)*\t[^\t]*\t[^\t]*\t-?[0-9]+")
+
+
+@dataclass(frozen=True, slots=True)
 class SurfaceRow:
     """One row of the surface-method table: which curve of which family is
     excluded on a surface in |m·A − C|, and which coarse bounds it evaded."""
@@ -266,33 +283,32 @@ class SurfaceRow:
 
 def parse_surface_row(line: str, line_number: int | None = None) -> SurfaceRow:
     """Parse one TSV data line: family, vanishing indices, fail tags, method, m."""
-    fields = line.rstrip("\n").split("\t")
+    line = line.rstrip("\r\n")
+    fields = line.split("\t")
     if len(fields) != len(SURFACE_ROW_COLUMNS):
         raise SurfaceRowParseError(
             f"expected {len(SURFACE_ROW_COLUMNS)} tab-separated fields, got "
             f"{len(fields)}",
             line_number,
         )
+    if not _ROW_INTEGERS.fullmatch(line):
+        raise SurfaceRowParseError(f"non-integer field in {fields!r}", line_number)
     raw_family, raw_vanishing, raw_fails, raw_method, raw_m = fields
-    try:
-        family = int(raw_family)
-        indices = [int(p) for p in raw_vanishing.split(",")]
-        m = int(raw_m)
-    except ValueError as exc:
-        raise SurfaceRowParseError(f"non-integer field: {exc}", line_number) from exc
+    family = int(raw_family)
+    indices = [int(p) for p in raw_vanishing.split(",")]
+    m = int(raw_m)
     vanishing = frozenset(indices)
     if len(vanishing) != len(indices):
         raise SurfaceRowParseError(
             f"vanishing field lists an index twice: {raw_vanishing!r}", line_number
         )
     fails = frozenset(p for p in raw_fails.split(",") if p)
-    try:
-        method = Method(raw_method)
-    except ValueError as exc:
+    method = _METHODS.get(raw_method)
+    if method is None:
         raise SurfaceRowParseError(
-            f"method must be one of {[m.value for m in Method]}, got {raw_method!r}",
+            f"method must be one of {list(_METHODS)}, got {raw_method!r}",
             line_number,
-        ) from exc
+        )
     try:
         return SurfaceRow(
             family=family, vanishing=vanishing, fails=fails, method=method, m=m
@@ -350,65 +366,37 @@ def load_packaged_surface_rows() -> tuple[SurfaceRow, ...]:
 # Row certification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfaceCertificate:
-    """Fully evaluated surface certificate for one table row.  Method 42
-    pairs C with the companion C′ of the pencil C + C′ ~ A|_T; each method's
-    own fields are None for the other, and so are the method-42 properties."""
+    """Fully evaluated surface certificate for one table row, every quantity
+    and verdict stored once by ``certify_row``.  Method 42 pairs C with the
+    companion C′ of the pencil C + C′ ~ A|_T; each method's own fields are
+    None for the other."""
 
     row: SurfaceRow
     curve: StratumCurve
     a_cube: Rational
+    deg_c: Rational
     diff_indices: tuple[int, ...]
     diff_total: Rational
     c2t: Rational
-    exclusion_value: Rational | None  # method 41 only
-    deg_c_prime: Rational | None      # method 42 only
-    c_prime_sq: Rational | None       # method 42 only
+    exclusion_value: Rational | None     # method 41 only
+    deg_c_prime: Rational | None         # method 42 only
+    c_prime_sq: Rational | None          # method 42 only
+    degree_sum: Rational | None          # method 42: deg C + deg C′, against the cap
+    forces_alpha_one: bool | None        # method 42: C′² < 0
+    degree_contradiction: bool | None    # method 42: degree sum > cap
+    #: The evaluated quantities in report order, keyed by JSON field name;
+    #: every view of the certificate (JSON, text, coverage) reads them here.
+    quantities: tuple[tuple[str, Rational], ...]
+    valid: bool
+    #: True when some deciding quantity is exactly zero/equal — reported
+    #: separately because validity demands strict inequalities.
+    boundary: bool
 
     @property
     def family(self) -> int:
         return self.row.family
-
-    @property
-    def deg_c(self) -> Rational:
-        return self.curve.degree
-
-    @property
-    def quantities(self) -> tuple[tuple[str, Rational], ...]:
-        """The evaluated quantities in report order, keyed by JSON field name;
-        every view of the certificate (JSON, text, coverage) reads them here."""
-        chain = (("deg_c", self.deg_c), ("diff_total", self.diff_total), ("c2t", self.c2t))
-        if self.row.method is Method.M41:
-            return chain + (("exclusion_value", self.exclusion_value),)
-        return chain + (("deg_c_prime", self.deg_c_prime), ("c_prime_sq", self.c_prime_sq))
-
-    @property
-    def degree_sum(self) -> Rational | None:
-        """deg C + deg C′, the combined degree compared against the cap."""
-        return None if self.deg_c_prime is None else self.deg_c + self.deg_c_prime
-
-    @property
-    def forces_alpha_one(self) -> bool | None:
-        return None if self.c_prime_sq is None else self.c_prime_sq < 0
-
-    @property
-    def degree_contradiction(self) -> bool | None:
-        return None if self.deg_c_prime is None else self.degree_sum > self.a_cube
-
-    @property
-    def valid(self) -> bool:
-        if self.row.method is Method.M41:
-            return self.exclusion_value < 0
-        return self.forces_alpha_one and self.degree_contradiction
-
-    @property
-    def boundary(self) -> bool:
-        """True when some deciding quantity is exactly zero/equal — reported
-        separately because validity demands strict inequalities."""
-        if self.row.method is Method.M41:
-            return self.exclusion_value == 0
-        return self.c_prime_sq == 0 or self.degree_sum == self.a_cube
 
 
 def certify_row(f: FamilyRecord, row: SurfaceRow) -> SurfaceCertificate:
@@ -417,41 +405,52 @@ def certify_row(f: FamilyRecord, row: SurfaceRow) -> SurfaceCertificate:
     The curve is the coordinate stratum of the row's vanishing indices.  Its
     singular-point indices in T are taken to be the surviving weights
     exceeding 1 — an assumption, so any row it fails to certify is surfaced
-    rather than patched (see ``verify_surface_table``).
+    rather than patched (see ``verify_surface_table``).  A Fraction's sign is
+    its numerator's, so the verdicts test numerators.
     """
     if row.family != f.number:
         raise RowError(
             row.family, f"row applied to family record {f.number}"
         )
+    m, a_cube = row.m, f.a_cube
     curve = StratumCurve.from_vanishing(f.weights, row.vanishing)
     deg_c = curve.degree
     diff_indices = tuple(sorted(w for w in curve.surviving_weights if w > 1))
     diff = different_total(diff_indices)
-    c2t = curve_self_intersection(row.m, deg_c, diff)
-    exclusion_value = deg_c_prime = c_prime_sq = None
+    c2t = curve_self_intersection(m, deg_c, diff)
+    chain = (("deg_c", deg_c), ("diff_total", diff), ("c2t", c2t))
     if row.method is Method.M41:
-        exclusion_value = surface_exclusion_value(row.m, f.a_cube, deg_c, c2t)
-    else:
-        # Method 42: the pencil A|_T cuts out C + C', so deg C' = m*A^3 - deg C;
-        # C' meets the same singular points, giving its self-intersection by
-        # the same adjunction formula.
-        deg_c_prime = row.m * f.a_cube - deg_c
-        if deg_c_prime <= 0:
-            raise RowError(
-                f.number,
-                f"two-curve method needs positive companion degree, got {deg_c_prime}",
-            )
-        c_prime_sq = curve_self_intersection(row.m, deg_c_prime, diff)
+        value = surface_exclusion_value(m, a_cube, deg_c, c2t)
+        return SurfaceCertificate(
+            row, curve, a_cube, deg_c, diff_indices, diff, c2t,
+            exclusion_value=value, deg_c_prime=None, c_prime_sq=None,
+            degree_sum=None, forces_alpha_one=None, degree_contradiction=None,
+            quantities=chain + (("exclusion_value", value),),
+            valid=value.numerator < 0, boundary=value.numerator == 0,
+        )
+    # Method 42: the pencil A|_T cuts out C + C', so deg C' = m*A^3 - deg C and
+    # deg C + deg C' = m*A^3; C' meets the same singular points, giving its
+    # self-intersection by the same adjunction formula.
+    a, b = a_cube.numerator, a_cube.denominator
+    p, q = deg_c.numerator, deg_c.denominator
+    deg_c_prime = Fraction(m * a * q - p * b, b * q)
+    if deg_c_prime.numerator <= 0:
+        raise RowError(
+            f.number,
+            f"two-curve method needs positive companion degree, got {deg_c_prime}",
+        )
+    c_prime_sq = curve_self_intersection(m, deg_c_prime, diff)
+    degree_sum = Fraction(m * a, b)
+    forces_alpha_one = c_prime_sq.numerator < 0
+    degree_contradiction = degree_sum > a_cube
     return SurfaceCertificate(
-        row=row,
-        curve=curve,
-        a_cube=f.a_cube,
-        diff_indices=diff_indices,
-        diff_total=diff,
-        c2t=c2t,
-        exclusion_value=exclusion_value,
-        deg_c_prime=deg_c_prime,
-        c_prime_sq=c_prime_sq,
+        row, curve, a_cube, deg_c, diff_indices, diff, c2t,
+        exclusion_value=None, deg_c_prime=deg_c_prime, c_prime_sq=c_prime_sq,
+        degree_sum=degree_sum, forces_alpha_one=forces_alpha_one,
+        degree_contradiction=degree_contradiction,
+        quantities=chain + (("deg_c_prime", deg_c_prime), ("c_prime_sq", c_prime_sq)),
+        valid=forces_alpha_one and degree_contradiction,
+        boundary=c_prime_sq.numerator == 0 or degree_sum == a_cube,
     )
 
 

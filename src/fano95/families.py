@@ -10,6 +10,7 @@ are coprime — so a corrupted table cannot load silently.
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -22,6 +23,10 @@ FAMILY_COUNT = 95
 
 #: Canonical TSV column layout: number, d, then the five weights.
 TSV_COLUMNS = ("number", "d", "a0", "a1", "a2", "a3", "a4")
+
+#: Tab-separated integers in ASCII digits; ``int()`` alone would also take
+#: "+1", "1_0", " 1" and other digit scripts.
+_INTEGER_FIELDS = re.compile(r"-?[0-9]+(?:\t-?[0-9]+)*")
 
 
 class FamilyTableError(ValueError):
@@ -133,18 +138,17 @@ def _data_lines(source: Source) -> Iterator[tuple[int, str]]:
 
 def parse_family_line(line_number: int, line: str) -> FamilyRecord:
     """Parse one TSV data line into a validated record."""
-    fields = line.rstrip("\n").split("\t")
+    line = line.rstrip("\r\n")
+    fields = line.split("\t")
     if len(fields) != len(TSV_COLUMNS):
         raise ParseError(
             line_number,
             f"expected {len(TSV_COLUMNS)} tab-separated fields "
             f"({' '.join(TSV_COLUMNS)}), got {len(fields)}",
         )
-    try:
-        values = [int(f) for f in fields]
-    except ValueError:
-        raise ParseError(line_number, f"non-integer field in {fields!r}") from None
-    number, d, *ws = values
+    if not _INTEGER_FIELDS.fullmatch(line):
+        raise ParseError(line_number, f"non-integer field in {fields!r}")
+    number, d, *ws = [int(f) for f in fields]
     try:
         weights = Weights(tuple(ws))  # type: ignore[arg-type]
     except ValueError as exc:

@@ -80,7 +80,7 @@ class Weights:
         return a[1] * a[2] * a[3] * a[4]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StratumCurve:
     """A coordinate-stratum curve: three coordinates set to zero.
 

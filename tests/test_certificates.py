@@ -2,6 +2,7 @@
 
 import io
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -109,6 +110,8 @@ def test_different_total_values():
     assert different_total([]) == 0
     assert different_total([5]) == Fraction(4, 5)
     assert different_total([2, 3]) == Fraction(1, 2) + Fraction(2, 3)
+    assert different_total(iter([4, 6, 9])) == Fraction(3, 4) + Fraction(5, 6) + Fraction(8, 9)
+    assert all(type(different_total(i)) is Fraction for i in ([], [2], [3, 3]))
     with pytest.raises(ValueError):
         different_total([1])
     with pytest.raises(ValueError):
@@ -122,6 +125,27 @@ def test_curve_self_intersection_examples():
     assert curve_self_intersection(4, Fraction(1, 5), Fraction(4, 5)) == Fraction(-9, 5)
 
 
+#: int and Fraction arguments, mixed freely in the helpers below.
+_MIXED_ARGUMENTS = (0, 1, -3, Fraction(1, 5), Fraction(-7, 6), Fraction(4), Fraction(13, 60))
+
+
+@pytest.mark.parametrize("m", [1, 2, 7])
+def test_formula_helpers_take_int_and_fraction_arguments(m):
+    for x, y, z in product(_MIXED_ARGUMENTS, repeat=3):
+        x_, y_, z_ = Fraction(x), Fraction(y), Fraction(z)
+        c2t = curve_self_intersection(m, x, y)
+        assert type(c2t) is Fraction and c2t == -2 + y_ - (m - 1) * x_
+        value = surface_exclusion_value(m, x, y, z)
+        assert type(value) is Fraction and value == m * x_ - 2 * y_ + z_
+
+
+def test_formula_helpers_reject_nonpositive_multiplier():
+    with pytest.raises(ValueError, match="multiplier must be >= 1, got 0"):
+        curve_self_intersection(0, Fraction(1, 5), 0)
+    with pytest.raises(ValueError, match="multiplier must be >= 1, got -1"):
+        surface_exclusion_value(-1, 1, Fraction(1, 5), -2)
+
+
 def test_surface_exclusion_value_examples():
     assert surface_exclusion_value(
         4, Fraction(13, 60), Fraction(1, 5), Fraction(-9, 5)
@@ -131,16 +155,21 @@ def test_surface_exclusion_value_examples():
 
 
 def test_two_curve_certificate_flags(db):
-    # With m = 1 the pencil gives deg C + deg C' = A^3 exactly.
-    cert = certify_row(db.get(2), C.parse_surface_row("2\t0,1,2\t\t42\t1"))
-    assert (cert.deg_c, cert.deg_c_prime) == (Fraction(1, 2), Fraction(2))
-    assert cert.forces_alpha_one is True       # companion self-intersection < 0
-    assert cert.degree_contradiction is False  # 1/2 + 2 = 5/2 is not > 5/2
-    assert cert.valid is False
-    assert cert.boundary is True
+    # With m = 1 the pencil gives deg C + deg C' = A^3 exactly, and the
+    # degree comparison is strict: equality is a boundary, not a certificate.
+    for family, deg_c, deg_c_prime in ((1, 1, 3), (2, Fraction(1, 2), 2)):
+        f = db.get(family)
+        cert = certify_row(f, C.parse_surface_row(f"{family}\t0,1,2\t\t42\t1"))
+        assert (cert.deg_c, cert.deg_c_prime) == (deg_c, deg_c_prime)
+        assert cert.degree_sum == cert.a_cube == f.a_cube
+        assert cert.forces_alpha_one is True       # companion self-intersection < 0
+        assert cert.degree_contradiction is False  # deg C + deg C' is not > A^3
+        assert cert.valid is False
+        assert cert.boundary is True
 
-    good = certify_row(db.get(2), C.parse_surface_row("2\t0,1,2\t\t42\t2"))
-    assert good.degree_contradiction is True and good.valid is True
+        good = certify_row(f, C.parse_surface_row(f"{family}\t0,1,2\t\t42\t2"))
+        assert good.degree_contradiction is True and good.valid is True
+        assert good.boundary is False
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +206,39 @@ def test_parse_surface_row_rejects_malformed(line):
         C.parse_surface_row(line)
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "2_0\t2,3,4\t\t41\t2",
+        "+20\t2,3,4\t\t41\t2",
+        "20\t\u0662,3,4\t\t41\t2",
+        "20\t2, 3,4\t\t41\t2",
+        "20\t2,3,4,\t\t41\t2",
+        "20\t2,3,4\t\t41\t 2",
+        "20\t2,3,4\t\t41\t2 ",
+    ],
+    ids=["underscore", "plus", "arabic-digit", "space-in-list", "empty-index",
+         "leading-space", "trailing-space"],
+)
+def test_parse_surface_row_accepts_only_ascii_integers(line):
+    # int() would read each of these fields (but the empty index) as an integer.
+    with pytest.raises(SurfaceRowParseError, match="^line 3: non-integer field in "):
+        C.parse_surface_row(line, 3)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("-20\t2,3,4\t\t41\t2", "family number must lie in 1..95, got -20"),
+        ("20\t-2,3,4\t\t41\t2", "vanishing set must be 3 distinct indices in 0..4"),
+        ("20\t2,3,4\t\t41\t-2", "surface-system multiplier must be >= 1, got -2"),
+    ],
+)
+def test_parse_surface_row_negative_reaches_validation(line, message):
+    with pytest.raises(SurfaceRowParseError, match=f"^line 3: {message}"):
+        C.parse_surface_row(line, 3)
+
+
 def test_parse_surface_row_rejects_repeated_vanishing_index():
     # Read as a set, "2,3,3,4" would silently become the stratum {2, 3, 4}.
     with pytest.raises(SurfaceRowParseError) as excinfo:
@@ -209,6 +271,12 @@ def test_serialize_rows_round_trip(rows):
     again = load_surface_rows(io.StringIO(text))
     assert again == rows
     assert serialize_surface_rows(again) == text
+
+
+def test_load_rows_accepts_crlf_streams(rows):
+    crlf = serialize_surface_rows(rows).replace("\n", "\r\n")
+    assert load_surface_rows(io.StringIO(crlf)) == rows
+    assert load_surface_rows(io.BytesIO(crlf.encode())) == rows
 
 
 def test_serialize_rows_matches_packaged_data(rows):
@@ -271,6 +339,64 @@ def test_certify_row_rejects_nonpositive_companion_degree(db):
     row = C.parse_surface_row("8\t2,3,4\t\t42\t1")
     with pytest.raises(RowError, match="companion degree"):
         certify_row(db.get(8), row)
+
+
+def _oracle(f, vanishing, method, m):
+    """Every stored field of a surface certificate, from the paper's formulas
+    in plain Fraction arithmetic (None where the method does not define it)."""
+    w1, w2 = (f.weights[i] for i in range(5) if i not in vanishing)
+    cap = Fraction(f.d, f.weights.tail_product)
+    deg = Fraction(1, w1 * w2)
+    diff = sum((Fraction(w - 1, w) for w in (w1, w2) if w > 1), Fraction(0))
+    c2t = Fraction(-2) + diff - (m - 1) * deg
+    fields = dict.fromkeys(
+        ("exclusion_value", "deg_c_prime", "c_prime_sq", "degree_sum",
+         "forces_alpha_one", "degree_contradiction")
+    )
+    fields.update(a_cube=cap, deg_c=deg, diff_total=diff, c2t=c2t,
+                  diff_indices=tuple(sorted(w for w in (w1, w2) if w > 1)))
+    chain = (("deg_c", deg), ("diff_total", diff), ("c2t", c2t))
+    if method is Method.M41:
+        value = m * cap - 2 * deg + c2t
+        fields.update(exclusion_value=value, valid=value < 0, boundary=value == 0,
+                      quantities=chain + (("exclusion_value", value),))
+        return fields
+    deg_prime = m * cap - deg
+    sq_prime = Fraction(-2) + diff - (m - 1) * deg_prime
+    total = deg + deg_prime
+    fields.update(
+        deg_c_prime=deg_prime, c_prime_sq=sq_prime, degree_sum=total,
+        forces_alpha_one=sq_prime < 0, degree_contradiction=total > cap,
+        valid=sq_prime < 0 and total > cap, boundary=sq_prime == 0 or total == cap,
+        quantities=chain + (("deg_c_prime", deg_prime), ("c_prime_sq", sq_prime)),
+    )
+    return fields
+
+
+def test_certify_row_matches_fraction_oracle_everywhere(db):
+    # Every (family, stratum) pair, m in 1..8, both methods; method 42 needs a
+    # positive companion degree m*A^3 - deg C and must refuse the rest.
+    certified = 0
+    for f, vanishing, method, m in product(
+        db, map(frozenset, combinations(range(5), 3)), Method, range(1, 9)
+    ):
+        row = SurfaceRow(family=f.number, vanishing=vanishing, fails=frozenset(),
+                         method=method, m=m)
+        expected = _oracle(f, vanishing, method, m)
+        if method is Method.M42 and expected["deg_c_prime"] <= 0:
+            with pytest.raises(RowError, match="companion degree"):
+                certify_row(f, row)
+            continue
+        cert = certify_row(f, row)
+        got = {name: getattr(cert, name) for name in expected}
+        assert got == expected, (f.number, sorted(vanishing), method, m)
+        for name, value in (*cert.quantities, ("degree_sum", cert.degree_sum)):
+            assert value is None or type(value) is Fraction, (f.number, name)
+        for name in ("forces_alpha_one", "degree_contradiction", "valid", "boundary"):
+            value = getattr(cert, name)
+            assert value is None or type(value) is bool, (f.number, name)
+        certified += 1
+    assert certified == 13169
 
 
 def test_expected_fail_tags_derived_from_verdicts(db):

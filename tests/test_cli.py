@@ -152,6 +152,30 @@ def test_certify_rejects_malformed_table(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "flag, source, line, lenient",
+    [
+        ("--families", FAMILIES, "20\t13\t1\t1\t3\t4\t5", "2_0\t1_3\t+1\t 1\t\u0663\t4\t5"),
+        ("--table", ROWS, "20\t0,2,3\tcontracted\t41\t4",
+         "2_0\t0,+2,\u0663\tcontracted\t41\t 4"),
+    ],
+    ids=["families", "table"],
+)
+def test_full_rejects_lenient_integers_with_line_number(
+    capsys, tmp_path, flag, source, line, lenient
+):
+    lines = source.read_text().splitlines()
+    number = lines.index(line) + 1
+    lines[number - 1] = lenient
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "full", flag, str(bad))
+    assert code == cli.EXIT_INPUT_ERROR
+    assert out == ""
+    assert err.startswith("error: ")
+    assert f": line {number}: non-integer field in " in err
+
+
 def test_certify_reports_failing_row(capsys, tmp_path):
     bad = tmp_path / "rows.tsv"
     # the boundary row evaluates to exactly zero, which is not an exclusion

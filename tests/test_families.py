@@ -77,6 +77,27 @@ def test_parse_family_line_non_integer_field():
         parse_family_line(1, "3\tsix\t1\t1\t1\t1\t3")
 
 
+@pytest.mark.parametrize(
+    "column, text",
+    [(0, "2_0"), (1, "+6"), (2, " 1"), (3, "1 "), (6, "\u0663"), (6, "3.0"), (6, "")],
+    ids=["underscore", "plus", "leading-space", "trailing-space", "arabic-digit",
+         "decimal", "empty"],
+)
+def test_parse_family_line_accepts_only_ascii_integers(column, text):
+    # int() would read each of these as an integer; the table never holds them.
+    fields = ["3", "6", "1", "1", "1", "1", "3"]
+    fields[column] = text
+    with pytest.raises(ParseError, match="^line 4: non-integer field in "):
+        parse_family_line(4, "\t".join(fields))
+
+
+def test_parse_family_line_negative_reaches_validation():
+    with pytest.raises(ValidationError, match="family number must lie in 1..95"):
+        parse_family_line(1, "-3\t6\t1\t1\t1\t1\t3")
+    with pytest.raises(ValidationError, match="weights must be positive"):
+        parse_family_line(1, "3\t6\t1\t1\t1\t-1\t3")
+
+
 def test_parse_family_line_degree_sum_violation_names_family():
     with pytest.raises(ValidationError) as exc:
         parse_family_line(1, "3\t7\t1\t1\t1\t1\t3")
@@ -109,6 +130,13 @@ def test_load_accepts_byte_and_text_streams():
     from_text = load_families(io.StringIO(text))
     from_bytes = load_families(io.BytesIO(text.encode()))
     assert from_text.records == from_bytes.records
+
+
+def test_load_accepts_crlf_streams():
+    crlf = _packaged_text().replace("\n", "\r\n")
+    expected = load_families(io.StringIO(_packaged_text())).records
+    assert load_families(io.StringIO(crlf)).records == expected
+    assert load_families(io.BytesIO(crlf.encode())).records == expected
 
 
 def test_load_skips_comments_and_blank_lines():
