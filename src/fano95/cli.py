@@ -133,13 +133,14 @@ def cmd_full(args) -> int:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     coverage = build_coverage(db, rows, verification=verification)
-    lists_ok = not report.list_mismatches(report.derived_lists(db))
+    derived = report.derived_lists(db)
+    lists_ok = not report.list_mismatches(derived)
     coverage_ok = all(c.status == "Covered" for c in coverage)
     ok = lists_ok and verification.ok and coverage_ok
     if args.format == "json":
         document = report.build_document(
             db,
-            lists=report.lists_section(db),
+            lists=report.lists_section(db, derived=derived),
             test_class=report.test_class_section(tc),
             surface=report.surface_section(db, verification, rows),
             coverage=report.coverage_section(coverage),
@@ -147,7 +148,7 @@ def cmd_full(args) -> int:
         rc = _emit_json(document)
         return rc if ok else EXIT_CHECK_FAILED
     out = [report.render_validate(db)]
-    text, _ = report.render_lists(db)
+    text, _ = report.render_lists(db, derived=derived)
     out.append(text)
     text, _ = report.render_certificates(tc, verification)
     out.append(text)

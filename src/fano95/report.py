@@ -18,7 +18,7 @@ only; everything the engine prints is re-derived from the weights and then
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Iterable, Mapping
 
 from .certificates import (
@@ -152,8 +152,13 @@ def surface_section(db: FamilyDatabase, verification: TableVerification, rows) -
     return [_surface_cert_json(cert) for cert in verification.certificates]
 
 
-def lists_section(db: FamilyDatabase) -> dict:
-    derived = derived_lists(db)
+def lists_section(
+    db: FamilyDatabase, *, derived: Mapping[str, tuple[int, ...]] | None = None
+) -> dict:
+    """The lists entry; a passed-in ``derived`` must be ``derived_lists(db)``,
+    and when None it is derived here."""
+    if derived is None:
+        derived = derived_lists(db)
     mismatches = list_mismatches(derived)
     return {
         name: {
@@ -206,10 +211,59 @@ def build_document(
     }
 
 
+#: The JSON spelling of each constant.
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
 def to_json(document: Mapping) -> str:
-    """Canonical serialization: sorted keys, two-space indent, one trailing
-    newline — byte-identical across runs on identical inputs."""
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    """Canonical serialization: the bytes of ``json.dumps(document,
+    sort_keys=True, indent=2)`` plus one trailing newline, so identical inputs
+    give identical output.
+
+    Only the JSON model is written: ``str``, ``int``, ``bool``, ``None``,
+    ``dict`` with ``str`` keys, and ``list`` or ``tuple``, matched by exact
+    type.  Anything else (a float, a ``Fraction``, a set, a non-``str`` key)
+    raises ``TypeError``, so no float reaches the output.
+    """
+    parts: list[str] = []
+    _emit(document, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _emit(o, pad: str, write) -> None:
+    """Write ``o`` whose line starts with ``pad``; its items go one level in."""
+    kind = type(o)
+    if kind is str:
+        write(_escape(o))
+    elif kind is int:
+        write(int.__repr__(o))
+    elif kind is dict:
+        if not o:
+            write("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            write(sep + _escape(key) + ": ")  # the escape refuses a non-str key
+            _emit(o[key], inner, write)
+            sep = "," + inner
+        write(pad + "}")
+    elif kind is list or kind is tuple:
+        if not o:
+            write("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in o:
+            write(sep)
+            _emit(item, inner, write)
+            sep = "," + inner
+        write(pad + "]")
+    elif kind is bool or o is None:
+        write(_CONSTANTS[o])
+    else:
+        raise TypeError(f"{kind.__name__} value {o!r} is outside the JSON model")
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +410,12 @@ def render_validate(db: FamilyDatabase) -> str:
     )
 
 
-def render_lists(db: FamilyDatabase) -> tuple[str, bool]:
-    derived = derived_lists(db)
+def render_lists(
+    db: FamilyDatabase, *, derived: Mapping[str, tuple[int, ...]] | None = None
+) -> tuple[str, bool]:
+    """The lists as text lines; ``derived`` as in ``lists_section``."""
+    if derived is None:
+        derived = derived_lists(db)
     mismatches = list_mismatches(derived)
     lines = []
     for name in sorted(derived):

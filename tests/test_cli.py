@@ -367,6 +367,45 @@ def test_full_certifies_each_row_once(capsys, monkeypatch, wide_tables, seed, fm
     assert len(calls) == len(load_surface_rows(table))
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("seed", [None, 11], ids=["packaged", "wide-11"])
+def test_full_derives_the_lists_once(capsys, monkeypatch, wide_tables, seed, fmt):
+    table = ROWS if seed is None else wide_tables[seed]
+    calls = []
+    derive = report.derived_lists
+
+    def counted(db):
+        calls.append(db)
+        return derive(db)
+
+    monkeypatch.setattr(report, "derived_lists", counted)
+    code, _, err = run(capsys, "full", "--table", str(table), "--format", fmt)
+    assert (code, err) == (
+        cli.EXIT_OK if seed is None else cli.EXIT_CHECK_FAILED,
+        "",
+    )
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_full_fails_on_a_list_mismatch_alone(capsys, monkeypatch, fmt):
+    # Only the derived lists drift: certificates and coverage still pass.
+    derive = report.derived_lists
+
+    def drifted(db):
+        lists = dict(derive(db))
+        lists["shared_factor"] = lists["shared_factor"][1:]
+        return lists
+
+    monkeypatch.setattr(report, "derived_lists", drifted)
+    code, out, err = run(capsys, "full", "--format", fmt)
+    assert (code, err) == (cli.EXIT_CHECK_FAILED, "")
+    if fmt == "json":
+        assert json.loads(out)["lists"]["shared_factor"]["match"] is False
+    else:
+        assert "MISMATCH shared_factor: missing [18]" in out
+
+
 def test_full_reports_coverage_gap(capsys, tmp_path):
     reduced = tmp_path / "rows.tsv"
     reduced.write_text(

@@ -1,8 +1,11 @@
-"""Seeded fuzz over the two TSV parsers and the JSON revalidator.
+"""Seeded fuzz over the two TSV parsers, the JSON revalidator and the JSON
+emitter.
 
-Each case mutates one line of a packaged table, or replaces one value of the
-``full --format json`` document.  A table must load or raise its parser's own
-error; revalidation must return a tuple of problems and raise nothing.
+Each case mutates one line of a packaged table, replaces one value of the
+``full --format json`` document, or draws a random JSON tree.  A table must
+load or raise its parser's own error; revalidation must return a tuple of
+problems and raise nothing; ``to_json`` must write the bytes of the stdlib's
+``json.dumps(tree, sort_keys=True, indent=2)`` plus a newline.
 """
 
 import contextlib
@@ -19,6 +22,7 @@ from fano95 import (
     load_families,
     load_surface_rows,
     revalidate_document,
+    to_json,
 )
 from fano95.certificates import SURFACE_ROWS_FILENAME
 from fano95.families import packaged_data_path
@@ -120,3 +124,40 @@ def test_fuzzed_document_revalidates_to_problems(full_json):
         except Exception as exc:  # any exception is an escape
             pytest.fail(f"seed {seed}: {type(exc).__name__}: {exc}")
         assert isinstance(problems, tuple)
+
+
+#: Code points a fuzzed string draws from: ASCII with its control characters,
+#: the BMP with lone surrogates, and the astral planes.
+_CODE_POINT_RANGES = ((0, 0x7F), (0x80, 0xFFFF), (0xD800, 0xDFFF), (0x10000, 0x10FFFF))
+
+
+def _text(rng: random.Random) -> str:
+    return "".join(
+        chr(rng.randint(*rng.choice(_CODE_POINT_RANGES))) for _ in range(rng.randrange(6))
+    )
+
+
+def _json_tree(rng: random.Random, depth: int = 0):
+    """A random value of the JSON model, a container at the root; containers
+    may be empty at any depth."""
+    kind = rng.randrange(4 if depth == 0 else 0, 8 if depth < 4 else 4)
+    if kind == 0:
+        return _text(rng)
+    if kind == 1:
+        return rng.choice((rng.randint(-9, 9), rng.randint(-(2**70), 2**70)))
+    if kind == 2:
+        return rng.choice((True, False, None))
+    if kind == 3:
+        return rng.randint(0, 2**64)
+    items = [_json_tree(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == 4:
+        return items
+    if kind == 5:
+        return tuple(items)
+    return {_text(rng): item for item in items}
+
+
+def test_fuzzed_tree_encodes_to_the_stdlib_bytes():
+    for seed in SEEDS:
+        tree = _json_tree(random.Random(seed))
+        assert to_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n", seed

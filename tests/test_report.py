@@ -1,6 +1,7 @@
 """Report assembly: derived lists, JSON document, text rendering, revalidation."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -10,22 +11,29 @@ from fano95 import (
     build_coverage,
     case3_test_class_certificates,
     derived_lists,
+    load_surface_rows,
     revalidate_document,
     to_json,
     verify_surface_table,
 )
 
 
-@pytest.fixture(scope="module")
-def full_document(db, rows):
+def _full_document(db, rows):
     verification = verify_surface_table(db, rows)
     return report.build_document(
         db,
         lists=report.lists_section(db),
         test_class=report.test_class_section(case3_test_class_certificates(db)),
         surface=report.surface_section(db, verification, rows),
-        coverage=report.coverage_section(build_coverage(db, rows)),
+        coverage=report.coverage_section(
+            build_coverage(db, rows, verification=verification)
+        ),
     )
+
+
+@pytest.fixture(scope="module")
+def full_document(db, rows):
+    return _full_document(db, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +130,64 @@ def test_to_json_is_canonical_and_deterministic(full_document):
 
 def test_json_round_trip_preserves_document(full_document):
     assert json.loads(to_json(full_document)) == json.loads(to_json(full_document))
+
+
+def _stdlib_json(document) -> str:
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
+#: Every JSON kind the emitter writes, with the strings and ints that need care.
+_EDGE_DOCUMENT = {
+    "text": [
+        "caf\u00e9 \u2264 \U0001d4d2",
+        'quote " and \\ backslash',
+        "\x00\x1f\t\n\x7f",
+        "lone \ud800 surrogate",
+        "",
+    ],
+    "empty": {"object": {}, "array": [], "nested": [[], {}, [[]], {"a": {}}]},
+    "tuple": (1, (2, ()), "three"),
+    "ints": [0, -1, -(2**31), 2**64 + 1, -(2**100)],
+    "constants": [True, False, None],
+    "z\u00e9": {"\"key\"": None, "": 0, "B": 1, "a": 2},
+}
+
+
+@pytest.mark.parametrize("seed", [None, 3, 11], ids=["packaged", "wide-3", "wide-11"])
+def test_to_json_writes_the_stdlib_bytes_for_full_documents(db, rows, wide_tables, seed):
+    if seed is not None:
+        rows = load_surface_rows(wide_tables[seed])
+    document = _full_document(db, rows)
+    assert to_json(document) == _stdlib_json(document)
+
+
+def test_to_json_writes_the_stdlib_bytes_for_partial_documents(db, rows):
+    verification = verify_surface_table(db, rows)
+    lists_only = report.build_document(db, lists=report.lists_section(db))
+    certify_only = report.build_document(
+        db,
+        test_class=report.test_class_section(case3_test_class_certificates(db)),
+        surface=report.surface_section(db, verification, rows),
+    )
+    for document in (lists_only, certify_only):
+        assert to_json(document) == _stdlib_json(document)
+
+
+def test_to_json_writes_the_stdlib_bytes_for_edge_values():
+    assert to_json(_EDGE_DOCUMENT) == _stdlib_json(_EDGE_DOCUMENT)
+    assert to_json({}) == "{}\n" and to_json([]) == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.0, Fraction(1, 2), {1, 2}, frozenset(), {1: "one"}, {"a": 1, 2: "b"},
+     {None: 0}, [b"bytes"], {"deep": [{"x": 0.5}]}],
+    ids=["float", "fraction", "set", "frozenset", "int-key", "mixed-keys",
+         "none-key", "bytes", "nested-float"],
+)
+def test_to_json_refuses_values_outside_the_json_model(value):
+    with pytest.raises(TypeError):
+        to_json(value)
 
 
 # ---------------------------------------------------------------------------
