@@ -374,7 +374,6 @@ class SurfaceCertificate:
     None for the other."""
 
     row: SurfaceRow
-    curve: StratumCurve
     a_cube: Rational
     deg_c: Rational
     diff_indices: tuple[int, ...]
@@ -422,7 +421,7 @@ def certify_row(f: FamilyRecord, row: SurfaceRow) -> SurfaceCertificate:
     if row.method is Method.M41:
         value = surface_exclusion_value(m, a_cube, deg_c, c2t)
         return SurfaceCertificate(
-            row, curve, a_cube, deg_c, diff_indices, diff, c2t,
+            row, a_cube, deg_c, diff_indices, diff, c2t,
             exclusion_value=value, deg_c_prime=None, c_prime_sq=None,
             degree_sum=None, forces_alpha_one=None, degree_contradiction=None,
             quantities=chain + (("exclusion_value", value),),
@@ -444,7 +443,7 @@ def certify_row(f: FamilyRecord, row: SurfaceRow) -> SurfaceCertificate:
     forces_alpha_one = c_prime_sq.numerator < 0
     degree_contradiction = degree_sum > a_cube
     return SurfaceCertificate(
-        row, curve, a_cube, deg_c, diff_indices, diff, c2t,
+        row, a_cube, deg_c, diff_indices, diff, c2t,
         exclusion_value=None, deg_c_prime=deg_c_prime, c_prime_sq=c_prime_sq,
         degree_sum=degree_sum, forces_alpha_one=forces_alpha_one,
         degree_contradiction=degree_contradiction,

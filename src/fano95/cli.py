@@ -44,7 +44,7 @@ class _InputError(Exception):
 
 def resolve_data_path(explicit: str | None, filename: str) -> Path:
     """Apply the flag > environment > packaged-data resolution order."""
-    if explicit:
+    if explicit is not None:
         return Path(explicit)
     env_dir = os.environ.get(DATA_DIR_ENV)
     if env_dir:
@@ -80,81 +80,60 @@ def _emit_json(document: dict) -> int:
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
-    db = _load_db(args)
-    sys.stdout.write(report.render_validate(db))
-    return EXIT_OK
+#: The sections of the full audit, in the order they are printed.
+SECTIONS = ("validate", "lists", "certificates", "coverage")
+
+#: Each subcommand's help line and the sections it prints.
+COMMANDS = {
+    "validate": ("load the family table and check invariants", ("validate",)),
+    "lists": ("derive the membership lists and compare", ("lists",)),
+    "certify": ("evaluate every exclusion certificate", ("certificates",)),
+    "full": ("validate, derive lists, certify, and audit coverage", SECTIONS),
+}
 
 
-def cmd_lists(args) -> int:
+def run_command(args) -> int:
+    """Compute each fact the requested sections need once, then print those
+    sections.  Coverage reads the certificates, so it is only requested with
+    them."""
+    sections = args.sections
     db = _load_db(args)
+    ok = True
+    if "certificates" in sections:
+        rows = _load_rows(args)
+        try:
+            tc = case3_test_class_certificates(db)
+            verification = verify_surface_table(db, rows)
+        except CertificateError as exc:
+            print(f"certificate failure: {exc}", file=sys.stderr)
+            return EXIT_CHECK_FAILED
+        ok = verification.ok
+    if "coverage" in sections:
+        coverage = build_coverage(db, rows, verification=verification)
+        ok = all(c.status == "Covered" for c in coverage) and ok
+    if "lists" in sections:
+        derived = report.derived_lists(db)
+        # Compared even after a failed check: perfbench/stages.py replays
+        # these calls unconditionally and its self-test matches them.
+        ok = not report.list_mismatches(derived) and ok
     if args.format == "json":
-        lists = report.lists_section(db)
-        rc = _emit_json(report.build_document(db, lists=lists))
-        ok = all(entry["match"] for entry in lists.values())
-        return rc if ok else EXIT_CHECK_FAILED
-    text, ok = report.render_lists(db)
-    sys.stdout.write(text)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
-def _certificates(db, rows):
-    """Every certificate; raises CertificateError when one cannot be built."""
-    return case3_test_class_certificates(db), verify_surface_table(db, rows)
-
-
-def cmd_certify(args) -> int:
-    db = _load_db(args)
-    rows = _load_rows(args)
-    try:
-        tc, verification = _certificates(db, rows)
-    except CertificateError as exc:
-        print(f"certificate failure: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    if args.format == "json":
+        certified = "certificates" in sections
         document = report.build_document(
             db,
-            test_class=report.test_class_section(tc),
-            surface=report.surface_section(db, verification, rows),
-        )
-        rc = _emit_json(document)
-        return rc if verification.ok else EXIT_CHECK_FAILED
-    text, ok = report.render_certificates(tc, verification)
-    sys.stdout.write(text)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
-def cmd_full(args) -> int:
-    db = _load_db(args)
-    rows = _load_rows(args)
-    try:
-        tc, verification = _certificates(db, rows)
-    except CertificateError as exc:
-        print(f"certificate failure: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    coverage = build_coverage(db, rows, verification=verification)
-    derived = report.derived_lists(db)
-    lists_ok = not report.list_mismatches(derived)
-    coverage_ok = all(c.status == "Covered" for c in coverage)
-    ok = lists_ok and verification.ok and coverage_ok
-    if args.format == "json":
-        document = report.build_document(
-            db,
-            lists=report.lists_section(db, derived=derived),
-            test_class=report.test_class_section(tc),
-            surface=report.surface_section(db, verification, rows),
-            coverage=report.coverage_section(coverage),
+            lists=report.lists_section(db, derived=derived) if "lists" in sections else None,
+            test_class=report.test_class_section(tc) if certified else None,
+            surface=report.surface_section(db, verification, rows) if certified else None,
+            coverage=report.coverage_section(coverage) if "coverage" in sections else None,
         )
         rc = _emit_json(document)
         return rc if ok else EXIT_CHECK_FAILED
-    out = [report.render_validate(db)]
-    text, _ = report.render_lists(db, derived=derived)
-    out.append(text)
-    text, _ = report.render_certificates(tc, verification)
-    out.append(text)
-    text, _ = report.render_coverage(coverage)
-    out.append(text)
-    sys.stdout.write("".join(out))
+    render = {
+        "validate": lambda: report.render_validate(db),
+        "lists": lambda: report.render_lists(db, derived=derived)[0],
+        "certificates": lambda: report.render_certificates(tc, verification)[0],
+        "coverage": lambda: report.render_coverage(coverage)[0],
+    }
+    sys.stdout.write("".join(render[s]() for s in SECTIONS if s in sections))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -167,41 +146,25 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, table: bool, fmt: bool):
+    for name, (help_line, sections) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        p.set_defaults(sections=sections, format="text")
         p.add_argument(
             "--families",
             metavar="PATH",
             help="family table TSV (default: $AUDIT_DATA_DIR or packaged data)",
         )
-        if table:
+        if "certificates" in sections:
             p.add_argument(
                 "--table",
                 metavar="PATH",
                 help="surface-row TSV (default: $AUDIT_DATA_DIR or packaged data)",
             )
-        if fmt:
+        if name != "validate":
             p.add_argument(
                 "--format", choices=("text", "json"), default="text",
                 help="output format (default: text)",
             )
-
-    p = sub.add_parser("validate", help="load the family table and check invariants")
-    add_common(p, table=False, fmt=False)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("lists", help="derive the membership lists and compare")
-    add_common(p, table=False, fmt=True)
-    p.set_defaults(func=cmd_lists)
-
-    p = sub.add_parser("certify", help="evaluate every exclusion certificate")
-    add_common(p, table=True, fmt=True)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("full", help="validate, derive lists, certify, and audit coverage")
-    add_common(p, table=True, fmt=True)
-    p.set_defaults(func=cmd_full)
-
     return parser
 
 
@@ -209,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return run_command(args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

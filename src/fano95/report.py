@@ -450,7 +450,7 @@ def render_certificates(
         flag = "valid" if cert.valid else "INVALID"
         if cert.boundary:
             flag += " boundary"
-        key = ",".join(str(i) for i in sorted(cert.curve.vanishing))
+        key = ",".join(str(i) for i in sorted(cert.row.vanishing))
         values = ", ".join(
             f"{_FIELD_NAMES[field]} {format_rational(value)}"
             for field, value in cert.quantities

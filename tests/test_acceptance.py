@@ -43,7 +43,7 @@ def test_acceptance_2_worked_examples_are_exact(db, rows):
 
     # family-20 chain: orbifold corrections, self-intersection, exclusion value
     certs = {
-        (c.family, tuple(sorted(c.curve.vanishing))): c
+        (c.family, tuple(sorted(c.row.vanishing))): c
         for c in verify_surface_table(db, rows).certificates
     }
     chain = certs[(20, (0, 2, 3))]
@@ -76,7 +76,7 @@ def test_acceptance_3_certificates_complete(db, rows):
     verification = verify_surface_table(db, rows)
     assert len(verification.certificates) == 21
     failing = [
-        (c.family, sorted(c.curve.vanishing), str(c.exclusion_value))
+        (c.family, sorted(c.row.vanishing), str(c.exclusion_value))
         for c in verification.invalid
     ]
     assert verification.invalid == (), f"invalid rows: {failing}"

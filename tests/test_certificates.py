@@ -413,7 +413,7 @@ def test_verify_packaged_table_is_clean(db, rows):
     assert verification.tag_mismatches == ()
     assert len(verification.certificates) == 21
     values = {
-        (c.family, tuple(sorted(c.curve.vanishing)), c.row.m): c
+        (c.family, tuple(sorted(c.row.vanishing)), c.row.m): c
         for c in verification.certificates
     }
     assert values[(7, (0, 2, 3), 2)].exclusion_value == Fraction(-1)

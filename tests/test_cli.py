@@ -345,8 +345,15 @@ def test_output_bytes_are_pinned(capsys, wide_tables, command):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("seed", [None, 11], ids=["packaged", "wide-11"])
-def test_full_certifies_each_row_once(capsys, monkeypatch, wide_tables, seed, fmt):
+@pytest.mark.parametrize(
+    "command, seed",
+    [("full", None), ("full", 11), ("certify", None), ("certify", 11)],
+    ids=["packaged", "wide-11", "certify-packaged", "certify-wide-11"],
+)
+def test_full_certifies_each_row_once(
+    capsys, monkeypatch, wide_tables, command, seed, fmt
+):
+    # Each command certifies each row once; full's cases keep their bare seed ids.
     # The patch counts only calls made through the certificates module: the
     # revalidator rebuilds surface entries through report's own imported
     # certify_row, which it leaves alone, so only the audit's certification counts.
@@ -359,7 +366,7 @@ def test_full_certifies_each_row_once(capsys, monkeypatch, wide_tables, seed, fm
         return certify_row(f, row)
 
     monkeypatch.setattr(certificates, "certify_row", counted)
-    code, _, err = run(capsys, "full", "--table", str(table), "--format", fmt)
+    code, _, err = run(capsys, command, "--table", str(table), "--format", fmt)
     assert (code, err) == (
         cli.EXIT_OK if seed is None else cli.EXIT_CHECK_FAILED,
         "",
@@ -368,9 +375,17 @@ def test_full_certifies_each_row_once(capsys, monkeypatch, wide_tables, seed, fm
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("seed", [None, 11], ids=["packaged", "wide-11"])
-def test_full_derives_the_lists_once(capsys, monkeypatch, wide_tables, seed, fmt):
+@pytest.mark.parametrize(
+    "command, seed",
+    [("full", None), ("full", 11), ("lists", None)],
+    ids=["packaged", "wide-11", "lists"],
+)
+def test_full_derives_the_lists_once(
+    capsys, monkeypatch, wide_tables, command, seed, fmt
+):
+    # Each command derives the lists once; full's cases keep their bare seed ids.
     table = ROWS if seed is None else wide_tables[seed]
+    flags = ["--table", str(table)] if command == "full" else []
     calls = []
     derive = report.derived_lists
 
@@ -379,7 +394,7 @@ def test_full_derives_the_lists_once(capsys, monkeypatch, wide_tables, seed, fmt
         return derive(db)
 
     monkeypatch.setattr(report, "derived_lists", counted)
-    code, _, err = run(capsys, "full", "--table", str(table), "--format", fmt)
+    code, _, err = run(capsys, command, *flags, "--format", fmt)
     assert (code, err) == (
         cli.EXIT_OK if seed is None else cli.EXIT_CHECK_FAILED,
         "",
@@ -404,6 +419,25 @@ def test_full_fails_on_a_list_mismatch_alone(capsys, monkeypatch, fmt):
         assert json.loads(out)["lists"]["shared_factor"]["match"] is False
     else:
         assert "MISMATCH shared_factor: missing [18]" in out
+
+
+@pytest.mark.parametrize("seed", [None, 11], ids=["packaged", "wide-11"])
+def test_full_is_the_other_commands_then_coverage(capsys, wide_tables, seed):
+    table = [] if seed is None else ["--table", wide_tables[seed]]
+    argvs = {"validate": [], "lists": [], "certify": table, "full": table}
+    text = {command: run(capsys, command, *argv)[1] for command, argv in argvs.items()}
+    head = text["validate"] + text["lists"] + text["certify"]
+    assert text["full"].startswith(head)
+    assert text["full"][len(head):].splitlines()[-1].startswith("coverage: ")
+    docs = {
+        command: json.loads(run(capsys, command, *argv, "--format", "json")[1])
+        for command, argv in argvs.items()
+        if command != "validate"
+    }
+    full = docs["full"]
+    assert full["families"] == docs["lists"]["families"] == docs["certify"]["families"]
+    assert full["lists"] == docs["lists"]["lists"]
+    assert full["certificates"] == docs["certify"]["certificates"]
 
 
 def test_full_reports_coverage_gap(capsys, tmp_path):
@@ -448,6 +482,21 @@ def test_explicit_flag_beats_env_dir(capsys, monkeypatch, tmp_path):
     assert out.startswith("ok: 95 families")
 
 
+@pytest.mark.parametrize(
+    "argv, table",
+    [
+        (["validate", "--families", ""], "families table"),
+        (["certify", "--table", ""], "surface-row table"),
+    ],
+    ids=["validate", "certify"],
+)
+def test_empty_path_flag_is_an_input_error(capsys, argv, table):
+    # An explicit flag wins even when empty: no fallback to the packaged tables.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (cli.EXIT_INPUT_ERROR, "")
+    assert err.startswith(f"error: {table} ")
+
+
 def test_env_dir_with_tampered_data_still_checks(capsys, monkeypatch, tmp_path):
     shutil.copy(ROWS, tmp_path / SURFACE_ROWS_FILENAME)
     (tmp_path / "families.tsv").write_text(
@@ -472,6 +521,27 @@ def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "--format", "json"], ["validate", "--table", "X"], ["lists", "--table", "X"]],
+    ids=["validate-format", "validate-table", "lists-table"],
+)
+def test_flag_the_command_does_not_take_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["certify", "full"])
+def test_certificate_commands_take_every_flag(capsys, command):
+    code, out, err = run(
+        capsys, command, "--families", str(FAMILIES), "--table", str(ROWS),
+        "--format", "json",
+    )
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert json.loads(out)["certificates"]["surface"]
 
 
 # ---------------------------------------------------------------------------
