@@ -71,7 +71,6 @@ from .lemmas import (
 )
 from .report import GOLDEN_LISTS, build_document, derived_lists, revalidate_document, to_json
 from .wps import (
-    Rational,
     StratumCurve,
     Weights,
     anticanonical_cube,
@@ -85,7 +84,7 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     # wps
-    "Rational", "Weights", "StratumCurve", "anticanonical_cube",
+    "Weights", "StratumCurve", "anticanonical_cube",
     "coordinate_point_on_hypersurface",
     "format_rational", "parse_rational",
     # families

@@ -41,7 +41,7 @@ from .lemmas import (
     case1_verdict,
     family_lists,
 )
-from .wps import Rational, StratumCurve, _check_integer
+from .wps import StratumCurve, _check_integer, _check_vanishing
 
 SURFACE_ROWS_FILENAME = "surface_rows.tsv"
 
@@ -78,8 +78,8 @@ class SurfaceRowParseError(ValueError):
 # ---------------------------------------------------------------------------
 
 def rational_curve_blowup_numbers(
-    deg_c: Rational, p_a: int
-) -> tuple[Rational, Rational, Rational]:
+    deg_c: Fraction, p_a: int
+) -> tuple[Fraction, Fraction, Fraction]:
     """Intersection numbers (A²E, AE², E³) of the exceptional divisor over a
     curve of degree deg_c and arithmetic genus p_a on an index-one 3-fold."""
     deg_c = Fraction(deg_c)
@@ -87,8 +87,8 @@ def rational_curve_blowup_numbers(
 
 
 def test_class_value_expanded(
-    b: int, a_cube: Rational, a2e: Rational, ae2: Rational, e3: Rational
-) -> Rational:
+    b: int, a_cube: Fraction, a2e: Fraction, ae2: Fraction, e3: Fraction
+) -> Fraction:
     """M·B² by multiplying out (bA − E)(A − E)²: b·A³ − (2b+1)·A²E + (b+2)·AE² − E³."""
     if b < 1:
         raise ValueError(f"test-class multiplier must be >= 1, got {b}")
@@ -96,7 +96,7 @@ def test_class_value_expanded(
         + (b + 2) * Fraction(ae2) - Fraction(e3)
 
 
-def test_class_value(b: int, a_cube: Rational, deg_c: Rational, p_a: int) -> Rational:
+def test_class_value(b: int, a_cube: Fraction, deg_c: Fraction, p_a: int) -> Fraction:
     """M·B² for M = b·A − E over a curve of degree deg_c and genus p_a.
 
     Closed form b·A³ − (b+1)·deg_c − 2 + 2·p_a; asserted equal to the full
@@ -131,14 +131,14 @@ class TestClassCertificate:
     family: int
     curve: str          # human-readable description of the excluded curve
     b: int              # multiplier in the test class b·A − E
-    a_cube: Rational
-    deg_c: Rational
+    a_cube: Fraction
+    deg_c: Fraction
     p_a: int
-    value: Rational
+    value: Fraction
 
     @classmethod
     def build(
-        cls, f: FamilyRecord, curve: str, b: int, deg_c: Rational, p_a: int = 0
+        cls, f: FamilyRecord, curve: str, b: int, deg_c: Fraction, p_a: int = 0
     ) -> "TestClassCertificate":
         """Evaluate the test class b·A − E over one curve of family f."""
         deg_c = Fraction(deg_c)
@@ -194,7 +194,7 @@ def case3_test_class_certificates(
 # Surface-method building blocks
 # ---------------------------------------------------------------------------
 
-def different_total(indices: Iterable[int]) -> Rational:
+def different_total(indices: Iterable[int]) -> Fraction:
     """Total coefficient of the adjunction different: Σ (m−1)/m over the
     singular-point indices the curve passes through."""
     num, den = 0, 1
@@ -209,7 +209,7 @@ def different_total(indices: Iterable[int]) -> Rational:
 # numerators over the product of their denominators: one Fraction, normalised
 # once, instead of a Fraction per operation.
 
-def curve_self_intersection(m: int, deg_c: Rational, diff_total: Rational) -> Rational:
+def curve_self_intersection(m: int, deg_c: Fraction, diff_total: Fraction) -> Fraction:
     """C² on a general surface T in |m·A − C|, by adjunction:
     deg(K_C + Diff) = (K + T)·C + C²_T with K + T ~ (m−1)·A."""
     if m < 1:
@@ -220,8 +220,8 @@ def curve_self_intersection(m: int, deg_c: Rational, diff_total: Rational) -> Ra
 
 
 def surface_exclusion_value(
-    m: int, a_cube: Rational, deg_c: Rational, c2t: Rational
-) -> Rational:
+    m: int, a_cube: Fraction, deg_c: Fraction, c2t: Fraction
+) -> Fraction:
     """Self-intersection of the restricted mobile system on T:
     m·A³ − 2·deg_c + C²_T.  Strict negativity excludes the curve."""
     if m < 1:
@@ -266,13 +266,7 @@ class SurfaceRow:
             raise ValueError(
                 f"family number must lie in 1..{FAMILY_COUNT}, got {self.family}"
             )
-        for i in self.vanishing:
-            _check_integer("vanishing index", i)
-        if len(self.vanishing) != 3 or not all(0 <= i <= 4 for i in self.vanishing):
-            raise ValueError(
-                f"vanishing set must be 3 distinct indices in 0..4, got "
-                f"{sorted(self.vanishing)}"
-            )
+        _check_vanishing(self.vanishing)
         bad = self.fails - VALID_FAIL_TAGS
         if bad:
             raise ValueError(f"unknown fail tags {sorted(bad)}")
@@ -374,20 +368,20 @@ class SurfaceCertificate:
     None for the other."""
 
     row: SurfaceRow
-    a_cube: Rational
-    deg_c: Rational
+    a_cube: Fraction
+    deg_c: Fraction
     diff_indices: tuple[int, ...]
-    diff_total: Rational
-    c2t: Rational
-    exclusion_value: Rational | None     # method 41 only
-    deg_c_prime: Rational | None         # method 42 only
-    c_prime_sq: Rational | None          # method 42 only
-    degree_sum: Rational | None          # method 42: deg C + deg C′, against the cap
+    diff_total: Fraction
+    c2t: Fraction
+    exclusion_value: Fraction | None     # method 41 only
+    deg_c_prime: Fraction | None         # method 42 only
+    c_prime_sq: Fraction | None          # method 42 only
+    degree_sum: Fraction | None          # method 42: deg C + deg C′, against the cap
     forces_alpha_one: bool | None        # method 42: C′² < 0
     degree_contradiction: bool | None    # method 42: degree sum > cap
     #: The evaluated quantities in report order, keyed by JSON field name;
     #: every view of the certificate (JSON, text, coverage) reads them here.
-    quantities: tuple[tuple[str, Rational], ...]
+    quantities: tuple[tuple[str, Fraction], ...]
     valid: bool
     #: True when some deciding quantity is exactly zero/equal — reported
     #: separately because validity demands strict inequalities.

@@ -26,7 +26,7 @@ from .certificates import (
     verify_surface_table,
 )
 from .coverage import build_coverage
-from .families import FamilyTableError, load_families, packaged_data_path
+from .families import FAMILIES_FILENAME, FamilyTableError, load_families, packaged_data_path
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -34,8 +34,6 @@ EXIT_INPUT_ERROR = 2
 
 #: Environment variable naming a directory holding the two data files.
 DATA_DIR_ENV = "AUDIT_DATA_DIR"
-
-FAMILIES_FILENAME = "families.tsv"
 
 
 class _InputError(Exception):

@@ -12,14 +12,17 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
-from .wps import Rational, Weights, _check_integer, anticanonical_cube
+from .wps import Weights, _check_integer, anticanonical_cube
 
 #: Number of families in the classification.
 FAMILY_COUNT = 95
+
+FAMILIES_FILENAME = "families.tsv"
 
 #: Canonical TSV column layout: number, d, then the five weights.
 TSV_COLUMNS = ("number", "d", "a0", "a1", "a2", "a3", "a4")
@@ -61,7 +64,7 @@ class FamilyRecord:
     number: int
     d: int
     weights: Weights
-    a_cube: Rational
+    a_cube: Fraction
 
     @classmethod
     def build(cls, number: int, d: int, weights: Weights) -> "FamilyRecord":
@@ -150,7 +153,7 @@ def parse_family_line(line_number: int, line: str) -> FamilyRecord:
         raise ParseError(line_number, f"non-integer field in {fields!r}")
     number, d, *ws = [int(f) for f in fields]
     try:
-        weights = Weights(tuple(ws))  # type: ignore[arg-type]
+        weights = Weights(ws)
     except ValueError as exc:
         raise ValidationError(number, str(exc)) from None
     return FamilyRecord.build(number, d, weights)
@@ -182,4 +185,4 @@ def packaged_data_path(name: str) -> Path:
 
 def load_packaged_families() -> FamilyDatabase:
     """Load the family table shipped with the package."""
-    return load_families(packaged_data_path("families.tsv"))
+    return load_families(packaged_data_path(FAMILIES_FILENAME))

@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import gcd
 
 from .families import FamilyRecord
-from .wps import Rational, coordinate_point_on_hypersurface
+from .wps import coordinate_point_on_hypersurface
 
 
 class CaseTag(Enum):
@@ -88,8 +88,8 @@ class Comparison:
     """One evaluated inequality lhs vs rhs, with the exclusion reading lhs > rhs."""
 
     label: str
-    lhs: Rational
-    rhs: Rational
+    lhs: Fraction
+    rhs: Fraction
     note: str | None = None
 
     @property
@@ -126,7 +126,7 @@ def case1_verdict(f: FamilyRecord) -> BoundStatus:
     return BoundStatus.FAILS
 
 
-def binomial_fibre_degree(f: FamilyRecord) -> Rational:
+def binomial_fibre_degree(f: FamilyRecord) -> Fraction:
     """Degree 1/(a3*h), h = gcd(a1, a2), of the fibre over the binomial orbit
     of the weighted plane P(1, a1, a2)."""
     a = f.weights

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-
-#: Exact rational scalar.  ``Fraction`` already guarantees the contract this
-#: package needs: lowest terms, positive denominator, exact arithmetic and
-#: total ordering over arbitrary-precision integers.
-Rational = Fraction
+from typing import Iterable
 
 
 def _check_integer(what: str, value) -> None:
@@ -27,22 +23,35 @@ def _check_integer(what: str, value) -> None:
         raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Weights:
-    """The five coordinate weights (1, a1, a2, a3, a4) of the ambient space.
+_COORDINATES = frozenset(range(5))
+
+
+def _check_vanishing(vanishing) -> None:
+    """Reject any vanishing set but three distinct integer indices in 0..4."""
+    vanishing = frozenset(vanishing)
+    for i in vanishing:
+        _check_integer("vanishing index", i)
+    if len(vanishing) != 3 or not vanishing <= _COORDINATES:
+        raise ValueError(
+            f"vanishing set must be 3 distinct indices in 0..4, got {sorted(vanishing)}"
+        )
+
+
+class Weights(tuple):
+    """The five coordinate weights (1, a1, a2, a3, a4) of the ambient space,
+    as a validated, immutable tuple.
 
     The first weight is always 1 and the tuple is ascending.  Well-formedness
     additionally requires every three of (a1, a2, a3, a4) to be coprime, which
     keeps the singular locus met by a general hypersurface zero-dimensional.
     """
 
-    a: tuple[int, int, int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        a = tuple(self.a)
+    def __new__(cls, a: Iterable[int]) -> "Weights":
+        a = tuple(a)
         for x in a:
             _check_integer("weight", x)
-        object.__setattr__(self, "a", a)
         if len(a) != 5:
             raise ValueError(f"need exactly five weights, got {len(a)}: {a}")
         if any(x < 1 for x in a):
@@ -58,26 +67,17 @@ class Weights:
                     f"weights {a} are not well-formed: "
                     f"{triple} share the common factor {g}"
                 )
-
-    def __getitem__(self, i: int) -> int:
-        return self.a[i]
-
-    def __iter__(self):
-        return iter(self.a)
-
-    def __len__(self) -> int:
-        return 5
+        return super().__new__(cls, a)
 
     @property
     def tail(self) -> tuple[int, int, int, int]:
         """The nontrivial weights (a1, a2, a3, a4)."""
-        return self.a[1:]
+        return self[1:]
 
     @property
     def tail_product(self) -> int:
         """The product a1*a2*a3*a4 appearing in the anticanonical degree."""
-        a = self.a
-        return a[1] * a[2] * a[3] * a[4]
+        return self[1] * self[2] * self[3] * self[4]
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,43 +85,31 @@ class StratumCurve:
     """A coordinate-stratum curve: three coordinates set to zero.
 
     The two surviving coordinates span a weighted line P(w1, w2), so the
-    curve has degree 1/(w1*w2) against the degree-1 polarization.
+    curve has degree 1/(w1*w2) against the degree-1 polarization.  Only the
+    vanishing set is checked: ``from_vanishing`` reads the surviving weights
+    off an already validated ``Weights``.
     """
 
     vanishing: frozenset[int]
     surviving_weights: tuple[int, int]
 
     def __post_init__(self) -> None:
-        vanishing = frozenset(self.vanishing)
-        surviving = tuple(self.surviving_weights)
-        for i in vanishing:
-            _check_integer("vanishing index", i)
-        for w in surviving:
-            _check_integer("surviving weight", w)
-        object.__setattr__(self, "vanishing", vanishing)
-        object.__setattr__(self, "surviving_weights", surviving)
-        if len(vanishing) != 3:
-            raise ValueError(f"need exactly three vanishing indices, got {sorted(vanishing)}")
-        if not vanishing <= set(range(5)):
-            raise ValueError(f"vanishing indices must lie in 0..4: {sorted(vanishing)}")
-        if len(surviving) != 2 or any(w < 1 for w in surviving):
-            raise ValueError(f"surviving weights must be two positive integers: {surviving}")
+        _check_vanishing(self.vanishing)
 
     @classmethod
     def from_vanishing(cls, weights: Weights, vanishing) -> "StratumCurve":
         """Build the stratum curve of ``weights`` with the given vanishing indices."""
         v = frozenset(vanishing)
-        surviving = tuple(weights[i] for i in sorted(set(range(5)) - v))
-        return cls(vanishing=v, surviving_weights=surviving)  # type: ignore[arg-type]
+        return cls(v, tuple([w for i, w in enumerate(weights) if i not in v]))
 
     @property
-    def degree(self) -> Rational:
+    def degree(self) -> Fraction:
         """deg C = 1/(w1*w2)."""
         w1, w2 = self.surviving_weights
         return Fraction(1, w1 * w2)
 
 
-def anticanonical_cube(d: int, weights: Weights) -> Rational:
+def anticanonical_cube(d: int, weights: Weights) -> Fraction:
     """Anticanonical degree d/(a1*a2*a3*a4) of a degree-d hypersurface.
 
     Homogeneous of degree 1 in d, so scaling d scales the result.
@@ -131,7 +119,7 @@ def anticanonical_cube(d: int, weights: Weights) -> Rational:
     return Fraction(d, weights.tail_product)
 
 
-def format_rational(q: Rational | int) -> str:
+def format_rational(q: Fraction | int) -> str:
     """Canonical "p/q" rendering used in all text and JSON output.
 
     Integers keep an explicit denominator ("4/1") so the format is uniform
@@ -143,7 +131,7 @@ def format_rational(q: Rational | int) -> str:
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?\Z")
 
 
-def parse_rational(text: str) -> Rational:
+def parse_rational(text: str) -> Fraction:
     """Inverse of :func:`format_rational`; accepts only "p" or "p/q" forms."""
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"malformed rational literal {text!r}")

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from fano95 import (
+    Method,
     StratumCurve,
+    SurfaceRow,
     Weights,
     anticanonical_cube,
     coordinate_point_on_hypersurface,
@@ -20,6 +22,7 @@ from fano95 import (
 
 def test_weights_accepts_valid_tuple():
     w = Weights((1, 2, 3, 4, 9))
+    assert w == (1, 2, 3, 4, 9) and isinstance(w, tuple)
     assert len(w) == 5
     assert w[0] == 1 and w[4] == 9
     assert tuple(w) == (1, 2, 3, 4, 9)
@@ -140,13 +143,33 @@ def test_stratum_curve_requires_three_distinct_indices():
 
 
 @pytest.mark.parametrize(
-    "vanishing, surviving",
-    [({0.0, 2, 3}, (1, 5)), ({False, 2, 3}, (1, 5)), ({0, 2, 3}, (1, 5.0))],
-    ids=["index-float", "index-bool", "weight-float"],
+    "vanishing", [{0.0, 2, 3}, {False, 2, 3}], ids=["index-float", "index-bool"]
 )
-def test_stratum_curve_rejects_non_integers(vanishing, surviving):
+def test_stratum_curve_rejects_non_integers(vanishing):
+    # A float weight never reaches a stratum: Weights refuses it.
     with pytest.raises(TypeError, match="must be an integer"):
-        StratumCurve(vanishing=frozenset(vanishing), surviving_weights=surviving)
+        StratumCurve.from_vanishing(Weights((1, 1, 3, 4, 5)), vanishing)
+
+
+@pytest.mark.parametrize(
+    "vanishing, shown",
+    [
+        ((0, 1), [0, 1]),
+        ((0, 1, 1), [0, 1]),
+        ((0, 1, 5), [0, 1, 5]),
+        ((-1, 2, 3), [-1, 2, 3]),
+    ],
+    ids=["count", "repeated", "out-of-range", "negative"],
+)
+def test_surface_row_and_stratum_share_the_vanishing_rule(vanishing, shown):
+    message = f"vanishing set must be 3 distinct indices in 0..4, got {shown}"
+    with pytest.raises(ValueError) as row_error:
+        SurfaceRow(
+            family=20, vanishing=vanishing, fails=frozenset(), method=Method.M41, m=1
+        )
+    with pytest.raises(ValueError) as curve_error:
+        StratumCurve.from_vanishing(Weights((1, 1, 3, 4, 5)), vanishing)
+    assert str(row_error.value) == str(curve_error.value) == message
 
 
 def test_stratum_degree_at_most_one_with_equality_iff_unit_weights():
