@@ -20,7 +20,6 @@ re-derived from the classification verdicts and any mismatch is an error.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -41,7 +40,7 @@ from .lemmas import (
     case1_verdict,
     family_lists,
 )
-from .wps import StratumCurve, _check_integer, _check_vanishing
+from .wps import Record, StratumCurve, _check_integer, _check_vanishing
 
 SURFACE_ROWS_FILENAME = "surface_rows.tsv"
 
@@ -124,17 +123,23 @@ def test_class_value(b: int, a_cube: Fraction, deg_c: Fraction, p_a: int) -> Fra
     return closed
 
 
-@dataclass(frozen=True)
-class TestClassCertificate:
-    """A strict-negativity certificate M·B² < 0 excluding one curve."""
+class TestClassCertificate(Record):
+    """A strict-negativity certificate M·B² < 0 excluding one curve: the
+    test class b·A − E over the curve (a human-readable description)."""
 
-    family: int
-    curve: str          # human-readable description of the excluded curve
-    b: int              # multiplier in the test class b·A − E
-    a_cube: Fraction
-    deg_c: Fraction
-    p_a: int
-    value: Fraction
+    __slots__ = ("family", "curve", "b", "a_cube", "deg_c", "p_a", "value")
+
+    def __init__(
+        self, family: int, curve: str, b: int, a_cube: Fraction, deg_c: Fraction,
+        p_a: int, value: Fraction,
+    ):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a_cube", a_cube)
+        object.__setattr__(self, "deg_c", deg_c)
+        object.__setattr__(self, "p_a", p_a)
+        object.__setattr__(self, "value", value)
 
     @classmethod
     def build(
@@ -250,29 +255,32 @@ _METHODS = {m.value: m for m in Method}
 _ROW_INTEGERS = re.compile(r"-?[0-9]+\t-?[0-9]+(?:,-?[0-9]+)*\t[^\t]*\t[^\t]*\t-?[0-9]+")
 
 
-@dataclass(frozen=True, slots=True)
-class SurfaceRow:
+class SurfaceRow(Record):
     """One row of the surface-method table: which curve of which family is
-    excluded on a surface in |m·A − C|, and which coarse bounds it evaded."""
+    excluded on a surface in |m·A − C|, and which coarse bounds it evaded;
+    ``vanishing`` and ``fails`` are stored as frozensets."""
 
-    family: int
-    vanishing: frozenset[int]       # coordinate indices cut out to give C
-    fails: frozenset[str]           # subset of {"residual", "contracted"}
-    method: Method
-    m: int
+    __slots__ = ("family", "vanishing", "fails", "method", "m")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.family <= FAMILY_COUNT:
-            raise ValueError(
-                f"family number must lie in 1..{FAMILY_COUNT}, got {self.family}"
-            )
-        _check_vanishing(self.vanishing)
-        bad = self.fails - VALID_FAIL_TAGS
+    def __init__(
+        self, family: int, vanishing: Iterable[int], fails: Iterable[str],
+        method: Method, m: int,
+    ):
+        if not 1 <= family <= FAMILY_COUNT:
+            raise ValueError(f"family number must lie in 1..{FAMILY_COUNT}, got {family}")
+        vanishing = _check_vanishing(vanishing)
+        fails = frozenset(fails)
+        bad = fails - VALID_FAIL_TAGS
         if bad:
             raise ValueError(f"unknown fail tags {sorted(bad)}")
-        _check_integer("surface-system multiplier", self.m)
-        if self.m < 1:
-            raise ValueError(f"surface-system multiplier must be >= 1, got {self.m}")
+        _check_integer("surface-system multiplier", m)
+        if m < 1:
+            raise ValueError(f"surface-system multiplier must be >= 1, got {m}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "vanishing", vanishing)
+        object.__setattr__(self, "fails", fails)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "m", m)
 
 
 def parse_surface_row(line: str, line_number: int | None = None) -> SurfaceRow:
@@ -360,32 +368,50 @@ def load_packaged_surface_rows() -> tuple[SurfaceRow, ...]:
 # Row certification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class SurfaceCertificate:
+class SurfaceCertificate(Record):
     """Fully evaluated surface certificate for one table row, every quantity
-    and verdict stored once by ``certify_row``.  Method 42 pairs C with the
-    companion C′ of the pencil C + C′ ~ A|_T; each method's own fields are
-    None for the other."""
+    and verdict stored once by ``certify_row``.
 
-    row: SurfaceRow
-    a_cube: Fraction
-    deg_c: Fraction
-    diff_indices: tuple[int, ...]
-    diff_total: Fraction
-    c2t: Fraction
-    exclusion_value: Fraction | None     # method 41 only
-    deg_c_prime: Fraction | None         # method 42 only
-    c_prime_sq: Fraction | None          # method 42 only
-    degree_sum: Fraction | None          # method 42: deg C + deg C′, against the cap
-    forces_alpha_one: bool | None        # method 42: C′² < 0
-    degree_contradiction: bool | None    # method 42: degree sum > cap
-    #: The evaluated quantities in report order, keyed by JSON field name;
-    #: every view of the certificate (JSON, text, coverage) reads them here.
-    quantities: tuple[tuple[str, Fraction], ...]
-    valid: bool
-    #: True when some deciding quantity is exactly zero/equal — reported
-    #: separately because validity demands strict inequalities.
-    boundary: bool
+    Method 42 pairs C with the companion C′ of the pencil C + C′ ~ A|_T.  The
+    method-41 ``exclusion_value`` and the method-42 ``deg_c_prime``,
+    ``c_prime_sq``, ``degree_sum`` (deg C + deg C′, against the cap),
+    ``forces_alpha_one`` (C′² < 0) and ``degree_contradiction`` (degree sum
+    > cap) are None for the other method.  ``quantities`` holds the evaluated
+    quantities in report order, keyed by JSON field name; every view of the
+    certificate (JSON, text, coverage) reads them there.  ``boundary`` is True
+    when some deciding quantity is exactly zero/equal — reported separately
+    because validity demands strict inequalities.
+    """
+
+    __slots__ = (
+        "row", "a_cube", "deg_c", "diff_indices", "diff_total", "c2t",
+        "exclusion_value", "deg_c_prime", "c_prime_sq", "degree_sum",
+        "forces_alpha_one", "degree_contradiction", "quantities", "valid", "boundary",
+    )
+
+    def __init__(
+        self, row: SurfaceRow, a_cube: Fraction, deg_c: Fraction,
+        diff_indices: tuple[int, ...], diff_total: Fraction, c2t: Fraction,
+        exclusion_value: Fraction | None, deg_c_prime: Fraction | None,
+        c_prime_sq: Fraction | None, degree_sum: Fraction | None,
+        forces_alpha_one: bool | None, degree_contradiction: bool | None,
+        quantities: tuple[tuple[str, Fraction], ...], valid: bool, boundary: bool,
+    ):
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "a_cube", a_cube)
+        object.__setattr__(self, "deg_c", deg_c)
+        object.__setattr__(self, "diff_indices", diff_indices)
+        object.__setattr__(self, "diff_total", diff_total)
+        object.__setattr__(self, "c2t", c2t)
+        object.__setattr__(self, "exclusion_value", exclusion_value)
+        object.__setattr__(self, "deg_c_prime", deg_c_prime)
+        object.__setattr__(self, "c_prime_sq", c_prime_sq)
+        object.__setattr__(self, "degree_sum", degree_sum)
+        object.__setattr__(self, "forces_alpha_one", forces_alpha_one)
+        object.__setattr__(self, "degree_contradiction", degree_contradiction)
+        object.__setattr__(self, "quantities", quantities)
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "boundary", boundary)
 
     @property
     def family(self) -> int:
@@ -458,13 +484,19 @@ def expected_fail_tags(f: FamilyRecord) -> frozenset[str]:
     return frozenset(_FAIL_TAGS[name] for name in family_lists(f) if name in _FAIL_TAGS)
 
 
-@dataclass(frozen=True)
-class TableVerification:
-    """Outcome of verifying the whole surface-row table."""
+class TableVerification(Record):
+    """Outcome of verifying the whole surface-row table; each tag mismatch is
+    (family, tags in the row file, tags re-derived from the weights)."""
 
-    certificates: tuple[SurfaceCertificate, ...]
-    tag_mismatches: tuple[tuple[int, frozenset[str], frozenset[str]], ...]
-    # (family, tags in the row file, tags re-derived from the weights)
+    __slots__ = ("certificates", "tag_mismatches")
+
+    def __init__(
+        self,
+        certificates: tuple[SurfaceCertificate, ...],
+        tag_mismatches: tuple[tuple[int, frozenset[str], frozenset[str]], ...],
+    ):
+        object.__setattr__(self, "certificates", certificates)
+        object.__setattr__(self, "tag_mismatches", tag_mismatches)
 
     @property
     def invalid(self) -> tuple[SurfaceCertificate, ...]:

@@ -15,7 +15,6 @@ lean on is valid; anything else is an explicit Gap naming the curve class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Literal
 
@@ -44,7 +43,7 @@ from .lemmas import (
     shared_factor_check,
     tangent_indices,
 )
-from .wps import format_rational
+from .wps import Record, format_rational
 
 
 class AnnotationKind(Enum):
@@ -55,34 +54,48 @@ class AnnotationKind(Enum):
     INDEX_RULE = "index-rule"
 
 
-@dataclass(frozen=True)
-class Annotation:
-    kind: AnnotationKind
-    text: str
+class Annotation(Record):
+    """One step taken on trust, with its kind."""
+
+    __slots__ = ("kind", "text")
+
+    def __init__(self, kind: AnnotationKind, text: str):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
 
 
-@dataclass(frozen=True)
-class RouteEntry:
-    """One route for one curve class of one family, with the gaps it leaves."""
+class RouteEntry(Record):
+    """One route for one curve class of one family, with the gaps it leaves:
+    the names of curve classes left without a route."""
 
-    route: str
-    detail: str
-    values: tuple[tuple[str, str], ...] = ()
-    annotations: tuple[Annotation, ...] = ()
-    gaps: tuple[str, ...] = ()  # names of curve classes left without a route
+    __slots__ = ("route", "detail", "values", "annotations", "gaps")
+
+    def __init__(
+        self, route: str, detail: str, values: tuple[tuple[str, str], ...] = (),
+        annotations: tuple[Annotation, ...] = (), gaps: tuple[str, ...] = (),
+    ):
+        object.__setattr__(self, "route", route)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "annotations", annotations)
+        object.__setattr__(self, "gaps", gaps)
 
 
 Status = Literal["Covered", "Gap"]
 
 
-@dataclass(frozen=True)
-class FamilyCoverage:
+class FamilyCoverage(Record):
     """Coverage verdict for a single family."""
 
-    family: int
-    case: CaseTag
-    residual: RouteEntry
-    contracted: RouteEntry
+    __slots__ = ("family", "case", "residual", "contracted")
+
+    def __init__(
+        self, family: int, case: CaseTag, residual: RouteEntry, contracted: RouteEntry
+    ):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "contracted", contracted)
 
     @property
     def gaps(self) -> tuple[str, ...]:

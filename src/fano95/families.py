@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import io
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
-from .wps import Weights, _check_integer, anticanonical_cube
+from .wps import Record, Weights, _check_integer, anticanonical_cube
 
 #: Number of families in the classification.
 FAMILY_COUNT = 95
@@ -57,14 +56,16 @@ class FamilyNotFoundError(FamilyTableError):
     """Requested family number is not present in the database."""
 
 
-@dataclass(frozen=True)
-class FamilyRecord:
+class FamilyRecord(Record):
     """One family: its number, hypersurface degree, weights and degree invariant."""
 
-    number: int
-    d: int
-    weights: Weights
-    a_cube: Fraction
+    __slots__ = ("number", "d", "weights", "a_cube")
+
+    def __init__(self, number: int, d: int, weights: Weights, a_cube: Fraction):
+        object.__setattr__(self, "number", number)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "a_cube", a_cube)
 
     @classmethod
     def build(cls, number: int, d: int, weights: Weights) -> "FamilyRecord":

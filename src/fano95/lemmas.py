@@ -29,13 +29,12 @@ compares stay on the family record the caller already holds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
 
 from .families import FamilyRecord
-from .wps import coordinate_point_on_hypersurface
+from .wps import Record, coordinate_point_on_hypersurface
 
 
 class CaseTag(Enum):
@@ -83,14 +82,16 @@ def classify_case(f: FamilyRecord) -> CaseTag:
     return CaseTag.CASE3
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(Record):
     """One evaluated inequality lhs vs rhs, with the exclusion reading lhs > rhs."""
 
-    label: str
-    lhs: Fraction
-    rhs: Fraction
-    note: str | None = None
+    __slots__ = ("label", "lhs", "rhs", "note")
+
+    def __init__(self, label: str, lhs: Fraction, rhs: Fraction, note: str | None = None):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "note", note)
 
     @property
     def relation(self) -> str:

@@ -10,7 +10,6 @@ ascending weight order, and its anticanonical degree is d/(a1*a2*a3*a4).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -26,8 +25,9 @@ def _check_integer(what: str, value) -> None:
 _COORDINATES = frozenset(range(5))
 
 
-def _check_vanishing(vanishing) -> None:
-    """Reject any vanishing set but three distinct integer indices in 0..4."""
+def _check_vanishing(vanishing) -> frozenset[int]:
+    """The vanishing set as a frozenset; rejects any set but three distinct
+    integer indices in 0..4."""
     vanishing = frozenset(vanishing)
     for i in vanishing:
         _check_integer("vanishing index", i)
@@ -35,6 +35,40 @@ def _check_vanishing(vanishing) -> None:
         raise ValueError(
             f"vanishing set must be 3 distinct indices in 0..4, got {sorted(vanishing)}"
         )
+    return vanishing
+
+
+class Record:
+    """Base of the package's immutable records: a subclass names its fields in
+    ``__slots__`` and stores them in its own ``__init__``.  Records of one
+    class are equal, and hash alike, when their fields are; copy and pickle
+    rebuild them through the constructor."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable record")
 
 
 class Weights(tuple):
@@ -80,21 +114,20 @@ class Weights(tuple):
         return self[1] * self[2] * self[3] * self[4]
 
 
-@dataclass(frozen=True, slots=True)
-class StratumCurve:
+class StratumCurve(Record):
     """A coordinate-stratum curve: three coordinates set to zero.
 
     The two surviving coordinates span a weighted line P(w1, w2), so the
     curve has degree 1/(w1*w2) against the degree-1 polarization.  Only the
-    vanishing set is checked: ``from_vanishing`` reads the surviving weights
-    off an already validated ``Weights``.
+    vanishing set is checked, and stored as a frozenset: ``from_vanishing``
+    reads the surviving weights off an already validated ``Weights``.
     """
 
-    vanishing: frozenset[int]
-    surviving_weights: tuple[int, int]
+    __slots__ = ("vanishing", "surviving_weights")
 
-    def __post_init__(self) -> None:
-        _check_vanishing(self.vanishing)
+    def __init__(self, vanishing: Iterable[int], surviving_weights: tuple[int, int]):
+        object.__setattr__(self, "vanishing", _check_vanishing(vanishing))
+        object.__setattr__(self, "surviving_weights", surviving_weights)
 
     @classmethod
     def from_vanishing(cls, weights: Weights, vanishing) -> "StratumCurve":

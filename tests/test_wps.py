@@ -172,6 +172,26 @@ def test_surface_row_and_stratum_share_the_vanishing_rule(vanishing, shown):
     assert str(row_error.value) == str(curve_error.value) == message
 
 
+def test_vanishing_and_fails_are_stored_as_frozensets():
+    common = dict(family=20, method=Method.M41, m=3)
+    from_tuple = SurfaceRow(vanishing=(2, 3, 4), fails=["contracted"], **common)
+    from_sets = SurfaceRow(
+        vanishing=frozenset({2, 3, 4}), fails=frozenset({"contracted"}), **common
+    )
+    assert from_tuple == from_sets and hash(from_tuple) == hash(from_sets)
+    assert type(from_tuple.vanishing) is type(from_tuple.fails) is frozenset
+    curve = StratumCurve((0, 2, 3), (1, 5))
+    assert curve == StratumCurve(frozenset({0, 2, 3}), (1, 5))
+    assert hash(curve) == hash(StratumCurve(frozenset({0, 2, 3}), (1, 5)))
+    assert type(curve.vanishing) is frozenset
+    message = "vanishing set must be 3 distinct indices in 0..4, got [0, 1]"
+    with pytest.raises(ValueError) as row_error:
+        SurfaceRow(vanishing=(0, 1, 1), fails=(), **common)
+    with pytest.raises(ValueError) as curve_error:
+        StratumCurve((0, 1, 1), (3, 4))
+    assert str(row_error.value) == str(curve_error.value) == message
+
+
 def test_stratum_degree_at_most_one_with_equality_iff_unit_weights():
     unit = StratumCurve.from_vanishing(Weights((1, 1, 1, 3, 4)), (2, 3, 4))
     assert unit.degree == 1
