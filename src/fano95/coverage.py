@@ -280,7 +280,8 @@ def _residual_route(
     return RouteEntry(
         route="test-class",
         detail=f"candidates outside two-form sections reduce to a "
-        f"{cert.curve}; its blowup class value is strictly negative",
+        f"{cert.curve}; its blowup class value is "
+        f"{'' if cert.valid else 'not '}strictly negative",
         values=(
             ("curve", cert.curve),
             ("multiplier", str(cert.b)),
@@ -288,6 +289,7 @@ def _residual_route(
             ("value", format_rational(cert.value)),
         ),
         annotations=(_CLASSIFICATION_NOTE,),
+        gaps=() if cert.valid else ("residual (test-class value not negative)",),
     )
 
 

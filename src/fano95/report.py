@@ -436,10 +436,10 @@ def render_certificates(
     tc_certs: Iterable[TestClassCertificate],
     verification: TableVerification,
 ) -> tuple[str, bool]:
-    # Only the surface table decides ok: case3_test_class_certificates raises
-    # on any test-class value that is not strictly negative.
     lines = []
+    ok = verification.ok
     for c in tc_certs:
+        ok = ok and c.valid
         status = "valid" if c.valid else "INVALID"
         lines.append(
             f"test-class family {c.family} ({c.curve}): multiplier {c.b}, "
@@ -469,7 +469,7 @@ def render_certificates(
             f"TAG MISMATCH family {family}: row file says {sorted(got)}, "
             f"derived verdicts say {sorted(expected)}"
         )
-    return "\n".join(lines) + "\n", verification.ok
+    return "\n".join(lines) + "\n", ok
 
 
 def render_coverage(coverage: Iterable[FamilyCoverage]) -> tuple[str, bool]:

@@ -26,14 +26,15 @@ _COORDINATES = frozenset(range(5))
 
 
 def _check_vanishing(vanishing) -> frozenset[int]:
-    """The vanishing set as a frozenset; rejects any set but three distinct
-    integer indices in 0..4."""
-    vanishing = frozenset(vanishing)
-    for i in vanishing:
+    """The vanishing set as a frozenset; rejects any entries but three distinct
+    integer indices in 0..4, counted as given, so a repeat is refused."""
+    entries = list(vanishing)
+    for i in entries:
         _check_integer("vanishing index", i)
-    if len(vanishing) != 3 or not vanishing <= _COORDINATES:
+    vanishing = frozenset(entries)
+    if len(entries) != 3 or len(vanishing) != 3 or not vanishing <= _COORDINATES:
         raise ValueError(
-            f"vanishing set must be 3 distinct indices in 0..4, got {sorted(vanishing)}"
+            f"vanishing set must be 3 distinct indices in 0..4, got {sorted(entries)}"
         )
     return vanishing
 
@@ -132,7 +133,7 @@ class StratumCurve(Record):
     @classmethod
     def from_vanishing(cls, weights: Weights, vanishing) -> "StratumCurve":
         """Build the stratum curve of ``weights`` with the given vanishing indices."""
-        v = frozenset(vanishing)
+        v = tuple(vanishing)
         return cls(v, tuple([w for i, w in enumerate(weights) if i not in v]))
 
     @property

@@ -204,8 +204,8 @@ def test_certify_rejects_repeated_vanishing_index(capsys, tmp_path):
     assert code == cli.EXIT_INPUT_ERROR
     assert out == ""
     assert err == (
-        f"error: surface-row table {bad}: line 1: vanishing field lists an "
-        "index twice: '2,3,3,4'\n"
+        f"error: surface-row table {bad}: line 1: vanishing set must be 3 "
+        "distinct indices in 0..4, got [2, 3, 3, 4]\n"
     )
 
 
@@ -227,17 +227,51 @@ def test_table_that_is_not_utf8_is_an_input_error(capsys, tmp_path, argv, table)
     assert "Traceback" not in err
 
 
+def assert_failure_is_reported(capsys, argv, fmt, family, invalid, gap):
+    """A certificate that fails exits 1 with nothing on stderr and the full
+    report on stdout: its ``invalid`` text line, or ``"valid": false`` in a
+    JSON document that revalidates, and for ``full`` the coverage with the
+    ``gap`` of ``family``."""
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (cli.EXIT_CHECK_FAILED, "")
+    full = argv[0] == "full"
+    if fmt == "text":
+        lines = out.splitlines()
+        assert invalid in lines
+        assert len([l for l in lines if l.startswith("test-class family")]) == 6
+        if full:
+            assert lines[0] == "ok: 95 families validated (case1: 54, case2: 32, case3: 9)"
+            assert f"  GAP: {gap}" in lines
+            assert lines[-1].startswith("coverage: ")
+        return
+    doc = json.loads(out)
+    assert revalidate_document(doc) == ()
+    certs = doc["certificates"]["test_class"] + doc["certificates"]["surface"]
+    assert [c["family"] for c in certs if c["valid"] is False] == [family]
+    assert len(doc["certificates"]["test_class"]) == 6
+    if full:
+        [entry] = [c for c in doc["coverage"] if c["family"] == family]
+        assert entry["status"] == "Gap" and gap in entry["gaps"]
+        assert doc["lists"] is not None
+    else:
+        assert doc["coverage"] is None
+
+
 @pytest.mark.parametrize("command", ["certify", "full"])
 def test_nonpositive_companion_degree_is_a_certificate_failure(capsys, tmp_path, command):
+    # deg C' = A^3 - deg C = 13/60 - 1 < 0: no companion curve, so the row is
+    # invalid and reported with the rest, never raised.
     bad = tmp_path / "rows.tsv"
     bad.write_text("20\t2,3,4\t\t42\t1\n")
-    code, out, err = run(capsys, command, "--table", str(bad))
-    assert code == cli.EXIT_CHECK_FAILED
-    assert out == ""
-    assert err == (
-        "certificate failure: family 20: two-curve method needs positive "
-        "companion degree, got -47/60\n"
-    )
+    for fmt in ("text", "json"):
+        assert_failure_is_reported(
+            capsys, [command, "--table", str(bad)], fmt, 20,
+            "surface family 20 row {2,3,4} method 42 m=1: curve degree 1/1, "
+            "different total 0/1, self-intersection -2/1, companion degree -47/60, "
+            "companion self-intersection -2/1, degree sum 13/60 vs cap 13/60 "
+            "[INVALID boundary]",
+            "contracted (no surface row through the last coordinate point)",
+        )
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -252,12 +286,11 @@ def test_nonnegative_test_class_value_is_a_certificate_failure(
     lines[i] = "3\t4\t1\t1\t1\t1\t1\n"
     bad = tmp_path / "families.tsv"
     bad.write_text("".join(lines), encoding="utf-8")
-    code, out, err = run(capsys, command, "--families", str(bad), "--format", fmt)
-    assert code == cli.EXIT_CHECK_FAILED
-    assert out == ""
-    assert err == (
-        "certificate failure: family 3 (conic): test-class value 8 is not "
-        "strictly negative\n"
+    assert_failure_is_reported(
+        capsys, [command, "--families", str(bad)], fmt, 3,
+        "test-class family 3 (conic): multiplier 6, curve degree 2/1, "
+        "blowup-class value 8/1 [INVALID]",
+        "residual (test-class value not negative)",
     )
 
 

@@ -361,7 +361,16 @@ def test_revalidate_reports_nonpositive_companion_degree(full_document):
     assert (victim["family"], victim["method"], victim["m"]) == (15, "42", 2)
     victim["m"] = 1  # m*A^3 - deg C = 1/3 - 1/3 = 0
     problems = revalidate_document(doc)
-    assert any("two-curve method needs positive companion degree" in p for p in problems)
+    # The row rebuilds as an invalid certificate; its fields no longer match.
+    assert not any("does not rebuild" in p for p in problems)
+    label = "surface family 15 row [0, 2, 4]"
+    assert (
+        f"{label}: companion degree does not recompute "
+        "(serialized '1/3', recomputed '0/1')"
+    ) in problems
+    assert (
+        f"{label}: valid flag does not recompute (serialized True, recomputed False)"
+    ) in problems
 
 
 # ---------------------------------------------------------------------------

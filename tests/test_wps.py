@@ -155,21 +155,29 @@ def test_stratum_curve_rejects_non_integers(vanishing):
     "vanishing, shown",
     [
         ((0, 1), [0, 1]),
-        ((0, 1, 1), [0, 1]),
+        ((0, 1, 1), [0, 1, 1]),
+        ((2, 3, 3, 4), [2, 3, 3, 4]),
+        ((0, 2, 2, 3), [0, 2, 2, 3]),
         ((0, 1, 5), [0, 1, 5]),
         ((-1, 2, 3), [-1, 2, 3]),
     ],
-    ids=["count", "repeated", "out-of-range", "negative"],
+    ids=["count", "repeated", "repeated-of-four", "repeated-of-four-from-0",
+         "out-of-range", "negative"],
 )
 def test_surface_row_and_stratum_share_the_vanishing_rule(vanishing, shown):
+    # The entries are counted as given: a repeat is refused even when the
+    # distinct indices would make a valid set.
     message = f"vanishing set must be 3 distinct indices in 0..4, got {shown}"
     with pytest.raises(ValueError) as row_error:
         SurfaceRow(
             family=20, vanishing=vanishing, fails=frozenset(), method=Method.M41, m=1
         )
     with pytest.raises(ValueError) as curve_error:
+        StratumCurve(vanishing, (1, 5))
+    with pytest.raises(ValueError) as stratum_error:
         StratumCurve.from_vanishing(Weights((1, 1, 3, 4, 5)), vanishing)
     assert str(row_error.value) == str(curve_error.value) == message
+    assert str(stratum_error.value) == message
 
 
 def test_vanishing_and_fails_are_stored_as_frozensets():
@@ -184,7 +192,7 @@ def test_vanishing_and_fails_are_stored_as_frozensets():
     assert curve == StratumCurve(frozenset({0, 2, 3}), (1, 5))
     assert hash(curve) == hash(StratumCurve(frozenset({0, 2, 3}), (1, 5)))
     assert type(curve.vanishing) is frozenset
-    message = "vanishing set must be 3 distinct indices in 0..4, got [0, 1]"
+    message = "vanishing set must be 3 distinct indices in 0..4, got [0, 1, 1]"
     with pytest.raises(ValueError) as row_error:
         SurfaceRow(vanishing=(0, 1, 1), fails=(), **common)
     with pytest.raises(ValueError) as curve_error:
