@@ -40,7 +40,7 @@ from .lemmas import (
     case1_verdict,
     family_lists,
 )
-from .wps import Record, StratumCurve, _check_integer, _check_vanishing
+from .wps import Record, _check_integer, _check_vanishing, stratum_weights
 
 SURFACE_ROWS_FILENAME = "surface_rows.tsv"
 
@@ -195,29 +195,40 @@ def case3_test_class_certificates(
 # Surface-method building blocks
 # ---------------------------------------------------------------------------
 
-def different_total(indices: Iterable[int]) -> Fraction:
-    """Total coefficient of the adjunction different: Σ (m−1)/m over the
-    singular-point indices the curve passes through."""
+# Each formula lives once, in integers, on numerators over positive denominators
+# (A³ = a/b, deg C = p/q, the different or C²_T = r/s), and returns its value the
+# same way, unreduced.  The public functions take int or Fraction arguments.
+
+def _different(indices: Iterable[int]) -> tuple[int, int]:
     num, den = 0, 1
     for m in indices:
         if m < 2:
             raise ValueError(f"singular-point index must be >= 2, got {m}")
         num, den = num * m + (m - 1) * den, den * m
-    return Fraction(num, den)
+    return num, den
 
 
-# The two formulas below take int or Fraction arguments and evaluate on their
-# numerators over the product of their denominators: one Fraction, normalised
-# once, instead of a Fraction per operation.
+def _self_intersection(m, p, q, r, s) -> tuple[int, int]:
+    return (r - 2 * s) * q - (m - 1) * p * s, q * s
+
+
+def _exclusion_value(m, a, b, p, q, r, s) -> tuple[int, int]:
+    return (m * a * q - 2 * p * b) * s + r * b * q, b * q * s
+
+
+def different_total(indices: Iterable[int]) -> Fraction:
+    """Total coefficient of the adjunction different: Σ (m−1)/m over the
+    singular-point indices the curve passes through."""
+    return Fraction(*_different(indices))
+
 
 def curve_self_intersection(m: int, deg_c: Fraction, diff_total: Fraction) -> Fraction:
     """C² on a general surface T in |m·A − C|, by adjunction:
     deg(K_C + Diff) = (K + T)·C + C²_T with K + T ~ (m−1)·A."""
     if m < 1:
         raise ValueError(f"surface-system multiplier must be >= 1, got {m}")
-    p, q = deg_c.numerator, deg_c.denominator
-    r, s = diff_total.numerator, diff_total.denominator
-    return Fraction((r - 2 * s) * q - (m - 1) * p * s, q * s)
+    return Fraction(*_self_intersection(m, deg_c.numerator, deg_c.denominator,
+                                        diff_total.numerator, diff_total.denominator))
 
 
 def surface_exclusion_value(
@@ -227,10 +238,9 @@ def surface_exclusion_value(
     m·A³ − 2·deg_c + C²_T.  Strict negativity excludes the curve."""
     if m < 1:
         raise ValueError(f"surface-system multiplier must be >= 1, got {m}")
-    a, b = a_cube.numerator, a_cube.denominator
-    p, q = deg_c.numerator, deg_c.denominator
-    r, s = c2t.numerator, c2t.denominator
-    return Fraction((m * a * q - 2 * p * b) * s + r * b * q, b * q * s)
+    return Fraction(*_exclusion_value(m, a_cube.numerator, a_cube.denominator,
+                                      deg_c.numerator, deg_c.denominator,
+                                      c2t.numerator, c2t.denominator))
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +305,6 @@ def parse_surface_row(line: str, line_number: int | None = None) -> SurfaceRow:
     if not _ROW_INTEGERS.fullmatch(line):
         raise SurfaceRowParseError(f"non-integer field in {fields!r}", line_number)
     raw_family, raw_vanishing, raw_fails, raw_method, raw_m = fields
-    family = int(raw_family)
-    vanishing = [int(p) for p in raw_vanishing.split(",")]
-    m = int(raw_m)
-    fails = frozenset(p for p in raw_fails.split(",") if p)
     method = _METHODS.get(raw_method)
     if method is None:
         raise SurfaceRowParseError(
@@ -306,9 +312,8 @@ def parse_surface_row(line: str, line_number: int | None = None) -> SurfaceRow:
             line_number,
         )
     try:
-        return SurfaceRow(
-            family=family, vanishing=vanishing, fails=fails, method=method, m=m
-        )
+        return SurfaceRow(int(raw_family), map(int, raw_vanishing.split(",")),
+                          frozenset(raw_fails.split(",")) - {""}, method, int(raw_m))
     except ValueError as exc:
         raise SurfaceRowParseError(str(exc), line_number) from exc
 
@@ -415,52 +420,44 @@ class SurfaceCertificate(Record):
 def certify_row(f: FamilyRecord, row: SurfaceRow) -> SurfaceCertificate:
     """Evaluate one surface row bottom-up from the family's weights.
 
-    The curve is the coordinate stratum of the row's vanishing indices.  Its
-    singular-point indices in T are taken to be the surviving weights
-    exceeding 1 — an assumption, so any row it fails to certify is surfaced
-    rather than patched (see ``verify_surface_table``).  A Fraction's sign is
-    its numerator's, so the verdicts test numerators.
+    The curve is the weighted line P(w1, w2) of the two coordinates outside
+    the row's vanishing set, which ``SurfaceRow`` has validated.  Its
+    singular-point indices in T are taken to be w1 and w2 where they exceed 1
+    — an assumption, so any row it fails to certify is surfaced rather than
+    patched (see ``verify_surface_table``).  The chain runs in integers over
+    positive denominators, so a verdict tests the sign of a numerator; one
+    Fraction is built per reported quantity.
     """
     if row.family != f.number:
-        raise RowError(
-            row.family, f"row applied to family record {f.number}"
-        )
+        raise RowError(row.family, f"row applied to family record {f.number}")
     m, a_cube = row.m, f.a_cube
-    curve = StratumCurve.from_vanishing(f.weights, row.vanishing)
-    deg_c = curve.degree
-    diff_indices = tuple(sorted(w for w in curve.surviving_weights if w > 1))
-    diff = different_total(diff_indices)
-    c2t = curve_self_intersection(m, deg_c, diff)
+    a, b = a_cube.numerator, a_cube.denominator
+    w1, w2 = stratum_weights(f.weights, row.vanishing)
+    q = w1 * w2  # deg C = 1/q
+    diff_indices = (w1, w2) if w1 > 1 else (w2,) if w2 > 1 else ()
+    r, s = _different(diff_indices)
+    c, t = _self_intersection(m, 1, q, r, s)
+    deg_c, diff, c2t = Fraction(1, q), Fraction(r, s), Fraction(c, t)
     chain = (("deg_c", deg_c), ("diff_total", diff), ("c2t", c2t))
     if row.method is Method.M41:
-        value = surface_exclusion_value(m, a_cube, deg_c, c2t)
+        v, z = _exclusion_value(m, a, b, 1, q, c, t)
+        value = Fraction(v, z)
         return SurfaceCertificate(
-            row, a_cube, deg_c, diff_indices, diff, c2t,
-            exclusion_value=value, deg_c_prime=None, c_prime_sq=None,
-            degree_sum=None, forces_alpha_one=None, degree_contradiction=None,
-            quantities=chain + (("exclusion_value", value),),
-            valid=value.numerator < 0, boundary=value.numerator == 0,
-        )
+            row, a_cube, deg_c, diff_indices, diff, c2t, value, None, None, None, None,
+            None, chain + (("exclusion_value", value),), v < 0, v == 0)
     # Method 42: the pencil A|_T cuts out C + C', so deg C' = m*A^3 - deg C and
-    # deg C + deg C' = m*A^3; C' meets the same singular points, giving its
-    # self-intersection by the same adjunction formula.  A companion of degree
+    # the degree sum m*A^3 beats the cap A^3 exactly when m*a > a.  C' meets the
+    # same singular points, so adjunction gives C'^2 too.  A companion of degree
     # <= 0 is no curve, so the certificate is invalid.
-    a, b = a_cube.numerator, a_cube.denominator
-    p, q = deg_c.numerator, deg_c.denominator
-    deg_c_prime = Fraction(m * a * q - p * b, b * q)
-    c_prime_sq = curve_self_intersection(m, deg_c_prime, diff)
-    degree_sum = Fraction(m * a, b)
-    forces_alpha_one = c_prime_sq.numerator < 0
-    degree_contradiction = degree_sum > a_cube
+    p2, q2 = m * a * q - b, b * q
+    c2, t2 = _self_intersection(m, p2, q2, r, s)
+    deg_c_prime, c_prime_sq = Fraction(p2, q2), Fraction(c2, t2)
+    degree_contradiction = m * a > a
     return SurfaceCertificate(
-        row, a_cube, deg_c, diff_indices, diff, c2t,
-        exclusion_value=None, deg_c_prime=deg_c_prime, c_prime_sq=c_prime_sq,
-        degree_sum=degree_sum, forces_alpha_one=forces_alpha_one,
-        degree_contradiction=degree_contradiction,
-        quantities=chain + (("deg_c_prime", deg_c_prime), ("c_prime_sq", c_prime_sq)),
-        valid=deg_c_prime.numerator > 0 and forces_alpha_one and degree_contradiction,
-        boundary=deg_c_prime.numerator == 0 or c_prime_sq.numerator == 0
-        or degree_sum == a_cube,
+        row, a_cube, deg_c, diff_indices, diff, c2t, None, deg_c_prime, c_prime_sq,
+        Fraction(m * a, b), c2 < 0, degree_contradiction,
+        chain + (("deg_c_prime", deg_c_prime), ("c_prime_sq", c_prime_sq)),
+        p2 > 0 and c2 < 0 and degree_contradiction, p2 == 0 or c2 == 0 or m * a == a,
     )
 
 
@@ -514,10 +511,7 @@ def verify_surface_table(db: FamilyDatabase, rows: Iterable[SurfaceRow]) -> Tabl
         expected = expected_by_family[f.number]
         if row.fails != expected:
             mismatches.append((row.family, row.fails, expected))
-    return TableVerification(
-        certificates=tuple(certificates),
-        tag_mismatches=tuple(mismatches),
-    )
+    return TableVerification(tuple(certificates), tuple(mismatches))
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,8 @@ class FamilyRecord(Record):
 
 
 class FamilyDatabase:
-    """Immutable, number-indexed collection of exactly 95 validated records."""
+    """Immutable, number-indexed collection of exactly 95 validated records,
+    numbered 1..95 in order, no two with the same degree and weights."""
 
     def __init__(self, records: Iterable[FamilyRecord]):
         self._records: tuple[FamilyRecord, ...] = tuple(records)
@@ -101,6 +102,13 @@ class FamilyDatabase:
                 "family numbers must be exactly 1..95 in ascending order "
                 f"(got {numbers[:5]}...{numbers[-3:]})",
             )
+        first: dict[tuple[int, Weights], int] = {}
+        for r in self._records:
+            other = first.setdefault((r.d, r.weights), r.number)
+            if other != r.number:
+                raise ValidationError(
+                    r.number, f"degree {r.d} and weights {r.weights} repeat family {other}"
+                )
         self._by_number = {r.number: r for r in self._records}
 
     def __iter__(self) -> Iterator[FamilyRecord]:

@@ -447,22 +447,19 @@ def render_certificates(
             f"blowup-class value {format_rational(c.value)} [{status}]"
         )
     for cert in verification.certificates:
-        flag = "valid" if cert.valid else "INVALID"
-        if cert.boundary:
-            flag += " boundary"
-        key = ",".join(str(i) for i in sorted(cert.row.vanishing))
-        values = ", ".join(
-            f"{_FIELD_NAMES[field]} {format_rational(value)}"
-            for field, value in cert.quantities
-        )
+        row = cert.row
+        flag = ("valid" if cert.valid else "INVALID") + (" boundary" if cert.boundary else "")
+        values = ", ".join([f"{_FIELD_NAMES[field]} {format_rational(value)}"
+                            for field, value in cert.quantities])
         if cert.degree_sum is not None:
             values += (
                 f", degree sum {format_rational(cert.degree_sum)} vs cap "
                 f"{format_rational(cert.a_cube)}"
             )
         lines.append(
-            f"surface family {cert.family} row {{{key}}} method {cert.row.method.value} "
-            f"m={cert.row.m}: {values} [{flag}]"
+            "surface family {} row {{{},{},{}}} method {} m={}: {} [{}]".format(
+                row.family, *sorted(row.vanishing), row.method.value, row.m, values, flag
+            )
         )
     for family, got, expected in verification.tag_mismatches:
         lines.append(

@@ -22,7 +22,8 @@ def _check_integer(what: str, value) -> None:
         raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
-_COORDINATES = frozenset(range(5))
+#: The two surviving coordinates, ascending, of each valid vanishing set.
+_SURVIVING = {frozenset(range(5)) - {i, j}: (i, j) for i, j in combinations(range(5), 2)}
 
 
 def _check_vanishing(vanishing) -> frozenset[int]:
@@ -32,11 +33,18 @@ def _check_vanishing(vanishing) -> frozenset[int]:
     for i in entries:
         _check_integer("vanishing index", i)
     vanishing = frozenset(entries)
-    if len(entries) != 3 or len(vanishing) != 3 or not vanishing <= _COORDINATES:
+    if len(entries) != 3 or vanishing not in _SURVIVING:
         raise ValueError(
             f"vanishing set must be 3 distinct indices in 0..4, got {sorted(entries)}"
         )
     return vanishing
+
+
+def stratum_weights(weights: Weights, vanishing: frozenset[int]) -> tuple[int, int]:
+    """The weights (w1, w2), ascending, off a vanishing set that passed
+    ``_check_vanishing``: the stratum P(w1, w2) has degree 1/(w1*w2)."""
+    i, j = _SURVIVING[vanishing]
+    return weights[i], weights[j]
 
 
 class Record:
@@ -133,8 +141,8 @@ class StratumCurve(Record):
     @classmethod
     def from_vanishing(cls, weights: Weights, vanishing) -> "StratumCurve":
         """Build the stratum curve of ``weights`` with the given vanishing indices."""
-        v = tuple(vanishing)
-        return cls(v, tuple([w for i, w in enumerate(weights) if i not in v]))
+        v = _check_vanishing(vanishing)
+        return cls(v, stratum_weights(weights, v))
 
     @property
     def degree(self) -> Fraction:
@@ -162,11 +170,11 @@ def format_rational(q: Fraction | int) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?\Z")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?\Z")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`format_rational`; accepts only "p" or "p/q" forms."""
+    """Inverse of :func:`format_rational`; accepts only "p" or "p/q" in ASCII digits."""
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"malformed rational literal {text!r}")
     try:

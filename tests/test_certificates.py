@@ -10,6 +10,7 @@ from fano95 import certificates as C
 from fano95 import (
     Method,
     RowError,
+    StratumCurve,
     SurfaceRow,
     SurfaceRowParseError,
     case3_test_class_certificates,
@@ -91,16 +92,16 @@ def test_six_packaged_test_class_certificates(db):
 
 
 def test_test_class_certificates_report_a_nonnegative_value(db):
-    # Replace family 3's record with the degree-4 quartic system: the conic
-    # certificate value becomes 6*4 - 14 - 2 = +8.  All six certificates are
-    # still returned; family 3's is invalid, not raised.
+    # Replace family 5's record with X_7 in P(1,1,1,1,4), which repeats no
+    # other family: the line's certificate value becomes 6*7/4 - 7 - 2 = +3/2.
+    # All six certificates are still returned; family 5's is invalid, not raised.
     text = packaged_data_path("families.tsv").read_text()
     lines = [l for l in text.splitlines() if l and not l.startswith("#")]
-    lines[2] = "3\t4\t1\t1\t1\t1\t1"
+    lines[4] = "5\t7\t1\t1\t1\t1\t4"
     certs = case3_test_class_certificates(load_families(io.StringIO("\n".join(lines))))
     assert [c.family for c in certs] == [1, 2, 3, 4, 5, 6]
     [bad] = [c for c in certs if not c.valid]
-    assert (bad.family, bad.curve, bad.value, bad.boundary) == (3, "conic", 8, False)
+    assert (bad.family, bad.curve, bad.value, bad.boundary) == (5, "line", Fraction(3, 2), False)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +425,19 @@ def test_certify_row_matches_fraction_oracle_everywhere(db):
         nonpositive += method is Method.M42 and cert.deg_c_prime <= 0
     assert certified == 95 * 10 * 2 * 8
     assert nonpositive == 2031
+
+
+def test_certify_row_agrees_with_stratum_curve(db):
+    # certify_row reads the stratum's weights without building a StratumCurve;
+    # both must derive the same curve from the weights.
+    for f, vanishing in product(db, combinations(range(5), 3)):
+        curve = StratumCurve.from_vanishing(f.weights, vanishing)
+        for method in Method:
+            cert = certify_row(f, SurfaceRow(f.number, vanishing, (), method, 2))
+            assert cert.deg_c == curve.degree, (f.number, vanishing)
+            assert cert.diff_indices == tuple(
+                sorted(w for w in curve.surviving_weights if w > 1)
+            ), (f.number, vanishing)
 
 
 def test_expected_fail_tags_derived_from_verdicts(db):

@@ -66,6 +66,20 @@ def test_validate_wrong_count(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_validate_repeated_family_is_an_input_error(capsys, tmp_path):
+    bad = tmp_path / "families.tsv"
+    lines = FAMILIES.read_text().splitlines()
+    row = lines.index("3\t6\t1\t1\t1\t1\t3")
+    lines[row] = "3\t4\t1\t1\t1\t1\t1"
+    bad.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "validate", "--families", str(bad))
+    assert (code, out) == (cli.EXIT_INPUT_ERROR, "")
+    assert err == (
+        f"error: families table {bad}: family 3: degree 4 and weights "
+        "(1, 1, 1, 1, 1) repeat family 1\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # lists
 
@@ -279,17 +293,18 @@ def test_nonpositive_companion_degree_is_a_certificate_failure(capsys, tmp_path,
 def test_nonnegative_test_class_value_is_a_certificate_failure(
     capsys, tmp_path, command, fmt
 ):
-    # Family 3 as d = 4 over unit weights: the conic's test class 6*A - E
-    # has value 6*4 - 7*2 - 2 = 8, which excludes nothing.
+    # Family 5 as X_7 in P(1,1,1,1,4), a record no other family repeats: the
+    # line's test class 6*A - E has value 6*7/4 - 7*1 - 2 = 3/2, which excludes
+    # nothing.
     lines = FAMILIES.read_text(encoding="utf-8").splitlines(keepends=True)
-    [i] = [k for k, line in enumerate(lines) if line.startswith("3\t")]
-    lines[i] = "3\t4\t1\t1\t1\t1\t1\n"
+    [i] = [k for k, line in enumerate(lines) if line.startswith("5\t")]
+    lines[i] = "5\t7\t1\t1\t1\t1\t4\n"
     bad = tmp_path / "families.tsv"
     bad.write_text("".join(lines), encoding="utf-8")
     assert_failure_is_reported(
-        capsys, [command, "--families", str(bad)], fmt, 3,
-        "test-class family 3 (conic): multiplier 6, curve degree 2/1, "
-        "blowup-class value 8/1 [INVALID]",
+        capsys, [command, "--families", str(bad)], fmt, 5,
+        "test-class family 5 (line): multiplier 6, curve degree 1/1, "
+        "blowup-class value 3/2 [INVALID]",
         "residual (test-class value not negative)",
     )
 

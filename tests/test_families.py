@@ -159,6 +159,28 @@ def test_load_rejects_duplicate_family_number():
         load_families(io.StringIO("\n".join(lines)))
 
 
+def test_load_rejects_repeated_degree_and_weights():
+    # Family 3's line carrying family 1's degree and weights passes every
+    # per-record check; the database refuses the repeat and names both.
+    lines = [l for l in _packaged_text().splitlines() if l and not l.startswith("#")]
+    lines[2] = "3\t4\t1\t1\t1\t1\t1"
+    with pytest.raises(ValidationError) as exc:
+        load_families(io.StringIO("\n".join(lines)))
+    assert exc.value.family == 3
+    assert str(exc.value) == (
+        "family 3: degree 4 and weights (1, 1, 1, 1, 1) repeat family 1"
+    )
+
+
+def test_load_reports_count_and_numbering_before_repeats():
+    lines = [l for l in _packaged_text().splitlines() if l and not l.startswith("#")]
+    lines[2] = lines[0]  # a repeated record that also breaks the numbering
+    with pytest.raises(ValidationError, match="family numbers must be exactly 1..95"):
+        load_families(io.StringIO("\n".join(lines)))
+    with pytest.raises(ValidationError, match="expected exactly 95 family records, got 96"):
+        load_families(io.StringIO("\n".join(lines + [lines[0]])))
+
+
 def test_load_rejects_out_of_order_numbers():
     lines = [l for l in _packaged_text().splitlines() if l and not l.startswith("#")]
     lines[0], lines[1] = lines[1], lines[0]

@@ -260,6 +260,6 @@ def test_parse_rational_round_trip():
 
 
 def test_parse_rational_rejects_garbage():
-    for bad in ("", "x", "1/0", "1.5"):
+    for bad in ("", "x", "1/0", "1.5", "\u0661/\u0662"):  # Arabic-Indic digits
         with pytest.raises(ValueError):
             parse_rational(bad)
