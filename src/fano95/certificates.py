@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable
 
 from .families import (
@@ -77,13 +77,24 @@ class SurfaceRowParseError(ValueError):
 # Test-class certificates
 # ---------------------------------------------------------------------------
 
+# The blow-up numbers and the expansion each live once, in integers: numerators
+# over q for deg C = p/q, and over one shared denominator for the expansion.
+
+def _blowup_numbers(p: int, q: int, p_a: int) -> tuple[int, int, int]:
+    return 0, -p, (2 - 2 * p_a) * q - p
+
+
+def _expanded(b: int, a: int, a2e: int, ae2: int, e3: int) -> int:
+    return b * a - (2 * b + 1) * a2e + (b + 2) * ae2 - e3
+
+
 def rational_curve_blowup_numbers(
     deg_c: Fraction, p_a: int
 ) -> tuple[Fraction, Fraction, Fraction]:
     """Intersection numbers (A²E, AE², E³) of the exceptional divisor over a
     curve of degree deg_c and arithmetic genus p_a on an index-one 3-fold."""
-    deg_c = Fraction(deg_c)
-    return (Fraction(0), -deg_c, -deg_c + 2 - 2 * p_a)
+    p, q = Fraction(deg_c).as_integer_ratio()
+    return tuple(Fraction(x, q) for x in _blowup_numbers(p, q, p_a))
 
 
 def test_class_value_expanded(
@@ -92,36 +103,36 @@ def test_class_value_expanded(
     """M·B² by multiplying out (bA − E)(A − E)²: b·A³ − (2b+1)·A²E + (b+2)·AE² − E³."""
     if b < 1:
         raise ValueError(f"test-class multiplier must be >= 1, got {b}")
-    return b * Fraction(a_cube) - (2 * b + 1) * Fraction(a2e) \
-        + (b + 2) * Fraction(ae2) - Fraction(e3)
+    terms = [Fraction(x).as_integer_ratio() for x in (a_cube, a2e, ae2, e3)]
+    den = lcm(*(q for _, q in terms))
+    return Fraction(_expanded(b, *(p * (den // q) for p, q in terms)), den)
 
 
 def test_class_value(b: int, a_cube: Fraction, deg_c: Fraction, p_a: int) -> Fraction:
     """M·B² for M = b·A − E over a curve of degree deg_c and genus p_a.
 
     Closed form b·A³ − (b+1)·deg_c − 2 + 2·p_a; asserted equal to the full
-    triple-product expansion on every call, so the two derivations cannot
-    drift apart.
+    triple-product expansion on every call, in integers over the denominator
+    e·q of A³ = a/e and deg C = p/q, so the two derivations cannot drift apart.
     """
     _check_integer("test-class multiplier", b)
     _check_integer("arithmetic genus", p_a)
     if b < 1:
         raise ValueError(f"test-class multiplier must be >= 1, got {b}")
     deg_c = Fraction(deg_c)
-    if deg_c <= 0:
+    p, q = deg_c.as_integer_ratio()
+    if p <= 0:
         raise ValueError(f"curve degree must be positive, got {deg_c}")
     if p_a < 0:
         raise ValueError(f"arithmetic genus must be non-negative, got {p_a}")
-    a_cube = Fraction(a_cube)
-    closed = b * a_cube - (b + 1) * deg_c - 2 + 2 * p_a
-    expanded = test_class_value_expanded(
-        b, a_cube, *rational_curve_blowup_numbers(deg_c, p_a)
-    )
+    a, e = Fraction(a_cube).as_integer_ratio()
+    den = e * q
+    closed = b * a * q - (b + 1) * p * e + (2 * p_a - 2) * den
+    expanded = _expanded(b, a * q, *(x * e for x in _blowup_numbers(p, q, p_a)))
     if closed != expanded:
-        raise AssertionError(
-            f"closed form {closed} disagrees with expansion {expanded}"
-        )
-    return closed
+        raise AssertionError(f"closed form {Fraction(closed, den)} disagrees with "
+                             f"expansion {Fraction(expanded, den)}")
+    return Fraction(closed, den)
 
 
 class TestClassCertificate(Record):
@@ -148,15 +159,8 @@ class TestClassCertificate(Record):
     ) -> "TestClassCertificate":
         """Evaluate the test class b·A − E over one curve of family f."""
         deg_c = Fraction(deg_c)
-        return cls(
-            family=f.number,
-            curve=curve,
-            b=b,
-            a_cube=f.a_cube,
-            deg_c=deg_c,
-            p_a=p_a,
-            value=test_class_value(b, f.a_cube, deg_c, p_a),
-        )
+        return cls(f.number, curve, b, f.a_cube, deg_c, p_a,
+                   test_class_value(b, f.a_cube, deg_c, p_a))
 
     @property
     def valid(self) -> bool:
@@ -263,8 +267,8 @@ _ROW_INTEGERS = re.compile(r"-?[0-9]+\t-?[0-9]+(?:,-?[0-9]+)*\t[^\t]*\t[^\t]*\t-
 
 class SurfaceRow(Record):
     """One row of the surface-method table: which curve of which family is
-    excluded on a surface in |m·A − C|, and which coarse bounds it evaded;
-    ``vanishing`` and ``fails`` are stored as frozensets."""
+    excluded on a surface in |m·A − C|, and which coarse bounds it evaded.
+    ``vanishing`` and ``fails`` refuse a repeat and are stored as frozensets."""
 
     __slots__ = ("family", "vanishing", "fails", "method", "m")
 
@@ -278,10 +282,12 @@ class SurfaceRow(Record):
         if not isinstance(method, Method):
             raise TypeError(f"method must be a Method, got {method!r}")
         vanishing = _check_vanishing(vanishing)
-        fails = frozenset(fails)
-        bad = fails - VALID_FAIL_TAGS
-        if bad:
-            raise ValueError(f"unknown fail tags {sorted(bad)}")
+        tags = tuple(fails)
+        fails = frozenset(tags)
+        if not fails <= VALID_FAIL_TAGS:
+            raise ValueError(f"unknown fail tags {sorted(fails - VALID_FAIL_TAGS)}")
+        if len(tags) != len(fails):
+            raise ValueError(f"fail tags must be distinct, got {sorted(tags)}")
         _check_integer("surface-system multiplier", m)
         if m < 1:
             raise ValueError(f"surface-system multiplier must be >= 1, got {m}")
@@ -312,8 +318,8 @@ def parse_surface_row(line: str, line_number: int | None = None) -> SurfaceRow:
             line_number,
         )
     try:
-        return SurfaceRow(int(raw_family), map(int, raw_vanishing.split(",")),
-                          frozenset(raw_fails.split(",")) - {""}, method, int(raw_m))
+        return SurfaceRow(int(raw_family), list(map(int, raw_vanishing.split(","))),
+                          raw_fails.split(",") if raw_fails else (), method, int(raw_m))
     except ValueError as exc:
         raise SurfaceRowParseError(str(exc), line_number) from exc
 

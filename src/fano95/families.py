@@ -75,13 +75,14 @@ class FamilyRecord(Record):
         _check_integer("degree", d)
         if not 1 <= number <= FAMILY_COUNT:
             raise ValidationError(number, f"family number must lie in 1..{FAMILY_COUNT}")
-        if d != sum(weights.tail):
+        tail_sum = weights[1] + weights[2] + weights[3] + weights[4]
+        if d != tail_sum:
             raise ValidationError(
                 number,
-                f"d = {d} but a1+a2+a3+a4 = {sum(weights.tail)} "
+                f"d = {d} but a1+a2+a3+a4 = {tail_sum} "
                 "(invariant d = a1+a2+a3+a4 violated)",
             )
-        return cls(number=number, d=d, weights=weights, a_cube=anticanonical_cube(d, weights))
+        return cls(number, d, weights, anticanonical_cube(d, weights))
 
 
 class FamilyDatabase:

@@ -18,6 +18,8 @@ from typing import Iterable
 
 def _check_integer(what: str, value) -> None:
     """Reject a non-integer, a bool included: a float would make values inexact."""
+    if type(value) is int:
+        return
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{what} must be an integer, got {value!r}")
 
@@ -97,20 +99,21 @@ class Weights(tuple):
             _check_integer("weight", x)
         if len(a) != 5:
             raise ValueError(f"need exactly five weights, got {len(a)}: {a}")
-        if any(x < 1 for x in a):
+        if min(a) < 1:
             raise ValueError(f"weights must be positive integers: {a}")
-        if a[0] != 1:
-            raise ValueError(f"first weight must be 1, got {a[0]}")
-        if list(a) != sorted(a):
+        a0, a1, a2, a3, a4 = a
+        if a0 != 1:
+            raise ValueError(f"first weight must be 1, got {a0}")
+        if not a0 <= a1 <= a2 <= a3 <= a4:
             raise ValueError(f"weights must be ascending: {a}")
         for triple in combinations(a[1:], 3):
-            g = gcd(gcd(triple[0], triple[1]), triple[2])
+            g = gcd(*triple)
             if g != 1:
                 raise ValueError(
                     f"weights {a} are not well-formed: "
                     f"{triple} share the common factor {g}"
                 )
-        return super().__new__(cls, a)
+        return tuple.__new__(cls, a)
 
     @property
     def tail(self) -> tuple[int, int, int, int]:

@@ -76,6 +76,24 @@ def test_test_class_value_validates_inputs():
         C.test_class_value(2, Fraction(1), Fraction(1), -1)
 
 
+def test_test_class_value_matches_fraction_oracle(db):
+    # Every packaged A^3, b in 1..8, deg C in {1/q : q <= 12} and {1, 2, 3},
+    # p_a in 0..3: the integer evaluation against the closed form written out
+    # in Fraction arithmetic, and each certificate's verdicts against its sign.
+    degrees = sorted({Fraction(1, q) for q in range(1, 13)} | {Fraction(n) for n in (1, 2, 3)})
+    signs = {-1: 0, 0: 0, 1: 0}
+    for f, b, deg_c, p_a in product(db, range(1, 9), degrees, range(4)):
+        expected = b * f.a_cube - (b + 1) * deg_c - 2 + 2 * p_a
+        case = (f.number, b, deg_c, p_a)
+        value = C.test_class_value(b, f.a_cube, deg_c, p_a)
+        assert type(value) is Fraction and value == expected, case
+        cert = C.TestClassCertificate.build(f, "curve", b, deg_c, p_a)
+        assert type(cert.value) is Fraction and cert.value == expected, case
+        assert (cert.valid, cert.boundary) == (expected < 0, expected == 0), case
+        signs[(expected > 0) - (expected < 0)] += 1
+    assert signs == {-1: 23115, 0: 120, 1: 19325}
+
+
 def test_six_packaged_test_class_certificates(db):
     certs = case3_test_class_certificates(db)
     assert [(c.family, c.curve, c.b) for c in certs] == [
@@ -201,6 +219,11 @@ def test_parse_surface_row_fields():
         "7\t0,2,3\tresidual\t43\t2",       # unknown method
         "7\t0,2,3\tresidual\t41\t0",       # nonpositive multiplicity
         "7\t0,2,3\tresidual\t41\ttwo",     # non-integer multiplicity
+        "7\t0,2,3\tresidual,\t41\t2",      # trailing empty tag
+        "7\t0,2,3\t,residual\t41\t2",      # leading empty tag
+        "7\t0,2,3\tresidual,,contracted\t41\t2",  # empty tag between two
+        "7\t0,2,3\t,\t41\t2",              # two empty tags
+        "7\t0,2,3\tresidual,residual\t41\t2",  # repeated tag
     ],
 )
 def test_parse_surface_row_rejects_malformed(line):

@@ -224,6 +224,23 @@ def test_certify_rejects_repeated_vanishing_index(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "fails, message",
+    [
+        ("residual,", "unknown fail tags ['']"),
+        ("residual,residual", "fail tags must be distinct, got ['residual', 'residual']"),
+    ],
+    ids=["empty", "repeated"],
+)
+def test_certify_rejects_stray_fail_tag(capsys, tmp_path, fails, message):
+    # Read as a set less the empty tag, either field would load as {residual}.
+    bad = tmp_path / "rows.tsv"
+    bad.write_text(f"15\t0,1,2\t{fails}\t41\t2\n")
+    code, out, err = run(capsys, "certify", "--table", str(bad))
+    assert (code, out) == (cli.EXIT_INPUT_ERROR, "")
+    assert err == f"error: surface-row table {bad}: line 1: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv, table",
     [
         (["validate", "--families"], "families table"),
@@ -611,9 +628,11 @@ def test_python_m_cli_runs_the_command(capsys):
     result = run_module("fano95.cli", "full", "--format", "json")
     assert result.returncode == cli.EXIT_OK, result.stderr
     assert result.stdout == expected
+    assert result.stderr == ""
 
 
 def test_python_m_package_runs_the_command():
     result = run_module("fano95", "validate")
     assert result.returncode == cli.EXIT_OK, result.stderr
     assert result.stdout.startswith("ok: 95 families validated")
+    assert result.stderr == ""

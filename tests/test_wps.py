@@ -30,19 +30,24 @@ def test_weights_accepts_valid_tuple():
     assert w.tail_product == 2 * 3 * 4 * 9
 
 
+def refusal(exc_type, weights) -> str:
+    """The message of the exception of exactly ``exc_type`` that Weights raises."""
+    with pytest.raises(exc_type) as info:
+        Weights(weights)
+    assert type(info.value) is exc_type
+    return str(info.value)
+
+
 def test_weights_requires_five_entries():
-    with pytest.raises(ValueError):
-        Weights((1, 2, 3, 4))
+    assert refusal(ValueError, (1, 2, 3, 4)) == "need exactly five weights, got 4: (1, 2, 3, 4)"
 
 
 def test_weights_requires_leading_one():
-    with pytest.raises(ValueError):
-        Weights((2, 2, 3, 4, 9))
+    assert refusal(ValueError, (2, 2, 3, 4, 9)) == "first weight must be 1, got 2"
 
 
 def test_weights_requires_ascending_order():
-    with pytest.raises(ValueError):
-        Weights((1, 3, 2, 4, 9))
+    assert refusal(ValueError, (1, 3, 2, 4, 9)) == "weights must be ascending: (1, 3, 2, 4, 9)"
 
 
 def test_weights_allows_repeats():
@@ -51,21 +56,41 @@ def test_weights_allows_repeats():
 
 
 def test_weights_requires_positive_entries():
-    with pytest.raises(ValueError):
-        Weights((1, 0, 2, 3, 4))
+    assert refusal(ValueError, (1, 0, 2, 3, 4)) == (
+        "weights must be positive integers: (1, 0, 2, 3, 4)"
+    )
 
 
 @pytest.mark.parametrize("bad", [2.9, True], ids=["float", "bool"])
 def test_weights_rejects_non_integer_entries(bad):
     # 2.9 used to be truncated to 2 and True read as 1
-    with pytest.raises(TypeError, match="weight must be an integer"):
-        Weights((1, bad, 3, 5, 7))
+    assert refusal(TypeError, (1, bad, 3, 5, 7)) == f"weight must be an integer, got {bad!r}"
 
 
 def test_weights_rejects_three_way_common_factor():
     # (2, 4, 6) share the factor 2, so this system is not well-formed.
-    with pytest.raises(ValueError):
-        Weights((1, 2, 4, 6, 11))
+    assert refusal(ValueError, (1, 2, 4, 6, 11)) == (
+        "weights (1, 2, 4, 6, 11) are not well-formed: (2, 4, 6) share the common factor 2"
+    )
+
+
+@pytest.mark.parametrize(
+    "weights, exc_type, message",
+    [
+        ((1, 0, "2"), TypeError, "weight must be an integer, got '2'"),
+        ((0, 1, 2), ValueError, "need exactly five weights, got 3: (0, 1, 2)"),
+        ((0, 1, 2, 3, 4), ValueError, "weights must be positive integers: (0, 1, 2, 3, 4)"),
+        ((2, 1, 1, 1, 1), ValueError, "first weight must be 1, got 2"),
+        ((1, 4, 2, 6, 11), ValueError, "weights must be ascending: (1, 4, 2, 6, 11)"),
+        ((1, 6, 10, 15, 30), ValueError,
+         "weights (1, 6, 10, 15, 30) are not well-formed: (6, 10, 30) share the common factor 2"),
+    ],
+    ids=["type", "length", "positive", "leading", "ascending", "first-triple"],
+)
+def test_weights_refusals_keep_their_order(weights, exc_type, message):
+    # Each input breaks a later rule too, so only the order of the checks
+    # decides which is reported; among the triples the first one is named.
+    assert refusal(exc_type, weights) == message
 
 
 def test_weights_accepts_pairwise_common_factors():
