@@ -40,7 +40,8 @@ from .lemmas import (
     case1_verdict,
     family_lists,
 )
-from .wps import Record, _check_integer, _check_vanishing, stratum_weights
+from .wps import (Record, _check_integer, _check_rational, _check_vanishing, _different,
+                  _stratum, stratum_weights)
 
 SURFACE_ROWS_FILENAME = "surface_rows.tsv"
 
@@ -116,16 +117,17 @@ def test_class_value(b: int, a_cube: Fraction, deg_c: Fraction, p_a: int) -> Fra
     e·q of A³ = a/e and deg C = p/q, so the two derivations cannot drift apart.
     """
     _check_integer("test-class multiplier", b)
+    _check_rational("degree cap", a_cube)
+    _check_rational("curve degree", deg_c)
     _check_integer("arithmetic genus", p_a)
     if b < 1:
         raise ValueError(f"test-class multiplier must be >= 1, got {b}")
-    deg_c = Fraction(deg_c)
     p, q = deg_c.as_integer_ratio()
     if p <= 0:
         raise ValueError(f"curve degree must be positive, got {deg_c}")
     if p_a < 0:
         raise ValueError(f"arithmetic genus must be non-negative, got {p_a}")
-    a, e = Fraction(a_cube).as_integer_ratio()
+    a, e = a_cube.as_integer_ratio()
     den = e * q
     closed = b * a * q - (b + 1) * p * e + (2 * p_a - 2) * den
     expanded = _expanded(b, a * q, *(x * e for x in _blowup_numbers(p, q, p_a)))
@@ -158,9 +160,8 @@ class TestClassCertificate(Record):
         cls, f: FamilyRecord, curve: str, b: int, deg_c: Fraction, p_a: int = 0
     ) -> "TestClassCertificate":
         """Evaluate the test class b·A − E over one curve of family f."""
-        deg_c = Fraction(deg_c)
-        return cls(f.number, curve, b, f.a_cube, deg_c, p_a,
-                   test_class_value(b, f.a_cube, deg_c, p_a))
+        value = test_class_value(b, f.a_cube, deg_c, p_a)
+        return cls(f.number, curve, b, f.a_cube, Fraction(deg_c), p_a, value)
 
     @property
     def valid(self) -> bool:
@@ -202,15 +203,6 @@ def case3_test_class_certificates(
 # Each formula lives once, in integers, on numerators over positive denominators
 # (A³ = a/b, deg C = p/q, the different or C²_T = r/s), and returns its value the
 # same way, unreduced.  The public functions take int or Fraction arguments.
-
-def _different(indices: Iterable[int]) -> tuple[int, int]:
-    num, den = 0, 1
-    for m in indices:
-        if m < 2:
-            raise ValueError(f"singular-point index must be >= 2, got {m}")
-        num, den = num * m + (m - 1) * den, den * m
-    return num, den
-
 
 def _self_intersection(m, p, q, r, s) -> tuple[int, int]:
     return (r - 2 * s) * q - (m - 1) * p * s, q * s
@@ -431,8 +423,9 @@ def certify_row(f: FamilyRecord, row: SurfaceRow) -> SurfaceCertificate:
     singular-point indices in T are taken to be w1 and w2 where they exceed 1
     — an assumption, so any row it fails to certify is surfaced rather than
     patched (see ``verify_surface_table``).  The chain runs in integers over
-    positive denominators, so a verdict tests the sign of a numerator; one
-    Fraction is built per reported quantity.
+    positive denominators, so a verdict tests the sign of a numerator.  deg C
+    and the different come from ``wps._stratum``, shared by every row on the
+    same P(w1, w2); one Fraction is built per other reported quantity.
     """
     if row.family != f.number:
         raise RowError(row.family, f"row applied to family record {f.number}")
@@ -440,10 +433,9 @@ def certify_row(f: FamilyRecord, row: SurfaceRow) -> SurfaceCertificate:
     a, b = a_cube.numerator, a_cube.denominator
     w1, w2 = stratum_weights(f.weights, row.vanishing)
     q = w1 * w2  # deg C = 1/q
-    diff_indices = (w1, w2) if w1 > 1 else (w2,) if w2 > 1 else ()
-    r, s = _different(diff_indices)
+    diff_indices, r, s, deg_c, diff = _stratum(w1, w2)
     c, t = _self_intersection(m, 1, q, r, s)
-    deg_c, diff, c2t = Fraction(1, q), Fraction(r, s), Fraction(c, t)
+    c2t = Fraction(c, t)
     chain = (("deg_c", deg_c), ("diff_total", diff), ("c2t", c2t))
     if row.method is Method.M41:
         v, z = _exclusion_value(m, a, b, 1, q, c, t)

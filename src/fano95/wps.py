@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from typing import Iterable
@@ -22,6 +23,12 @@ def _check_integer(what: str, value) -> None:
         return
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{what} must be an integer, got {value!r}")
+
+
+def _check_rational(what: str, value) -> None:
+    """Reject all but an int or a Fraction: Fraction() would round a float, parse a str."""
+    if value.__class__ is not Fraction and value.__class__ is not int:
+        raise TypeError(f"{what} must be an int or a Fraction, got {value!r}")
 
 
 #: The two surviving coordinates, ascending, of each valid vanishing set.
@@ -47,6 +54,26 @@ def stratum_weights(weights: Weights, vanishing: frozenset[int]) -> tuple[int, i
     ``_check_vanishing``: the stratum P(w1, w2) has degree 1/(w1*w2)."""
     i, j = _SURVIVING[vanishing]
     return weights[i], weights[j]
+
+
+def _different(indices: Iterable[int]) -> tuple[int, int]:
+    """The adjunction different Σ (m−1)/m over the indices m, as an unreduced r/s."""
+    num, den = 0, 1
+    for m in indices:
+        if m < 2:
+            raise ValueError(f"singular-point index must be >= 2, got {m}")
+        num, den = num * m + (m - 1) * den, den * m
+    return num, den
+
+
+@lru_cache(maxsize=1024, typed=True)
+def _stratum(w1: int, w2: int) -> tuple[tuple[int, ...], int, int, Fraction, Fraction]:
+    """The family-free part of every certificate on the curve P(w1, w2): its
+    singular-point indices (w1, w2 where > 1), their different r/s, and deg C =
+    1/(w1*w2) and r/s as Fractions.  All immutable, so callers share results."""
+    diff_indices = (w1, w2) if w1 > 1 else (w2,) if w2 > 1 else ()
+    r, s = _different(diff_indices)
+    return diff_indices, r, s, Fraction(1, w1 * w2), Fraction(r, s)
 
 
 class Record:
@@ -116,11 +143,6 @@ class Weights(tuple):
         return tuple.__new__(cls, a)
 
     @property
-    def tail(self) -> tuple[int, int, int, int]:
-        """The nontrivial weights (a1, a2, a3, a4)."""
-        return self[1:]
-
-    @property
     def tail_product(self) -> int:
         """The product a1*a2*a3*a4 appearing in the anticanonical degree."""
         return self[1] * self[2] * self[3] * self[4]
@@ -150,8 +172,7 @@ class StratumCurve(Record):
     @property
     def degree(self) -> Fraction:
         """deg C = 1/(w1*w2)."""
-        w1, w2 = self.surviving_weights
-        return Fraction(1, w1 * w2)
+        return _stratum(*self.surviving_weights)[3]
 
 
 def anticanonical_cube(d: int, weights: Weights) -> Fraction:
@@ -168,9 +189,11 @@ def format_rational(q: Fraction | int) -> str:
     """Canonical "p/q" rendering used in all text and JSON output.
 
     Integers keep an explicit denominator ("4/1") so the format is uniform
-    and parses back without a special case.
+    and parses back without a special case.  Anything but an ``int`` or a
+    ``Fraction`` (a bool, float, ``Decimal`` or str) raises ``TypeError``.
     """
-    return f"{q.numerator}/{q.denominator}"
+    _check_rational("rational", q)
+    return "%d/%d" % q.as_integer_ratio()
 
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?\Z")

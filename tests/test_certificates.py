@@ -7,6 +7,7 @@ from itertools import combinations, product
 import pytest
 
 from fano95 import certificates as C
+from fano95 import wps
 from fano95 import (
     Method,
     RowError,
@@ -74,6 +75,19 @@ def test_test_class_value_validates_inputs():
         C.test_class_value(2, Fraction(1), Fraction(0), 0)
     with pytest.raises(ValueError):
         C.test_class_value(2, Fraction(1), Fraction(1), -1)
+
+
+@pytest.mark.parametrize("bad", ["1/2", 0.1, True], ids=["str", "float", "bool"])
+def test_test_class_value_refuses_non_rationals(db, bad):
+    # Fraction("1/2") and Fraction(0.1) would parse or convert inexactly, so
+    # A^3 and deg C take an int or a Fraction only, like b and p_a take an int.
+    f = db.get(1)
+    for a_cube, deg_c in ((bad, Fraction(1)), (Fraction(4), bad)):
+        with pytest.raises(TypeError, match="must be an int or a Fraction"):
+            C.test_class_value(2, a_cube, deg_c, 0)
+    with pytest.raises(TypeError, match="curve degree must be an int or a Fraction"):
+        C.TestClassCertificate.build(f, "curve", 2, bad)
+    assert C.TestClassCertificate.build(f, "curve", 2, 3).deg_c == Fraction(3)
 
 
 def test_test_class_value_matches_fraction_oracle(db):
@@ -461,6 +475,31 @@ def test_certify_row_agrees_with_stratum_curve(db):
             assert cert.diff_indices == tuple(
                 sorted(w for w in curve.surviving_weights if w > 1)
             ), (f.number, vanishing)
+
+
+def test_stratum_chain_is_shared_across_rows(db, wide_tables):
+    # deg C and the different depend only on the stratum weights (w1, w2):
+    # derived once per pair, they certify every row exactly as a fresh
+    # derivation does, across families.
+    table = load_surface_rows(wide_tables[11])
+    cold = []
+    for row in table:
+        wps._stratum.cache_clear()
+        cold.append(certify_row(db.get(row.family), row))
+    wps._stratum.cache_clear()
+    warm = [certify_row(db.get(row.family), row) for row in table]
+    assert warm == cold
+    by_pair = {}
+    for cert in warm:
+        f = db.get(cert.family)
+        curve = StratumCurve.from_vanishing(f.weights, cert.row.vanishing)
+        assert curve.degree == cert.deg_c, (cert.family, sorted(cert.row.vanishing))
+        by_pair.setdefault(curve.surviving_weights, set()).add(
+            (cert.family, cert.deg_c, cert.diff_total))
+    assert wps._stratum.cache_info().currsize == len(by_pair)
+    assert sum(len({fam for fam, _, _ in v}) > 1 for v in by_pair.values()) > 0
+    for pair, seen in by_pair.items():
+        assert len({(deg_c, diff) for _, deg_c, diff in seen}) == 1, pair
 
 
 def test_expected_fail_tags_derived_from_verdicts(db):

@@ -1,5 +1,6 @@
 """Weighted-projective-space primitives: weights, stratum curves, degrees."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ def test_weights_accepts_valid_tuple():
     assert len(w) == 5
     assert w[0] == 1 and w[4] == 9
     assert tuple(w) == (1, 2, 3, 4, 9)
-    assert w.tail == (2, 3, 4, 9)
+    assert w[1:] == (2, 3, 4, 9)
     assert w.tail_product == 2 * 3 * 4 * 9
 
 
@@ -277,6 +278,22 @@ def test_coordinate_point_rejects_bad_index():
 )
 def test_format_rational_always_carries_denominator(value, text):
     assert format_rational(value) == text
+
+
+def test_format_rational_keeps_large_terms_exact():
+    n, d = 3**100 + 2, 2**80 * 5**3  # coprime
+    assert format_rational(Fraction(n, d)) == f"{n}/{d}"
+    assert format_rational(Fraction(-n, d)) == f"-{n}/{d}"
+    assert format_rational(-(10**40)) == "-1" + "0" * 40 + "/1"
+
+
+@pytest.mark.parametrize(
+    "value", [0.5, Decimal("0.5"), "1/2", True], ids=["float", "decimal", "str", "bool"]
+)
+def test_format_rational_refuses_non_rationals(value):
+    # "%d" would print a float or a Decimal truncated; only exact rationals pass.
+    with pytest.raises(TypeError, match="must be an int or a Fraction"):
+        format_rational(value)
 
 
 def test_parse_rational_round_trip():
