@@ -69,9 +69,9 @@ def _different(indices: Iterable[int]) -> tuple[int, int]:
 @lru_cache(maxsize=1024, typed=True)
 def _stratum(w1: int, w2: int) -> tuple[tuple[int, ...], int, int, Fraction, Fraction]:
     """The family-free part of every certificate on the curve P(w1, w2): its
-    singular-point indices (w1, w2 where > 1), their different r/s, and deg C =
+    singular-point indices (the weights > 1), their different r/s, and deg C =
     1/(w1*w2) and r/s as Fractions.  All immutable, so callers share results."""
-    diff_indices = (w1, w2) if w1 > 1 else (w2,) if w2 > 1 else ()
+    diff_indices = tuple([w for w in (w1, w2) if w > 1])
     r, s = _different(diff_indices)
     return diff_indices, r, s, Fraction(1, w1 * w2), Fraction(r, s)
 

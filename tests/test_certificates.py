@@ -497,7 +497,7 @@ def test_stratum_chain_is_shared_across_rows(db, wide_tables):
         by_pair.setdefault(curve.surviving_weights, set()).add(
             (cert.family, cert.deg_c, cert.diff_total))
     assert wps._stratum.cache_info().currsize == len(by_pair)
-    assert sum(len({fam for fam, _, _ in v}) > 1 for v in by_pair.values()) > 0
+    assert any(len({fam for fam, _, _ in v}) > 1 for v in by_pair.values())
     for pair, seen in by_pair.items():
         assert len({(deg_c, diff) for _, deg_c, diff in seen}) == 1, pair
 

@@ -158,6 +158,12 @@ def test_stratum_curve_surviving_weights_ascending():
     assert c.degree == Fraction(1, 6)
 
 
+def test_stratum_degree_takes_the_weights_in_either_order():
+    # The constructor does not sort surviving_weights; the degree must not care.
+    assert StratumCurve((0, 2, 3), (5, 1)).degree == Fraction(1, 5)
+    assert StratumCurve((0, 2, 3), (5, 2)).degree == Fraction(1, 10)
+
+
 def test_stratum_curve_requires_three_distinct_indices():
     w = Weights((1, 1, 1, 1, 1))
     with pytest.raises(ValueError):
