@@ -56,6 +56,7 @@ from .lemmas import (
     Comparison,
     ContractedReason,
     DivisibilityViolation,
+    FamilyVerdict,
     SharedFactorPreconditionError,
     WrongCaseError,
     binomial_fibre_degree,
@@ -65,7 +66,7 @@ from .lemmas import (
     classify_case,
     contracted_divisibility_certificate,
     contracted_verdict,
-    family_lists,
+    family_verdict,
     shared_factor_check,
     tangent_indices,
 )
@@ -97,7 +98,7 @@ __all__ = [
     "Comparison", "classify_case", "case1_verdict", "binomial_fibre_degree",
     "shared_factor_check", "case2_verdict", "case3_integer_filter",
     "contracted_verdict", "tangent_indices",
-    "contracted_divisibility_certificate", "family_lists",
+    "contracted_divisibility_certificate", "FamilyVerdict", "family_verdict",
     # certificates
     "CertificateError", "RowError", "SurfaceRowParseError", "Method",
     "TestClassCertificate", "SurfaceRow",

@@ -38,7 +38,8 @@ from .lemmas import (
     Comparison,
     binomial_fibre_degree,
     case1_verdict,
-    family_lists,
+    family_verdict,
+    family_verdicts,
 )
 from .wps import (Record, _check_integer, _check_rational, _check_vanishing, _different,
                   _stratum, stratum_weights)
@@ -94,7 +95,8 @@ def rational_curve_blowup_numbers(
 ) -> tuple[Fraction, Fraction, Fraction]:
     """Intersection numbers (A²E, AE², E³) of the exceptional divisor over a
     curve of degree deg_c and arithmetic genus p_a on an index-one 3-fold."""
-    p, q = Fraction(deg_c).as_integer_ratio()
+    _check_rational("curve degree", deg_c)
+    p, q = deg_c.as_integer_ratio()
     return tuple(Fraction(x, q) for x in _blowup_numbers(p, q, p_a))
 
 
@@ -104,7 +106,9 @@ def test_class_value_expanded(
     """M·B² by multiplying out (bA − E)(A − E)²: b·A³ − (2b+1)·A²E + (b+2)·AE² − E³."""
     if b < 1:
         raise ValueError(f"test-class multiplier must be >= 1, got {b}")
-    terms = [Fraction(x).as_integer_ratio() for x in (a_cube, a2e, ae2, e3)]
+    for what, x in (("degree cap", a_cube), ("A²E", a2e), ("AE²", ae2), ("E³", e3)):
+        _check_rational(what, x)
+    terms = [x.as_integer_ratio() for x in (a_cube, a2e, ae2, e3)]
     den = lcm(*(q for _, q in terms))
     return Fraction(_expanded(b, *(p * (den // q) for p, q in terms)), den)
 
@@ -459,15 +463,10 @@ def certify_row(f: FamilyRecord, row: SurfaceRow) -> SurfaceCertificate:
     )
 
 
-#: The fail tag of each list whose members' surface rows must carry it.
-_FAIL_TAGS = {"pencil_exceptions": "residual", "contracted_unsafe": "contracted"}
-
-
 def expected_fail_tags(f: FamilyRecord) -> frozenset[str]:
-    """Which coarse bounds genuinely fail for this family, read off its list
-    membership: "residual" for a pencil exception (the second-case curve bound
-    fails), "contracted" when neither contracted-curve dismissal applies."""
-    return frozenset(_FAIL_TAGS[name] for name in family_lists(f) if name in _FAIL_TAGS)
+    """The coarse bounds that fail for family f: "residual" for a pencil
+    exception, "contracted" when neither contracted-curve dismissal applies."""
+    return family_verdict(f).fail_tags
 
 
 class TableVerification(Record):
@@ -500,13 +499,10 @@ def verify_surface_table(db: FamilyDatabase, rows: Iterable[SurfaceRow]) -> Tabl
     failure at once."""
     certificates = []
     mismatches = []
-    expected_by_family: dict[int, frozenset[str]] = {}
+    verdicts = family_verdicts(db)
     for row in rows:
-        f = db.get(row.family)
-        certificates.append(certify_row(f, row))
-        if f.number not in expected_by_family:
-            expected_by_family[f.number] = expected_fail_tags(f)
-        expected = expected_by_family[f.number]
+        certificates.append(certify_row(db.get(row.family), row))
+        expected = verdicts[row.family - 1].fail_tags
         if row.fails != expected:
             mismatches.append((row.family, row.fails, expected))
     return TableVerification(tuple(certificates), tuple(mismatches))

@@ -33,13 +33,9 @@ from .lemmas import (
     CaseTag,
     ContractedReason,
     DivisibilityViolation,
-    case1_verdict,
-    case2_verdict,
-    case3_integer_filter,
-    classify_case,
+    FamilyVerdict,
     contracted_divisibility_certificate,
-    contracted_verdict,
-    family_lists,
+    family_verdicts,
     shared_factor_check,
     tangent_indices,
 )
@@ -175,22 +171,21 @@ def _surface_row_values(
 
 def _residual_route(
     f: FamilyRecord,
+    verdict: FamilyVerdict,
     certs: tuple[SurfaceCertificate, ...],
     test_class_by_family: dict[int, TestClassCertificate],
 ) -> RouteEntry:
     """Route for the residual (non-contracted) curve classes."""
-    case = classify_case(f)
     a = f.weights
 
-    if case is CaseTag.CASE1:
-        status = case1_verdict(f)
+    if verdict.case is CaseTag.CASE1:
         values = [
             ("d", str(f.d)),
             ("a1*a4", str(a[1] * a[4])),
             ("a2*a4", str(a[2] * a[4])),
             ("degree cap", format_rational(f.a_cube)),
         ]
-        if status is BoundStatus.FAILS:
+        if verdict.residual is BoundStatus.FAILS:
             comparisons = extension_check(f)
             for e in comparisons:
                 values.append(
@@ -210,14 +205,14 @@ def _residual_route(
                 ),
             )
         gaps = ()
-        if "shared_factor" in family_lists(f):
+        if "shared_factor" in verdict.lists:
             chk = shared_factor_check(f)
             values.append(
                 (chk.label, f"{format_rational(chk.lhs)} vs {format_rational(chk.rhs)}")
             )
             if not chk.contradiction:
                 gaps = ("residual (shared-factor image point uncovered)",)
-        if status is BoundStatus.STRONG_A:
+        if verdict.residual is BoundStatus.STRONG_A:
             return RouteEntry(
                 route="strong-bound",
                 detail="d < a1*a4, so every residual curve class exceeds the "
@@ -234,8 +229,8 @@ def _residual_route(
             gaps=gaps,
         )
 
-    if case is CaseTag.CASE2:
-        if case2_verdict(f):
+    if verdict.case is CaseTag.CASE2:
+        if verdict.residual:
             return RouteEntry(
                 route="pencil-bound",
                 detail="d < a2*a4: every residual class outside the base "
@@ -262,7 +257,7 @@ def _residual_route(
         )
 
     # Case 3.
-    if case3_integer_filter(f):
+    if verdict.residual:
         return RouteEntry(
             route="integer-filter",
             detail="degree cap below 1: residual classes have integer "
@@ -295,11 +290,12 @@ def _residual_route(
 
 def _contracted_route(
     f: FamilyRecord,
+    verdict: FamilyVerdict,
     certs: tuple[SurfaceCertificate, ...],
 ) -> RouteEntry:
     """Route for the curve classes contracted by the projection away from
     the largest-weight coordinate."""
-    reason = contracted_verdict(f)
+    reason = verdict.contracted
     a = f.weights
 
     if reason is ContractedReason.NO_CONTRACTED_CURVES:
@@ -338,7 +334,7 @@ def _contracted_route(
             gaps=tuple(gaps),
         )
 
-    if classify_case(f) is CaseTag.CASE3:
+    if verdict.case is CaseTag.CASE3:
         return RouteEntry(
             route="containment-assertion",
             detail="contracted classes are asserted to lie inside a "
@@ -380,14 +376,14 @@ def build_coverage(
     }
 
     out = []
-    for f in db:
+    for f, verdict in zip(db, family_verdicts(db)):
         certs = tuple(by_family.get(f.number, ()))
         out.append(
             FamilyCoverage(
                 family=f.number,
-                case=classify_case(f),
-                residual=_residual_route(f, certs, test_class_by_family),
-                contracted=_contracted_route(f, certs),
+                case=verdict.case,
+                residual=_residual_route(f, verdict, certs, test_class_by_family),
+                contracted=_contracted_route(f, verdict, certs),
             )
         )
     return tuple(out)

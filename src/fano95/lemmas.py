@@ -11,9 +11,10 @@ weight coordinate either contracts C to a point or maps it to a curve; we call
 the non-contracted classes *residual*.  Each case has a coarse inequality
 under which every low-degree residual curve is excluded outright, and a
 separate product bound handles the contracted classes.  This module evaluates
-those inequalities exactly, decides each family's list membership from the
-weights alone (never from stored lists), and emits the divisibility
-certificates used when the projection genuinely contracts curves.
+those inequalities exactly and emits the divisibility certificates used when
+the projection genuinely contracts curves.  ``family_verdict``, the verdicts'
+one caller on the audit path (``extension_check``'s guard aside), decides
+each family's lists from its weights alone, never from stored lists.
 
 Each verdict returns only the fact it decides; the weights and degree it
 compares stay on the family record the caller already holds:
@@ -31,9 +32,10 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
-from .families import FamilyRecord
+from .families import FamilyDatabase, FamilyRecord
 from .wps import Record, coordinate_point_on_hypersurface
 
 
@@ -225,9 +227,9 @@ def contracted_divisibility_certificate(
 
 
 # ---------------------------------------------------------------------------
-# List membership.  Every derived list, the surface rows' fail tags and the
-# extension set read this one rule; the golden expectations live only in
-# tests and in the report's comparison step.
+# The per-family verdict.  Every derived list, the surface rows' fail tags and
+# both coverage routes read this one record; the golden expectations live only
+# in tests and in the report's comparison step.
 # ---------------------------------------------------------------------------
 
 #: The derived membership lists, in report order; the first three hold the
@@ -235,18 +237,49 @@ def contracted_divisibility_certificate(
 LIST_NAMES = ("strong_bound", "weak_bound", "extension_required",
               "pencil_exceptions", "contracted_unsafe", "shared_factor")
 _STATUS_LIST = dict(zip(BoundStatus, LIST_NAMES))
+_CASE_VERDICT = dict(zip(CaseTag, (case1_verdict, case2_verdict, case3_integer_filter)))
+
+#: The fail tag of each list whose members' surface rows must carry it.
+_FAIL_TAGS = {"pencil_exceptions": "residual", "contracted_unsafe": "contracted"}
 
 
-def family_lists(f: FamilyRecord) -> frozenset[str]:
-    """Names of the derived lists family f belongs to, decided from its weights."""
-    names = set()
+class FamilyVerdict(Record):
+    """What the weights decide about one family: its case, the case's residual
+    verdict (a ``BoundStatus`` in Case 1, else a bool), its ``ContractedReason``
+    or None, the derived lists it belongs to and its surface rows' fail tags."""
+
+    __slots__ = ("case", "residual", "contracted", "lists", "fail_tags")
+
+    def __init__(self, case: CaseTag, residual: BoundStatus | bool,
+                 contracted: ContractedReason | None, lists: frozenset[str],
+                 fail_tags: frozenset[str]):
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "contracted", contracted)
+        object.__setattr__(self, "lists", lists)
+        object.__setattr__(self, "fail_tags", fail_tags)
+
+
+def family_verdict(f: FamilyRecord) -> FamilyVerdict:
+    """Decide family f's case, verdicts, lists and fail tags from its weights."""
     case = classify_case(f)
+    residual = _CASE_VERDICT[case](f)
+    contracted = contracted_verdict(f)
+    names = set()
     if case is CaseTag.CASE1:
-        names.add(_STATUS_LIST[case1_verdict(f)])
-    elif case is CaseTag.CASE2 and not case2_verdict(f):
+        names.add(_STATUS_LIST[residual])
+    elif case is CaseTag.CASE2 and not residual:
         names.add("pencil_exceptions")
-    if contracted_verdict(f) is None:
+    if contracted is None:
         names.add("contracted_unsafe")
     if gcd(f.weights[1], f.weights[2]) > 1:
         names.add("shared_factor")
-    return frozenset(names)
+    tags = frozenset([_FAIL_TAGS[name] for name in names if name in _FAIL_TAGS])
+    return FamilyVerdict(case, residual, contracted, frozenset(names), tags)
+
+
+@lru_cache(maxsize=1)
+def family_verdicts(db: FamilyDatabase) -> tuple[FamilyVerdict, ...]:
+    """Each family's verdict, in order, cached on the identity of the immutable
+    ``db``: the sections of one audit share them, another audit builds its own."""
+    return tuple(map(family_verdict, db))

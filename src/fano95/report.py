@@ -32,7 +32,7 @@ from .certificates import (
 )
 from .coverage import FamilyCoverage
 from .families import FAMILY_COUNT, FamilyDatabase, FamilyRecord
-from .lemmas import LIST_NAMES, classify_case, family_lists
+from .lemmas import LIST_NAMES, classify_case, family_verdicts
 from .wps import Weights, _check_integer, format_rational, parse_rational
 
 #: Expected membership lists, used only to cross-check the derived ones.
@@ -54,11 +54,9 @@ GOLDEN_LISTS: dict[str, tuple[int, ...]] = {
 
 def derived_lists(db: FamilyDatabase) -> dict[str, tuple[int, ...]]:
     """Recompute every membership list from the weights alone."""
-    lists: dict[str, list[int]] = {name: [] for name in LIST_NAMES}
-    for f in db:
-        for name in family_lists(f):
-            lists[name].append(f.number)
-    return {name: tuple(numbers) for name, numbers in lists.items()}
+    verdicts = family_verdicts(db)
+    return {name: tuple([f.number for f, v in zip(db, verdicts) if name in v.lists])
+            for name in LIST_NAMES}
 
 
 def list_mismatches(

@@ -152,16 +152,21 @@ class StratumCurve(Record):
     """A coordinate-stratum curve: three coordinates set to zero.
 
     The two surviving coordinates span a weighted line P(w1, w2), so the
-    curve has degree 1/(w1*w2) against the degree-1 polarization.  Only the
-    vanishing set is checked, and stored as a frozenset: ``from_vanishing``
-    reads the surviving weights off an already validated ``Weights``.
+    curve has degree 1/(w1*w2) against the degree-1 polarization.  The
+    vanishing set is stored as a frozenset, the two positive weights as a
+    tuple in the order given (``from_vanishing`` reads them off ``Weights``).
     """
 
     __slots__ = ("vanishing", "surviving_weights")
 
     def __init__(self, vanishing: Iterable[int], surviving_weights: tuple[int, int]):
         object.__setattr__(self, "vanishing", _check_vanishing(vanishing))
-        object.__setattr__(self, "surviving_weights", surviving_weights)
+        weights = tuple(surviving_weights)
+        for w in weights:
+            _check_integer("stratum weight", w)
+        if len(weights) != 2 or min(weights) < 1:
+            raise ValueError(f"need two stratum weights >= 1, got {weights}")
+        object.__setattr__(self, "surviving_weights", weights)
 
     @classmethod
     def from_vanishing(cls, weights: Weights, vanishing) -> "StratumCurve":

@@ -88,6 +88,15 @@ def test_test_class_value_refuses_non_rationals(db, bad):
     with pytest.raises(TypeError, match="curve degree must be an int or a Fraction"):
         C.TestClassCertificate.build(f, "curve", 2, bad)
     assert C.TestClassCertificate.build(f, "curve", 2, 3).deg_c == Fraction(3)
+    # The expansion and its blow-up numbers refuse the same inputs.
+    for i in range(4):
+        numbers = [Fraction(2), 0, 0, 0]
+        numbers[i] = bad
+        with pytest.raises(TypeError, match="must be an int or a Fraction"):
+            C.test_class_value_expanded(2, *numbers)
+    with pytest.raises(TypeError, match="curve degree must be an int or a Fraction"):
+        C.rational_curve_blowup_numbers(bad, 0)
+    assert C.rational_curve_blowup_numbers(1, 0) == (0, -1, 1)
 
 
 def test_test_class_value_matches_fraction_oracle(db):

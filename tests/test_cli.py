@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from fano95 import certificates, cli, report, revalidate_document
-from fano95.certificates import SURFACE_ROWS_FILENAME, load_surface_rows
-from fano95.families import packaged_data_path
+from fano95 import certificates, cli, lemmas, report, revalidate_document
+from fano95.certificates import SURFACE_ROWS_FILENAME, load_surface_rows, verify_surface_table
+from fano95.coverage import build_coverage
+from fano95.families import load_families, packaged_data_path
 
 FAMILIES = packaged_data_path("families.tsv")
 ROWS = packaged_data_path(SURFACE_ROWS_FILENAME)
@@ -28,6 +29,25 @@ def run(capsys, *argv):
 @pytest.fixture(autouse=True)
 def isolated_env(monkeypatch):
     monkeypatch.delenv(cli.DATA_DIR_ENV, raising=False)
+
+
+#: Family tables with one line replaced: family 5 as X_7 in P(1,1,1,1,4),
+#: whose test class fails but whose verdict stays; family 11 as X_13 in
+#: P(1,1,2,3,7), which moves it from pencil_exceptions to contracted_unsafe.
+ALTERED_LINES = {
+    "x7": ("5\t7\t1\t1\t1\t2\t3\n", "5\t7\t1\t1\t1\t1\t4\n"),
+    "drift": ("11\t10\t1\t1\t2\t2\t5\n", "11\t13\t1\t1\t2\t3\t7\n"),
+}
+
+
+def altered_families(tmp_path, name) -> str:
+    """Path of the packaged families table with line ``name`` of ALTERED_LINES replaced."""
+    old, new = ALTERED_LINES[name]
+    text = FAMILIES.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path = tmp_path / f"{name}.tsv"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    return str(path)
 
 
 # ---------------------------------------------------------------------------
@@ -106,16 +126,12 @@ def test_lists_detect_derivation_drift(capsys, tmp_path):
     # Swap family 11's system for (1,1,2,3,7), d=13: still a valid record, but
     # it leaves the pencil-exception list and becomes contracted-unsafe, so
     # both derived lists drift from the expectations.
-    bad = tmp_path / "families.tsv"
-    text = FAMILIES.read_text().replace(
-        "11\t10\t1\t1\t2\t2\t5", "11\t13\t1\t1\t2\t3\t7"
-    )
-    bad.write_text(text)
-    code, out, _ = run(capsys, "lists", "--families", str(bad))
+    bad = altered_families(tmp_path, "drift")
+    code, out, _ = run(capsys, "lists", "--families", bad)
     assert code == cli.EXIT_CHECK_FAILED
     assert "MISMATCH pencil_exceptions" in out
     assert "MISMATCH contracted_unsafe" in out
-    code, out, _ = run(capsys, "lists", "--families", str(bad), "--format", "json")
+    code, out, _ = run(capsys, "lists", "--families", bad, "--format", "json")
     assert code == cli.EXIT_CHECK_FAILED
     lists = json.loads(out)["lists"]
     assert [name for name, entry in lists.items() if not entry["match"]] == [
@@ -313,13 +329,9 @@ def test_nonnegative_test_class_value_is_a_certificate_failure(
     # Family 5 as X_7 in P(1,1,1,1,4), a record no other family repeats: the
     # line's test class 6*A - E has value 6*7/4 - 7*1 - 2 = 3/2, which excludes
     # nothing.
-    lines = FAMILIES.read_text(encoding="utf-8").splitlines(keepends=True)
-    [i] = [k for k, line in enumerate(lines) if line.startswith("5\t")]
-    lines[i] = "5\t7\t1\t1\t1\t1\t4\n"
-    bad = tmp_path / "families.tsv"
-    bad.write_text("".join(lines), encoding="utf-8")
+    bad = altered_families(tmp_path, "x7")
     assert_failure_is_reported(
-        capsys, [command, "--families", str(bad)], fmt, 5,
+        capsys, [command, "--families", bad], fmt, 5,
         "test-class family 5 (line): multiplier 6, curve degree 1/1, "
         "blowup-class value 3/2 [INVALID]",
         "residual (test-class value not negative)",
@@ -465,6 +477,66 @@ def test_full_derives_the_lists_once(
         "",
     )
     assert len(calls) == 1
+
+
+#: Who may call each verdict during an audit: ``family_verdict``, and for
+#: ``case1_verdict`` also the guard of ``extension_check``.
+_VERDICT_CALLERS = {
+    "case1_verdict": {"family_verdict", "extension_check"},
+    "case2_verdict": {"family_verdict"},
+    "case3_integer_filter": {"family_verdict"},
+    "contracted_verdict": {"family_verdict"},
+}
+
+
+@pytest.mark.parametrize("seed", [None, 11], ids=["packaged", "wide-11"])
+def test_full_decides_each_family_once(capsys, wide_tables, seed):
+    # Text then JSON on one table: each audit loads its own database, so each
+    # builds its 95 verdicts once, and every section reads them.
+    table = ROWS if seed is None else wide_tables[seed]
+    watched = {getattr(lemmas, name).__code__: name
+               for name in (*_VERDICT_CALLERS, "family_verdict")}
+    for fmt in ("text", "json"):
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                calls.append((watched[frame.f_code], frame.f_back.f_code.co_name))
+
+        sys.setprofile(profile)
+        try:
+            code = cli.main(["full", "--table", str(table), "--format", fmt])
+        finally:
+            sys.setprofile(None)
+        capsys.readouterr()
+        assert code == (cli.EXIT_OK if seed is None else cli.EXIT_CHECK_FAILED)
+        assert [callee for callee, _ in calls].count("family_verdict") == 95
+        stray = {(callee, caller) for callee, caller in calls
+                 if callee != "family_verdict" and caller not in _VERDICT_CALLERS[callee]}
+        assert stray == set()
+
+
+@pytest.mark.parametrize("table", sorted(ALTERED_LINES))
+def test_an_audit_reads_only_its_own_verdicts(capsys, tmp_path, rows, table):
+    # The verdicts are kept for the last database audited; an audit of the
+    # packaged table first must leave nothing the next audit reads.
+    run(capsys, "full", "--format", "json")
+    db = load_families(altered_families(tmp_path, table))
+    verification = verify_surface_table(db, rows)
+    coverage = build_coverage(db, rows, verification=verification)
+    derived = report.derived_lists(db)
+    fresh = [lemmas.family_verdict(f) for f in db]
+    assert derived == {
+        name: tuple(f.number for f, v in zip(db, fresh) if name in v.lists)
+        for name in lemmas.LIST_NAMES
+    }
+    assert verification.tag_mismatches == tuple(
+        (row.family, row.fails, fresh[row.family - 1].fail_tags)
+        for row in rows if row.fails != fresh[row.family - 1].fail_tags
+    )
+    assert [c.case for c in coverage] == [v.case for v in fresh]
+    lemmas.family_verdicts.cache_clear()
+    assert build_coverage(db, rows, verification=verification) == coverage
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -11,6 +11,7 @@ from fano95 import (
     CaseTag,
     ContractedReason,
     DivisibilityViolation,
+    GOLDEN_LISTS,
     SharedFactorPreconditionError,
     WrongCaseError,
     case1_verdict,
@@ -23,10 +24,11 @@ from fano95 import (
     coordinate_point_on_hypersurface,
     expected_fail_tags,
     extension_check,
-    family_lists,
+    family_verdict,
     shared_factor_check,
     tangent_indices,
 )
+from fano95.lemmas import family_verdicts
 
 CASE3_FAMILIES = (1, 2, 3, 4, 5, 6, 8, 10, 14)
 
@@ -215,7 +217,22 @@ def test_divisibility_violation_raised_loudly():
     ],
 )
 def test_family_lists_examples(db, number, lists):
-    assert family_lists(db.get(number)) == frozenset(lists)
+    assert family_verdict(db.get(number)).lists == frozenset(lists)
+
+
+def test_family_verdict_fields_are_the_public_verdicts(db):
+    residual = {CaseTag.CASE1: case1_verdict, CaseTag.CASE2: case2_verdict,
+                CaseTag.CASE3: case3_integer_filter}
+    verdicts = family_verdicts(db)
+    assert len(verdicts) == 95 and family_verdicts(db) is verdicts
+    for f, v in zip(db, verdicts):
+        assert v == family_verdict(f)
+        assert v.case is classify_case(f)
+        assert v.residual is residual[v.case](f)
+        assert v.contracted is contracted_verdict(f)
+        assert v.lists == {name for name, members in GOLDEN_LISTS.items()
+                           if f.number in members}
+        assert v.fail_tags == expected_fail_tags(f)
 
 
 def test_fail_tags_and_extension_set_follow_the_derived_lists(db):

@@ -11,6 +11,7 @@ from fano95 import (
     build_coverage,
     case3_test_class_certificates,
     extension_check,
+    family_verdict,
     verify_surface_table,
 )
 from fano95.wps import Record
@@ -18,7 +19,7 @@ from fano95.wps import Record
 RECORD_CLASSES = (
     "StratumCurve", "FamilyRecord", "Comparison", "TestClassCertificate",
     "SurfaceRow", "SurfaceCertificate", "TableVerification",
-    "Annotation", "RouteEntry", "FamilyCoverage",
+    "Annotation", "RouteEntry", "FamilyCoverage", "FamilyVerdict",
 )
 
 
@@ -42,6 +43,7 @@ def audit_records(db, rows):
         "Annotation": [annotated[0].annotations[0], annotated[-1].annotations[-1]],
         "RouteEntry": [coverage[0].residual, coverage[-1].residual],
         "FamilyCoverage": [coverage[0], coverage[-1]],
+        "FamilyVerdict": [family_verdict(db.get(7)), family_verdict(db.get(18))],
     }
 
 

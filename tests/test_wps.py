@@ -164,6 +164,18 @@ def test_stratum_degree_takes_the_weights_in_either_order():
     assert StratumCurve((0, 2, 3), (5, 2)).degree == Fraction(1, 10)
 
 
+@pytest.mark.parametrize(
+    "weights, error",
+    [((0, 5), ValueError), ((-2, 5), ValueError), ((2.0, 5), TypeError),
+     ((2, 3, 5), ValueError)],
+    ids=["zero", "negative", "float", "three"],
+)
+def test_stratum_curve_refuses_bad_surviving_weights(weights, error):
+    # Two integer weights >= 1, else deg C = 1/(w1*w2) is no curve degree.
+    with pytest.raises(error):
+        StratumCurve((0, 2, 3), weights)
+
+
 def test_stratum_curve_requires_three_distinct_indices():
     w = Weights((1, 1, 1, 1, 1))
     with pytest.raises(ValueError):
