@@ -77,7 +77,6 @@ from .wps import (
     anticanonical_cube,
     coordinate_point_on_hypersurface,
     format_rational,
-    parse_rational,
 )
 
 __version__ = "1.0.0"
@@ -87,7 +86,7 @@ __all__ = [
     # wps
     "Weights", "StratumCurve", "anticanonical_cube",
     "coordinate_point_on_hypersurface",
-    "format_rational", "parse_rational",
+    "format_rational",
     # families
     "FAMILY_COUNT", "FamilyRecord", "FamilyDatabase", "FamilyTableError",
     "ParseError", "ValidationError", "FamilyNotFoundError",

@@ -90,12 +90,27 @@ def _expanded(b: int, a: int, a2e: int, ae2: int, e3: int) -> int:
     return b * a - (2 * b + 1) * a2e + (b + 2) * ae2 - e3
 
 
+def _check_test_class_args(b: int = 1, deg_c: Fraction = 1, p_a: int = 0) -> None:
+    """Refuse a multiplier, curve degree or genus no test class takes: with
+    TypeError anything but an int b and p_a and an int or Fraction deg C, with
+    ValueError b < 1, deg C <= 0 or p_a < 0.  The defaults pass."""
+    _check_integer("test-class multiplier", b)
+    _check_rational("curve degree", deg_c)
+    _check_integer("arithmetic genus", p_a)
+    if b < 1:
+        raise ValueError(f"test-class multiplier must be >= 1, got {b}")
+    if deg_c.numerator <= 0:
+        raise ValueError(f"curve degree must be positive, got {deg_c}")
+    if p_a < 0:
+        raise ValueError(f"arithmetic genus must be non-negative, got {p_a}")
+
+
 def rational_curve_blowup_numbers(
     deg_c: Fraction, p_a: int
 ) -> tuple[Fraction, Fraction, Fraction]:
     """Intersection numbers (A²E, AE², E³) of the exceptional divisor over a
     curve of degree deg_c and arithmetic genus p_a on an index-one 3-fold."""
-    _check_rational("curve degree", deg_c)
+    _check_test_class_args(deg_c=deg_c, p_a=p_a)
     p, q = deg_c.as_integer_ratio()
     return tuple(Fraction(x, q) for x in _blowup_numbers(p, q, p_a))
 
@@ -104,8 +119,7 @@ def test_class_value_expanded(
     b: int, a_cube: Fraction, a2e: Fraction, ae2: Fraction, e3: Fraction
 ) -> Fraction:
     """M·B² by multiplying out (bA − E)(A − E)²: b·A³ − (2b+1)·A²E + (b+2)·AE² − E³."""
-    if b < 1:
-        raise ValueError(f"test-class multiplier must be >= 1, got {b}")
+    _check_test_class_args(b=b)
     for what, x in (("degree cap", a_cube), ("A²E", a2e), ("AE²", ae2), ("E³", e3)):
         _check_rational(what, x)
     terms = [x.as_integer_ratio() for x in (a_cube, a2e, ae2, e3)]
@@ -120,17 +134,9 @@ def test_class_value(b: int, a_cube: Fraction, deg_c: Fraction, p_a: int) -> Fra
     triple-product expansion on every call, in integers over the denominator
     e·q of A³ = a/e and deg C = p/q, so the two derivations cannot drift apart.
     """
-    _check_integer("test-class multiplier", b)
+    _check_test_class_args(b, deg_c, p_a)
     _check_rational("degree cap", a_cube)
-    _check_rational("curve degree", deg_c)
-    _check_integer("arithmetic genus", p_a)
-    if b < 1:
-        raise ValueError(f"test-class multiplier must be >= 1, got {b}")
     p, q = deg_c.as_integer_ratio()
-    if p <= 0:
-        raise ValueError(f"curve degree must be positive, got {deg_c}")
-    if p_a < 0:
-        raise ValueError(f"arithmetic genus must be non-negative, got {p_a}")
     a, e = a_cube.as_integer_ratio()
     den = e * q
     closed = b * a * q - (b + 1) * p * e + (2 * p_a - 2) * den

@@ -18,22 +18,25 @@ only; everything the engine prints is re-derived from the weights and then
 
 from __future__ import annotations
 
+import marshal
+from itertools import zip_longest
 from json.encoder import encode_basestring_ascii as _escape
+from operator import index
 from typing import Iterable, Mapping
 
 from .certificates import (
-    CertificateError,
     Method,
     SurfaceCertificate,
     SurfaceRow,
     TableVerification,
     TestClassCertificate,
+    case3_test_class_certificates,
     certify_row,
 )
 from .coverage import FamilyCoverage
 from .families import FAMILY_COUNT, FamilyDatabase, FamilyRecord
 from .lemmas import LIST_NAMES, classify_case, family_verdicts
-from .wps import Weights, _check_integer, format_rational, parse_rational
+from .wps import Weights, format_rational
 
 #: Expected membership lists, used only to cross-check the derived ones.
 GOLDEN_LISTS: dict[str, tuple[int, ...]] = {
@@ -79,7 +82,7 @@ def list_mismatches(
 # JSON sections
 # ---------------------------------------------------------------------------
 
-#: Reader-facing names of serialized fields, for text lines and mismatch reports.
+#: Reader-facing names of the certificate quantities, for text lines.
 _FIELD_NAMES = {
     "c2t": "self-intersection",
     "c_prime_sq": "companion self-intersection",
@@ -87,17 +90,18 @@ _FIELD_NAMES = {
     "deg_c_prime": "companion degree",
     "diff_total": "different total",
     "exclusion_value": "exclusion value",
-    "valid": "valid flag",
 }
 
 
+# Each builder writes its keys in sorted order, as ``to_json`` does, so a clean
+# section has the same marshal bytes as its rebuild (see ``_compare``).
 def _family_json(f: FamilyRecord) -> dict:
     return {
-        "number": f.number,
-        "d": f.d,
-        "weights": list(f.weights),
-        "degree_cap": format_rational(f.a_cube),
         "case": classify_case(f).value,
+        "d": f.d,
+        "degree_cap": format_rational(f.a_cube),
+        "number": f.number,
+        "weights": list(f.weights),
     }
 
 
@@ -107,15 +111,15 @@ def families_section(db: FamilyDatabase) -> list[dict]:
 
 def _test_class_json(c: TestClassCertificate) -> dict:
     return {
-        "family": c.family,
-        "curve": c.curve,
-        "b": c.b,
         "a_cube": format_rational(c.a_cube),
-        "deg_c": format_rational(c.deg_c),
-        "p_a": c.p_a,
-        "value": format_rational(c.value),
-        "valid": c.valid,
+        "b": c.b,
         "boundary": c.boundary,
+        "curve": c.curve,
+        "deg_c": format_rational(c.deg_c),
+        "family": c.family,
+        "p_a": c.p_a,
+        "valid": c.valid,
+        "value": format_rational(c.value),
     }
 
 
@@ -126,20 +130,23 @@ def test_class_section(certs: Iterable[TestClassCertificate]) -> list[dict]:
 def _surface_cert_json(cert: SurfaceCertificate) -> dict:
     row = cert.row
     base = {
-        "family": row.family,
-        "vanishing": sorted(row.vanishing),
-        "fails": sorted(row.fails),
-        "method": row.method.value,
-        "m": row.m,
         "a_cube": format_rational(cert.a_cube),
-        "diff_indices": list(cert.diff_indices),
-        "exclusion_value": None,
-        "deg_c_prime": None,
-        "c_prime_sq": None,
-        "forces_alpha_one": cert.forces_alpha_one,
-        "degree_contradiction": cert.degree_contradiction,
-        "valid": cert.valid,
         "boundary": cert.boundary,
+        "c2t": None,
+        "c_prime_sq": None,
+        "deg_c": None,
+        "deg_c_prime": None,
+        "degree_contradiction": cert.degree_contradiction,
+        "diff_indices": list(cert.diff_indices),
+        "diff_total": None,
+        "exclusion_value": None,
+        "fails": sorted(row.fails),
+        "family": row.family,
+        "forces_alpha_one": cert.forces_alpha_one,
+        "m": row.m,
+        "method": row.method.value,
+        "valid": cert.valid,
+        "vanishing": sorted(row.vanishing),
     }
     base.update((field, format_rational(value)) for field, value in cert.quantities)
     return base
@@ -153,15 +160,17 @@ def surface_section(db: FamilyDatabase, verification: TableVerification, rows) -
 def lists_section(
     db: FamilyDatabase, *, derived: Mapping[str, tuple[int, ...]] | None = None
 ) -> dict:
-    """The lists entry; a passed-in ``derived`` must be ``derived_lists(db)``,
-    and when None it is derived here."""
+    """The lists entry: each list's members in ``derived`` (none when it lacks
+    the list), its expected members and whether the two match.  ``derived`` is
+    ``derived_lists(db)`` when None; the audit passes the lists it derived, the
+    revalidator the memberships a document states."""
     if derived is None:
         derived = derived_lists(db)
     mismatches = list_mismatches(derived)
     return {
         name: {
-            "families": list(derived[name]),
             "expected": list(GOLDEN_LISTS[name]),
+            "families": list(derived.get(name, ())),
             "match": name not in mismatches,
         }
         for name in sorted(GOLDEN_LISTS)
@@ -268,128 +277,125 @@ def _emit(o, pad: str, write) -> None:
 # Round-trip revalidation
 # ---------------------------------------------------------------------------
 
-#: What rebuilding a malformed entry, or one the engine rejects, can raise.
-_REBUILD_ERRORS = (CertificateError, KeyError, TypeError, ValueError)
+#: What rebuilding a malformed entry, or one the engine refuses, can raise.
+_REBUILD_ERRORS = (KeyError, TypeError, ValueError)
 
-#: Stands in for a field that one side of a comparison lacks.
-_ABSENT = "<absent>"
+#: Stands in for a field or item that one side of a comparison lacks; a
+#: problem line shows it, and each container, by its entry in ``_SHOWN``.
+_ABSENT = object()
+_SHOWN = {dict: "an object", list: "an array", object: "<absent>"}
 
 
-def _objects(problems: list[str], name: str, section) -> Iterable[dict]:
-    """The entries of an array section that are objects; reports the others."""
+def _compare(got, want, path: str, problems: list[str]) -> None:
+    """Report each leaf where ``got`` differs from ``want``, led by its JSON path.
+    Types must match exactly, so ``1``, ``1.0`` and ``true`` never compare
+    equal.  Equal marshal bytes mean equal types, values and key order, so
+    only what differs is walked, and only its paths are built."""
+    try:
+        if marshal.dumps(got, 0) == marshal.dumps(want, 0):
+            return
+    except ValueError:  # outside the marshal model, such as _ABSENT
+        pass
+    kind = type(want)
+    if kind is dict and type(got) is dict:
+        for key in {**want, **got}:
+            _compare(got.get(key, _ABSENT), want.get(key, _ABSENT), f"{path}.{key}", problems)
+    elif kind is list and type(got) is list:
+        for i, (g, w) in enumerate(zip_longest(got, want, fillvalue=_ABSENT)):
+            _compare(g, w, f"{path}[{i}]", problems)
+    elif type(got) is not kind or got != want:
+        shown = [_SHOWN.get(type(v)) or repr(v) for v in (got, want)]
+        problems.append(f"{path}: serialized {shown[0]}, recomputed {shown[1]}")
+
+
+def _rebuilt(problems: list[str], build, path: str, *keys):
+    """``build()``, or None after reporting that ``path.format(*keys)`` does
+    not rebuild; the path is formatted only then."""
+    try:
+        return build()
+    except _REBUILD_ERRORS as exc:
+        problems.append(
+            f"{path.format(*keys)}: does not rebuild ({type(exc).__name__}: {exc})")
+
+
+def _objects(problems: list[str], path: str, section) -> list[tuple[int, dict]]:
+    """(index, entry) for each object entry of an array section; reports a
+    section that is neither an array nor null, and each entry not an object."""
     if not isinstance(section, list):
         if section is not None:
-            problems.append(f"{name} section is not an array")
-        return
-    for i, entry in enumerate(section):
-        if isinstance(entry, dict):
-            yield entry
-        else:
-            problems.append(f"{name} entry {i} is not an object")
+            problems.append(f"{path}: is not an array")
+        return []
+    problems.extend(f"{path}[{i}]: is not an object"
+                    for i, entry in enumerate(section) if not isinstance(entry, dict))
+    return [(i, entry) for i, entry in enumerate(section) if isinstance(entry, dict)]
 
 
 def revalidate_document(document: Mapping) -> tuple[str, ...]:
-    """Rebuild every serialized entry with the engine's own code and compare.
+    """Rebuild each section with the builders that wrote it and compare.
 
-    Each family is rebuilt from its number, degree and weights; each
-    test-class certificate from its curve on its family's degree cap; each
-    surface certificate from its row (family, vanishing, fails, method, m)
-    through ``certify_row``.  The rebuilt record is serialized exactly as
-    ``build_document`` serializes it, and every field that differs is
-    reported.  Returns human-readable problem descriptions; an empty tuple
-    means the document re-derives from its own inputs.  A malformed entry,
-    or one the engine rejects, is reported as a problem, never raised.
+    The families entries rebuild a ``FamilyDatabase`` (with the loader's count,
+    order and repeat checks), which alone gives the families section and the
+    test classes; each surface entry is certified again from its row; the
+    lists' ``expected`` and ``match`` are recomputed from the memberships the
+    document states.  Coverage is checked only for its structure.  Returns
+    every problem at once, each led by its JSON path, and raises nothing; an
+    empty tuple means the document re-derives from its own inputs.
     """
     if not isinstance(document, Mapping):
         return ("document is not an object",)
     problems: list[str] = []
-    records: dict[int, FamilyRecord] = {}
-
-    def recheck(label: str, entry: dict, rebuild) -> None:
-        try:
-            expected = rebuild(entry)
-        except _REBUILD_ERRORS as exc:
-            problems.append(f"{label}: does not rebuild ({type(exc).__name__}: {exc})")
-            return
-        if expected == entry:
-            return
-        for key in sorted(expected.keys() | entry.keys()):
-            got, want = entry.get(key, _ABSENT), expected.get(key, _ABSENT)
-            if got != want:
-                problems.append(
-                    f"{label}: {_FIELD_NAMES.get(key, key)} does not recompute "
-                    f"(serialized {got!r}, recomputed {want!r})"
-                )
-
-    def family_of(entry: dict) -> FamilyRecord:
-        number = entry["family"]
-        _check_integer("family number", number)
-        if number not in records:
-            raise ValueError(f"no valid families entry for family {number}")
-        return records[number]
-
-    def rebuild_family(f: dict) -> dict:
-        record = FamilyRecord.build(f["number"], f["d"], Weights(f["weights"]))
-        records[record.number] = record
-        return _family_json(record)
-
-    def rebuild_test_class(c: dict) -> dict:
-        cert = TestClassCertificate.build(
-            family_of(c), c["curve"], c["b"], parse_rational(c["deg_c"]), c["p_a"]
-        )
-        return _test_class_json(cert)
-
-    def rebuild_surface(s: dict) -> dict:
-        row = SurfaceRow(
-            family=s["family"],
-            vanishing=frozenset(s["vanishing"]),
-            fails=frozenset(s["fails"]),
-            method=Method(s["method"]),
-            m=s["m"],
-        )
-        return _surface_cert_json(certify_row(family_of(s), row))
-
-    families = document.get("families")
-    numbers = []
-    for f in _objects(problems, "families", families):
-        numbers.append(f.get("number"))
-        recheck(f"family {f.get('number')}", f, rebuild_family)
-    if families is not None and numbers != list(range(1, FAMILY_COUNT + 1)):
-        problems.append(
-            f"families section does not list numbers 1..{FAMILY_COUNT} in order"
-        )
+    families, db = document.get("families"), None
+    if families is None:
+        problems.append("families: is not an array")
+    records = [_rebuilt(problems, lambda: FamilyRecord.build(
+                   f["number"], f["d"], Weights(f["weights"])), "families[{}]", i)
+               for i, f in _objects(problems, "families", families)]
+    if not problems:
+        db = _rebuilt(problems, lambda: FamilyDatabase(records), "families")
+    # number, d and weights reached the database through the loader's integer
+    # checks, and the other leaves are strings, so here == is already exact.
+    if db is not None and families != (expected := families_section(db)):
+        _compare(families, expected, "families", problems)
 
     certificates = document.get("certificates")
     if not isinstance(certificates, dict):
-        if certificates is not None:
-            problems.append("certificates section is not an object")
+        problems.append("certificates: is not an object")
         certificates = {}
-    for c in _objects(problems, "test-class", certificates.get("test_class")):
-        recheck(f"test-class family {c.get('family')}", c, rebuild_test_class)
-    for s in _objects(problems, "surface", certificates.get("surface")):
-        recheck(
-            f"surface family {s.get('family')} row {s.get('vanishing')}",
-            s,
-            rebuild_surface,
-        )
+    test_class = certificates.get("test_class")
+    if db is None:
+        _objects(problems, "certificates.test_class", test_class)
+    elif test_class is not None:
+        _compare(test_class, test_class_section(case3_test_class_certificates(db)),
+                 "certificates.test_class", problems)
+    for i, s in _objects(problems, "certificates.surface", certificates.get("surface")):
+        path = f"certificates.surface[{i}]"
+        row = _rebuilt(problems, lambda: SurfaceRow(
+            s["family"], s["vanishing"], s["fails"], Method(s["method"]), s["m"]), path)
+        if row is not None and db is not None:
+            _compare(s, _surface_cert_json(certify_row(db.get(row.family), row)), path,
+                     problems)
+
+    lists = document.get("lists")
+    if lists is not None and not isinstance(lists, dict):
+        problems.append("lists: is not an object")
+    elif lists is not None:
+        derived = {name: _rebuilt(problems, lambda: tuple(map(index, entry["families"])),
+                                  "lists.{}.families", name)
+                   for name, entry in lists.items()}
+        if db is not None and None not in derived.values():
+            _compare(lists, lists_section(db, derived=derived), "lists", problems)
 
     coverage = document.get("coverage")
     if coverage is not None:
-        entries = list(_objects(problems, "coverage", coverage))
-        if [c.get("family") for c in entries] != list(range(1, FAMILY_COUNT + 1)):
-            problems.append(
-                f"coverage section does not list families 1..{FAMILY_COUNT} in order"
-            )
-        for c in entries:
-            try:
-                _check_integer("family number", c.get("family"))
-            except TypeError as exc:
-                problems.append(f"coverage family {c.get('family')}: {exc}")
+        entries = _objects(problems, "coverage", coverage)
+        if [c.get("family") for _, c in entries] != list(range(1, FAMILY_COUNT + 1)):
+            problems.append(f"coverage: does not list families 1..{FAMILY_COUNT} in order")
+        for i, c in entries:
+            family = c.get("family")
+            if type(family) is not int:
+                problems.append(f"coverage[{i}].family: {family!r} is not an integer")
             if (c.get("status") == "Covered") == bool(c.get("gaps")):
-                problems.append(
-                    f"coverage family {c.get('family')}: status does not match gap list"
-                )
-
+                problems.append(f"coverage[{i}].status: does not match gap list")
     return tuple(problems)
 
 

@@ -9,7 +9,6 @@ ascending weight order, and its anticanonical degree is d/(a1*a2*a3*a4).
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -199,19 +198,6 @@ def format_rational(q: Fraction | int) -> str:
     """
     _check_rational("rational", q)
     return "%d/%d" % q.as_integer_ratio()
-
-
-_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?\Z")
-
-
-def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`format_rational`; accepts only "p" or "p/q" in ASCII digits."""
-    if not _RATIONAL_RE.match(text):
-        raise ValueError(f"malformed rational literal {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"zero denominator in rational literal {text!r}") from exc
 
 
 def coordinate_point_on_hypersurface(d: int, weights: Weights, i: int) -> bool:

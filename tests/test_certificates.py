@@ -68,13 +68,25 @@ def test_test_class_value_closed_form_matches_expansion():
     )
 
 
-def test_test_class_value_validates_inputs():
-    with pytest.raises(ValueError):
-        C.test_class_value(0, Fraction(1), Fraction(1), 0)
-    with pytest.raises(ValueError):
-        C.test_class_value(2, Fraction(1), Fraction(0), 0)
-    with pytest.raises(ValueError):
-        C.test_class_value(2, Fraction(1), Fraction(1), -1)
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: C.test_class_value(0, Fraction(1), Fraction(1), 0), "multiplier must be >= 1"),
+        (lambda: C.test_class_value(2, Fraction(1), Fraction(0), 0), "degree must be positive"),
+        (lambda: C.test_class_value(2, Fraction(1), Fraction(1), -1), "must be non-negative"),
+        (lambda: C.test_class_value_expanded(0, Fraction(2), 0, 0, 0),
+         "multiplier must be >= 1"),
+        (lambda: C.rational_curve_blowup_numbers(Fraction(1, 3), -1), "must be non-negative"),
+        (lambda: C.rational_curve_blowup_numbers(Fraction(-1, 3), 0),
+         "degree must be positive"),
+    ],
+    ids=["value-b", "value-degree", "value-genus", "expanded-b", "blowup-genus",
+         "blowup-degree"],
+)
+def test_test_class_value_validates_inputs(call, message):
+    # The expansion and the blow-up numbers refuse what test_class_value refuses.
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("bad", ["1/2", 0.1, True], ids=["str", "float", "bool"])
@@ -97,6 +109,12 @@ def test_test_class_value_refuses_non_rationals(db, bad):
     with pytest.raises(TypeError, match="curve degree must be an int or a Fraction"):
         C.rational_curve_blowup_numbers(bad, 0)
     assert C.rational_curve_blowup_numbers(1, 0) == (0, -1, 1)
+    # The multiplier and the genus take an int only, in every entry point.
+    for b in (bad, 2.0):
+        with pytest.raises(TypeError, match="test-class multiplier must be an integer"):
+            C.test_class_value_expanded(b, Fraction(2), 0, 0, 0)
+    with pytest.raises(TypeError, match="arithmetic genus must be an integer"):
+        C.rational_curve_blowup_numbers(1, bad)
 
 
 def test_test_class_value_matches_fraction_oracle(db):

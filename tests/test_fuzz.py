@@ -4,7 +4,8 @@ emitter.
 Each case mutates one line of a packaged table, replaces one value of the
 ``full --format json`` document, or draws a random JSON tree.  A table must
 load or raise its parser's own error; revalidation must return a tuple of
-problems and raise nothing; ``to_json`` must write the bytes of the stdlib's
+problems and raise nothing, and at least one problem when a derived value
+changed; ``to_json`` must write the bytes of the stdlib's
 ``json.dumps(tree, sort_keys=True, indent=2)`` plus a newline.
 """
 
@@ -102,28 +103,56 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
+#: The surface fields that are the row itself; the rest are derived from it.
+_SURFACE_INPUTS = {"family", "vanishing", "fails", "method", "m"}
+
+
+def _derived(shape: tuple) -> bool:
+    """Whether a path shape is a derived leaf, or lies below one: families
+    ``degree_cap`` and ``case``, every test-class field, the surface fields but
+    the row's own, and lists ``expected`` and ``match``."""
+    if shape[:1] == ("families",):
+        return shape[2:3] in (("degree_cap",), ("case",))
+    if shape[:2] == ("certificates", "test_class"):
+        return len(shape) > 3
+    if shape[:2] == ("certificates", "surface"):
+        return len(shape) > 3 and shape[3] not in _SURFACE_INPUTS
+    if shape[:1] == ("lists",):
+        return shape[2:3] in (("expected",), ("match",))
+    return False
+
+
 def test_fuzzed_document_revalidates_to_problems(full_json):
     # Paths are drawn per shape (list indices wildcarded), so each of the
     # ~100 kinds of field is as likely as any other, however many it has.
+    # Every mutation must give a tuple and raise nothing; one that changes a
+    # derived leaf's type or value must give at least one problem.
     by_shape: dict[tuple, list[tuple]] = {}
     for path in _paths(json.loads(full_json)):
         shape = tuple("*" if isinstance(k, int) else k for k in path)
         by_shape.setdefault(shape, []).append(path)
     shapes = sorted(by_shape, key=repr)
     replacements = (None, True, False, 7, 1.0, 1.5, "x", [], {})
+    derived_changes = 0
     for seed in SEEDS:
         rng = random.Random(seed)
-        *parents, last = rng.choice(by_shape[rng.choice(shapes)])
+        shape = rng.choice(shapes)
+        *parents, last = rng.choice(by_shape[shape])
         doc = json.loads(full_json)
         target = doc
         for key in parents:
             target = target[key]
-        target[last] = rng.choice(replacements)
+        old, new = target[last], rng.choice(replacements)
+        target[last] = new
         try:
             problems = revalidate_document(doc)
         except Exception as exc:  # any exception is an escape
             pytest.fail(f"seed {seed}: {type(exc).__name__}: {exc}")
         assert isinstance(problems, tuple)
+        if _derived(shape) and (type(old) is not type(new) or old != new):
+            derived_changes += 1
+            assert problems, f"seed {seed}: {shape} {old!r} -> {new!r} revalidates clean"
+    assert derived_changes >= 50, derived_changes
 
 
 #: Code points a fuzzed string draws from: ASCII with its control characters,

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fano95 import report
+from fano95 import cli, report
 from fano95 import (
     GOLDEN_LISTS,
     build_coverage,
@@ -198,25 +198,37 @@ def test_revalidate_accepts_clean_document(full_document):
     assert revalidate_document(json.loads(to_json(full_document))) == ()
 
 
+def test_builders_write_keys_in_sorted_order(full_document):
+    # The order json.loads reads back from to_json, so a clean section has
+    # the same marshal bytes as its rebuild and the revalidator skips its walk.
+    doc = full_document
+    entries = [*doc["families"], *doc["certificates"]["test_class"],
+               *doc["certificates"]["surface"], doc["lists"], *doc["lists"].values()]
+    assert all(list(entry) == sorted(entry) for entry in entries)
+
+
 def test_revalidate_detects_tampered_test_class_value(full_document):
     doc = json.loads(to_json(full_document))
     doc["certificates"]["test_class"][2]["value"] = "4/1"
-    problems = revalidate_document(doc)
-    assert any("test-class family 3" in p for p in problems)
+    assert revalidate_document(doc) == (
+        "certificates.test_class[2].value: serialized '4/1', recomputed '-4/1'",
+    )
 
 
 def test_revalidate_detects_tampered_surface_chain(full_document):
     doc = json.loads(to_json(full_document))
     doc["certificates"]["surface"][0]["c2t"] = "-1/3"
-    problems = revalidate_document(doc)
-    assert any("self-intersection does not recompute" in p for p in problems)
+    assert revalidate_document(doc) == (
+        "certificates.surface[0].c2t: serialized '-1/3', recomputed '-5/3'",
+    )
 
 
 def test_revalidate_names_forged_curve_degree(full_document):
     doc = json.loads(to_json(full_document))
     doc["certificates"]["surface"][0]["deg_c"] = "1/7"
-    problems = revalidate_document(doc)
-    assert any("curve degree does not recompute" in p for p in problems)
+    assert revalidate_document(doc) == (
+        "certificates.surface[0].deg_c: serialized '1/7', recomputed '1/3'",
+    )
 
 
 def test_revalidate_detects_flag_forgery(full_document):
@@ -224,43 +236,51 @@ def test_revalidate_detects_flag_forgery(full_document):
     victim = doc["certificates"]["surface"][0]
     assert victim["method"] == "41"
     victim["valid"] = False
-    problems = revalidate_document(doc)
-    assert any("valid flag" in p for p in problems)
+    assert revalidate_document(doc) == (
+        "certificates.surface[0].valid: serialized False, recomputed True",
+    )
 
 
 def test_revalidate_detects_truncated_sections(full_document):
     doc = json.loads(to_json(full_document))
     del doc["families"][3]
-    assert any("1..95" in p for p in revalidate_document(doc))
+    assert revalidate_document(doc) == (
+        "families: does not rebuild "
+        "(ValidationError: expected exactly 95 family records, got 94)",
+    )
     doc = json.loads(to_json(full_document))
     del doc["coverage"][0]
-    assert any("coverage" in p for p in revalidate_document(doc))
+    assert revalidate_document(doc) == ("coverage: does not list families 1..95 in order",)
 
 
 def test_revalidate_detects_status_gap_disagreement(full_document):
     doc = json.loads(to_json(full_document))
     doc["coverage"][4]["status"] = "Gap"
-    problems = revalidate_document(doc)
-    assert any("status does not match gap list" in p for p in problems)
+    assert revalidate_document(doc) == ("coverage[4].status: does not match gap list",)
 
 
 @pytest.mark.parametrize("field, forged", [("degree_cap", "1/1"), ("case", "case1")])
 def test_revalidate_rebuilds_family_entries(full_document, field, forged):
     doc = json.loads(to_json(full_document))
+    recomputed = doc["families"][6][field]
     doc["families"][6][field] = forged
-    problems = revalidate_document(doc)
-    assert any(p.startswith(f"family 7: {field} does not recompute") for p in problems)
+    assert revalidate_document(doc) == (
+        f"families[6].{field}: serialized {forged!r}, recomputed {recomputed!r}",
+    )
 
 
 def test_revalidate_reports_malformed_entries(full_document):
+    # A families entry that does not rebuild leaves no database to certify
+    # against, but the other sections' malformed entries are still reported.
     doc = json.loads(to_json(full_document))
     del doc["certificates"]["surface"][0]["m"]
     doc["families"][0]["weights"] = 7
     doc["certificates"]["test_class"][1] = "conic"
-    problems = revalidate_document(doc)
-    assert any(p.startswith("surface family 7 row [0, 2, 3]: does not rebuild") for p in problems)
-    assert any(p.startswith("family 1: does not rebuild") for p in problems)
-    assert "test-class entry 1 is not an object" in problems
+    assert revalidate_document(doc) == (
+        "families[0]: does not rebuild (TypeError: 'int' object is not iterable)",
+        "certificates.test_class[1]: is not an object",
+        "certificates.surface[0]: does not rebuild (KeyError: 'm')",
+    )
 
 
 @pytest.mark.parametrize(
@@ -269,70 +289,68 @@ def test_revalidate_reports_malformed_entries(full_document):
         (
             ("certificates", "surface", 0, "m"),
             1.5,
-            "surface family 7 row [0, 2, 3]: does not rebuild "
+            "certificates.surface[0]: does not rebuild "
             "(TypeError: surface-system multiplier must be an integer, got 1.5)",
         ),
         (
             ("certificates", "test_class", 0, "b"),
             2.5,
-            "test-class family 1: does not rebuild "
-            "(TypeError: test-class multiplier must be an integer, got 2.5)",
+            "certificates.test_class[0].b: serialized 2.5, recomputed 2",
         ),
         (
             ("families", 0, "number"),
             1.0,
-            "family 1.0: does not rebuild "
+            "families[0]: does not rebuild "
             "(TypeError: family number must be an integer, got 1.0)",
         ),
         (
             ("certificates", "test_class", 0, "family"),
             1.0,
-            "test-class family 1.0: does not rebuild "
-            "(TypeError: family number must be an integer, got 1.0)",
+            "certificates.test_class[0].family: serialized 1.0, recomputed 1",
         ),
         (
             ("certificates", "surface", 0, "family"),
             7.0,
-            "surface family 7.0 row [0, 2, 3]: does not rebuild "
+            "certificates.surface[0]: does not rebuild "
             "(TypeError: family number must be an integer, got 7.0)",
         ),
         (
             ("coverage", 0, "family"),
             True,
-            "coverage family True: family number must be an integer, got True",
+            "coverage[0].family: True is not an integer",
         ),
         (
             ("families", 0, "weights", 1),
             1.0,
-            "family 1: does not rebuild "
+            "families[0]: does not rebuild "
             "(TypeError: weight must be an integer, got 1.0)",
         ),
         (
             ("families", 0, "weights", 0),
             True,
-            "family 1: does not rebuild "
+            "families[0]: does not rebuild "
             "(TypeError: weight must be an integer, got True)",
         ),
         (
             ("families", 0, "d"),
             4.0,
-            "family 1: does not rebuild "
+            "families[0]: does not rebuild "
             "(TypeError: degree must be an integer, got 4.0)",
         ),
         (
             ("certificates", "surface", 0, "vanishing"),
             [0.0, 2, 3],
-            "surface family 7 row [0.0, 2, 3]: does not rebuild "
+            "certificates.surface[0]: does not rebuild "
             "(TypeError: vanishing index must be an integer, got 0.0)",
         ),
         (
             ("certificates", "surface", 0, "vanishing"),
             [False, 2, 3],
-            "surface family 7 row [False, 2, 3]: does not rebuild "
+            "certificates.surface[0]: does not rebuild "
             "(TypeError: vanishing index must be an integer, got False)",
         ),
-        (("certificates",), "x", "certificates section is not an object"),
-        (("families",), 5, "families section is not an array"),
+        (("certificates",), "x", "certificates: is not an object"),
+        (("families",), 5, "families: is not an array"),
         ((), [], "document is not an object"),
     ],
     ids=["surface-m-float", "test-class-b-float", "families-number-float",
@@ -363,14 +381,51 @@ def test_revalidate_reports_nonpositive_companion_degree(full_document):
     problems = revalidate_document(doc)
     # The row rebuilds as an invalid certificate; its fields no longer match.
     assert not any("does not rebuild" in p for p in problems)
-    label = "surface family 15 row [0, 2, 4]"
-    assert (
-        f"{label}: companion degree does not recompute "
-        "(serialized '1/3', recomputed '0/1')"
-    ) in problems
-    assert (
-        f"{label}: valid flag does not recompute (serialized True, recomputed False)"
-    ) in problems
+    path = "certificates.surface[9]"
+    assert f"{path}.deg_c_prime: serialized '1/3', recomputed '0/1'" in problems
+    assert f"{path}.valid: serialized True, recomputed False" in problems
+
+
+def _forge_family_22_as_23(doc):
+    doc["families"][21].update(
+        {key: doc["families"][22][key] for key in ("d", "weights", "degree_cap", "case")}
+    )
+
+
+def _forge_test_class_b(doc):
+    # Family 1's twisted cubic: b*A^3 - (b+1)*deg C - 2 = 4 - 6 - 2 at b = 1.
+    doc["certificates"]["test_class"][0].update(b=1, value="-4/1")
+
+
+@pytest.mark.parametrize(
+    "command, forge, problem",
+    [
+        ("full", _forge_family_22_as_23,
+         "families: does not rebuild (ValidationError: family 23: degree 14 and "
+         "weights (1, 2, 3, 4, 5) repeat family 22)"),
+        ("full", _forge_test_class_b,
+         "certificates.test_class[0].b: serialized 1, recomputed 2"),
+        ("full", lambda doc: doc["lists"]["strong_bound"].update(families=[1, 2, 3]),
+         "lists.strong_bound.match: serialized True, recomputed False"),
+        ("full", lambda doc: doc["certificates"]["surface"][3].update(valid=1),
+         "certificates.surface[3].valid: serialized 1, recomputed True"),
+        ("lists", lambda doc: doc.update(families=None), "families: is not an array"),
+        ("lists", lambda doc: doc["lists"]["weak_bound"].update(families=None),
+         "lists.weak_bound.families: does not rebuild "
+         "(TypeError: 'NoneType' object is not iterable)"),
+    ],
+    ids=["family-22-as-23", "test-class-b", "list-members", "surface-valid-int",
+         "lists-families-null", "list-members-null"],
+)
+def test_revalidate_refuses_forged_documents(capsys, command, forge, problem):
+    # Each forgery agrees with itself entry by entry: only whole sections
+    # rebuilt from the families entries, with the builders that wrote them,
+    # show it.
+    assert cli.main([command, "--format", "json"]) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert revalidate_document(doc) == ()
+    forge(doc)
+    assert problem in revalidate_document(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from fano95 import (
     anticanonical_cube,
     coordinate_point_on_hypersurface,
     format_rational,
-    parse_rational,
 )
 
 
@@ -312,14 +311,3 @@ def test_format_rational_refuses_non_rationals(value):
     # "%d" would print a float or a Decimal truncated; only exact rationals pass.
     with pytest.raises(TypeError, match="must be an int or a Fraction"):
         format_rational(value)
-
-
-def test_parse_rational_round_trip():
-    for q in (Fraction(4), Fraction(-7, 5), Fraction(0), Fraction(123, 456)):
-        assert parse_rational(format_rational(q)) == q
-
-
-def test_parse_rational_rejects_garbage():
-    for bad in ("", "x", "1/0", "1.5", "\u0661/\u0662"):  # Arabic-Indic digits
-        with pytest.raises(ValueError):
-            parse_rational(bad)
