@@ -42,7 +42,7 @@ from .lemmas import (
     family_verdicts,
 )
 from .wps import (Record, _check_integer, _check_rational, _check_vanishing, _different,
-                  _stratum, stratum_weights)
+                  _quantity, _self_intersection, _stratum, stratum_weights)
 
 SURFACE_ROWS_FILENAME = "surface_rows.tsv"
 
@@ -157,13 +157,7 @@ class TestClassCertificate(Record):
         self, family: int, curve: str, b: int, a_cube: Fraction, deg_c: Fraction,
         p_a: int, value: Fraction,
     ):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "a_cube", a_cube)
-        object.__setattr__(self, "deg_c", deg_c)
-        object.__setattr__(self, "p_a", p_a)
-        object.__setattr__(self, "value", value)
+        self._store(family, curve, b, a_cube, deg_c, p_a, value)
 
     @classmethod
     def build(
@@ -212,11 +206,8 @@ def case3_test_class_certificates(
 
 # Each formula lives once, in integers, on numerators over positive denominators
 # (A³ = a/b, deg C = p/q, the different or C²_T = r/s), and returns its value the
-# same way, unreduced.  The public functions take int or Fraction arguments.
-
-def _self_intersection(m, p, q, r, s) -> tuple[int, int]:
-    return (r - 2 * s) * q - (m - 1) * p * s, q * s
-
+# same way, unreduced; ``_self_intersection`` lives in ``wps`` with the stratum
+# memo.  The public functions take int or Fraction arguments.
 
 def _exclusion_value(m, a, b, p, q, r, s) -> tuple[int, int]:
     return (m * a * q - 2 * p * b) * s + r * b * q, b * q * s
@@ -293,11 +284,7 @@ class SurfaceRow(Record):
         _check_integer("surface-system multiplier", m)
         if m < 1:
             raise ValueError(f"surface-system multiplier must be >= 1, got {m}")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "vanishing", vanishing)
-        object.__setattr__(self, "fails", fails)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "m", m)
+        self._store(family, vanishing, fails, method, m)
 
 
 def parse_surface_row(line: str, line_number: int | None = None) -> SurfaceRow:
@@ -384,8 +371,9 @@ class SurfaceCertificate(Record):
     ``c_prime_sq``, ``degree_sum`` (deg C + deg C′, against the cap),
     ``forces_alpha_one`` (C′² < 0) and ``degree_contradiction`` (degree sum
     > cap) are None for the other method.  ``quantities`` holds the evaluated
-    quantities in report order, keyed by JSON field name; every view of the
-    certificate (JSON, text, coverage) reads them there.  ``boundary`` is True
+    quantities in report order as (JSON field name, value, ``format_rational``
+    text); every view of the certificate (JSON, text, coverage) reads the text
+    there, printed once.  ``boundary`` is True
     when some deciding quantity is exactly zero/equal — reported separately
     because validity demands strict inequalities.
     """
@@ -402,23 +390,11 @@ class SurfaceCertificate(Record):
         exclusion_value: Fraction | None, deg_c_prime: Fraction | None,
         c_prime_sq: Fraction | None, degree_sum: Fraction | None,
         forces_alpha_one: bool | None, degree_contradiction: bool | None,
-        quantities: tuple[tuple[str, Fraction], ...], valid: bool, boundary: bool,
+        quantities: tuple[tuple[str, Fraction, str], ...], valid: bool, boundary: bool,
     ):
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "a_cube", a_cube)
-        object.__setattr__(self, "deg_c", deg_c)
-        object.__setattr__(self, "diff_indices", diff_indices)
-        object.__setattr__(self, "diff_total", diff_total)
-        object.__setattr__(self, "c2t", c2t)
-        object.__setattr__(self, "exclusion_value", exclusion_value)
-        object.__setattr__(self, "deg_c_prime", deg_c_prime)
-        object.__setattr__(self, "c_prime_sq", c_prime_sq)
-        object.__setattr__(self, "degree_sum", degree_sum)
-        object.__setattr__(self, "forces_alpha_one", forces_alpha_one)
-        object.__setattr__(self, "degree_contradiction", degree_contradiction)
-        object.__setattr__(self, "quantities", quantities)
-        object.__setattr__(self, "valid", valid)
-        object.__setattr__(self, "boundary", boundary)
+        self._store(row, a_cube, deg_c, diff_indices, diff_total, c2t, exclusion_value,
+                    deg_c_prime, c_prime_sq, degree_sum, forces_alpha_one,
+                    degree_contradiction, quantities, valid, boundary)
 
     @property
     def family(self) -> int:
@@ -433,9 +409,11 @@ def certify_row(f: FamilyRecord, row: SurfaceRow) -> SurfaceCertificate:
     singular-point indices in T are taken to be w1 and w2 where they exceed 1
     — an assumption, so any row it fails to certify is surfaced rather than
     patched (see ``verify_surface_table``).  The chain runs in integers over
-    positive denominators, so a verdict tests the sign of a numerator.  deg C
-    and the different come from ``wps._stratum``, shared by every row on the
-    same P(w1, w2); one Fraction is built per other reported quantity.
+    positive denominators, so a verdict tests the sign of a numerator.  deg C,
+    the different and C²_T come from ``wps._stratum``, shared by every row on
+    the same (w1, w2, m) whatever its family; only the quantities that need A³
+    are computed here.  Each quantity is stored as (field, value, text), its
+    ``format_rational`` text printed once.
     """
     if row.family != f.number:
         raise RowError(row.family, f"row applied to family record {f.number}")
@@ -443,16 +421,13 @@ def certify_row(f: FamilyRecord, row: SurfaceRow) -> SurfaceCertificate:
     a, b = a_cube.numerator, a_cube.denominator
     w1, w2 = stratum_weights(f.weights, row.vanishing)
     q = w1 * w2  # deg C = 1/q
-    diff_indices, r, s, deg_c, diff = _stratum(w1, w2)
-    c, t = _self_intersection(m, 1, q, r, s)
-    c2t = Fraction(c, t)
-    chain = (("deg_c", deg_c), ("diff_total", diff), ("c2t", c2t))
+    diff_indices, r, s, c, t, deg_c, diff, c2t, chain = _stratum(w1, w2, m)
     if row.method is Method.M41:
         v, z = _exclusion_value(m, a, b, 1, q, c, t)
         value = Fraction(v, z)
         return SurfaceCertificate(
             row, a_cube, deg_c, diff_indices, diff, c2t, value, None, None, None, None,
-            None, chain + (("exclusion_value", value),), v < 0, v == 0)
+            None, chain + (_quantity("exclusion_value", value),), v < 0, v == 0)
     # Method 42: the pencil A|_T cuts out C + C', so deg C' = m*A^3 - deg C and
     # the degree sum m*A^3 beats the cap A^3 exactly when m*a > a.  C' meets the
     # same singular points, so adjunction gives C'^2 too.  A companion of degree
@@ -464,7 +439,8 @@ def certify_row(f: FamilyRecord, row: SurfaceRow) -> SurfaceCertificate:
     return SurfaceCertificate(
         row, a_cube, deg_c, diff_indices, diff, c2t, None, deg_c_prime, c_prime_sq,
         Fraction(m * a, b), c2 < 0, degree_contradiction,
-        chain + (("deg_c_prime", deg_c_prime), ("c_prime_sq", c_prime_sq)),
+        chain + (_quantity("deg_c_prime", deg_c_prime),
+                 _quantity("c_prime_sq", c_prime_sq)),
         p2 > 0 and c2 < 0 and degree_contradiction, p2 == 0 or c2 == 0 or m * a == a,
     )
 
@@ -486,8 +462,7 @@ class TableVerification(Record):
         certificates: tuple[SurfaceCertificate, ...],
         tag_mismatches: tuple[tuple[int, frozenset[str], frozenset[str]], ...],
     ):
-        object.__setattr__(self, "certificates", certificates)
-        object.__setattr__(self, "tag_mismatches", tag_mismatches)
+        self._store(certificates, tag_mismatches)
 
     @property
     def invalid(self) -> tuple[SurfaceCertificate, ...]:

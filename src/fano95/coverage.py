@@ -56,8 +56,7 @@ class Annotation(Record):
     __slots__ = ("kind", "text")
 
     def __init__(self, kind: AnnotationKind, text: str):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "text", text)
+        self._store(kind, text)
 
 
 class RouteEntry(Record):
@@ -70,11 +69,7 @@ class RouteEntry(Record):
         self, route: str, detail: str, values: tuple[tuple[str, str], ...] = (),
         annotations: tuple[Annotation, ...] = (), gaps: tuple[str, ...] = (),
     ):
-        object.__setattr__(self, "route", route)
-        object.__setattr__(self, "detail", detail)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "annotations", annotations)
-        object.__setattr__(self, "gaps", gaps)
+        self._store(route, detail, values, annotations, gaps)
 
 
 Status = Literal["Covered", "Gap"]
@@ -88,10 +83,7 @@ class FamilyCoverage(Record):
     def __init__(
         self, family: int, case: CaseTag, residual: RouteEntry, contracted: RouteEntry
     ):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "contracted", contracted)
+        self._store(family, case, residual, contracted)
 
     @property
     def gaps(self) -> tuple[str, ...]:
@@ -155,8 +147,8 @@ def _surface_row_values(
     for cert in certs:
         key = f"row {{{','.join(str(i) for i in sorted(cert.row.vanishing))}}}"
         values.extend(
-            (f"{key} {_ROW_VALUE_LABELS[field]}", format_rational(value))
-            for field, value in cert.quantities
+            (f"{key} {_ROW_VALUE_LABELS[field]}", text)
+            for field, _, text in cert.quantities
             if field in _ROW_VALUE_LABELS
         )
         if cert.degree_sum is not None:

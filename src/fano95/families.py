@@ -62,10 +62,7 @@ class FamilyRecord(Record):
     __slots__ = ("number", "d", "weights", "a_cube")
 
     def __init__(self, number: int, d: int, weights: Weights, a_cube: Fraction):
-        object.__setattr__(self, "number", number)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "a_cube", a_cube)
+        self._store(number, d, weights, a_cube)
 
     @classmethod
     def build(cls, number: int, d: int, weights: Weights) -> "FamilyRecord":

@@ -90,10 +90,7 @@ class Comparison(Record):
     __slots__ = ("label", "lhs", "rhs", "note")
 
     def __init__(self, label: str, lhs: Fraction, rhs: Fraction, note: str | None = None):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "note", note)
+        self._store(label, lhs, rhs, note)
 
     @property
     def relation(self) -> str:
@@ -253,11 +250,7 @@ class FamilyVerdict(Record):
     def __init__(self, case: CaseTag, residual: BoundStatus | bool,
                  contracted: ContractedReason | None, lists: frozenset[str],
                  fail_tags: frozenset[str]):
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "contracted", contracted)
-        object.__setattr__(self, "lists", lists)
-        object.__setattr__(self, "fail_tags", fail_tags)
+        self._store(case, residual, contracted, lists, fail_tags)
 
 
 def family_verdict(f: FamilyRecord) -> FamilyVerdict:

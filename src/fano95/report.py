@@ -65,16 +65,15 @@ def derived_lists(db: FamilyDatabase) -> dict[str, tuple[int, ...]]:
 def list_mismatches(
     derived: Mapping[str, tuple[int, ...]]
 ) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
-    """For each non-matching list: (expected but missing, derived but unexpected)."""
+    """For each list whose members are not exactly its expected tuple, sorted
+    and each once: (expected but missing, derived but unexpected), both empty
+    when only the order or a repeat differs."""
     out = {}
     for name, expected in GOLDEN_LISTS.items():
-        got = set(derived.get(name, ()))
-        want = set(expected)
-        if got != want:
-            out[name] = (
-                tuple(sorted(want - got)),
-                tuple(sorted(got - want)),
-            )
+        members = tuple(derived.get(name, ()))
+        if members != expected:
+            got, want = set(members), set(expected)
+            out[name] = (tuple(sorted(want - got)), tuple(sorted(got - want)))
     return out
 
 
@@ -148,7 +147,7 @@ def _surface_cert_json(cert: SurfaceCertificate) -> dict:
         "valid": cert.valid,
         "vanishing": sorted(row.vanishing),
     }
-    base.update((field, format_rational(value)) for field, value in cert.quantities)
+    base.update((field, text) for field, _, text in cert.quantities)
     return base
 
 
@@ -430,6 +429,7 @@ def render_lists(
             lines.append(
                 f"MISMATCH {name}: missing {list(missing)}, "
                 f"unexpected {list(unexpected)}"
+                + ("" if missing or unexpected else ", members out of order or repeated")
             )
     else:
         lines.append("all lists match the expected values")
@@ -453,8 +453,8 @@ def render_certificates(
     for cert in verification.certificates:
         row = cert.row
         flag = ("valid" if cert.valid else "INVALID") + (" boundary" if cert.boundary else "")
-        values = ", ".join([f"{_FIELD_NAMES[field]} {format_rational(value)}"
-                            for field, value in cert.quantities])
+        values = ", ".join([f"{_FIELD_NAMES[field]} {text}"
+                            for field, _, text in cert.quantities])
         if cert.degree_sum is not None:
             values += (
                 f", degree sum {format_rational(cert.degree_sum)} vs cap "

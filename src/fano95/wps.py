@@ -39,7 +39,8 @@ def _check_vanishing(vanishing) -> frozenset[int]:
     integer indices in 0..4, counted as given, so a repeat is refused."""
     entries = list(vanishing)
     for i in entries:
-        _check_integer("vanishing index", i)
+        if type(i) is not int:
+            _check_integer("vanishing index", i)
     vanishing = frozenset(entries)
     if len(entries) != 3 or vanishing not in _SURVIVING:
         raise ValueError(
@@ -65,23 +66,55 @@ def _different(indices: Iterable[int]) -> tuple[int, int]:
     return num, den
 
 
+def _self_intersection(m, p, q, r, s) -> tuple[int, int]:
+    """C²_T = r/s − 2 − (m−1)·p/q of a curve of degree p/q and different r/s on
+    a general surface T in |m·A − C|, by adjunction, as an unreduced c/t."""
+    return (r - 2 * s) * q - (m - 1) * p * s, q * s
+
+
+def _quantity(field: str, value: Fraction) -> tuple[str, Fraction, str]:
+    """A certificate quantity as (JSON field name, value, its printed text)."""
+    return field, value, format_rational(value)
+
+
 @lru_cache(maxsize=1024, typed=True)
-def _stratum(w1: int, w2: int) -> tuple[tuple[int, ...], int, int, Fraction, Fraction]:
-    """The family-free part of every certificate on the curve P(w1, w2): its
-    singular-point indices (the weights > 1), their different r/s, and deg C =
-    1/(w1*w2) and r/s as Fractions.  All immutable, so callers share results."""
+def _stratum(w1: int, w2: int, m: int) -> tuple:
+    """The family-free part of every certificate on the curve P(w1, w2) on a
+    surface in |m·A − C|: its singular-point indices (the weights > 1), their
+    different r/s, C²_T = c/t, deg C = 1/(w1*w2), r/s and c/t as Fractions,
+    and the (field, value, text) quantities of those three.  All immutable,
+    so callers share results."""
     diff_indices = tuple([w for w in (w1, w2) if w > 1])
     r, s = _different(diff_indices)
-    return diff_indices, r, s, Fraction(1, w1 * w2), Fraction(r, s)
+    c, t = _self_intersection(m, 1, w1 * w2, r, s)
+    deg_c, diff, c2t = Fraction(1, w1 * w2), Fraction(r, s), Fraction(c, t)
+    chain = (_quantity("deg_c", deg_c), _quantity("diff_total", diff),
+             _quantity("c2t", c2t))
+    return diff_indices, r, s, c, t, deg_c, diff, c2t, chain
 
 
 class Record:
     """Base of the package's immutable records: a subclass names its fields in
-    ``__slots__`` and stores them in its own ``__init__``.  Records of one
-    class are equal, and hash alike, when their fields are; copy and pickle
-    rebuild them through the constructor."""
+    ``__slots__`` and stores them in its own ``__init__`` with one ``_store``
+    call, in slot order.  Records of one class are equal, and hash alike, when
+    their fields are; copy and pickle rebuild them through the constructor."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple([getattr(cls, name).__set__ for name in cls.__slots__])
+
+    def _store(self, *values) -> None:
+        """Fill every slot, in ``__slots__`` order; a miscount is a ValueError.
+        The count is checked up front: ``zip(..., strict=True)`` would raise the
+        same, but its keyword call costs more than the fill of a small record."""
+        setters = self._setters
+        if len(values) != len(setters):
+            raise ValueError(f"{type(self).__name__} has {len(setters)} fields, "
+                             f"got {len(values)} values")
+        for setter, value in zip(setters, values):
+            setter(self, value)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -159,13 +192,13 @@ class StratumCurve(Record):
     __slots__ = ("vanishing", "surviving_weights")
 
     def __init__(self, vanishing: Iterable[int], surviving_weights: tuple[int, int]):
-        object.__setattr__(self, "vanishing", _check_vanishing(vanishing))
+        vanishing = _check_vanishing(vanishing)
         weights = tuple(surviving_weights)
         for w in weights:
             _check_integer("stratum weight", w)
         if len(weights) != 2 or min(weights) < 1:
             raise ValueError(f"need two stratum weights >= 1, got {weights}")
-        object.__setattr__(self, "surviving_weights", weights)
+        self._store(vanishing, weights)
 
     @classmethod
     def from_vanishing(cls, weights: Weights, vanishing) -> "StratumCurve":
@@ -175,8 +208,8 @@ class StratumCurve(Record):
 
     @property
     def degree(self) -> Fraction:
-        """deg C = 1/(w1*w2)."""
-        return _stratum(*self.surviving_weights)[3]
+        """deg C = 1/(w1*w2), as every certificate on the stratum has it."""
+        return _stratum(*self.surviving_weights, 1)[5]
 
 
 def anticanonical_cube(d: int, weights: Weights) -> Fraction:

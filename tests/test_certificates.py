@@ -21,6 +21,7 @@ from fano95 import (
     different_total,
     expected_fail_tags,
     extension_check,
+    format_rational,
     load_families,
     load_surface_rows,
     serialize_surface_rows,
@@ -448,11 +449,15 @@ def _oracle(f, vanishing, method, m):
     )
     fields.update(a_cube=cap, deg_c=deg, diff_total=diff, c2t=c2t,
                   diff_indices=tuple(sorted(w for w in (w1, w2) if w > 1)))
-    chain = (("deg_c", deg), ("diff_total", diff), ("c2t", c2t))
+
+    def entry(field, value):
+        return field, value, f"{value.numerator}/{value.denominator}"
+
+    chain = (entry("deg_c", deg), entry("diff_total", diff), entry("c2t", c2t))
     if method is Method.M41:
         value = m * cap - 2 * deg + c2t
         fields.update(exclusion_value=value, valid=value < 0, boundary=value == 0,
-                      quantities=chain + (("exclusion_value", value),))
+                      quantities=chain + (entry("exclusion_value", value),))
         return fields
     deg_prime = m * cap - deg
     sq_prime = Fraction(-2) + diff - (m - 1) * deg_prime
@@ -462,7 +467,7 @@ def _oracle(f, vanishing, method, m):
         forces_alpha_one=sq_prime < 0, degree_contradiction=total > cap,
         valid=deg_prime > 0 and sq_prime < 0 and total > cap,
         boundary=deg_prime == 0 or sq_prime == 0 or total == cap,
-        quantities=chain + (("deg_c_prime", deg_prime), ("c_prime_sq", sq_prime)),
+        quantities=chain + (entry("deg_c_prime", deg_prime), entry("c_prime_sq", sq_prime)),
     )
     return fields
 
@@ -480,8 +485,10 @@ def test_certify_row_matches_fraction_oracle_everywhere(db):
         cert = certify_row(f, row)
         got = {name: getattr(cert, name) for name in expected}
         assert got == expected, (f.number, sorted(vanishing), method, m)
-        for name, value in (*cert.quantities, ("degree_sum", cert.degree_sum)):
-            assert value is None or type(value) is Fraction, (f.number, name)
+        for name, value, text in cert.quantities:
+            assert type(value) is Fraction, (f.number, name)
+            assert text == format_rational(value), (f.number, name)
+        assert cert.degree_sum is None or type(cert.degree_sum) is Fraction
         for name in ("forces_alpha_one", "degree_contradiction", "valid", "boundary"):
             value = getattr(cert, name)
             assert value is None or type(value) is bool, (f.number, name)
@@ -505,9 +512,9 @@ def test_certify_row_agrees_with_stratum_curve(db):
 
 
 def test_stratum_chain_is_shared_across_rows(db, wide_tables):
-    # deg C and the different depend only on the stratum weights (w1, w2):
-    # derived once per pair, they certify every row exactly as a fresh
-    # derivation does, across families.
+    # deg C, the different and C²_T depend only on the stratum weights (w1, w2)
+    # and the multiplier m: derived once per key, they certify every row exactly
+    # as a fresh derivation does, and rows of different families share them.
     table = load_surface_rows(wide_tables[11])
     cold = []
     for row in table:
@@ -516,17 +523,20 @@ def test_stratum_chain_is_shared_across_rows(db, wide_tables):
     wps._stratum.cache_clear()
     warm = [certify_row(db.get(row.family), row) for row in table]
     assert warm == cold
-    by_pair = {}
+    by_key = {}
     for cert in warm:
-        f = db.get(cert.family)
-        curve = StratumCurve.from_vanishing(f.weights, cert.row.vanishing)
+        w1, w2 = wps.stratum_weights(db.get(cert.family).weights, cert.row.vanishing)
+        by_key.setdefault((w1, w2, cert.row.m), []).append(cert)
+    assert wps._stratum.cache_info().currsize == len(by_key)
+    shared = [certs for certs in by_key.values() if len({c.family for c in certs}) > 1]
+    assert shared
+    for certs in shared:
+        first = next(c for c in certs if c.family != certs[-1].family)
+        for mine, theirs in zip(certs[-1].quantities[:3], first.quantities[:3]):
+            assert mine is theirs, (first.family, certs[-1].family, mine[0])
+    for cert in warm:
+        curve = StratumCurve.from_vanishing(db.get(cert.family).weights, cert.row.vanishing)
         assert curve.degree == cert.deg_c, (cert.family, sorted(cert.row.vanishing))
-        by_pair.setdefault(curve.surviving_weights, set()).add(
-            (cert.family, cert.deg_c, cert.diff_total))
-    assert wps._stratum.cache_info().currsize == len(by_pair)
-    assert any(len({fam for fam, _, _ in v}) > 1 for v in by_pair.values())
-    for pair, seen in by_pair.items():
-        assert len({(deg_c, diff) for _, deg_c, diff in seen}) == 1, pair
 
 
 def test_expected_fail_tags_derived_from_verdicts(db):
@@ -551,13 +561,15 @@ def test_verify_packaged_table_is_clean(db, rows):
     assert values[(21, (0, 2, 4), 7)].exclusion_value is not None
 
 
-@pytest.mark.parametrize("seed", [None, 11], ids=["packaged", "wide-11"])
+@pytest.mark.parametrize("seed", [None, 3, 11], ids=["packaged", "wide-3", "wide-11"])
 def test_certificate_quantities_are_exact(db, rows, wide_tables, seed):
+    # Each quantity carries the text every view prints, written once.
     table = rows if seed is None else load_surface_rows(wide_tables[seed])
     for cert in verify_surface_table(db, table).certificates:
         assert type(cert.a_cube) is Fraction
-        for field, value in cert.quantities:
+        for field, value, text in cert.quantities:
             assert type(value) is Fraction, (cert.family, field, value)
+            assert text == format_rational(value), (cert.family, field, text)
 
 
 def test_verify_table_reports_tag_mismatch(db, rows):

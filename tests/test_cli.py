@@ -139,18 +139,28 @@ def test_lists_detect_derivation_drift(capsys, tmp_path):
     ]
 
 
-def test_lists_json_match_flag_compares_members_not_order(capsys, monkeypatch):
+def test_lists_match_flag_compares_order_and_repeats(capsys, monkeypatch):
+    # A list matches only when its members are the expected tuple exactly:
+    # the same families reversed, or with one repeated, are a mismatch.
     derive = report.derived_lists
 
     def reordered(db):
         lists = dict(derive(db))
         lists["shared_factor"] = lists["shared_factor"][::-1]
+        lists["weak_bound"] = lists["weak_bound"] + lists["weak_bound"][:1]
         return lists
 
     monkeypatch.setattr(report, "derived_lists", reordered)
     code, out, _ = run(capsys, "lists", "--format", "json")
-    assert code == cli.EXIT_OK
-    assert all(entry["match"] for entry in json.loads(out)["lists"].values())
+    assert code == cli.EXIT_CHECK_FAILED
+    lists = json.loads(out)["lists"]
+    assert [name for name, entry in lists.items() if not entry["match"]] == [
+        "shared_factor", "weak_bound",
+    ]
+    code, out, _ = run(capsys, "lists")
+    assert code == cli.EXIT_CHECK_FAILED
+    assert ("MISMATCH shared_factor: missing [], unexpected [], "
+            "members out of order or repeated") in out.splitlines()
 
 
 # ---------------------------------------------------------------------------

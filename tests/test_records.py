@@ -80,3 +80,17 @@ def test_record_contract(audit_records, name):
     assert shown.startswith(f"{name}(")
     for field, value in fields.items():
         assert f"{field}={value!r}" in shown
+
+
+def test_store_refuses_a_miscounted_call():
+    class Pair(Record):
+        __slots__ = ("first", "second")
+
+        def __init__(self, *values):
+            self._store(*values)
+
+    assert Pair(1, 2)._fields() == (1, 2)
+    with pytest.raises(ValueError):
+        Pair(1)
+    with pytest.raises(ValueError):
+        Pair(1, 2, 3)

@@ -73,6 +73,17 @@ def test_derived_lists_match_goldens(db):
     assert report.list_mismatches(derived) == {}
 
 
+@pytest.mark.parametrize(
+    "members",
+    [GOLDEN_LISTS["strong_bound"][::-1], (40,) + GOLDEN_LISTS["strong_bound"]],
+    ids=["reversed", "repeated"],
+)
+def test_list_mismatches_see_order_and_repeats(db, members):
+    # The same members out of order, or with one repeated, are no match.
+    derived = dict(derived_lists(db), strong_bound=members)
+    assert report.list_mismatches(derived) == {"strong_bound": ((), ())}
+
+
 def test_list_mismatches_report_both_directions(db):
     derived = dict(derived_lists(db))
     derived["shared_factor"] = tuple(
@@ -407,6 +418,9 @@ def _forge_test_class_b(doc):
          "certificates.test_class[0].b: serialized 1, recomputed 2"),
         ("full", lambda doc: doc["lists"]["strong_bound"].update(families=[1, 2, 3]),
          "lists.strong_bound.match: serialized True, recomputed False"),
+        ("full", lambda doc: doc["lists"]["strong_bound"].update(
+            families=[40, *GOLDEN_LISTS["strong_bound"][::-1]]),
+         "lists.strong_bound.match: serialized True, recomputed False"),
         ("full", lambda doc: doc["certificates"]["surface"][3].update(valid=1),
          "certificates.surface[3].valid: serialized 1, recomputed True"),
         ("lists", lambda doc: doc.update(families=None), "families: is not an array"),
@@ -414,8 +428,8 @@ def _forge_test_class_b(doc):
          "lists.weak_bound.families: does not rebuild "
          "(TypeError: 'NoneType' object is not iterable)"),
     ],
-    ids=["family-22-as-23", "test-class-b", "list-members", "surface-valid-int",
-         "lists-families-null", "list-members-null"],
+    ids=["family-22-as-23", "test-class-b", "list-members", "list-order-repeat",
+         "surface-valid-int", "lists-families-null", "list-members-null"],
 )
 def test_revalidate_refuses_forged_documents(capsys, command, forge, problem):
     # Each forgery agrees with itself entry by entry: only whole sections
