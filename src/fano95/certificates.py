@@ -148,16 +148,11 @@ def test_class_value(b: int, a_cube: Fraction, deg_c: Fraction, p_a: int) -> Fra
 
 
 class TestClassCertificate(Record):
-    """A strict-negativity certificate M·B² < 0 excluding one curve: the
-    test class b·A − E over the curve (a human-readable description)."""
+    """A strict-negativity certificate M·B² < 0 excluding one curve of a family:
+    its number, the curve (a description), the test class b·A − E's int b, the
+    Fractions A³ and deg C, the curve's genus p_a and the Fraction M·B²."""
 
     __slots__ = ("family", "curve", "b", "a_cube", "deg_c", "p_a", "value")
-
-    def __init__(
-        self, family: int, curve: str, b: int, a_cube: Fraction, deg_c: Fraction,
-        p_a: int, value: Fraction,
-    ):
-        self._store(family, curve, b, a_cube, deg_c, p_a, value)
 
     @classmethod
     def build(
@@ -284,7 +279,7 @@ class SurfaceRow(Record):
         _check_integer("surface-system multiplier", m)
         if m < 1:
             raise ValueError(f"surface-system multiplier must be >= 1, got {m}")
-        self._store(family, vanishing, fails, method, m)
+        Record.__init__(self, family, vanishing, fails, method, m)
 
 
 def parse_surface_row(line: str, line_number: int | None = None) -> SurfaceRow:
@@ -364,18 +359,20 @@ def load_packaged_surface_rows() -> tuple[SurfaceRow, ...]:
 
 class SurfaceCertificate(Record):
     """Fully evaluated surface certificate for one table row, every quantity
-    and verdict stored once by ``certify_row``.
+    and verdict stored once by ``certify_row``: the ``SurfaceRow``, then the
+    Fractions A³ and deg C, the different's indices (a tuple of ints), the
+    Fractions ``diff_total``, ``c2t`` (C²_T) and method 41's ``exclusion_value``.
 
-    Method 42 pairs C with the companion C′ of the pencil C + C′ ~ A|_T.  The
-    method-41 ``exclusion_value`` and the method-42 ``deg_c_prime``,
-    ``c_prime_sq``, ``degree_sum`` (deg C + deg C′, against the cap),
-    ``forces_alpha_one`` (C′² < 0) and ``degree_contradiction`` (degree sum
-    > cap) are None for the other method.  ``quantities`` holds the evaluated
-    quantities in report order as (JSON field name, value, ``format_rational``
-    text); every view of the certificate (JSON, text, coverage) reads the text
-    there, printed once.  ``boundary`` is True
-    when some deciding quantity is exactly zero/equal — reported separately
-    because validity demands strict inequalities.
+    Method 42 pairs C with the companion C′ of the pencil C + C′ ~ A|_T; its
+    Fractions ``deg_c_prime``, ``c_prime_sq``, ``degree_sum`` (deg C + deg C′,
+    against the cap) and bools ``forces_alpha_one`` (C′² < 0) and
+    ``degree_contradiction`` (degree sum > cap) follow.  A field of the other
+    method is None.  ``quantities`` holds the evaluated quantities in report
+    order as (JSON field name, value, ``format_rational`` text); every view of
+    the certificate (JSON, text, coverage) reads the text there, printed once.
+    Last come the bools ``valid`` and ``boundary``, True when some deciding
+    quantity is exactly zero/equal — reported separately because validity
+    demands strict inequalities.
     """
 
     __slots__ = (
@@ -383,18 +380,6 @@ class SurfaceCertificate(Record):
         "exclusion_value", "deg_c_prime", "c_prime_sq", "degree_sum",
         "forces_alpha_one", "degree_contradiction", "quantities", "valid", "boundary",
     )
-
-    def __init__(
-        self, row: SurfaceRow, a_cube: Fraction, deg_c: Fraction,
-        diff_indices: tuple[int, ...], diff_total: Fraction, c2t: Fraction,
-        exclusion_value: Fraction | None, deg_c_prime: Fraction | None,
-        c_prime_sq: Fraction | None, degree_sum: Fraction | None,
-        forces_alpha_one: bool | None, degree_contradiction: bool | None,
-        quantities: tuple[tuple[str, Fraction, str], ...], valid: bool, boundary: bool,
-    ):
-        self._store(row, a_cube, deg_c, diff_indices, diff_total, c2t, exclusion_value,
-                    deg_c_prime, c_prime_sq, degree_sum, forces_alpha_one,
-                    degree_contradiction, quantities, valid, boundary)
 
     @property
     def family(self) -> int:
@@ -452,17 +437,11 @@ def expected_fail_tags(f: FamilyRecord) -> frozenset[str]:
 
 
 class TableVerification(Record):
-    """Outcome of verifying the whole surface-row table; each tag mismatch is
-    (family, tags in the row file, tags re-derived from the weights)."""
+    """Outcome of verifying the whole surface-row table: the tuple of
+    ``SurfaceCertificate``s in row order, and the tuple of tag mismatches,
+    each (family, tags in the row file, tags re-derived from the weights)."""
 
     __slots__ = ("certificates", "tag_mismatches")
-
-    def __init__(
-        self,
-        certificates: tuple[SurfaceCertificate, ...],
-        tag_mismatches: tuple[tuple[int, frozenset[str], frozenset[str]], ...],
-    ):
-        self._store(certificates, tag_mismatches)
 
     @property
     def invalid(self) -> tuple[SurfaceCertificate, ...]:

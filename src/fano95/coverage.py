@@ -51,12 +51,9 @@ class AnnotationKind(Enum):
 
 
 class Annotation(Record):
-    """One step taken on trust, with its kind."""
+    """One step taken on trust: its ``AnnotationKind`` and its text."""
 
     __slots__ = ("kind", "text")
-
-    def __init__(self, kind: AnnotationKind, text: str):
-        self._store(kind, text)
 
 
 class RouteEntry(Record):
@@ -69,21 +66,17 @@ class RouteEntry(Record):
         self, route: str, detail: str, values: tuple[tuple[str, str], ...] = (),
         annotations: tuple[Annotation, ...] = (), gaps: tuple[str, ...] = (),
     ):
-        self._store(route, detail, values, annotations, gaps)
+        Record.__init__(self, route, detail, values, annotations, gaps)
 
 
 Status = Literal["Covered", "Gap"]
 
 
 class FamilyCoverage(Record):
-    """Coverage verdict for a single family."""
+    """Coverage verdict for a single family: its number, its ``CaseTag``, and
+    the ``RouteEntry`` of its residual and of its contracted curve classes."""
 
     __slots__ = ("family", "case", "residual", "contracted")
-
-    def __init__(
-        self, family: int, case: CaseTag, residual: RouteEntry, contracted: RouteEntry
-    ):
-        self._store(family, case, residual, contracted)
 
     @property
     def gaps(self) -> tuple[str, ...]:
@@ -140,9 +133,7 @@ _ROW_VALUE_LABELS = {
 }
 
 
-def _surface_row_values(
-    certs: Iterable[SurfaceCertificate],
-) -> tuple[tuple[str, str], ...]:
+def _surface_row_values(certs: Iterable[SurfaceCertificate]) -> tuple[tuple[str, str], ...]:
     values = []
     for cert in certs:
         key = f"row {{{','.join(str(i) for i in sorted(cert.row.vanishing))}}}"
@@ -152,13 +143,24 @@ def _surface_row_values(
             if field in _ROW_VALUE_LABELS
         )
         if cert.degree_sum is not None:
-            values.append(
-                (
-                    f"{key} degree sum vs cap",
-                    f"{format_rational(cert.degree_sum)} vs {format_rational(cert.a_cube)}",
-                )
-            )
+            values.append((f"{key} degree sum vs cap", f"{format_rational(cert.degree_sum)} "
+                           f"vs {format_rational(cert.a_cube)}"))
     return tuple(values)
+
+
+def _surface_rows_route(
+    kind: str, certs: tuple[SurfaceCertificate, ...], missing: str, detail: str
+) -> RouteEntry:
+    """The surface-rows route of the ``kind`` ("residual" or "contracted")
+    curve classes: a gap names ``missing`` when no row applies, another any
+    invalid certificate."""
+    gaps = []
+    if not certs:
+        gaps.append(f"{kind} ({missing})")
+    if any(not c.valid for c in certs):
+        gaps.append(f"{kind} (invalid surface certificate)")
+    return RouteEntry("surface-rows", detail, _surface_row_values(certs),
+                      (_CLASSIFICATION_NOTE, _INDEX_RULE_NOTE), tuple(gaps))
 
 
 def _residual_route(
@@ -179,29 +181,22 @@ def _residual_route(
         ]
         if verdict.residual is BoundStatus.FAILS:
             comparisons = extension_check(f)
-            for e in comparisons:
-                values.append(
-                    (e.label, f"{format_rational(e.lhs)} {e.relation} "
-                              f"{format_rational(e.rhs)}")
-                )
+            values.extend((e.label, f"{format_rational(e.lhs)} {e.relation} "
+                                    f"{format_rational(e.rhs)}") for e in comparisons)
             return RouteEntry(
                 route="extension-checks",
                 detail="residual bound fails outright; every double-projection "
                 "image is compared against the degree cap, with the "
                 "non-strict comparisons closed by recorded assumptions",
                 values=tuple(values),
-                annotations=tuple(
-                    Annotation(AnnotationKind.GENERALITY, e.note)
-                    for e in comparisons
-                    if not e.contradiction
-                ),
+                annotations=tuple(Annotation(AnnotationKind.GENERALITY, e.note)
+                                  for e in comparisons if not e.contradiction),
             )
         gaps = ()
         if "shared_factor" in verdict.lists:
             chk = shared_factor_check(f)
-            values.append(
-                (chk.label, f"{format_rational(chk.lhs)} vs {format_rational(chk.rhs)}")
-            )
+            values.append((chk.label,
+                           f"{format_rational(chk.lhs)} vs {format_rational(chk.rhs)}"))
             if not chk.contradiction:
                 gaps = ("residual (shared-factor image point uncovered)",)
         if verdict.residual is BoundStatus.STRONG_A:
@@ -234,18 +229,10 @@ def _residual_route(
                     ("degree cap", format_rational(f.a_cube)),
                 ),
             )
-        gaps = []
-        if not certs:
-            gaps.append("residual (pencil bound fails and no surface rows)")
-        if any(not c.valid for c in certs):
-            gaps.append("residual (invalid surface certificate)")
-        return RouteEntry(
-            route="surface-rows",
-            detail="pencil bound fails; the candidate strata are excluded "
+        return _surface_rows_route(
+            "residual", certs, "pencil bound fails and no surface rows",
+            "pencil bound fails; the candidate strata are excluded "
             "row by row on surfaces through them",
-            values=_surface_row_values(certs),
-            annotations=(_CLASSIFICATION_NOTE, _INDEX_RULE_NOTE),
-            gaps=tuple(gaps),
         )
 
     # Case 3.
@@ -299,8 +286,8 @@ def _contracted_route(
             values=(("d", str(f.d)), ("a4", str(a[4]))),
         )
 
-    gaps: list[str] = []
     if reason is ContractedReason.DEGREE_BOUND:
+        gaps = []
         values = [
             ("d", str(f.d)),
             ("a1*a2*a3", str(a[1] * a[2] * a[3])),
@@ -334,18 +321,11 @@ def _contracted_route(
             annotations=(_CONTAINMENT_NOTE,),
         )
 
-    through_last = tuple(c for c in certs if 4 not in c.row.vanishing)
-    if not through_last:
-        gaps.append("contracted (no surface row through the last coordinate point)")
-    if any(not c.valid for c in through_last):
-        gaps.append("contracted (invalid surface certificate)")
-    return RouteEntry(
-        route="surface-rows",
-        detail="contracted candidates reduce to strata through the last "
+    return _surface_rows_route(
+        "contracted", tuple(c for c in certs if 4 not in c.row.vanishing),
+        "no surface row through the last coordinate point",
+        "contracted candidates reduce to strata through the last "
         "coordinate point, excluded on surfaces through them",
-        values=_surface_row_values(through_last),
-        annotations=(_CLASSIFICATION_NOTE, _INDEX_RULE_NOTE),
-        gaps=tuple(gaps),
     )
 
 
@@ -370,14 +350,11 @@ def build_coverage(
     out = []
     for f, verdict in zip(db, family_verdicts(db)):
         certs = tuple(by_family.get(f.number, ()))
-        out.append(
-            FamilyCoverage(
-                family=f.number,
-                case=verdict.case,
-                residual=_residual_route(f, verdict, certs, test_class_by_family),
-                contracted=_contracted_route(f, verdict, certs),
-            )
-        )
+        out.append(FamilyCoverage(
+            f.number, verdict.case,
+            _residual_route(f, verdict, certs, test_class_by_family),
+            _contracted_route(f, verdict, certs),
+        ))
     return tuple(out)
 
 

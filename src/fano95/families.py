@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import io
 import re
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
@@ -57,12 +56,10 @@ class FamilyNotFoundError(FamilyTableError):
 
 
 class FamilyRecord(Record):
-    """One family: its number, hypersurface degree, weights and degree invariant."""
+    """One family: its number and hypersurface degree d (ints), its
+    ``Weights`` and its degree invariant a_cube = A³ (a Fraction)."""
 
     __slots__ = ("number", "d", "weights", "a_cube")
-
-    def __init__(self, number: int, d: int, weights: Weights, a_cube: Fraction):
-        self._store(number, d, weights, a_cube)
 
     @classmethod
     def build(cls, number: int, d: int, weights: Weights) -> "FamilyRecord":
@@ -107,7 +104,6 @@ class FamilyDatabase:
                 raise ValidationError(
                     r.number, f"degree {r.d} and weights {r.weights} repeat family {other}"
                 )
-        self._by_number = {r.number: r for r in self._records}
 
     def __iter__(self) -> Iterator[FamilyRecord]:
         return iter(self._records)
@@ -116,13 +112,15 @@ class FamilyDatabase:
         return len(self._records)
 
     def get(self, number: int) -> FamilyRecord:
-        """The unique record with the given number; FamilyNotFoundError otherwise."""
-        try:
-            return self._by_number[number]
-        except KeyError:
+        """The record numbered ``number``: TypeError for a non-integer (a bool or
+        float included), FamilyNotFoundError for an integer outside 1..95."""
+        if type(number) is not int:
+            _check_integer("family number", number)
+        if not 1 <= number <= FAMILY_COUNT:
             raise FamilyNotFoundError(
                 f"no family numbered {number}; valid numbers are 1..{FAMILY_COUNT}"
-            ) from None
+            )
+        return self._records[number - 1]
 
     @property
     def records(self) -> tuple[FamilyRecord, ...]:

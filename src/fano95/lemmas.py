@@ -90,7 +90,7 @@ class Comparison(Record):
     __slots__ = ("label", "lhs", "rhs", "note")
 
     def __init__(self, label: str, lhs: Fraction, rhs: Fraction, note: str | None = None):
-        self._store(label, lhs, rhs, note)
+        Record.__init__(self, label, lhs, rhs, note)
 
     @property
     def relation(self) -> str:
@@ -241,16 +241,11 @@ _FAIL_TAGS = {"pencil_exceptions": "residual", "contracted_unsafe": "contracted"
 
 
 class FamilyVerdict(Record):
-    """What the weights decide about one family: its case, the case's residual
+    """What the weights decide about one family: its ``CaseTag``, the residual
     verdict (a ``BoundStatus`` in Case 1, else a bool), its ``ContractedReason``
-    or None, the derived lists it belongs to and its surface rows' fail tags."""
+    or None, and the frozensets of its derived lists and its rows' fail tags."""
 
     __slots__ = ("case", "residual", "contracted", "lists", "fail_tags")
-
-    def __init__(self, case: CaseTag, residual: BoundStatus | bool,
-                 contracted: ContractedReason | None, lists: frozenset[str],
-                 fail_tags: frozenset[str]):
-        self._store(case, residual, contracted, lists, fail_tags)
 
 
 def family_verdict(f: FamilyRecord) -> FamilyVerdict:

@@ -94,10 +94,11 @@ def _stratum(w1: int, w2: int, m: int) -> tuple:
 
 
 class Record:
-    """Base of the package's immutable records: a subclass names its fields in
-    ``__slots__`` and stores them in its own ``__init__`` with one ``_store``
-    call, in slot order.  Records of one class are equal, and hash alike, when
-    their fields are; copy and pickle rebuild them through the constructor."""
+    """Base of the package's immutable records: a subclass declares its fields
+    once, in ``__slots__``, and is built from them in that order, positionally
+    or by name; one that checks or defaults its arguments ends its ``__init__``
+    with ``Record.__init__(self, ...)``.  Records of one class are equal, and
+    hash alike, when their fields are; copy and pickle go through ``__init__``."""
 
     __slots__ = ()
 
@@ -105,14 +106,21 @@ class Record:
         super().__init_subclass__(**kwargs)
         cls._setters = tuple([getattr(cls, name).__set__ for name in cls.__slots__])
 
-    def _store(self, *values) -> None:
-        """Fill every slot, in ``__slots__`` order; a miscount is a ValueError.
-        The count is checked up front: ``zip(..., strict=True)`` would raise the
+    def __init__(self, *values, **named):
+        """Fill the slots in order from ``values``, then the rest by name; a
+        wrong count or a missing, unknown or repeated name is a TypeError.  The
+        count is checked up front: ``zip(..., strict=True)`` would raise the
         same, but its keyword call costs more than the fill of a small record."""
+        if named:
+            rest = self.__slots__[len(values):]
+            if named.keys() != set(rest):
+                raise TypeError(f"{type(self).__name__} takes {list(rest)} by name, "
+                                f"got {sorted(named)}")
+            values += tuple([named[name] for name in rest])
         setters = self._setters
         if len(values) != len(setters):
-            raise ValueError(f"{type(self).__name__} has {len(setters)} fields, "
-                             f"got {len(values)} values")
+            raise TypeError(f"{type(self).__name__} has {len(setters)} fields, "
+                            f"got {len(values)} values")
         for setter, value in zip(setters, values):
             setter(self, value)
 
@@ -198,7 +206,7 @@ class StratumCurve(Record):
             _check_integer("stratum weight", w)
         if len(weights) != 2 or min(weights) < 1:
             raise ValueError(f"need two stratum weights >= 1, got {weights}")
-        self._store(vanishing, weights)
+        Record.__init__(self, vanishing, weights)
 
     @classmethod
     def from_vanishing(cls, weights: Weights, vanishing) -> "StratumCurve":

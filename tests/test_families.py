@@ -48,6 +48,14 @@ def test_get_family_outside_range_raises(db):
             db.get(n)
 
 
+@pytest.mark.parametrize("number, error", [(True, TypeError), (1.0, TypeError),
+                                           (0, FamilyNotFoundError),
+                                           (96, FamilyNotFoundError)])
+def test_get_refuses_a_non_integer_or_out_of_range_number(db, number, error):
+    with pytest.raises(error):
+        db.get(number)
+
+
 def test_database_is_iterable_in_order(db):
     numbers = [f.number for f in db]
     assert numbers == sorted(numbers)

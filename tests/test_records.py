@@ -82,15 +82,30 @@ def test_record_contract(audit_records, name):
         assert f"{field}={value!r}" in shown
 
 
-def test_store_refuses_a_miscounted_call():
-    class Pair(Record):
-        __slots__ = ("first", "second")
+class Pair(Record):
+    __slots__ = ("first", "second")
 
-        def __init__(self, *values):
-            self._store(*values)
 
-    assert Pair(1, 2)._fields() == (1, 2)
-    with pytest.raises(ValueError):
-        Pair(1)
-    with pytest.raises(ValueError):
-        Pair(1, 2, 3)
+@pytest.mark.parametrize("args, named", [
+    ((1, 2), {}),
+    ((), {"first": 1, "second": 2}),
+    ((), {"second": 2, "first": 1}),
+    ((1,), {"second": 2}),
+], ids=["positional", "named", "named-reordered", "mixed"])
+def test_record_is_built_from_its_slots_positionally_or_by_name(args, named):
+    assert Pair(*args, **named)._fields() == (1, 2)
+
+
+@pytest.mark.parametrize("args, named", [
+    ((1,), {}),
+    ((1, 2, 3), {}),
+    ((), {"first": 1}),
+    ((), {"second": 2}),
+    ((1, 2), {"third": 3}),
+    ((1,), {"second": 2, "third": 3}),
+    ((1,), {"first": 1, "second": 2}),
+], ids=["too-few", "too-many", "missing", "missing-first", "unknown",
+        "unknown-with-rest", "repeated"])
+def test_record_constructor_refuses_a_miscounted_call(args, named):
+    with pytest.raises(TypeError):
+        Pair(*args, **named)
