@@ -42,7 +42,7 @@ from .lemmas import (
     family_verdicts,
 )
 from .wps import (Record, _check_integer, _check_rational, _check_vanishing, _different,
-                  _quantity, _self_intersection, _stratum, stratum_weights)
+                  _quantity, _self_intersection, _stratum, format_rational, stratum_weights)
 
 SURFACE_ROWS_FILENAME = "surface_rows.tsv"
 
@@ -264,7 +264,8 @@ class SurfaceRow(Record):
         self, family: int, vanishing: Iterable[int], fails: Iterable[str],
         method: Method, m: int,
     ):
-        _check_integer("family number", family)
+        if type(family) is not int:
+            _check_integer("family number", family)
         if not 1 <= family <= FAMILY_COUNT:
             raise ValueError(f"family number must lie in 1..{FAMILY_COUNT}, got {family}")
         if not isinstance(method, Method):
@@ -276,7 +277,8 @@ class SurfaceRow(Record):
             raise ValueError(f"unknown fail tags {sorted(fails - VALID_FAIL_TAGS)}")
         if len(tags) != len(fails):
             raise ValueError(f"fail tags must be distinct, got {sorted(tags)}")
-        _check_integer("surface-system multiplier", m)
+        if type(m) is not int:
+            _check_integer("surface-system multiplier", m)
         if m < 1:
             raise ValueError(f"surface-system multiplier must be >= 1, got {m}")
         Record.__init__(self, family, vanishing, fails, method, m)
@@ -357,29 +359,35 @@ def load_packaged_surface_rows() -> tuple[SurfaceRow, ...]:
 # Row certification
 # ---------------------------------------------------------------------------
 
-class SurfaceCertificate(Record):
-    """Fully evaluated surface certificate for one table row, every quantity
-    and verdict stored once by ``certify_row``: the ``SurfaceRow``, then the
-    Fractions A³ and deg C, the different's indices (a tuple of ints), the
-    Fractions ``diff_total``, ``c2t`` (C²_T) and method 41's ``exclusion_value``.
+def _from_quantities(name: str) -> property:
+    """A read-only accessor: the value of quantity ``name``, None if the method has none."""
+    return property(lambda cert: next((v for f, v, _ in cert.quantities if f == name), None))
 
-    Method 42 pairs C with the companion C′ of the pencil C + C′ ~ A|_T; its
-    Fractions ``deg_c_prime``, ``c_prime_sq``, ``degree_sum`` (deg C + deg C′,
-    against the cap) and bools ``forces_alpha_one`` (C′² < 0) and
-    ``degree_contradiction`` (degree sum > cap) follow.  A field of the other
-    method is None.  ``quantities`` holds the evaluated quantities in report
-    order as (JSON field name, value, ``format_rational`` text); every view of
-    the certificate (JSON, text, coverage) reads the text there, printed once.
-    Last come the bools ``valid`` and ``boundary``, True when some deciding
-    quantity is exactly zero/equal — reported separately because validity
-    demands strict inequalities.
+
+class SurfaceCertificate(Record):
+    """Fully evaluated surface certificate for one table row, each quantity
+    and verdict stored once by ``certify_row``: the ``SurfaceRow``, the
+    Fraction A³, the different's indices (a tuple of ints), then
+    ``quantities``, as (JSON field name, value, ``format_rational`` text), of
+    deg C, the different total and C²_T, then method 41's exclusion value or
+    method 42's deg C′ and C′² of the companion C′ in the pencil C + C′ ~ A|_T.
+    Every view reads the text there, printed once; the accessors of those names
+    (``deg_c`` ... ``c_prime_sq``) read the value, None for the other method's.
+
+    Method 42 alone fills ``cap_check`` (its degree sum deg C + deg C′ as a
+    Fraction, its text and A³'s text; the accessor ``degree_sum`` reads the
+    Fraction) and the bools ``forces_alpha_one`` (C′² < 0) and
+    ``degree_contradiction`` (degree sum > cap).  Last come the bools ``valid``
+    and ``boundary``, True when some deciding quantity is exactly zero/equal —
+    reported separately because validity demands strict inequalities.
     """
 
-    __slots__ = (
-        "row", "a_cube", "deg_c", "diff_indices", "diff_total", "c2t",
-        "exclusion_value", "deg_c_prime", "c_prime_sq", "degree_sum",
-        "forces_alpha_one", "degree_contradiction", "quantities", "valid", "boundary",
-    )
+    __slots__ = ("row", "a_cube", "diff_indices", "quantities", "cap_check",
+                 "forces_alpha_one", "degree_contradiction", "valid", "boundary")
+
+    deg_c, diff_total, c2t, exclusion_value, deg_c_prime, c_prime_sq = map(_from_quantities, (
+        "deg_c", "diff_total", "c2t", "exclusion_value", "deg_c_prime", "c_prime_sq"))
+    degree_sum = property(lambda cert: cert.cap_check and cert.cap_check[0])
 
     @property
     def family(self) -> int:
@@ -406,26 +414,25 @@ def certify_row(f: FamilyRecord, row: SurfaceRow) -> SurfaceCertificate:
     a, b = a_cube.numerator, a_cube.denominator
     w1, w2 = stratum_weights(f.weights, row.vanishing)
     q = w1 * w2  # deg C = 1/q
-    diff_indices, r, s, c, t, deg_c, diff, c2t, chain = _stratum(w1, w2, m)
+    diff_indices, r, s, c, t, chain = _stratum(w1, w2, m)
     if row.method is Method.M41:
         v, z = _exclusion_value(m, a, b, 1, q, c, t)
-        value = Fraction(v, z)
         return SurfaceCertificate(
-            row, a_cube, deg_c, diff_indices, diff, c2t, value, None, None, None, None,
-            None, chain + (_quantity("exclusion_value", value),), v < 0, v == 0)
+            row, a_cube, diff_indices, chain + (_quantity("exclusion_value", Fraction(v, z)),),
+            None, None, None, v < 0, v == 0)
     # Method 42: the pencil A|_T cuts out C + C', so deg C' = m*A^3 - deg C and
     # the degree sum m*A^3 beats the cap A^3 exactly when m*a > a.  C' meets the
     # same singular points, so adjunction gives C'^2 too.  A companion of degree
     # <= 0 is no curve, so the certificate is invalid.
     p2, q2 = m * a * q - b, b * q
     c2, t2 = _self_intersection(m, p2, q2, r, s)
-    deg_c_prime, c_prime_sq = Fraction(p2, q2), Fraction(c2, t2)
+    degree_sum = Fraction(m * a, b)
     degree_contradiction = m * a > a
     return SurfaceCertificate(
-        row, a_cube, deg_c, diff_indices, diff, c2t, None, deg_c_prime, c_prime_sq,
-        Fraction(m * a, b), c2 < 0, degree_contradiction,
-        chain + (_quantity("deg_c_prime", deg_c_prime),
-                 _quantity("c_prime_sq", c_prime_sq)),
+        row, a_cube, diff_indices,
+        chain + (_quantity("deg_c_prime", Fraction(p2, q2)),
+                 _quantity("c_prime_sq", Fraction(c2, t2))),
+        (degree_sum, format_rational(degree_sum), f.a_cube_text), c2 < 0, degree_contradiction,
         p2 > 0 and c2 < 0 and degree_contradiction, p2 == 0 or c2 == 0 or m * a == a,
     )
 

@@ -3,9 +3,10 @@
 Exit codes: 0 when every requested check passes; 1 when a derived list, a
 certificate or a coverage entry fails, with the full report printed; 2 for
 input problems (unreadable, unparsable, or invalid data files).  Data files
-resolve in three steps: an explicit ``--families`` / ``--table`` flag wins;
-otherwise a file of the standard name inside ``$AUDIT_DATA_DIR``
-(authoritative when the variable is set); otherwise the packaged tables.
+resolve in three steps: an explicit ``--families`` / ``--table`` flag wins,
+and an empty one is an input error that names the flag; otherwise a file of
+the standard name inside ``$AUDIT_DATA_DIR`` (authoritative when the variable
+is set; an empty value counts as unset); otherwise the packaged tables.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ def resolve_data_path(explicit: str | None, filename: str) -> Path:
 
 
 def _load_db(args):
+    if args.families == "":
+        raise _InputError("families table flag --families is empty: it names no file")
     path = resolve_data_path(args.families, FAMILIES_FILENAME)
     try:
         return load_families(path)
@@ -58,6 +61,8 @@ def _load_db(args):
 
 
 def _load_rows(args):
+    if args.table == "":
+        raise _InputError("surface-row table flag --table is empty: it names no file")
     path = resolve_data_path(args.table, SURFACE_ROWS_FILENAME)
     try:
         return load_surface_rows(path)

@@ -39,7 +39,7 @@ from .lemmas import (
     shared_factor_check,
     tangent_indices,
 )
-from .wps import Record, format_rational
+from .wps import Record, _VANISHING_LABELS, format_rational
 
 
 class AnnotationKind(Enum):
@@ -136,15 +136,14 @@ _ROW_VALUE_LABELS = {
 def _surface_row_values(certs: Iterable[SurfaceCertificate]) -> tuple[tuple[str, str], ...]:
     values = []
     for cert in certs:
-        key = f"row {{{','.join(str(i) for i in sorted(cert.row.vanishing))}}}"
+        key = f"row {_VANISHING_LABELS[cert.row.vanishing]}"
         values.extend(
             (f"{key} {_ROW_VALUE_LABELS[field]}", text)
             for field, _, text in cert.quantities
             if field in _ROW_VALUE_LABELS
         )
-        if cert.degree_sum is not None:
-            values.append((f"{key} degree sum vs cap", f"{format_rational(cert.degree_sum)} "
-                           f"vs {format_rational(cert.a_cube)}"))
+        if cert.cap_check:
+            values.append((f"{key} degree sum vs cap", "%s vs %s" % cert.cap_check[1:]))
     return tuple(values)
 
 
@@ -177,7 +176,7 @@ def _residual_route(
             ("d", str(f.d)),
             ("a1*a4", str(a[1] * a[4])),
             ("a2*a4", str(a[2] * a[4])),
-            ("degree cap", format_rational(f.a_cube)),
+            ("degree cap", f.a_cube_text),
         ]
         if verdict.residual is BoundStatus.FAILS:
             comparisons = extension_check(f)
@@ -226,7 +225,7 @@ def _residual_route(
                 values=(
                     ("d", str(f.d)),
                     ("a2*a4", str(a[2] * a[4])),
-                    ("degree cap", format_rational(f.a_cube)),
+                    ("degree cap", f.a_cube_text),
                 ),
             )
         return _surface_rows_route(
@@ -242,7 +241,7 @@ def _residual_route(
             detail="degree cap below 1: residual classes have integer "
             "degree, so all exceed the cap; doubly-contracted classes "
             "land inside two-form sections, the permitted conclusion",
-            values=(("degree cap", format_rational(f.a_cube)),),
+            values=(("degree cap", f.a_cube_text),),
         )
     cert = test_class_by_family.get(f.number)
     if cert is None:
@@ -291,7 +290,7 @@ def _contracted_route(
         values = [
             ("d", str(f.d)),
             ("a1*a2*a3", str(a[1] * a[2] * a[3])),
-            ("degree cap", format_rational(f.a_cube)),
+            ("degree cap", f.a_cube_text),
         ]
         for j in tangent_indices(f):
             try:

@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
-from .wps import Record, Weights, _check_integer, anticanonical_cube
+from .wps import Record, Weights, _check_integer, anticanonical_cube, format_rational
 
 #: Number of families in the classification.
 FAMILY_COUNT = 95
@@ -57,9 +57,10 @@ class FamilyNotFoundError(FamilyTableError):
 
 class FamilyRecord(Record):
     """One family: its number and hypersurface degree d (ints), its
-    ``Weights`` and its degree invariant a_cube = A³ (a Fraction)."""
+    ``Weights``, its degree invariant a_cube = A³ (a Fraction) and A³'s
+    ``format_rational`` text, printed once for every view of the degree cap."""
 
-    __slots__ = ("number", "d", "weights", "a_cube")
+    __slots__ = ("number", "d", "weights", "a_cube", "a_cube_text")
 
     @classmethod
     def build(cls, number: int, d: int, weights: Weights) -> "FamilyRecord":
@@ -76,7 +77,8 @@ class FamilyRecord(Record):
                 f"d = {d} but a1+a2+a3+a4 = {tail_sum} "
                 "(invariant d = a1+a2+a3+a4 violated)",
             )
-        return cls(number, d, weights, anticanonical_cube(d, weights))
+        a_cube = anticanonical_cube(d, weights)
+        return cls(number, d, weights, a_cube, format_rational(a_cube))
 
 
 class FamilyDatabase:

@@ -36,7 +36,7 @@ from .certificates import (
 from .coverage import FamilyCoverage
 from .families import FAMILY_COUNT, FamilyDatabase, FamilyRecord
 from .lemmas import LIST_NAMES, classify_case, family_verdicts
-from .wps import Weights, format_rational
+from .wps import Weights, _VANISHING_LABELS, format_rational
 
 #: Expected membership lists, used only to cross-check the derived ones.
 GOLDEN_LISTS: dict[str, tuple[int, ...]] = {
@@ -98,7 +98,7 @@ def _family_json(f: FamilyRecord) -> dict:
     return {
         "case": classify_case(f).value,
         "d": f.d,
-        "degree_cap": format_rational(f.a_cube),
+        "degree_cap": f.a_cube_text,
         "number": f.number,
         "weights": list(f.weights),
     }
@@ -455,16 +455,10 @@ def render_certificates(
         flag = ("valid" if cert.valid else "INVALID") + (" boundary" if cert.boundary else "")
         values = ", ".join([f"{_FIELD_NAMES[field]} {text}"
                             for field, _, text in cert.quantities])
-        if cert.degree_sum is not None:
-            values += (
-                f", degree sum {format_rational(cert.degree_sum)} vs cap "
-                f"{format_rational(cert.a_cube)}"
-            )
-        lines.append(
-            "surface family {} row {{{},{},{}}} method {} m={}: {} [{}]".format(
-                row.family, *sorted(row.vanishing), row.method.value, row.m, values, flag
-            )
-        )
+        if cert.cap_check:
+            values += ", degree sum %s vs cap %s" % cert.cap_check[1:]
+        lines.append(f"surface family {row.family} row {_VANISHING_LABELS[row.vanishing]} "
+                     f"method {row.method.value} m={row.m}: {values} [{flag}]")
     for family, got, expected in verification.tag_mismatches:
         lines.append(
             f"TAG MISMATCH family {family}: row file says {sorted(got)}, "

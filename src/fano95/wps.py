@@ -33,6 +33,9 @@ def _check_rational(what: str, value) -> None:
 #: The two surviving coordinates, ascending, of each valid vanishing set.
 _SURVIVING = {frozenset(range(5)) - {i, j}: (i, j) for i, j in combinations(range(5), 2)}
 
+#: The "{i,j,k}" label every view prints for each valid vanishing set.
+_VANISHING_LABELS = {v: "{%d,%d,%d}" % tuple(sorted(v)) for v in _SURVIVING}
+
 
 def _check_vanishing(vanishing) -> frozenset[int]:
     """The vanishing set as a frozenset; rejects any entries but three distinct
@@ -81,16 +84,14 @@ def _quantity(field: str, value: Fraction) -> tuple[str, Fraction, str]:
 def _stratum(w1: int, w2: int, m: int) -> tuple:
     """The family-free part of every certificate on the curve P(w1, w2) on a
     surface in |m·A − C|: its singular-point indices (the weights > 1), their
-    different r/s, C²_T = c/t, deg C = 1/(w1*w2), r/s and c/t as Fractions,
-    and the (field, value, text) quantities of those three.  All immutable,
-    so callers share results."""
+    different r/s, C²_T = c/t, and the (field, value, text) quantities of
+    deg C = 1/(w1*w2), r/s and c/t.  All immutable, so callers share results."""
     diff_indices = tuple([w for w in (w1, w2) if w > 1])
     r, s = _different(diff_indices)
     c, t = _self_intersection(m, 1, w1 * w2, r, s)
-    deg_c, diff, c2t = Fraction(1, w1 * w2), Fraction(r, s), Fraction(c, t)
-    chain = (_quantity("deg_c", deg_c), _quantity("diff_total", diff),
-             _quantity("c2t", c2t))
-    return diff_indices, r, s, c, t, deg_c, diff, c2t, chain
+    chain = (_quantity("deg_c", Fraction(1, w1 * w2)),
+             _quantity("diff_total", Fraction(r, s)), _quantity("c2t", Fraction(c, t)))
+    return diff_indices, r, s, c, t, chain
 
 
 class Record:
@@ -217,7 +218,7 @@ class StratumCurve(Record):
     @property
     def degree(self) -> Fraction:
         """deg C = 1/(w1*w2), as every certificate on the stratum has it."""
-        return _stratum(*self.surviving_weights, 1)[5]
+        return _stratum(*self.surviving_weights, 1)[-1][0][1]  # the deg_c quantity's value
 
 
 def anticanonical_cube(d: int, weights: Weights) -> Fraction:

@@ -10,8 +10,9 @@ from fano95 import load_packaged_families, load_packaged_surface_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: Seeds of the 950-row wide tables the tests run on.
-WIDE_SEEDS = (3, 11)
+#: Seeds of the 950-row wide tables the tests run on; seed 1 is the table
+#: the ``wide-text`` benchmark workload audits.
+WIDE_SEEDS = (1, 3, 11)
 
 
 @pytest.fixture(scope="session")

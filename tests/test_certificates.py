@@ -561,6 +561,48 @@ def test_verify_packaged_table_is_clean(db, rows):
     assert values[(21, (0, 2, 4), 7)].exclusion_value is not None
 
 
+#: The quantities each method evaluates, in report order.
+_METHOD_QUANTITIES = {
+    Method.M41: ("deg_c", "diff_total", "c2t", "exclusion_value"),
+    Method.M42: ("deg_c", "diff_total", "c2t", "deg_c_prime", "c_prime_sq"),
+}
+
+
+def test_certificate_accessors_read_the_stored_quantities(db, wide_tables):
+    # Each quantity is stored once, in ``quantities``: no slot holds it again,
+    # its accessor returns the stored value itself, and the accessor of the
+    # other method's quantity is None.  The degree sum is read from cap_check.
+    names = set().union(*_METHOD_QUANTITIES.values())
+    slots = set(C.SurfaceCertificate.__slots__)
+    assert len(slots) == 9 and not (names | {"degree_sum"}) & slots
+    methods = set()
+    for cert in verify_surface_table(db, load_surface_rows(wide_tables[11])).certificates:
+        method = cert.row.method
+        methods.add(method)
+        stored = {field: value for field, value, _ in cert.quantities}
+        assert tuple(stored) == _METHOD_QUANTITIES[method], cert.row
+        assert not slots & set(stored)
+        for name in names:
+            assert getattr(cert, name) is stored.get(name), (cert.row, name)
+        f = db.get(cert.family)
+        if method is Method.M41:
+            assert cert.cap_check is cert.degree_sum is None
+        else:
+            total = cert.row.m * f.a_cube
+            assert cert.cap_check == (total, format_rational(total), format_rational(f.a_cube))
+            assert cert.degree_sum is cert.cap_check[0]
+        for name in names | {"degree_sum"}:
+            with pytest.raises(AttributeError):
+                setattr(cert, name, None)
+    assert methods == set(Method)
+
+
+def test_family_record_carries_its_degree_cap_text(db):
+    # A³ is printed once per family, when the record is built.
+    for f in db:
+        assert f.a_cube_text == format_rational(f.a_cube)
+
+
 @pytest.mark.parametrize("seed", [None, 3, 11], ids=["packaged", "wide-3", "wide-11"])
 def test_certificate_quantities_are_exact(db, rows, wide_tables, seed):
     # Each quantity carries the text every view prints, written once.

@@ -12,8 +12,9 @@ import pytest
 
 from fano95 import certificates, cli, lemmas, report, revalidate_document
 from fano95.certificates import SURFACE_ROWS_FILENAME, load_surface_rows, verify_surface_table
-from fano95.coverage import build_coverage
+from fano95.coverage import _surface_row_values, build_coverage
 from fano95.families import load_families, packaged_data_path
+from fano95.wps import format_rational
 
 FAMILIES = packaged_data_path("families.tsv")
 ROWS = packaged_data_path(SURFACE_ROWS_FILENAME)
@@ -391,7 +392,8 @@ def test_full_output_bytes_are_pinned(capsys, fmt):
 #: Exit code and stdout SHA-256 of the other commands.  "T" and "T3" stand
 #: for the seed-11 and seed-3 ``perfbench/widetable.py`` tables, whose
 #: method-42 rows, INVALID rows, tag mismatches and gaps reach every surface
-#: view; two seeds, so the pins do not rest on one draw.
+#: view; two seeds, so the pins do not rest on one draw.  "T1" is the seed-1
+#: table, whose ``full`` text is the exact output the wide-text benchmark times.
 OUTPUT_SHA256 = {
     "certify": (0, "1f07e25638f4f3c8e18849af7db5d1b18335918c8df16041b59a5359068b58f3"),
     "certify --format json": (
@@ -414,10 +416,13 @@ OUTPUT_SHA256 = {
     "full --table T3 --format json": (
         1, "9d5b498b9c24567de8e6f7635eb5fcddaac34f342f60ab2377d6e9973bd55d6e"
     ),
+    "full --table T1": (
+        1, "f048d2a3f61c05596347a2bc75d776b31c7f08cb06062f05ce49b918291d1a27"
+    ),
 }
 
 #: The wide-table seed each placeholder in OUTPUT_SHA256 stands for.
-_WIDE_PLACEHOLDERS = {"T": 11, "T3": 3}
+_WIDE_PLACEHOLDERS = {"T": 11, "T3": 3, "T1": 1}
 
 
 @pytest.mark.parametrize("command", sorted(OUTPUT_SHA256))
@@ -526,6 +531,40 @@ def test_full_decides_each_family_once(capsys, wide_tables, seed):
         assert stray == set()
 
 
+def test_views_print_no_surface_rational_again(capsys, wide_tables):
+    # Every surface-certificate rational is printed once, where it is stored:
+    # the text view and coverage read the texts of the quantities, of method
+    # 42's degree sum and of the family's A³.  Only the test-class lines are
+    # formatted in the view, two rationals for each of the six.  A call is
+    # charged to the nearest enclosing named function, so a comprehension or
+    # generator inside a view counts as the view on every Python version.
+    views = {report.render_certificates.__code__, _surface_row_values.__code__}
+    target = format_rational.__code__
+    entered, calls = set(), []
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code in views:
+            entered.add(frame.f_code.co_name)
+        elif frame.f_code is target:
+            caller = frame.f_back
+            while caller.f_code.co_name.startswith("<"):
+                caller = caller.f_back
+            if caller.f_code in views:
+                calls.append(caller.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        code = cli.main(["full", "--table", wide_tables[11]])
+    finally:
+        sys.setprofile(None)
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_CHECK_FAILED and "vs cap" in out
+    assert entered == {"render_certificates", "_surface_row_values"}
+    assert calls == ["render_certificates"] * (2 * len(certificates._TEST_CLASS_CURVES))
+
+
 @pytest.mark.parametrize("table", sorted(ALTERED_LINES))
 def test_an_audit_reads_only_its_own_verdicts(capsys, tmp_path, rows, table):
     # The verdicts are kept for the last database audited; an audit of the
@@ -630,18 +669,28 @@ def test_explicit_flag_beats_env_dir(capsys, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, table",
+    "argv, table, flag",
     [
-        (["validate", "--families", ""], "families table"),
-        (["certify", "--table", ""], "surface-row table"),
+        (["validate", "--families", ""], "families table", "--families"),
+        (["certify", "--table", ""], "surface-row table", "--table"),
+        (["full", "--families", "", "--format", "json"], "families table", "--families"),
+        (["full", "--table", "", "--format", "json"], "surface-row table", "--table"),
     ],
-    ids=["validate", "certify"],
+    ids=["validate", "certify", "full-families", "full-table"],
 )
-def test_empty_path_flag_is_an_input_error(capsys, argv, table):
+def test_empty_path_flag_is_an_input_error(capsys, argv, table, flag):
     # An explicit flag wins even when empty: no fallback to the packaged tables.
+    # Path("") is the current directory, so the error names the empty flag.
     code, out, err = run(capsys, *argv)
     assert (code, out) == (cli.EXIT_INPUT_ERROR, "")
-    assert err.startswith(f"error: {table} ")
+    assert err == f"error: {table} flag {flag} is empty: it names no file\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "full --format json"])
+def test_empty_env_dir_counts_as_unset(capsys, monkeypatch, command):
+    _, expected, _ = run(capsys, *command.split())
+    monkeypatch.setenv(cli.DATA_DIR_ENV, "")
+    assert run(capsys, *command.split()) == (cli.EXIT_OK, expected, "")
 
 
 def test_env_dir_with_tampered_data_still_checks(capsys, monkeypatch, tmp_path):
