@@ -1,19 +1,20 @@
 """Check that an installed ``fano95`` audits byte for byte as its checkout does.
 
-    python ci/installed_parity.py --checkout PATH [--audit COMMAND]
+    python ci/installed_parity.py
 
-The installed side runs COMMAND (default ``audit``, the console script) and
-this interpreter on the demos, with this process's environment, so the
-installed package must be importable from outside the checkout: by ``pip
-install .``, or by a PYTHONPATH that names the install's site-packages.  The
-checkout side runs ``python -m fano95`` and the demos with PYTHONPATH set to
-PATH/src alone.  Both sides run in a fresh temporary directory, and an
-installed ``fano95`` that is imported from inside the checkout is refused, so
-the installed side cannot read the checkout's sources by accident.
+The checkout is the repository holding this script.  The installed side runs
+the ``audit`` console script found on PATH, and this interpreter on the
+demos, with this process's environment, so the installed package must be
+importable from outside the checkout: by ``pip install .``, or by a
+PYTHONPATH that names the install's site-packages.  The checkout side runs
+``python -m fano95`` and the demos with PYTHONPATH set to its ``src`` alone.
+Both sides run in a fresh temporary directory, and an installed ``fano95``
+that is imported from inside the checkout is refused, so the installed side
+cannot read the checkout's sources by accident.
 
 Compared by stdout bytes and exit code: the ten COMMANDS, three of them on
 the seed-3 950-row table of ``perfbench/widetable.py``, and every demo in
-PATH/demos, which must also exit 0.  On the installed side ``full --format
+``demos/``, which must also exit 0.  On the installed side ``full --format
 json`` on that table must exit 1 (its JSON round-trips; its certificates
 fail) and ``validate`` must exit 0.  Exits 0 when everything agrees, else 1
 with one line per difference on stderr.
@@ -21,13 +22,14 @@ with one line per difference on stderr.
 
 from __future__ import annotations
 
-import argparse
 import os
-import shlex
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+#: The repository this script belongs to.
+CHECKOUT = Path(__file__).resolve().parents[1]
 
 #: The audits compared, as argument strings; "WIDE" stands for the wide table.
 COMMANDS = (
@@ -52,17 +54,17 @@ def _with_path(env: dict, *entries: str) -> dict:
     return dict(env, PYTHONPATH=os.pathsep.join(e for e in entries if e))
 
 
-def check(audit: list[str], checkout: Path, work: Path) -> list[str]:
+def check(work: Path) -> list[str]:
     """Every difference between the installed and the checkout audits, run in ``work``."""
     installed = dict(os.environ)
-    local = _with_path(installed, str(checkout / "src"))
+    local = _with_path(installed, str(CHECKOUT / "src"))
     code, out = _run([sys.executable, "-c", "import fano95; print(fano95.__file__)"],
                      installed, work)
     where = out.decode().strip()
-    if code or checkout.resolve() in Path(where).resolve().parents:
+    if code or CHECKOUT in Path(where).resolve().parents:
         return [f"no installed fano95 outside the checkout (exit {code}, found {where!r})"]
     code, text = _run([sys.executable, "-c", _WRITE_WIDE],
-                      _with_path(installed, str(checkout / "perfbench"),
+                      _with_path(installed, str(CHECKOUT / "perfbench"),
                                  installed.get("PYTHONPATH", "")), work)
     if code:
         return [f"writing the seed-{WIDE_SEED} wide table exited {code}"]
@@ -71,15 +73,15 @@ def check(audit: list[str], checkout: Path, work: Path) -> list[str]:
     problems = []
     for args, expected in ((["full", "--format", "json", "--table", str(wide)], 1),
                            (["validate"], 0)):
-        code, _ = _run([*audit, *args], installed, work)
+        code, _ = _run(["audit", *args], installed, work)
         if code != expected:
             problems.append(f"installed audit {' '.join(args)}: exit {code}, want {expected}")
     runs = []  # (name, installed argv, checkout argv, whether it must exit 0)
     for command in COMMANDS:
         args = [str(wide) if a == "WIDE" else a for a in command.split()]
-        runs.append((f"audit {command}", [*audit, *args],
+        runs.append((f"audit {command}", ["audit", *args],
                      [sys.executable, "-m", "fano95", *args], False))
-    for demo in sorted((checkout / "demos").glob("*.py")):
+    for demo in sorted((CHECKOUT / "demos").glob("*.py")):
         runs.append((f"demo {demo.name}", [sys.executable, str(demo)],
                      [sys.executable, str(demo)], True))
     for name, mine, theirs, must_pass in runs:
@@ -91,15 +93,9 @@ def check(audit: list[str], checkout: Path, work: Path) -> list[str]:
     return problems
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--checkout", required=True, type=Path,
-                        help="the repository the package was installed from")
-    parser.add_argument("--audit", default="audit",
-                        help="command that runs the installed console script (default: audit)")
-    args = parser.parse_args(argv)
+def main() -> int:
     with tempfile.TemporaryDirectory() as work:
-        problems = check(shlex.split(args.audit), args.checkout.resolve(), Path(work))
+        problems = check(Path(work))
     for problem in problems:
         print(problem, file=sys.stderr)
     return 1 if problems else 0

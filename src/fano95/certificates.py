@@ -264,8 +264,7 @@ class SurfaceRow(Record):
         self, family: int, vanishing: Iterable[int], fails: Iterable[str],
         method: Method, m: int,
     ):
-        if type(family) is not int:
-            _check_integer("family number", family)
+        _check_integer("family number", family)
         if not 1 <= family <= FAMILY_COUNT:
             raise ValueError(f"family number must lie in 1..{FAMILY_COUNT}, got {family}")
         if not isinstance(method, Method):
@@ -277,8 +276,7 @@ class SurfaceRow(Record):
             raise ValueError(f"unknown fail tags {sorted(fails - VALID_FAIL_TAGS)}")
         if len(tags) != len(fails):
             raise ValueError(f"fail tags must be distinct, got {sorted(tags)}")
-        if type(m) is not int:
-            _check_integer("surface-system multiplier", m)
+        _check_integer("surface-system multiplier", m)
         if m < 1:
             raise ValueError(f"surface-system multiplier must be >= 1, got {m}")
         Record.__init__(self, family, vanishing, fails, method, m)

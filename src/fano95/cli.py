@@ -50,24 +50,16 @@ def resolve_data_path(explicit: str | None, filename: str) -> Path:
     return packaged_data_path(filename)
 
 
-def _load_db(args):
-    if args.families == "":
-        raise _InputError("families table flag --families is empty: it names no file")
-    path = resolve_data_path(args.families, FAMILIES_FILENAME)
+def _load_table(explicit: str | None, flag: str, what: str, filename: str, load, error):
+    """Load one data table, raising _InputError for any input problem; an
+    explicit empty flag names no file, so it is refused by the flag's name."""
+    if explicit == "":
+        raise _InputError(f"{what} flag {flag} is empty: it names no file")
+    path = resolve_data_path(explicit, filename)
     try:
-        return load_families(path)
-    except (OSError, UnicodeDecodeError, FamilyTableError) as exc:
-        raise _InputError(f"families table {path}: {exc}") from exc
-
-
-def _load_rows(args):
-    if args.table == "":
-        raise _InputError("surface-row table flag --table is empty: it names no file")
-    path = resolve_data_path(args.table, SURFACE_ROWS_FILENAME)
-    try:
-        return load_surface_rows(path)
-    except (OSError, UnicodeDecodeError, SurfaceRowParseError) as exc:
-        raise _InputError(f"surface-row table {path}: {exc}") from exc
+        return load(path)
+    except (OSError, UnicodeDecodeError, error) as exc:
+        raise _InputError(f"{what} {path}: {exc}") from exc
 
 
 def _emit_json(document: dict) -> int:
@@ -99,10 +91,12 @@ def run_command(args) -> int:
     sections.  Coverage reads the certificates, so it is only requested with
     them."""
     sections = args.sections
-    db = _load_db(args)
+    db = _load_table(args.families, "--families", "families table", FAMILIES_FILENAME,
+                     load_families, FamilyTableError)
     ok = True
     if "certificates" in sections:
-        rows = _load_rows(args)
+        rows = _load_table(args.table, "--table", "surface-row table", SURFACE_ROWS_FILENAME,
+                           load_surface_rows, SurfaceRowParseError)
         tc = case3_test_class_certificates(db)
         verification = verify_surface_table(db, rows)
         ok = verification.ok and all(c.valid for c in tc)

@@ -62,6 +62,15 @@ class FamilyRecord(Record):
 
     __slots__ = ("number", "d", "weights", "a_cube", "a_cube_text")
 
+    def __init__(self, number, d, weights, a_cube, a_cube_text=None):
+        """Print A³'s text from a_cube; a text passed in, as copy and pickle
+        pass it, must be that text, else ValueError."""
+        text = format_rational(a_cube)
+        if a_cube_text is not None and a_cube_text != text:
+            raise ValueError(f"a_cube_text must be {text!r}, the text of a_cube, "
+                             f"got {a_cube_text!r}")
+        Record.__init__(self, number, d, weights, a_cube, text)
+
     @classmethod
     def build(cls, number: int, d: int, weights: Weights) -> "FamilyRecord":
         """Construct and validate a record; raises ValidationError on bad data
@@ -77,8 +86,7 @@ class FamilyRecord(Record):
                 f"d = {d} but a1+a2+a3+a4 = {tail_sum} "
                 "(invariant d = a1+a2+a3+a4 violated)",
             )
-        a_cube = anticanonical_cube(d, weights)
-        return cls(number, d, weights, a_cube, format_rational(a_cube))
+        return cls(number, d, weights, anticanonical_cube(d, weights))
 
 
 class FamilyDatabase:

@@ -1,6 +1,8 @@
 """Exclusion certificates: blow-up test classes, surface-method rows, extensions."""
 
+import copy
 import io
+import pickle
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -28,7 +30,7 @@ from fano95 import (
     surface_exclusion_value,
     verify_surface_table,
 )
-from fano95.families import packaged_data_path
+from fano95.families import FamilyRecord, packaged_data_path
 
 # The closed-form and expanded evaluators are referenced through the module
 # (C.test_class_value, C.test_class_value_expanded): importing names that
@@ -598,9 +600,18 @@ def test_certificate_accessors_read_the_stored_quantities(db, wide_tables):
 
 
 def test_family_record_carries_its_degree_cap_text(db):
-    # A³ is printed once per family, when the record is built.
+    # A³ is printed once per family, when the record is built, from a_cube
+    # itself: a text that is not a_cube's is refused, so no view can print it.
     for f in db:
         assert f.a_cube_text == format_rational(f.a_cube)
+    f = db.get(20)
+    assert FamilyRecord(20, 13, f.weights, f.a_cube) == f
+    assert FamilyRecord(20, 13, f.weights, f.a_cube, "13/60") == f
+    assert copy.copy(f) == pickle.loads(pickle.dumps(f)) == f
+    with pytest.raises(ValueError, match="a_cube_text must be '13/60'"):
+        FamilyRecord(20, 13, f.weights, Fraction(13, 60), "1/2")
+    with pytest.raises(ValueError):
+        FamilyRecord(number=20, d=13, weights=f.weights, a_cube=f.a_cube, a_cube_text="13/61")
 
 
 @pytest.mark.parametrize("seed", [None, 3, 11], ids=["packaged", "wide-3", "wide-11"])

@@ -43,10 +43,10 @@ def test_installed_package_matches_the_checkout(tmp_path):
     assert len(packages) == len(scripts) == 1, (packages, scripts)
     assert sorted(p.name for p in (packages[0].parent / "data").iterdir()) == [
         "families.tsv", "surface_rows.tsv"]
-    env = dict(os.environ, PYTHONPATH=str(packages[0].parent.parent))
+    env = dict(os.environ, PYTHONPATH=str(packages[0].parent.parent),
+               PATH=os.pathsep.join([str(scripts[0].parent), os.environ.get("PATH", "")]))
     result = subprocess.run(
-        [sys.executable, str(ROOT / "ci" / "installed_parity.py"),
-         "--checkout", str(ROOT), "--audit", str(scripts[0])],
+        [sys.executable, str(ROOT / "ci" / "installed_parity.py")],
         env=env, capture_output=True, text=True, timeout=600,
     )
     assert result.returncode == 0, result.stderr
