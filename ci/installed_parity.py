@@ -12,11 +12,11 @@ Both sides run in a fresh temporary directory, and an installed ``fano95``
 that is imported from inside the checkout is refused, so the installed side
 cannot read the checkout's sources by accident.
 
-Compared by stdout bytes and exit code: the ten COMMANDS, three of them on
-the seed-3 950-row table of ``perfbench/widetable.py``, and every demo in
-``demos/``, which must also exit 0.  On the installed side ``full --format
-json`` on that table must exit 1 (its JSON round-trips; its certificates
-fail) and ``validate`` must exit 0.  Exits 0 when everything agrees, else 1
+Compared by exit code, stdout bytes and stderr bytes: the ten COMMANDS,
+three of them on the seed-3 950-row table of ``perfbench/widetable.py``, and
+every demo in ``demos/``, which must also exit 0.  On the installed side
+``full --format json`` on that table must exit 1 (its JSON round-trips; its
+certificates fail) and ``validate`` must exit 0.  Exits 0 when everything agrees, else 1
 with one line per difference on stderr.
 """
 
@@ -45,9 +45,9 @@ _WRITE_WIDE = ("import sys, widetable; from fano95 import load_packaged_families
                f"sys.stdout.write(widetable.generate(load_packaged_families(), {WIDE_SEED})[0])")
 
 
-def _run(argv: list[str], env: dict, cwd: Path) -> tuple[int, bytes]:
-    result = subprocess.run(argv, env=env, cwd=cwd, stdout=subprocess.PIPE, timeout=600)
-    return result.returncode, result.stdout
+def _run(argv: list[str], env: dict, cwd: Path) -> tuple[int, bytes, bytes]:
+    result = subprocess.run(argv, env=env, cwd=cwd, capture_output=True, timeout=600)
+    return result.returncode, result.stdout, result.stderr
 
 
 def _with_path(env: dict, *entries: str) -> dict:
@@ -58,22 +58,22 @@ def check(work: Path) -> list[str]:
     """Every difference between the installed and the checkout audits, run in ``work``."""
     installed = dict(os.environ)
     local = _with_path(installed, str(CHECKOUT / "src"))
-    code, out = _run([sys.executable, "-c", "import fano95; print(fano95.__file__)"],
-                     installed, work)
+    code, out, _ = _run([sys.executable, "-c", "import fano95; print(fano95.__file__)"],
+                        installed, work)
     where = out.decode().strip()
     if code or CHECKOUT in Path(where).resolve().parents:
         return [f"no installed fano95 outside the checkout (exit {code}, found {where!r})"]
-    code, text = _run([sys.executable, "-c", _WRITE_WIDE],
-                      _with_path(installed, str(CHECKOUT / "perfbench"),
-                                 installed.get("PYTHONPATH", "")), work)
+    code, text, err = _run([sys.executable, "-c", _WRITE_WIDE],
+                           _with_path(installed, str(CHECKOUT / "perfbench"),
+                                      installed.get("PYTHONPATH", "")), work)
     if code:
-        return [f"writing the seed-{WIDE_SEED} wide table exited {code}"]
+        return [f"writing the seed-{WIDE_SEED} wide table exited {code}: {err.decode()[-300:]}"]
     wide = work / f"wide{WIDE_SEED}.tsv"
     wide.write_bytes(text)
     problems = []
     for args, expected in ((["full", "--format", "json", "--table", str(wide)], 1),
                            (["validate"], 0)):
-        code, _ = _run(["audit", *args], installed, work)
+        code, _, _ = _run(["audit", *args], installed, work)
         if code != expected:
             problems.append(f"installed audit {' '.join(args)}: exit {code}, want {expected}")
     runs = []  # (name, installed argv, checkout argv, whether it must exit 0)
@@ -89,7 +89,8 @@ def check(work: Path) -> list[str]:
         if got != want or (must_pass and got[0] != 0):
             problems.append(f"{name}: installed exit {got[0]}, {len(got[1])} bytes; "
                             f"checkout exit {want[0]}, {len(want[1])} bytes"
-                            + ("" if got[1] == want[1] else ", stdout differs"))
+                            + ("" if got[1] == want[1] else ", stdout differs")
+                            + ("" if got[2] == want[2] else ", stderr differs"))
     return problems
 
 

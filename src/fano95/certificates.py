@@ -149,18 +149,22 @@ def test_class_value(b: int, a_cube: Fraction, deg_c: Fraction, p_a: int) -> Fra
 
 class TestClassCertificate(Record):
     """A strict-negativity certificate M·B² < 0 excluding one curve of a family:
-    its number, the curve (a description), the test class b·A − E's int b, the
-    Fractions A³ and deg C, the curve's genus p_a and the Fraction M·B²."""
+    the ``FamilyRecord`` (read by ``family``, its number, and ``a_cube``), the
+    curve (a description), the test class b·A − E's int b, the Fraction deg C,
+    the curve's genus p_a and the Fraction M·B², derived here.  A value passed
+    in, as copy and pickle pass it, must be the derived one, else ValueError."""
 
-    __slots__ = ("family", "curve", "b", "a_cube", "deg_c", "p_a", "value")
+    __slots__ = ("record", "curve", "b", "deg_c", "p_a", "value")
 
-    @classmethod
-    def build(
-        cls, f: FamilyRecord, curve: str, b: int, deg_c: Fraction, p_a: int = 0
-    ) -> "TestClassCertificate":
-        """Evaluate the test class b·A − E over one curve of family f."""
-        value = test_class_value(b, f.a_cube, deg_c, p_a)
-        return cls(f.number, curve, b, f.a_cube, Fraction(deg_c), p_a, value)
+    family = property(lambda c: c.record.number)
+    a_cube = property(lambda c: c.record.a_cube)
+
+    def __init__(self, record: FamilyRecord, curve: str, b: int, deg_c: Fraction,
+                 p_a: int = 0, value: Fraction | None = None):
+        derived = test_class_value(b, record.a_cube, deg_c, p_a)
+        if value is not None and value != derived:
+            raise ValueError(f"value must be {derived}, the test-class value, got {value!r}")
+        Record.__init__(self, record, curve, b, Fraction(deg_c), p_a, derived)
 
     @property
     def valid(self) -> bool:
@@ -190,7 +194,7 @@ def case3_test_class_certificates(
     degree cap is >= 1, valid or not: a value that is not strictly negative
     is reported as an invalid certificate by every caller, never raised."""
     return tuple(
-        TestClassCertificate.build(db.get(number), curve, b, deg_c)
+        TestClassCertificate(db.get(number), curve, b, deg_c)
         for number, curve, b, deg_c in _TEST_CLASS_CURVES
     )
 
@@ -365,31 +369,30 @@ def _from_quantities(name: str) -> property:
 class SurfaceCertificate(Record):
     """Fully evaluated surface certificate for one table row, each quantity
     and verdict stored once by ``certify_row``: the ``SurfaceRow``, the
-    Fraction A³, the different's indices (a tuple of ints), then
-    ``quantities``, as (JSON field name, value, ``format_rational`` text), of
-    deg C, the different total and C²_T, then method 41's exclusion value or
-    method 42's deg C′ and C′² of the companion C′ in the pencil C + C′ ~ A|_T.
-    Every view reads the text there, printed once; the accessors of those names
+    ``FamilyRecord`` (read by ``family``, its number, and ``a_cube``), the
+    different's indices (a tuple of ints), then ``quantities``, as (JSON field
+    name, value, ``format_rational`` text), of deg C, the different total and
+    C²_T, then method 41's exclusion value or method 42's deg C′ and C′² of
+    the companion C′ in the pencil C + C′ ~ A|_T.  Every view reads the text
+    there, printed once, and A³'s on the record; the accessors of those names
     (``deg_c`` ... ``c_prime_sq``) read the value, None for the other method's.
 
     Method 42 alone fills ``cap_check`` (its degree sum deg C + deg C′ as a
-    Fraction, its text and A³'s text; the accessor ``degree_sum`` reads the
-    Fraction) and the bools ``forces_alpha_one`` (C′² < 0) and
-    ``degree_contradiction`` (degree sum > cap).  Last come the bools ``valid``
+    Fraction and its text; the accessor ``degree_sum`` reads the Fraction) and
+    the bools ``forces_alpha_one`` (C′² < 0) and ``degree_contradiction``
+    (degree sum > cap).  Last come the bools ``valid``
     and ``boundary``, True when some deciding quantity is exactly zero/equal —
     reported separately because validity demands strict inequalities.
     """
 
-    __slots__ = ("row", "a_cube", "diff_indices", "quantities", "cap_check",
+    __slots__ = ("row", "record", "diff_indices", "quantities", "cap_check",
                  "forces_alpha_one", "degree_contradiction", "valid", "boundary")
 
     deg_c, diff_total, c2t, exclusion_value, deg_c_prime, c_prime_sq = map(_from_quantities, (
         "deg_c", "diff_total", "c2t", "exclusion_value", "deg_c_prime", "c_prime_sq"))
     degree_sum = property(lambda cert: cert.cap_check and cert.cap_check[0])
-
-    @property
-    def family(self) -> int:
-        return self.row.family
+    family = property(lambda cert: cert.record.number)
+    a_cube = property(lambda cert: cert.record.a_cube)
 
 
 def certify_row(f: FamilyRecord, row: SurfaceRow) -> SurfaceCertificate:
@@ -408,15 +411,14 @@ def certify_row(f: FamilyRecord, row: SurfaceRow) -> SurfaceCertificate:
     """
     if row.family != f.number:
         raise RowError(row.family, f"row applied to family record {f.number}")
-    m, a_cube = row.m, f.a_cube
-    a, b = a_cube.numerator, a_cube.denominator
+    m, a, b = row.m, f.a_cube.numerator, f.a_cube.denominator
     w1, w2 = stratum_weights(f.weights, row.vanishing)
     q = w1 * w2  # deg C = 1/q
     diff_indices, r, s, c, t, chain = _stratum(w1, w2, m)
     if row.method is Method.M41:
         v, z = _exclusion_value(m, a, b, 1, q, c, t)
         return SurfaceCertificate(
-            row, a_cube, diff_indices, chain + (_quantity("exclusion_value", Fraction(v, z)),),
+            row, f, diff_indices, chain + (_quantity("exclusion_value", Fraction(v, z)),),
             None, None, None, v < 0, v == 0)
     # Method 42: the pencil A|_T cuts out C + C', so deg C' = m*A^3 - deg C and
     # the degree sum m*A^3 beats the cap A^3 exactly when m*a > a.  C' meets the
@@ -427,10 +429,10 @@ def certify_row(f: FamilyRecord, row: SurfaceRow) -> SurfaceCertificate:
     degree_sum = Fraction(m * a, b)
     degree_contradiction = m * a > a
     return SurfaceCertificate(
-        row, a_cube, diff_indices,
+        row, f, diff_indices,
         chain + (_quantity("deg_c_prime", Fraction(p2, q2)),
                  _quantity("c_prime_sq", Fraction(c2, t2))),
-        (degree_sum, format_rational(degree_sum), f.a_cube_text), c2 < 0, degree_contradiction,
+        (degree_sum, format_rational(degree_sum)), c2 < 0, degree_contradiction,
         p2 > 0 and c2 < 0 and degree_contradiction, p2 == 0 or c2 == 0 or m * a == a,
     )
 
@@ -455,6 +457,12 @@ class TableVerification(Record):
     @property
     def ok(self) -> bool:
         return not self.tag_mismatches and all(c.valid for c in self.certificates)
+
+    @property
+    def mismatch_lines(self) -> list[str]:
+        """Each tag mismatch as the text view, and stderr in JSON format, print it."""
+        return [f"TAG MISMATCH family {n}: row file says {sorted(got)}, derived verdicts "
+                f"say {sorted(want)}" for n, got, want in self.tag_mismatches]
 
 
 def verify_surface_table(db: FamilyDatabase, rows: Iterable[SurfaceRow]) -> TableVerification:

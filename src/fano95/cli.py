@@ -118,6 +118,8 @@ def run_command(args) -> int:
             coverage=report.coverage_section(coverage) if "coverage" in sections else None,
         )
         rc = _emit_json(document)
+        for line in verification.mismatch_lines if certified else ():
+            print(line, file=sys.stderr)
         return rc if ok else EXIT_CHECK_FAILED
     render = {
         "validate": lambda: report.render_validate(db),

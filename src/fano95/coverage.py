@@ -143,7 +143,8 @@ def _surface_row_values(certs: Iterable[SurfaceCertificate]) -> tuple[tuple[str,
             if field in _ROW_VALUE_LABELS
         )
         if cert.cap_check:
-            values.append((f"{key} degree sum vs cap", "%s vs %s" % cert.cap_check[1:]))
+            values.append((f"{key} degree sum vs cap",
+                           f"{cert.cap_check[1]} vs {cert.record.a_cube_text}"))
     return tuple(values)
 
 
@@ -179,9 +180,9 @@ def _residual_route(
             ("degree cap", f.a_cube_text),
         ]
         if verdict.residual is BoundStatus.FAILS:
-            comparisons = extension_check(f)
-            values.extend((e.label, f"{format_rational(e.lhs)} {e.relation} "
-                                    f"{format_rational(e.rhs)}") for e in comparisons)
+            comparisons = extension_check(f)  # each rhs is the cap, whose text f holds
+            values.extend((e.label, f"{format_rational(e.lhs)} {e.relation} {f.a_cube_text}")
+                          for e in comparisons)
             return RouteEntry(
                 route="extension-checks",
                 detail="residual bound fails outright; every double-projection "
@@ -193,9 +194,8 @@ def _residual_route(
             )
         gaps = ()
         if "shared_factor" in verdict.lists:
-            chk = shared_factor_check(f)
-            values.append((chk.label,
-                           f"{format_rational(chk.lhs)} vs {format_rational(chk.rhs)}"))
+            chk = shared_factor_check(f)  # its rhs is the cap too
+            values.append((chk.label, f"{format_rational(chk.lhs)} vs {f.a_cube_text}"))
             if not chk.contradiction:
                 gaps = ("residual (shared-factor image point uncovered)",)
         if verdict.residual is BoundStatus.STRONG_A:

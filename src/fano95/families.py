@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import io
 import re
-from importlib import resources
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
@@ -56,27 +55,21 @@ class FamilyNotFoundError(FamilyTableError):
 
 
 class FamilyRecord(Record):
-    """One family: its number and hypersurface degree d (ints), its
+    """One family: its number in 1..95 and degree d = a1+a2+a3+a4 (ints), its
     ``Weights``, its degree invariant a_cube = A³ (a Fraction) and A³'s
     ``format_rational`` text, printed once for every view of the degree cap."""
 
     __slots__ = ("number", "d", "weights", "a_cube", "a_cube_text")
 
-    def __init__(self, number, d, weights, a_cube, a_cube_text=None):
-        """Print A³'s text from a_cube; a text passed in, as copy and pickle
-        pass it, must be that text, else ValueError."""
-        text = format_rational(a_cube)
-        if a_cube_text is not None and a_cube_text != text:
-            raise ValueError(f"a_cube_text must be {text!r}, the text of a_cube, "
-                             f"got {a_cube_text!r}")
-        Record.__init__(self, number, d, weights, a_cube, text)
-
-    @classmethod
-    def build(cls, number: int, d: int, weights: Weights) -> "FamilyRecord":
-        """Construct and validate a record; raises ValidationError on bad data
-        and TypeError on a number or degree that is not an integer."""
+    def __init__(self, number: int, d: int, weights: Weights, a_cube=None, a_cube_text=None):
+        """Check the record and derive A³ and its text: ValidationError on bad
+        data, TypeError on a number or degree that is not an integer or on
+        weights that are not ``Weights``.  An A³ or a text passed in, as copy
+        and pickle pass them, must be the derived one, else ValueError."""
         _check_integer("family number", number)
         _check_integer("degree", d)
+        if not isinstance(weights, Weights):
+            raise TypeError(f"weights must be Weights, got {weights!r}")
         if not 1 <= number <= FAMILY_COUNT:
             raise ValidationError(number, f"family number must lie in 1..{FAMILY_COUNT}")
         tail_sum = weights[1] + weights[2] + weights[3] + weights[4]
@@ -86,7 +79,14 @@ class FamilyRecord(Record):
                 f"d = {d} but a1+a2+a3+a4 = {tail_sum} "
                 "(invariant d = a1+a2+a3+a4 violated)",
             )
-        return cls(number, d, weights, anticanonical_cube(d, weights))
+        cube = anticanonical_cube(d, weights)
+        text = format_rational(cube)
+        if a_cube is not None and a_cube != cube:
+            raise ValueError(f"a_cube must be {text}, the A³ of the weights, got {a_cube!r}")
+        if a_cube_text is not None and a_cube_text != text:
+            raise ValueError(f"a_cube_text must be {text!r}, the text of a_cube, "
+                             f"got {a_cube_text!r}")
+        Record.__init__(self, number, d, weights, cube, text)
 
 
 class FamilyDatabase:
@@ -166,12 +166,15 @@ def parse_family_line(line_number: int, line: str) -> FamilyRecord:
         )
     if not _INTEGER_FIELDS.fullmatch(line):
         raise ParseError(line_number, f"non-integer field in {fields!r}")
-    number, d, *ws = [int(f) for f in fields]
+    try:
+        number, d, *ws = [int(f) for f in fields]
+    except ValueError as exc:  # more digits than int() converts
+        raise ParseError(line_number, str(exc)) from None
     try:
         weights = Weights(ws)
     except ValueError as exc:
         raise ValidationError(number, str(exc)) from None
-    return FamilyRecord.build(number, d, weights)
+    return FamilyRecord(number, d, weights)
 
 
 def load_families(source: Source) -> FamilyDatabase:
@@ -195,7 +198,7 @@ def serialize_families(db: FamilyDatabase) -> str:
 
 def packaged_data_path(name: str) -> Path:
     """Filesystem path of a data file shipped inside the package."""
-    return Path(str(resources.files("fano95").joinpath("data", name)))
+    return Path(__file__).parent / "data" / name
 
 
 def load_packaged_families() -> FamilyDatabase:

@@ -85,12 +85,10 @@ def classify_case(f: FamilyRecord) -> CaseTag:
 
 
 class Comparison(Record):
-    """One evaluated inequality lhs vs rhs, with the exclusion reading lhs > rhs."""
+    """One evaluated inequality lhs vs rhs, with the exclusion reading lhs > rhs,
+    and the note naming what a non-strict one leans on, or None."""
 
     __slots__ = ("label", "lhs", "rhs", "note")
-
-    def __init__(self, label: str, lhs: Fraction, rhs: Fraction, note: str | None = None):
-        Record.__init__(self, label, lhs, rhs, note)
 
     @property
     def relation(self) -> str:
@@ -142,7 +140,7 @@ def shared_factor_check(f: FamilyRecord) -> Comparison:
             f"family {f.number}: gcd(a1, a2) = 1, shared-factor check does not apply"
         )
     return Comparison(
-        "shared-factor image degree vs cap", binomial_fibre_degree(f), f.a_cube
+        "shared-factor image degree vs cap", binomial_fibre_degree(f), f.a_cube, None
     )
 
 

@@ -110,7 +110,7 @@ def families_section(db: FamilyDatabase) -> list[dict]:
 
 def _test_class_json(c: TestClassCertificate) -> dict:
     return {
-        "a_cube": format_rational(c.a_cube),
+        "a_cube": c.record.a_cube_text,
         "b": c.b,
         "boundary": c.boundary,
         "curve": c.curve,
@@ -129,7 +129,7 @@ def test_class_section(certs: Iterable[TestClassCertificate]) -> list[dict]:
 def _surface_cert_json(cert: SurfaceCertificate) -> dict:
     row = cert.row
     base = {
-        "a_cube": format_rational(cert.a_cube),
+        "a_cube": cert.record.a_cube_text,
         "boundary": cert.boundary,
         "c2t": None,
         "c_prime_sq": None,
@@ -346,7 +346,7 @@ def revalidate_document(document: Mapping) -> tuple[str, ...]:
     families, db = document.get("families"), None
     if families is None:
         problems.append("families: is not an array")
-    records = [_rebuilt(problems, lambda: FamilyRecord.build(
+    records = [_rebuilt(problems, lambda: FamilyRecord(
                    f["number"], f["d"], Weights(f["weights"])), "families[{}]", i)
                for i, f in _objects(problems, "families", families)]
     if not problems:
@@ -456,14 +456,10 @@ def render_certificates(
         values = ", ".join([f"{_FIELD_NAMES[field]} {text}"
                             for field, _, text in cert.quantities])
         if cert.cap_check:
-            values += ", degree sum %s vs cap %s" % cert.cap_check[1:]
+            values += f", degree sum {cert.cap_check[1]} vs cap {cert.record.a_cube_text}"
         lines.append(f"surface family {row.family} row {_VANISHING_LABELS[row.vanishing]} "
                      f"method {row.method.value} m={row.m}: {values} [{flag}]")
-    for family, got, expected in verification.tag_mismatches:
-        lines.append(
-            f"TAG MISMATCH family {family}: row file says {sorted(got)}, "
-            f"derived verdicts say {sorted(expected)}"
-        )
+    lines.extend(verification.mismatch_lines)
     return "\n".join(lines) + "\n", ok
 
 

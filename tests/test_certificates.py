@@ -101,8 +101,8 @@ def test_test_class_value_refuses_non_rationals(db, bad):
         with pytest.raises(TypeError, match="must be an int or a Fraction"):
             C.test_class_value(2, a_cube, deg_c, 0)
     with pytest.raises(TypeError, match="curve degree must be an int or a Fraction"):
-        C.TestClassCertificate.build(f, "curve", 2, bad)
-    assert C.TestClassCertificate.build(f, "curve", 2, 3).deg_c == Fraction(3)
+        C.TestClassCertificate(f, "curve", 2, bad)
+    assert C.TestClassCertificate(f, "curve", 2, 3).deg_c == Fraction(3)
     # The expansion and its blow-up numbers refuse the same inputs.
     for i in range(4):
         numbers = [Fraction(2), 0, 0, 0]
@@ -120,6 +120,23 @@ def test_test_class_value_refuses_non_rationals(db, bad):
         C.rational_curve_blowup_numbers(1, bad)
 
 
+def test_test_class_certificate_derives_its_value(db):
+    # The value is derived from the family record; one passed in, as copy,
+    # pickle and a rebuild from the fields pass it, must be that value.
+    f = db.get(1)
+    cert = C.TestClassCertificate(f, "twisted cubic", 2, 3)
+    assert (cert.record, cert.family, cert.a_cube) == (f, 1, Fraction(4))
+    assert (cert.value, cert.valid) == (2 * 4 - 3 * 3 - 2, True)
+    fields = {name: getattr(cert, name) for name in C.TestClassCertificate.__slots__}
+    for twin in (copy.copy(cert), copy.deepcopy(cert), pickle.loads(pickle.dumps(cert)),
+                 C.TestClassCertificate(**fields)):
+        assert twin == cert and twin.value == Fraction(-3)
+    with pytest.raises(ValueError, match="value must be -3, the test-class value"):
+        C.TestClassCertificate(f, "twisted cubic", 2, 3, 0, Fraction(-2))
+    with pytest.raises(ValueError):
+        C.TestClassCertificate(**dict(fields, value=Fraction(1)))
+
+
 def test_test_class_value_matches_fraction_oracle(db):
     # Every packaged A^3, b in 1..8, deg C in {1/q : q <= 12} and {1, 2, 3},
     # p_a in 0..3: the integer evaluation against the closed form written out
@@ -131,7 +148,7 @@ def test_test_class_value_matches_fraction_oracle(db):
         case = (f.number, b, deg_c, p_a)
         value = C.test_class_value(b, f.a_cube, deg_c, p_a)
         assert type(value) is Fraction and value == expected, case
-        cert = C.TestClassCertificate.build(f, "curve", b, deg_c, p_a)
+        cert = C.TestClassCertificate(f, "curve", b, deg_c, p_a)
         assert type(cert.value) is Fraction and cert.value == expected, case
         assert (cert.valid, cert.boundary) == (expected < 0, expected == 0), case
         signs[(expected > 0) - (expected < 0)] += 1
@@ -587,11 +604,13 @@ def test_certificate_accessors_read_the_stored_quantities(db, wide_tables):
         for name in names:
             assert getattr(cert, name) is stored.get(name), (cert.row, name)
         f = db.get(cert.family)
+        assert cert.record is f and cert.a_cube is f.a_cube
+        assert f.a_cube_text == format_rational(f.a_cube)
         if method is Method.M41:
             assert cert.cap_check is cert.degree_sum is None
         else:
             total = cert.row.m * f.a_cube
-            assert cert.cap_check == (total, format_rational(total), format_rational(f.a_cube))
+            assert cert.cap_check == (total, format_rational(total))
             assert cert.degree_sum is cert.cap_check[0]
         for name in names | {"degree_sum"}:
             with pytest.raises(AttributeError):

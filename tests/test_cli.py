@@ -13,7 +13,7 @@ import pytest
 from fano95 import certificates, cli, lemmas, report, revalidate_document
 from fano95.certificates import SURFACE_ROWS_FILENAME, load_surface_rows, verify_surface_table
 from fano95.coverage import _surface_row_values, build_coverage
-from fano95.families import load_families, packaged_data_path
+from fano95.families import FAMILY_COUNT, FamilyRecord, load_families, packaged_data_path
 from fano95.wps import format_rational
 
 FAMILIES = packaged_data_path("families.tsv")
@@ -318,9 +318,10 @@ def assert_failure_is_reported(capsys, argv, fmt, family, invalid, gap):
 @pytest.mark.parametrize("command", ["certify", "full"])
 def test_nonpositive_companion_degree_is_a_certificate_failure(capsys, tmp_path, command):
     # deg C' = A^3 - deg C = 13/60 - 1 < 0: no companion curve, so the row is
-    # invalid and reported with the rest, never raised.
+    # invalid and reported with the rest, never raised.  The row carries
+    # family 20's derived fail tag, so the certificate is the only failure.
     bad = tmp_path / "rows.tsv"
-    bad.write_text("20\t2,3,4\t\t42\t1\n")
+    bad.write_text("20\t2,3,4\tcontracted\t42\t1\n")
     for fmt in ("text", "json"):
         assert_failure_is_reported(
             capsys, [command, "--table", str(bad)], fmt, 20,
@@ -391,8 +392,9 @@ def test_full_output_bytes_are_pinned(capsys, fmt):
 
 #: Exit code and stdout SHA-256 of the other commands.  "T" and "T3" stand
 #: for the seed-11 and seed-3 ``perfbench/widetable.py`` tables, whose
-#: method-42 rows, INVALID rows, tag mismatches and gaps reach every surface
-#: view; two seeds, so the pins do not rest on one draw.  "T1" is the seed-1
+#: method-42 rows, INVALID rows and gaps reach every surface view; two seeds,
+#: so the pins do not rest on one draw.  No seeded table has a tag mismatch,
+#: so no pinned command writes to stderr.  "T1" is the seed-1
 #: table, whose ``full`` text is the exact output the wide-text benchmark times.
 OUTPUT_SHA256 = {
     "certify": (0, "1f07e25638f4f3c8e18849af7db5d1b18335918c8df16041b59a5359068b58f3"),
@@ -533,12 +535,15 @@ def test_full_decides_each_family_once(capsys, wide_tables, seed):
 
 def test_views_print_no_surface_rational_again(capsys, wide_tables):
     # Every surface-certificate rational is printed once, where it is stored:
-    # the text view and coverage read the texts of the quantities, of method
-    # 42's degree sum and of the family's A³.  Only the test-class lines are
-    # formatted in the view, two rationals for each of the six.  A call is
-    # charged to the nearest enclosing named function, so a comprehension or
-    # generator inside a view counts as the view on every Python version.
-    views = {report.render_certificates.__code__, _surface_row_values.__code__}
+    # the text view, coverage and the JSON builders read the texts of the
+    # quantities, of method 42's degree sum and of the family's A³.  Only the
+    # test classes' deg C and value are formatted in a view, two rationals for
+    # each of the six, so no view formats A³.  The JSON builders also run once
+    # more in revalidation.  A call is charged to the nearest enclosing named
+    # function, so a comprehension or generator inside a view counts as the
+    # view on every Python version.
+    views = {report.render_certificates.__code__, _surface_row_values.__code__,
+             report._surface_cert_json.__code__, report._test_class_json.__code__}
     target = format_rational.__code__
     entered, calls = set(), []
 
@@ -556,13 +561,86 @@ def test_views_print_no_surface_rational_again(capsys, wide_tables):
 
     sys.setprofile(profile)
     try:
-        code = cli.main(["full", "--table", wide_tables[11]])
+        codes = [cli.main(["full", "--table", wide_tables[11], *fmt])
+                 for fmt in ([], ["--format", "json"])]
     finally:
         sys.setprofile(None)
     out = capsys.readouterr().out
-    assert code == cli.EXIT_CHECK_FAILED and "vs cap" in out
-    assert entered == {"render_certificates", "_surface_row_values"}
-    assert calls == ["render_certificates"] * (2 * len(certificates._TEST_CLASS_CURVES))
+    assert codes == [cli.EXIT_CHECK_FAILED] * 2 and "vs cap" in out
+    assert entered == {"render_certificates", "_surface_row_values",
+                       "_surface_cert_json", "_test_class_json"}
+    tests = 2 * len(certificates._TEST_CLASS_CURVES)
+    assert calls == ["render_certificates"] * tests + ["_test_class_json"] * (2 * tests)
+
+
+def test_a_cube_is_formatted_only_by_its_record(capsys, wide_tables):
+    # A³'s text is printed once, by the FamilyRecord constructor, and every
+    # view of the degree cap (the families, certificates and coverage, text
+    # and JSON, revalidation included) reads a_cube_text.  Tracked by
+    # identity: the Fraction a record formats is the a_cube it stores.
+    init, target = FamilyRecord.__init__.__code__, format_rational.__code__
+    caps, others = [], []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is target:
+            (caps if frame.f_back.f_code is init else others).append(frame.f_locals["q"])
+
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main(["full", *table, *fmt])
+                 for table in ([], ["--table", wide_tables[11]])
+                 for fmt in ([], ["--format", "json"])]
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert codes == [cli.EXIT_OK] * 2 + [cli.EXIT_CHECK_FAILED] * 2
+    assert len(caps) == 6 * FAMILY_COUNT  # one load per audit, one per revalidation
+    formatted = {id(q) for q in caps}
+    assert [q for q in others if id(q) in formatted] == []
+
+
+@pytest.mark.parametrize("command", ["certify", "full"])
+def test_json_writes_each_tag_mismatch_to_stderr(capsys, tmp_path, command):
+    # Family 20's row {0,2,3} loses its contracted tag.  Every certificate
+    # stays valid, so only the mismatch fails the audit: the JSON document
+    # cannot show it, and stderr carries the text view's line.
+    good_row, bad_row = "20\t0,2,3\tcontracted\t41\t4\n", "20\t0,2,3\t\t41\t4\n"
+    text = ROWS.read_text()
+    assert text.count(good_row) == 1
+    bad = tmp_path / "rows.tsv"
+    bad.write_text(text.replace(good_row, bad_row))
+    line = "TAG MISMATCH family 20: row file says [], derived verdicts say ['contracted']"
+    code, out, err = run(capsys, command, "--table", str(bad), "--format", "json")
+    assert (code, err) == (cli.EXIT_CHECK_FAILED, line + "\n")
+    # stdout is the packaged document with the row's tags emptied.
+    _, packaged, _ = run(capsys, command, "--format", "json")
+    expected = json.loads(packaged)
+    [entry] = [s for s in expected["certificates"]["surface"]
+               if (s["family"], s["vanishing"]) == (20, [0, 2, 3])]
+    entry["fails"] = []
+    assert out == report.to_json(expected)
+    code, out, err = run(capsys, command, "--table", str(bad))
+    assert (code, err) == (cli.EXIT_CHECK_FAILED, "")
+    assert line in out.splitlines()
+
+
+@pytest.mark.parametrize("flag", ["--families", "--table"])
+def test_an_oversized_integer_is_an_input_error(capsys, tmp_path, flag):
+    # 5,000 digits: more than int() converts where the digit limit is on, and
+    # a family number outside 1..95 where it is off.  Either way the line is
+    # refused as input (exit 2), never raised as a traceback.
+    source = FAMILIES if flag == "--families" else ROWS
+    lines = source.read_text().splitlines(keepends=True)
+    index = next(i for i, line in enumerate(lines) if line.startswith("20\t"))
+    lines[index] = "9" * 5000 + lines[index][2:]
+    bad = tmp_path / "table.tsv"
+    bad.write_text("".join(lines))
+    code, out, err = run(capsys, "certify", flag, str(bad))
+    assert (code, out) == (cli.EXIT_INPUT_ERROR, "")
+    what = "families table" if flag == "--families" else "surface-row table"
+    assert err.startswith(f"error: {what} {bad}: ") and "Traceback" not in err
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
+        assert err.startswith(f"error: {what} {bad}: line {index + 1}: Exceeds the limit")
 
 
 @pytest.mark.parametrize("table", sorted(ALTERED_LINES))

@@ -1,6 +1,8 @@
 """Loading, validating, and serializing the 95-family database."""
 
+import copy
 import io
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from fano95 import (
     FAMILY_COUNT,
     FamilyNotFoundError,
+    FamilyRecord,
     FamilyTableError,
     ParseError,
     ValidationError,
@@ -59,6 +62,38 @@ def test_get_refuses_a_non_integer_or_out_of_range_number(db, number, error):
 def test_database_is_iterable_in_order(db):
     numbers = [f.number for f in db]
     assert numbers == sorted(numbers)
+
+
+#: Family 20's weights, for records built by hand.
+W20 = Weights((1, 1, 3, 4, 5))
+
+
+def test_family_record_derives_its_degree_cap(db):
+    # The constructor is the one way to a record: it derives A³ and its text,
+    # and copy, pickle and a rebuild from the fields pass both back in.
+    f = FamilyRecord(20, 13, W20)
+    assert f == db.get(20)
+    assert (f.a_cube, f.a_cube_text) == (Fraction(13, 60), "13/60")
+    fields = {name: getattr(f, name) for name in FamilyRecord.__slots__}
+    for twin in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f)),
+                 FamilyRecord(**fields)):
+        assert twin == f and twin.a_cube_text == "13/60"
+
+
+@pytest.mark.parametrize("args, named, error, message", [
+    ((0, 13, W20), {}, ValidationError, "family 0: family number must lie in 1..95"),
+    ((96, 13, W20), {}, ValidationError, "family 96: family number must lie in 1..95"),
+    ((20, 99, W20), {}, ValidationError, "d = 99 but a1\\+a2\\+a3\\+a4 = 13"),
+    ((True, 13, W20), {}, TypeError, "family number must be an integer"),
+    ((20, 13.0, W20), {}, TypeError, "degree must be an integer"),
+    ((20, 13, (1, 1, 3, 4, 5)), {}, TypeError, "weights must be Weights"),
+    ((20, 13, W20), {"a_cube": Fraction(1, 2)}, ValueError, "a_cube must be 13/60"),
+    ((20, 13, W20), {"a_cube_text": "1/2"}, ValueError, "a_cube_text must be '13/60'"),
+], ids=["number-0", "number-96", "degree-sum", "bool-number", "float-degree",
+        "tuple-weights", "wrong-a-cube", "wrong-text"])
+def test_family_record_refuses_an_inconsistent_record(args, named, error, message):
+    with pytest.raises(error, match=message):
+        FamilyRecord(*args, **named)
 
 
 # ---------------------------------------------------------------------------

@@ -193,12 +193,12 @@ def test_divisibility_certificate_rejects_bad_tangent_index(db):
 def test_divisibility_violation_raised_loudly():
     from fano95 import FamilyRecord, Weights
 
-    f = FamilyRecord.build(number=13, d=11, weights=Weights((1, 1, 2, 3, 5)))
+    f = FamilyRecord(number=13, d=11, weights=Weights((1, 1, 2, 3, 5)))
     # j=0: 1 + 10 = 11 = d; reduced weights 2 and 3 both divide d - a4 = 6.
     assert contracted_divisibility_certificate(f, 0) == ((2, 6), (3, 6))
     # Synthetic system outside the real table: weights (1,1,3,5,8), d=17,
     # j=0 is tangent (1 + 16 = 17) but 5 divides neither d - a4 = 9 nor d = 17.
-    bad = FamilyRecord.build(number=24, d=17, weights=Weights((1, 1, 3, 5, 8)))
+    bad = FamilyRecord(number=24, d=17, weights=Weights((1, 1, 3, 5, 8)))
     with pytest.raises(DivisibilityViolation, match="weight 5"):
         contracted_divisibility_certificate(bad, 0)
 
