@@ -41,8 +41,8 @@ from .lemmas import (
     family_verdict,
     family_verdicts,
 )
-from .wps import (Record, _check_integer, _check_rational, _check_vanishing, _different,
-                  _quantity, _self_intersection, _stratum, format_rational, stratum_weights)
+from .wps import (Record, _check_integer, _check_rational, _check_vanishing, _different, _quantity,
+                  _self_intersection, _shown, _stratum, format_rational, stratum_weights)
 
 SURFACE_ROWS_FILENAME = "surface_rows.tsv"
 
@@ -98,11 +98,11 @@ def _check_test_class_args(b: int = 1, deg_c: Fraction = 1, p_a: int = 0) -> Non
     _check_rational("curve degree", deg_c)
     _check_integer("arithmetic genus", p_a)
     if b < 1:
-        raise ValueError(f"test-class multiplier must be >= 1, got {b}")
+        raise ValueError(f"test-class multiplier must be >= 1, got {_shown(b)}")
     if deg_c.numerator <= 0:
-        raise ValueError(f"curve degree must be positive, got {deg_c}")
+        raise ValueError(f"curve degree must be positive, got {_shown(deg_c)}")
     if p_a < 0:
-        raise ValueError(f"arithmetic genus must be non-negative, got {p_a}")
+        raise ValueError(f"arithmetic genus must be non-negative, got {_shown(p_a)}")
 
 
 def rational_curve_blowup_numbers(
@@ -163,8 +163,9 @@ class TestClassCertificate(Record):
                  p_a: int = 0, value: Fraction | None = None):
         derived = test_class_value(b, record.a_cube, deg_c, p_a)
         if value is not None and value != derived:
-            raise ValueError(f"value must be {derived}, the test-class value, got {value!r}")
-        Record.__init__(self, record, curve, b, Fraction(deg_c), p_a, derived)
+            raise ValueError(f"value must be {_shown(derived)}, the test-class value, "
+                             f"got {_shown(value, repr)}")
+        self._fill(record, curve, b, Fraction(deg_c), p_a, derived)
 
     @property
     def valid(self) -> bool:
@@ -222,7 +223,7 @@ def curve_self_intersection(m: int, deg_c: Fraction, diff_total: Fraction) -> Fr
     """C² on a general surface T in |m·A − C|, by adjunction:
     deg(K_C + Diff) = (K + T)·C + C²_T with K + T ~ (m−1)·A."""
     if m < 1:
-        raise ValueError(f"surface-system multiplier must be >= 1, got {m}")
+        raise ValueError(f"surface-system multiplier must be >= 1, got {_shown(m)}")
     return Fraction(*_self_intersection(m, deg_c.numerator, deg_c.denominator,
                                         diff_total.numerator, diff_total.denominator))
 
@@ -233,7 +234,7 @@ def surface_exclusion_value(
     """Self-intersection of the restricted mobile system on T:
     m·A³ − 2·deg_c + C²_T.  Strict negativity excludes the curve."""
     if m < 1:
-        raise ValueError(f"surface-system multiplier must be >= 1, got {m}")
+        raise ValueError(f"surface-system multiplier must be >= 1, got {_shown(m)}")
     return Fraction(*_exclusion_value(m, a_cube.numerator, a_cube.denominator,
                                       deg_c.numerator, deg_c.denominator,
                                       c2t.numerator, c2t.denominator))
@@ -270,7 +271,7 @@ class SurfaceRow(Record):
     ):
         _check_integer("family number", family)
         if not 1 <= family <= FAMILY_COUNT:
-            raise ValueError(f"family number must lie in 1..{FAMILY_COUNT}, got {family}")
+            raise ValueError(f"family number must lie in 1..{FAMILY_COUNT}, got {_shown(family)}")
         if not isinstance(method, Method):
             raise TypeError(f"method must be a Method, got {method!r}")
         vanishing = _check_vanishing(vanishing)
@@ -282,8 +283,8 @@ class SurfaceRow(Record):
             raise ValueError(f"fail tags must be distinct, got {sorted(tags)}")
         _check_integer("surface-system multiplier", m)
         if m < 1:
-            raise ValueError(f"surface-system multiplier must be >= 1, got {m}")
-        Record.__init__(self, family, vanishing, fails, method, m)
+            raise ValueError(f"surface-system multiplier must be >= 1, got {_shown(m)}")
+        self._fill(family, vanishing, fails, method, m)
 
 
 def parse_surface_row(line: str, line_number: int | None = None) -> SurfaceRow:
@@ -336,20 +337,9 @@ def load_surface_rows(source: Source) -> tuple[SurfaceRow, ...]:
 
 def serialize_surface_rows(rows: Iterable[SurfaceRow]) -> str:
     """Canonical TSV serialization (data lines only, trailing newline)."""
-    lines = []
-    for row in rows:
-        lines.append(
-            "\t".join(
-                (
-                    str(row.family),
-                    ",".join(str(i) for i in sorted(row.vanishing)),
-                    ",".join(sorted(row.fails)),
-                    row.method.value,
-                    str(row.m),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return "\n".join(f"{row.family}\t{','.join(map(str, sorted(row.vanishing)))}\t"
+                     f"{','.join(sorted(row.fails))}\t{row.method.value}\t{row.m}"
+                     for row in rows) + "\n"
 
 
 def load_packaged_surface_rows() -> tuple[SurfaceRow, ...]:

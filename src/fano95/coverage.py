@@ -66,7 +66,7 @@ class RouteEntry(Record):
         self, route: str, detail: str, values: tuple[tuple[str, str], ...] = (),
         annotations: tuple[Annotation, ...] = (), gaps: tuple[str, ...] = (),
     ):
-        Record.__init__(self, route, detail, values, annotations, gaps)
+        self._fill(route, detail, values, annotations, gaps)
 
 
 Status = Literal["Covered", "Gap"]

@@ -14,7 +14,7 @@ import re
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
-from .wps import Record, Weights, _check_integer, anticanonical_cube, format_rational
+from .wps import Record, Weights, _check_integer, _shown, anticanonical_cube, format_rational
 
 #: Number of families in the classification.
 FAMILY_COUNT = 95
@@ -45,7 +45,7 @@ class ValidationError(FamilyTableError):
     """A parsed record violates an invariant; names the family and the invariant."""
 
     def __init__(self, family: int | None, message: str):
-        prefix = f"family {family}: " if family is not None else ""
+        prefix = f"family {_shown(family)}: " if family is not None else ""
         super().__init__(prefix + message)
         self.family = family
 
@@ -76,17 +76,18 @@ class FamilyRecord(Record):
         if d != tail_sum:
             raise ValidationError(
                 number,
-                f"d = {d} but a1+a2+a3+a4 = {tail_sum} "
+                f"d = {_shown(d)} but a1+a2+a3+a4 = {_shown(tail_sum)} "
                 "(invariant d = a1+a2+a3+a4 violated)",
             )
         cube = anticanonical_cube(d, weights)
         text = format_rational(cube)
         if a_cube is not None and a_cube != cube:
-            raise ValueError(f"a_cube must be {text}, the A³ of the weights, got {a_cube!r}")
+            raise ValueError(f"a_cube must be {text}, the A³ of the weights, "
+                             f"got {_shown(a_cube, repr)}")
         if a_cube_text is not None and a_cube_text != text:
             raise ValueError(f"a_cube_text must be {text!r}, the text of a_cube, "
                              f"got {a_cube_text!r}")
-        Record.__init__(self, number, d, weights, cube, text)
+        self._fill(number, d, weights, cube, text)
 
 
 class FamilyDatabase:
@@ -128,7 +129,7 @@ class FamilyDatabase:
             _check_integer("family number", number)
         if not 1 <= number <= FAMILY_COUNT:
             raise FamilyNotFoundError(
-                f"no family numbered {number}; valid numbers are 1..{FAMILY_COUNT}"
+                f"no family numbered {_shown(number)}; valid numbers are 1..{FAMILY_COUNT}"
             )
         return self._records[number - 1]
 

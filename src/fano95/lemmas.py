@@ -36,7 +36,7 @@ from functools import lru_cache
 from math import gcd
 
 from .families import FamilyDatabase, FamilyRecord
-from .wps import Record, coordinate_point_on_hypersurface
+from .wps import Record, _shown, coordinate_point_on_hypersurface
 
 
 class CaseTag(Enum):
@@ -199,7 +199,7 @@ def contracted_divisibility_certificate(
     """
     a = f.weights
     if not 0 <= j <= 3:
-        raise ValueError(f"tangent index must lie in 0..3, got {j}")
+        raise ValueError(f"tangent index must lie in 0..3, got {_shown(j)}")
     if a[j] + 2 * a[4] != f.d:
         raise ValueError(
             f"family {f.number}: a_{j} + 2*a4 = {a[j] + 2 * a[4]} != d = {f.d}; "

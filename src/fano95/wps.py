@@ -24,6 +24,16 @@ def _check_integer(what: str, value) -> None:
         raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
+def _shown(value, show=str) -> str:
+    """``show(value)`` for an error message; an integer too long to print is stated by size."""
+    try:
+        return show(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"<{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits>"
+        return f"<a {type(value).__name__} holding an integer too long to print>"
+
+
 def _check_rational(what: str, value) -> None:
     """Reject all but an int or a Fraction: Fraction() would round a float, parse a str."""
     if value.__class__ is not Fraction and value.__class__ is not int:
@@ -47,7 +57,7 @@ def _check_vanishing(vanishing) -> frozenset[int]:
     vanishing = frozenset(entries)
     if len(entries) != 3 or vanishing not in _SURVIVING:
         raise ValueError(
-            f"vanishing set must be 3 distinct indices in 0..4, got {sorted(entries)}"
+            f"vanishing set must be 3 distinct indices in 0..4, got {_shown(sorted(entries))}"
         )
     return vanishing
 
@@ -64,7 +74,7 @@ def _different(indices: Iterable[int]) -> tuple[int, int]:
     num, den = 0, 1
     for m in indices:
         if m < 2:
-            raise ValueError(f"singular-point index must be >= 2, got {m}")
+            raise ValueError(f"singular-point index must be >= 2, got {_shown(m)}")
         num, den = num * m + (m - 1) * den, den * m
     return num, den
 
@@ -96,34 +106,33 @@ def _stratum(w1: int, w2: int, m: int) -> tuple:
 
 class Record:
     """Base of the package's immutable records: a subclass declares its fields
-    once, in ``__slots__``, and is built from them in that order, positionally
-    or by name; one that checks or defaults its arguments ends its ``__init__``
-    with ``Record.__init__(self, ...)``.  Records of one class are equal, and
-    hash alike, when their fields are; copy and pickle go through ``__init__``."""
+    once, in ``__slots__``, and gets ``_fill``, ``def __init__(self, <slots>)``
+    compiled once for the class, which stores each argument in its slot.  A
+    class with no ``__init__`` of its own is built through it, positionally or
+    by name; one that checks or defaults its arguments ends with
+    ``self._fill(...)``.  A miscounted call is Python's own TypeError, naming
+    the class: ``Pair.__init__() missing 1 required positional argument ...``.
+    Records of one class are equal, and hash alike, when their fields are;
+    copy and pickle go through ``__init__``."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._setters = tuple([getattr(cls, name).__set__ for name in cls.__slots__])
-
-    def __init__(self, *values, **named):
-        """Fill the slots in order from ``values``, then the rest by name; a
-        wrong count or a missing, unknown or repeated name is a TypeError.  The
-        count is checked up front: ``zip(..., strict=True)`` would raise the
-        same, but its keyword call costs more than the fill of a small record."""
-        if named:
-            rest = self.__slots__[len(values):]
-            if named.keys() != set(rest):
-                raise TypeError(f"{type(self).__name__} takes {list(rest)} by name, "
-                                f"got {sorted(named)}")
-            values += tuple([named[name] for name in rest])
-        setters = self._setters
-        if len(values) != len(setters):
-            raise TypeError(f"{type(self).__name__} has {len(setters)} fields, "
-                            f"got {len(values)} values")
-        for setter, value in zip(setters, values):
-            setter(self, value)
+        slots = cls.__slots__
+        for name in slots:
+            if name in ("self", "_setters", "_fill"):
+                raise TypeError(f"{cls.__qualname__} cannot have a slot named {name!r}: "
+                                "its compiled initializer uses that name")
+        cls._setters = tuple([getattr(cls, name).__set__ for name in slots])
+        stores = "".join(f"\n    _setters[{i}](self, {name})" for i, name in enumerate(slots))
+        namespace = {"__name__": vars(cls).get("__module__")}  # the function's __module__
+        exec(f"def __init__(self, {', '.join(slots)}):\n    _setters = self._setters{stores}",
+             namespace)
+        cls._fill = fill = namespace["__init__"]
+        fill.__qualname__ = f"{cls.__qualname__}.__init__"
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = fill
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -166,20 +175,20 @@ class Weights(tuple):
         for x in a:
             _check_integer("weight", x)
         if len(a) != 5:
-            raise ValueError(f"need exactly five weights, got {len(a)}: {a}")
+            raise ValueError(f"need exactly five weights, got {len(a)}: {_shown(a)}")
         if min(a) < 1:
-            raise ValueError(f"weights must be positive integers: {a}")
+            raise ValueError(f"weights must be positive integers: {_shown(a)}")
         a0, a1, a2, a3, a4 = a
         if a0 != 1:
-            raise ValueError(f"first weight must be 1, got {a0}")
+            raise ValueError(f"first weight must be 1, got {_shown(a0)}")
         if not a0 <= a1 <= a2 <= a3 <= a4:
-            raise ValueError(f"weights must be ascending: {a}")
+            raise ValueError(f"weights must be ascending: {_shown(a)}")
         for triple in combinations(a[1:], 3):
             g = gcd(*triple)
             if g != 1:
                 raise ValueError(
-                    f"weights {a} are not well-formed: "
-                    f"{triple} share the common factor {g}"
+                    f"weights {_shown(a)} are not well-formed: "
+                    f"{_shown(triple)} share the common factor {_shown(g)}"
                 )
         return tuple.__new__(cls, a)
 
@@ -206,8 +215,8 @@ class StratumCurve(Record):
         for w in weights:
             _check_integer("stratum weight", w)
         if len(weights) != 2 or min(weights) < 1:
-            raise ValueError(f"need two stratum weights >= 1, got {weights}")
-        Record.__init__(self, vanishing, weights)
+            raise ValueError(f"need two stratum weights >= 1, got {_shown(weights)}")
+        self._fill(vanishing, weights)
 
     @classmethod
     def from_vanishing(cls, weights: Weights, vanishing) -> "StratumCurve":
@@ -227,7 +236,7 @@ def anticanonical_cube(d: int, weights: Weights) -> Fraction:
     Homogeneous of degree 1 in d, so scaling d scales the result.
     """
     if d < 1:
-        raise ValueError(f"degree must be positive, got {d}")
+        raise ValueError(f"degree must be positive, got {_shown(d)}")
     return Fraction(d, weights.tail_product)
 
 
@@ -250,5 +259,5 @@ def coordinate_point_on_hypersurface(d: int, weights: Weights, i: int) -> bool:
     the answer is always False.
     """
     if not 0 <= i <= 4:
-        raise ValueError(f"coordinate index must lie in 0..4, got {i}")
+        raise ValueError(f"coordinate index must lie in 0..4, got {_shown(i)}")
     return d % weights[i] != 0

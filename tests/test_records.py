@@ -2,10 +2,13 @@
 value with dataclass-style equality, hashing and repr."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import fano95
 from fano95 import (
     StratumCurve,
     build_coverage,
@@ -21,6 +24,20 @@ RECORD_CLASSES = (
     "SurfaceRow", "SurfaceCertificate", "TableVerification",
     "Annotation", "RouteEntry", "FamilyCoverage", "FamilyVerdict",
 )
+
+
+def test_every_record_class_is_under_the_contract():
+    # A new record class in the package must join RECORD_CLASSES, and so the
+    # contract test below.  Importing every module (__main__ too) runs no command.
+    for module in pkgutil.iter_modules(fano95.__path__):
+        importlib.import_module(f"fano95.{module.name}")
+    found, todo = set(), [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.partition(".")[0] == "fano95":
+                found.add(cls.__name__)
+    assert found == set(RECORD_CLASSES)
 
 
 @pytest.fixture(scope="module")
@@ -107,5 +124,20 @@ def test_record_is_built_from_its_slots_positionally_or_by_name(args, named):
 ], ids=["too-few", "too-many", "missing", "missing-first", "unknown",
         "unknown-with-rest", "repeated"])
 def test_record_constructor_refuses_a_miscounted_call(args, named):
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"^Pair\.__init__\(\) "):
         Pair(*args, **named)
+
+
+def test_record_initializer_is_compiled_per_class():
+    assert Pair.__init__ is Pair._fill
+    assert (Pair.__init__.__qualname__, Pair.__init__.__module__) == ("Pair.__init__", __name__)
+    assert StratumCurve._fill is not Pair._fill
+    assert StratumCurve._fill.__qualname__ == "StratumCurve.__init__"
+    bare = eval("type('Bare', (Record,), {'__slots__': ('x',)})", {"Record": Record})
+    assert bare(1).x == 1 and bare.__init__.__module__ is None  # no module to name
+
+
+@pytest.mark.parametrize("name", ["self", "_setters", "_fill"])
+def test_record_refuses_a_slot_its_initializer_cannot_take(name):
+    with pytest.raises(TypeError, match=f"Clash cannot have a slot named '{name}'"):
+        type("Clash", (Record,), {"__slots__": ("first", name)})

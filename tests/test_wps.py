@@ -6,9 +6,12 @@ from fractions import Fraction
 import pytest
 
 from fano95 import (
+    FamilyNotFoundError,
+    FamilyRecord,
     Method,
     StratumCurve,
     SurfaceRow,
+    ValidationError,
     Weights,
     anticanonical_cube,
     coordinate_point_on_hypersurface,
@@ -311,3 +314,36 @@ def test_format_rational_refuses_non_rationals(value):
     # "%d" would print a float or a Decimal truncated; only exact rationals pass.
     with pytest.raises(TypeError, match="must be an int or a Fraction"):
         format_rational(value)
+
+
+# ---------------------------------------------------------------------------
+# Error messages echoing an integer too long to print
+
+BIG = 10**5000  # over the default 4,300 digits str() will print
+W20 = Weights((1, 1, 3, 4, 5))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda db: FamilyRecord(BIG, 13, W20), ValidationError,
+     "family <an integer of 16610 bits>: family number must lie in 1..95"),
+    (lambda db: FamilyRecord(20, BIG, W20), ValidationError,
+     "family 20: d = <an integer of 16610 bits> but a1\\+a2\\+a3\\+a4 = 13"),
+    (lambda db: db.get(BIG), FamilyNotFoundError,
+     "no family numbered <an integer of 16610 bits>; valid numbers are 1..95"),
+    (lambda db: SurfaceRow(BIG, (0, 1, 2), (), Method.M41, 1), ValueError,
+     "family number must lie in 1..95, got <an integer of 16610 bits>"),
+    (lambda db: SurfaceRow(20, (0, 1, BIG), (), Method.M41, 1), ValueError,
+     "vanishing set must be 3 distinct indices in 0..4, got <a list holding an integer"),
+    (lambda db: SurfaceRow(20, (0, 1, 2), (), Method.M41, -BIG), ValueError,
+     "surface-system multiplier must be >= 1, got <a negative integer of 16610 bits>"),
+    (lambda db: Weights((1, -BIG, 3, 4, 5)), ValueError,
+     "weights must be positive integers: <a tuple holding an integer"),
+], ids=["record-number", "record-degree", "database-get", "row-family", "row-vanishing",
+        "row-multiplier", "weights"])
+def test_error_naming_the_check_survives_an_integer_too_long_to_print(db, build, error,
+                                                                        message):
+    # str() refuses an int over sys.get_int_max_str_digits() digits with its own
+    # ValueError, which must not replace the error that names the failed check.
+    with pytest.raises(error, match="^" + message) as caught:
+        build(db)
+    assert "Exceeds the limit" not in str(caught.value)
