@@ -10,8 +10,8 @@ Run:  python3 demos/03_certificates.py
 
 from fano95 import (
     Method,
+    SurfaceCertificate,
     case3_test_class_certificates,
-    certify_row,
     derived_lists,
     extension_check,
     load_packaged_families,
@@ -34,7 +34,7 @@ print("\nSurface-method rows: on a surface T in |m*A| through the stratum")
 print("curve C, adjunction with orbifold corrections gives C^2 on T, then")
 print("  m*A^3 - 2*deg(C) + C^2 < 0  excludes C.  Family 20's row:\n")
 row20 = next(r for r in rows if r.family == 20)
-cert = certify_row(db.get(20), row20)
+cert = SurfaceCertificate(row20, db.get(20))
 print(f"  stratum {set(sorted(row20.vanishing))}, m = {row20.m}")
 print(f"  curve degree        {cert.deg_c}")
 print(f"  orbifold corrections {cert.diff_total} (from weights {cert.diff_indices})")
@@ -45,7 +45,7 @@ print("\nThe two-curve variant pairs C with the companion curve C' cut out on")
 print("the same surface; both self-intersections negative plus a degree-sum")
 print("contradiction excludes both.  Family 29's row:\n")
 row29 = next(r for r in rows if r.family == 29 and r.method is Method.M42)
-cert29 = certify_row(db.get(29), row29)
+cert29 = SurfaceCertificate(row29, db.get(29))
 print(f"  deg C = {cert29.deg_c}, C^2 = {cert29.c2t}")
 print(f"  deg C' = {cert29.deg_c_prime}, C'^2 = {cert29.c_prime_sq}")
 print(f"  degree sum {cert29.degree_sum} > cap {cert29.a_cube}: "

@@ -17,7 +17,6 @@ from .certificates import (
     TableVerification,
     TestClassCertificate,
     case3_test_class_certificates,
-    certify_row,
     curve_self_intersection,
     different_total,
     expected_fail_tags,
@@ -105,7 +104,7 @@ __all__ = [
     "test_class_value", "test_class_value_expanded",
     "case3_test_class_certificates", "different_total",
     "curve_self_intersection", "surface_exclusion_value",
-    "certify_row", "expected_fail_tags",
+    "expected_fail_tags",
     "verify_surface_table", "load_surface_rows", "serialize_surface_rows",
     "load_packaged_surface_rows", "extension_check",
     # coverage

@@ -41,8 +41,9 @@ from .lemmas import (
     family_verdict,
     family_verdicts,
 )
-from .wps import (Record, _check_integer, _check_rational, _check_vanishing, _different, _quantity,
-                  _self_intersection, _shown, _stratum, format_rational, stratum_weights)
+from .wps import (_VANISHING_LABELS, Record, _check_integer, _check_rational, _check_vanishing,
+                  _different, _quantity, _self_intersection, _shown, _stratum, format_rational,
+                  stratum_weights)
 
 SURFACE_ROWS_FILENAME = "surface_rows.tsv"
 
@@ -58,7 +59,8 @@ class CertificateError(Exception):
 
 
 class RowError(CertificateError):
-    """A surface-table row was applied to another family's record."""
+    """A surface-table row cannot be certified: it was applied to another
+    family's record, or a quantity it derives is too long to print."""
 
     def __init__(self, family: int, message: str):
         super().__init__(f"family {family}: {message}")
@@ -148,24 +150,20 @@ def test_class_value(b: int, a_cube: Fraction, deg_c: Fraction, p_a: int) -> Fra
 
 
 class TestClassCertificate(Record):
-    """A strict-negativity certificate M·B² < 0 excluding one curve of a family:
-    the ``FamilyRecord`` (read by ``family``, its number, and ``a_cube``), the
-    curve (a description), the test class b·A − E's int b, the Fraction deg C,
-    the curve's genus p_a and the Fraction M·B², derived here.  A value passed
-    in, as copy and pickle pass it, must be the derived one, else ValueError."""
+    """A strict-negativity certificate M·B² < 0 excluding one curve of a family,
+    built from its inputs: the ``FamilyRecord`` (read by ``family``, its number,
+    and ``a_cube``), the curve (a description), the test class b·A − E's int b,
+    the curve's degree deg C (stored as a Fraction) and its genus p_a.  The
+    constructor derives the Fraction M·B², ``value``."""
 
     __slots__ = ("record", "curve", "b", "deg_c", "p_a", "value")
 
     family = property(lambda c: c.record.number)
     a_cube = property(lambda c: c.record.a_cube)
 
-    def __init__(self, record: FamilyRecord, curve: str, b: int, deg_c: Fraction,
-                 p_a: int = 0, value: Fraction | None = None):
-        derived = test_class_value(b, record.a_cube, deg_c, p_a)
-        if value is not None and value != derived:
-            raise ValueError(f"value must be {_shown(derived)}, the test-class value, "
-                             f"got {_shown(value, repr)}")
-        self._fill(record, curve, b, Fraction(deg_c), p_a, derived)
+    def __init__(self, record: FamilyRecord, curve: str, b: int, deg_c: Fraction, p_a: int = 0):
+        value = test_class_value(b, record.a_cube, deg_c, p_a)
+        self._fill(record, curve, b, Fraction(deg_c), p_a, value)
 
     @property
     def valid(self) -> bool:
@@ -357,22 +355,32 @@ def _from_quantities(name: str) -> property:
 
 
 class SurfaceCertificate(Record):
-    """Fully evaluated surface certificate for one table row, each quantity
-    and verdict stored once by ``certify_row``: the ``SurfaceRow``, the
-    ``FamilyRecord`` (read by ``family``, its number, and ``a_cube``), the
-    different's indices (a tuple of ints), then ``quantities``, as (JSON field
-    name, value, ``format_rational`` text), of deg C, the different total and
-    C²_T, then method 41's exclusion value or method 42's deg C′ and C′² of
-    the companion C′ in the pencil C + C′ ~ A|_T.  Every view reads the text
-    there, printed once, and A³'s on the record; the accessors of those names
-    (``deg_c`` ... ``c_prime_sq``) read the value, None for the other method's.
+    """The surface certificate of one table row, built from its inputs: the
+    ``SurfaceRow`` and the ``FamilyRecord`` (read by ``family``, its number,
+    and ``a_cube``); RowError for a row of another family, or for a quantity
+    too long to print.  The constructor evaluates the row bottom-up from the
+    weights and stores each quantity and verdict once: the different's indices
+    (a tuple of ints), then ``quantities``, as (JSON field name, value,
+    ``format_rational`` text), of deg C, the different total and C²_T, then
+    method 41's exclusion value or method 42's deg C′ and C′² of the companion
+    C′ in the pencil C + C′ ~ A|_T.  Every view reads the text there, printed
+    once, and A³'s on the record; the accessors of those names (``deg_c`` ...
+    ``c_prime_sq``) read the value, None for the other method's.
 
     Method 42 alone fills ``cap_check`` (its degree sum deg C + deg C′ as a
     Fraction and its text; the accessor ``degree_sum`` reads the Fraction) and
     the bools ``forces_alpha_one`` (C′² < 0) and ``degree_contradiction``
-    (degree sum > cap).  Last come the bools ``valid``
-    and ``boundary``, True when some deciding quantity is exactly zero/equal —
-    reported separately because validity demands strict inequalities.
+    (degree sum > cap).  Last come the bools ``valid`` and ``boundary``, True
+    when some deciding quantity is exactly zero/equal — reported separately
+    because validity demands strict inequalities.
+
+    The curve is the weighted line P(w1, w2) of the two coordinates outside
+    the row's vanishing set.  Its singular-point indices in T are taken to be
+    w1 and w2 where they exceed 1 — an assumption, so any row it fails to
+    certify is surfaced rather than patched (see ``verify_surface_table``).
+    The chain runs in integers over positive denominators, so a verdict tests
+    the sign of a numerator.  deg C, the different and C²_T come from
+    ``wps._stratum``, shared by every row on the same (w1, w2, m).
     """
 
     __slots__ = ("row", "record", "diff_indices", "quantities", "cap_check",
@@ -384,47 +392,36 @@ class SurfaceCertificate(Record):
     family = property(lambda cert: cert.record.number)
     a_cube = property(lambda cert: cert.record.a_cube)
 
-
-def certify_row(f: FamilyRecord, row: SurfaceRow) -> SurfaceCertificate:
-    """Evaluate one surface row bottom-up from the family's weights.
-
-    The curve is the weighted line P(w1, w2) of the two coordinates outside
-    the row's vanishing set, which ``SurfaceRow`` has validated.  Its
-    singular-point indices in T are taken to be w1 and w2 where they exceed 1
-    — an assumption, so any row it fails to certify is surfaced rather than
-    patched (see ``verify_surface_table``).  The chain runs in integers over
-    positive denominators, so a verdict tests the sign of a numerator.  deg C,
-    the different and C²_T come from ``wps._stratum``, shared by every row on
-    the same (w1, w2, m) whatever its family; only the quantities that need A³
-    are computed here.  Each quantity is stored as (field, value, text), its
-    ``format_rational`` text printed once.
-    """
-    if row.family != f.number:
-        raise RowError(row.family, f"row applied to family record {f.number}")
-    m, a, b = row.m, f.a_cube.numerator, f.a_cube.denominator
-    w1, w2 = stratum_weights(f.weights, row.vanishing)
-    q = w1 * w2  # deg C = 1/q
-    diff_indices, r, s, c, t, chain = _stratum(w1, w2, m)
-    if row.method is Method.M41:
-        v, z = _exclusion_value(m, a, b, 1, q, c, t)
-        return SurfaceCertificate(
-            row, f, diff_indices, chain + (_quantity("exclusion_value", Fraction(v, z)),),
-            None, None, None, v < 0, v == 0)
-    # Method 42: the pencil A|_T cuts out C + C', so deg C' = m*A^3 - deg C and
-    # the degree sum m*A^3 beats the cap A^3 exactly when m*a > a.  C' meets the
-    # same singular points, so adjunction gives C'^2 too.  A companion of degree
-    # <= 0 is no curve, so the certificate is invalid.
-    p2, q2 = m * a * q - b, b * q
-    c2, t2 = _self_intersection(m, p2, q2, r, s)
-    degree_sum = Fraction(m * a, b)
-    degree_contradiction = m * a > a
-    return SurfaceCertificate(
-        row, f, diff_indices,
-        chain + (_quantity("deg_c_prime", Fraction(p2, q2)),
-                 _quantity("c_prime_sq", Fraction(c2, t2))),
-        (degree_sum, format_rational(degree_sum)), c2 < 0, degree_contradiction,
-        p2 > 0 and c2 < 0 and degree_contradiction, p2 == 0 or c2 == 0 or m * a == a,
-    )
+    def __init__(self, row: SurfaceRow, record: FamilyRecord):
+        if row.family != record.number:
+            raise RowError(row.family, f"row applied to family record {record.number}")
+        m, a, b = row.m, record.a_cube.numerator, record.a_cube.denominator
+        w1, w2 = stratum_weights(record.weights, row.vanishing)
+        q = w1 * w2  # deg C = 1/q
+        try:
+            diff_indices, r, s, c, t, chain = _stratum(w1, w2, m)
+            if row.method is Method.M41:
+                v, z = _exclusion_value(m, a, b, 1, q, c, t)
+                return self._fill(row, record, diff_indices, chain + (
+                    _quantity("exclusion_value", Fraction(v, z)),), None, None, None, v < 0, v == 0)
+            # Method 42: the pencil A|_T cuts out C + C', so deg C' = m*A^3 - deg C
+            # and the degree sum m*A^3 beats the cap A^3 exactly when m*a > a.  C'
+            # meets the same singular points, so adjunction gives C'^2 too.  A
+            # companion of degree <= 0 is no curve, so the certificate is invalid.
+            p2, q2 = m * a * q - b, b * q
+            c2, t2 = _self_intersection(m, p2, q2, r, s)
+            degree_sum = Fraction(m * a, b)
+            degree_contradiction = m * a > a
+            self._fill(
+                row, record, diff_indices,
+                chain + (_quantity("deg_c_prime", Fraction(p2, q2)),
+                         _quantity("c_prime_sq", Fraction(c2, t2))),
+                (degree_sum, format_rational(degree_sum)), c2 < 0, degree_contradiction,
+                p2 > 0 and c2 < 0 and degree_contradiction, p2 == 0 or c2 == 0 or m * a == a,
+            )
+        except ValueError:  # only format_rational raises: more digits than str() converts
+            raise RowError(row.family, f"row {_VANISHING_LABELS[row.vanishing]} (method "
+                           f"{row.method.value}): a quantity is too long to print") from None
 
 
 def expected_fail_tags(f: FamilyRecord) -> frozenset[str]:
@@ -464,7 +461,7 @@ def verify_surface_table(db: FamilyDatabase, rows: Iterable[SurfaceRow]) -> Tabl
     mismatches = []
     verdicts = family_verdicts(db)
     for row in rows:
-        certificates.append(certify_row(db.get(row.family), row))
+        certificates.append(SurfaceCertificate(row, db.get(row.family)))
         expected = verdicts[row.family - 1].fail_tags
         if row.fails != expected:
             mismatches.append((row.family, row.fails, expected))

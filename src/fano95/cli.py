@@ -20,6 +20,7 @@ from pathlib import Path
 from . import report
 from .certificates import (
     SURFACE_ROWS_FILENAME,
+    CertificateError,
     SurfaceRowParseError,
     case3_test_class_certificates,
     load_surface_rows,
@@ -167,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return run_command(args)
-    except _InputError as exc:
+    except (_InputError, CertificateError) as exc:  # a row whose quantity is too long to print
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

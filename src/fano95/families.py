@@ -55,17 +55,16 @@ class FamilyNotFoundError(FamilyTableError):
 
 
 class FamilyRecord(Record):
-    """One family: its number in 1..95 and degree d = a1+a2+a3+a4 (ints), its
-    ``Weights``, its degree invariant a_cube = A³ (a Fraction) and A³'s
-    ``format_rational`` text, printed once for every view of the degree cap."""
+    """One family, built from its number in 1..95, degree d = a1+a2+a3+a4 (ints)
+    and ``Weights``, which derive its degree invariant a_cube = A³ (a Fraction)
+    and A³'s ``format_rational`` text, printed once for every view of the cap."""
 
     __slots__ = ("number", "d", "weights", "a_cube", "a_cube_text")
 
-    def __init__(self, number: int, d: int, weights: Weights, a_cube=None, a_cube_text=None):
+    def __init__(self, number: int, d: int, weights: Weights):
         """Check the record and derive A³ and its text: ValidationError on bad
-        data, TypeError on a number or degree that is not an integer or on
-        weights that are not ``Weights``.  An A³ or a text passed in, as copy
-        and pickle pass them, must be the derived one, else ValueError."""
+        data or on an A³ too long to print, TypeError on a number or degree
+        that is not an integer or on weights that are not ``Weights``."""
         _check_integer("family number", number)
         _check_integer("degree", d)
         if not isinstance(weights, Weights):
@@ -80,13 +79,10 @@ class FamilyRecord(Record):
                 "(invariant d = a1+a2+a3+a4 violated)",
             )
         cube = anticanonical_cube(d, weights)
-        text = format_rational(cube)
-        if a_cube is not None and a_cube != cube:
-            raise ValueError(f"a_cube must be {text}, the A³ of the weights, "
-                             f"got {_shown(a_cube, repr)}")
-        if a_cube_text is not None and a_cube_text != text:
-            raise ValueError(f"a_cube_text must be {text!r}, the text of a_cube, "
-                             f"got {a_cube_text!r}")
+        try:
+            text = format_rational(cube)
+        except ValueError:  # more digits than str() converts
+            raise ValidationError(number, "A³ = d/(a1*a2*a3*a4) is too long to print") from None
         self._fill(number, d, weights, cube, text)
 
 

@@ -25,13 +25,13 @@ from operator import index
 from typing import Iterable, Mapping
 
 from .certificates import (
+    CertificateError,
     Method,
     SurfaceCertificate,
     SurfaceRow,
     TableVerification,
     TestClassCertificate,
     case3_test_class_certificates,
-    certify_row,
 )
 from .coverage import FamilyCoverage
 from .families import FAMILY_COUNT, FamilyDatabase, FamilyRecord
@@ -277,7 +277,7 @@ def _emit(o, pad: str, write) -> None:
 # ---------------------------------------------------------------------------
 
 #: What rebuilding a malformed entry, or one the engine refuses, can raise.
-_REBUILD_ERRORS = (KeyError, TypeError, ValueError)
+_REBUILD_ERRORS = (KeyError, TypeError, ValueError, CertificateError)
 
 #: Stands in for a field or item that one side of a comparison lacks; a
 #: problem line shows it, and each container, by its entry in ``_SHOWN``.
@@ -371,8 +371,9 @@ def revalidate_document(document: Mapping) -> tuple[str, ...]:
         row = _rebuilt(problems, lambda: SurfaceRow(
             s["family"], s["vanishing"], s["fails"], Method(s["method"]), s["m"]), path)
         if row is not None and db is not None:
-            _compare(s, _surface_cert_json(certify_row(db.get(row.family), row)), path,
-                     problems)
+            cert = _rebuilt(problems, lambda: SurfaceCertificate(row, db.get(row.family)), path)
+            if cert is not None:
+                _compare(s, _surface_cert_json(cert), path, problems)
 
     lists = document.get("lists")
     if lists is not None and not isinstance(lists, dict):

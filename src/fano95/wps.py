@@ -108,12 +108,12 @@ class Record:
     """Base of the package's immutable records: a subclass declares its fields
     once, in ``__slots__``, and gets ``_fill``, ``def __init__(self, <slots>)``
     compiled once for the class, which stores each argument in its slot.  A
-    class with no ``__init__`` of its own is built through it, positionally or
-    by name; one that checks or defaults its arguments ends with
-    ``self._fill(...)``.  A miscounted call is Python's own TypeError, naming
-    the class: ``Pair.__init__() missing 1 required positional argument ...``.
+    class without its own ``__init__`` is built through it; any other takes
+    the record's inputs, its leading slots in order (else the class is refused
+    when created), and ends with ``self._fill(...)``.  A miscounted call, or a
+    derived field passed in, is Python's own TypeError naming the class.
     Records of one class are equal, and hash alike, when their fields are;
-    copy and pickle go through ``__init__``."""
+    copy and pickle pass the inputs back to ``__init__``, which derives the rest."""
 
     __slots__ = ()
 
@@ -121,7 +121,7 @@ class Record:
         super().__init_subclass__(**kwargs)
         slots = cls.__slots__
         for name in slots:
-            if name in ("self", "_setters", "_fill"):
+            if name in ("self", "_setters", "_fill", "_inputs"):
                 raise TypeError(f"{cls.__qualname__} cannot have a slot named {name!r}: "
                                 "its compiled initializer uses that name")
         cls._setters = tuple([getattr(cls, name).__set__ for name in slots])
@@ -133,6 +133,11 @@ class Record:
         fill.__qualname__ = f"{cls.__qualname__}.__init__"
         if "__init__" not in cls.__dict__:
             cls.__init__ = fill
+        code = cls.__init__.__code__
+        cls._inputs = code.co_varnames[1:code.co_argcount + code.co_kwonlyargcount]
+        if code.co_flags & 0x0C or cls._inputs != slots[:code.co_argcount - 1]:  # *a, **k
+            raise TypeError(f"{cls.__qualname__}.__init__ takes {cls._inputs}, which are not "
+                            f"the leading slots of {slots}, in order")
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -150,7 +155,7 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._fields()
+        return type(self), tuple([getattr(self, name) for name in self._inputs])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable record")

@@ -2,6 +2,7 @@
 the seeded wide tables of ``perfbench/widetable.py``."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,16 @@ def db():
 @pytest.fixture(scope="session")
 def rows():
     return load_packaged_surface_rows()
+
+
+@pytest.fixture
+def digit_limit():
+    """The most digits ``int()`` and ``str()`` convert (4,300 by default); the
+    test is skipped where there is no such limit, or it is switched off."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    return limit
 
 
 @pytest.fixture(scope="session")

@@ -14,10 +14,10 @@ from fano95 import (
     Method,
     RowError,
     StratumCurve,
+    SurfaceCertificate,
     SurfaceRow,
     SurfaceRowParseError,
     case3_test_class_certificates,
-    certify_row,
     curve_self_intersection,
     derived_lists,
     different_total,
@@ -121,20 +121,15 @@ def test_test_class_value_refuses_non_rationals(db, bad):
 
 
 def test_test_class_certificate_derives_its_value(db):
-    # The value is derived from the family record; one passed in, as copy,
-    # pickle and a rebuild from the fields pass it, must be that value.
+    # The value is derived from the family record, and again by copy and
+    # pickle, which pass the constructor only its inputs.
     f = db.get(1)
     cert = C.TestClassCertificate(f, "twisted cubic", 2, 3)
     assert (cert.record, cert.family, cert.a_cube) == (f, 1, Fraction(4))
     assert (cert.value, cert.valid) == (2 * 4 - 3 * 3 - 2, True)
-    fields = {name: getattr(cert, name) for name in C.TestClassCertificate.__slots__}
     for twin in (copy.copy(cert), copy.deepcopy(cert), pickle.loads(pickle.dumps(cert)),
-                 C.TestClassCertificate(**fields)):
+                 C.TestClassCertificate(f, "twisted cubic", 2, Fraction(3), 0)):
         assert twin == cert and twin.value == Fraction(-3)
-    with pytest.raises(ValueError, match="value must be -3, the test-class value"):
-        C.TestClassCertificate(f, "twisted cubic", 2, 3, 0, Fraction(-2))
-    with pytest.raises(ValueError):
-        C.TestClassCertificate(**dict(fields, value=Fraction(1)))
 
 
 def test_test_class_value_matches_fraction_oracle(db):
@@ -240,7 +235,7 @@ def test_two_curve_certificate_flags(db):
     # degree comparison is strict: equality is a boundary, not a certificate.
     for family, deg_c, deg_c_prime in ((1, 1, 3), (2, Fraction(1, 2), 2)):
         f = db.get(family)
-        cert = certify_row(f, C.parse_surface_row(f"{family}\t0,1,2\t\t42\t1"))
+        cert = SurfaceCertificate(C.parse_surface_row(f"{family}\t0,1,2\t\t42\t1"), f)
         assert (cert.deg_c, cert.deg_c_prime) == (deg_c, deg_c_prime)
         assert cert.degree_sum == cert.a_cube == f.a_cube
         assert cert.forces_alpha_one is True       # companion self-intersection < 0
@@ -248,7 +243,7 @@ def test_two_curve_certificate_flags(db):
         assert cert.valid is False
         assert cert.boundary is True
 
-        good = certify_row(f, C.parse_surface_row(f"{family}\t0,1,2\t\t42\t2"))
+        good = SurfaceCertificate(C.parse_surface_row(f"{family}\t0,1,2\t\t42\t2"), f)
         assert good.degree_contradiction is True and good.valid is True
         assert good.boundary is False
 
@@ -390,7 +385,7 @@ def test_serialize_rows_matches_packaged_data(rows):
 
 def test_certify_row_worked_chain(db):
     row = C.parse_surface_row("20\t0,2,3\tcontracted\t41\t4")
-    cert = certify_row(db.get(20), row)
+    cert = SurfaceCertificate(row, db.get(20))
     assert cert.deg_c == Fraction(1, 5)
     assert cert.diff_indices == (5,)
     assert cert.diff_total == Fraction(4, 5)
@@ -403,7 +398,7 @@ def test_certify_row_worked_chain(db):
 
 def test_certify_row_two_curve_chain(db):
     row = C.parse_surface_row("29\t0,2,4\tresidual\t42\t2")
-    cert = certify_row(db.get(29), row)
+    cert = SurfaceCertificate(row, db.get(29))
     assert cert.deg_c == Fraction(1, 5)
     assert cert.c2t == Fraction(-7, 5)
     assert cert.exclusion_value is None
@@ -415,7 +410,7 @@ def test_certify_row_two_curve_chain(db):
 
 def test_certify_row_boundary_value_is_invalid(db):
     row = C.parse_surface_row("1\t0,1,2\t\t41\t1")
-    cert = certify_row(db.get(1), row)
+    cert = SurfaceCertificate(row, db.get(1))
     assert cert.exclusion_value == 0
     assert cert.valid is False
     assert cert.boundary is True
@@ -423,7 +418,7 @@ def test_certify_row_boundary_value_is_invalid(db):
 
 def test_certify_row_positive_value_is_invalid(db):
     row = C.parse_surface_row("1\t0,1,2\t\t41\t3")
-    cert = certify_row(db.get(1), row)
+    cert = SurfaceCertificate(row, db.get(1))
     assert cert.exclusion_value == 6
     assert cert.valid is False and cert.boundary is False
 
@@ -431,7 +426,7 @@ def test_certify_row_positive_value_is_invalid(db):
 def test_certify_row_rejects_wrong_family_record(db):
     row = C.parse_surface_row("1\t0,1,2\t\t41\t1")
     with pytest.raises(RowError, match="applied to family record 2"):
-        certify_row(db.get(2), row)
+        SurfaceCertificate(row, db.get(2))
 
 
 @pytest.mark.parametrize(
@@ -447,7 +442,7 @@ def test_certify_row_nonpositive_companion_degree_is_invalid(db, line, deg_c_pri
     # Families 9 and 12 at m = 2 have C'^2 < 0 and a degree sum above the cap:
     # only deg C' <= 0 keeps these certificates from being valid.
     row = C.parse_surface_row(line)
-    cert = certify_row(db.get(row.family), row)
+    cert = SurfaceCertificate(row, db.get(row.family))
     assert cert.deg_c_prime == deg_c_prime
     assert (cert.valid, cert.boundary) == (False, boundary)
     if row.m == 2:
@@ -501,7 +496,7 @@ def test_certify_row_matches_fraction_oracle_everywhere(db):
         row = SurfaceRow(family=f.number, vanishing=vanishing, fails=frozenset(),
                          method=method, m=m)
         expected = _oracle(f, vanishing, method, m)
-        cert = certify_row(f, row)
+        cert = SurfaceCertificate(row, f)
         got = {name: getattr(cert, name) for name in expected}
         assert got == expected, (f.number, sorted(vanishing), method, m)
         for name, value, text in cert.quantities:
@@ -518,12 +513,12 @@ def test_certify_row_matches_fraction_oracle_everywhere(db):
 
 
 def test_certify_row_agrees_with_stratum_curve(db):
-    # certify_row reads the stratum's weights without building a StratumCurve;
+    # A certificate reads the stratum's weights without building a StratumCurve;
     # both must derive the same curve from the weights.
     for f, vanishing in product(db, combinations(range(5), 3)):
         curve = StratumCurve.from_vanishing(f.weights, vanishing)
         for method in Method:
-            cert = certify_row(f, SurfaceRow(f.number, vanishing, (), method, 2))
+            cert = SurfaceCertificate(SurfaceRow(f.number, vanishing, (), method, 2), f)
             assert cert.deg_c == curve.degree, (f.number, vanishing)
             assert cert.diff_indices == tuple(
                 sorted(w for w in curve.surviving_weights if w > 1)
@@ -538,9 +533,9 @@ def test_stratum_chain_is_shared_across_rows(db, wide_tables):
     cold = []
     for row in table:
         wps._stratum.cache_clear()
-        cold.append(certify_row(db.get(row.family), row))
+        cold.append(SurfaceCertificate(row, db.get(row.family)))
     wps._stratum.cache_clear()
-    warm = [certify_row(db.get(row.family), row) for row in table]
+    warm = [SurfaceCertificate(row, db.get(row.family)) for row in table]
     assert warm == cold
     by_key = {}
     for cert in warm:
@@ -620,17 +615,14 @@ def test_certificate_accessors_read_the_stored_quantities(db, wide_tables):
 
 def test_family_record_carries_its_degree_cap_text(db):
     # A³ is printed once per family, when the record is built, from a_cube
-    # itself: a text that is not a_cube's is refused, so no view can print it.
+    # itself; no caller can pass another text in, so no view can print it.
     for f in db:
         assert f.a_cube_text == format_rational(f.a_cube)
     f = db.get(20)
-    assert FamilyRecord(20, 13, f.weights, f.a_cube) == f
-    assert FamilyRecord(20, 13, f.weights, f.a_cube, "13/60") == f
+    assert FamilyRecord(20, 13, f.weights) == f
     assert copy.copy(f) == pickle.loads(pickle.dumps(f)) == f
-    with pytest.raises(ValueError, match="a_cube_text must be '13/60'"):
-        FamilyRecord(20, 13, f.weights, Fraction(13, 60), "1/2")
-    with pytest.raises(ValueError):
-        FamilyRecord(number=20, d=13, weights=f.weights, a_cube=f.a_cube, a_cube_text="13/61")
+    with pytest.raises(TypeError, match="unexpected keyword argument 'a_cube_text'"):
+        FamilyRecord(20, 13, f.weights, a_cube_text="1/2")
 
 
 @pytest.mark.parametrize("seed", [None, 3, 11], ids=["packaged", "wide-3", "wide-11"])

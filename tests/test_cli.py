@@ -448,18 +448,19 @@ def test_full_certifies_each_row_once(
     capsys, monkeypatch, wide_tables, command, seed, fmt
 ):
     # Each command certifies each row once; full's cases keep their bare seed ids.
-    # The patch counts only calls made through the certificates module: the
-    # revalidator rebuilds surface entries through report's own imported
-    # certify_row, which it leaves alone, so only the audit's certification counts.
+    # The patch counts only certificates built through the certificates module:
+    # the revalidator rebuilds surface entries through report's own imported
+    # SurfaceCertificate, which it leaves alone, so only the audit's certification
+    # counts.
     table = ROWS if seed is None else wide_tables[seed]
     calls = []
-    certify_row = certificates.certify_row
+    certify = certificates.SurfaceCertificate
 
-    def counted(f, row):
+    def counted(row, record):
         calls.append(row)
-        return certify_row(f, row)
+        return certify(row, record)
 
-    monkeypatch.setattr(certificates, "certify_row", counted)
+    monkeypatch.setattr(certificates, "SurfaceCertificate", counted)
     code, _, err = run(capsys, command, "--table", str(table), "--format", fmt)
     assert (code, err) == (
         cli.EXIT_OK if seed is None else cli.EXIT_CHECK_FAILED,
@@ -641,6 +642,42 @@ def test_an_oversized_integer_is_an_input_error(capsys, tmp_path, flag):
     assert err.startswith(f"error: {what} {bad}: ") and "Traceback" not in err
     if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
         assert err.startswith(f"error: {what} {bad}: line {index + 1}: Exceeds the limit")
+
+
+def test_an_a_cube_too_long_to_print_is_an_input_error(capsys, tmp_path, digit_limit):
+    # Every field of family 20's line parses, but A³'s denominator
+    # n(n+1)(n+2)(n+3) has more digits than str() converts: the family is
+    # refused by number (exit 2), and A³ is not printed.
+    n = 10 ** (digit_limit // 4 + 1)
+    lines = FAMILIES.read_text().splitlines(keepends=True)
+    index = next(i for i, line in enumerate(lines) if line.startswith("20\t"))
+    lines[index] = "\t".join(map(str, (20, 4 * n + 6, 1, n, n + 1, n + 2, n + 3))) + "\n"
+    bad = tmp_path / "families.tsv"
+    bad.write_text("".join(lines))
+    assert run(capsys, "validate", "--families", str(bad)) == (
+        cli.EXIT_INPUT_ERROR, "",
+        f"error: families table {bad}: family 20: A³ = d/(a1*a2*a3*a4) is too long to print\n",
+    )
+
+
+@pytest.mark.parametrize("command", ["certify", "full"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_certificate_quantity_too_long_to_print_is_an_input_error(
+    capsys, tmp_path, digit_limit, command, fmt
+):
+    # m parses, having as many digits as int() converts, but family 20's
+    # C²_T = -(m+5)/5 has one more: the row is refused by family and stratum
+    # in one error line (exit 2), and neither m nor C²_T is printed.
+    lines = ROWS.read_text().splitlines(keepends=True)
+    index = next(i for i, line in enumerate(lines) if line.startswith("20\t"))
+    assert lines[index] == "20\t0,2,3\tcontracted\t41\t4\n"
+    lines[index] = "20\t0,2,3\tcontracted\t41\t" + "9" * digit_limit + "\n"
+    bad = tmp_path / "rows.tsv"
+    bad.write_text("".join(lines))
+    assert run(capsys, command, "--table", str(bad), "--format", fmt) == (
+        cli.EXIT_INPUT_ERROR, "",
+        "error: family 20: row {0,2,3} (method 41): a quantity is too long to print\n",
+    )
 
 
 @pytest.mark.parametrize("table", sorted(ALTERED_LINES))

@@ -1,5 +1,5 @@
 """Every demo script runs to completion against the public API and prints
-exactly the pinned output."""
+exactly the pinned output, and the README's library tour runs clean."""
 
 import hashlib
 import os
@@ -22,14 +22,26 @@ DEMO_OUTPUT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_exits_zero(demo):
+def _run(*args):
+    """Run the interpreter on ``args`` with the checkout's ``src`` on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    result = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, timeout=120
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_exits_zero(demo):
+    result = _run(str(demo))
     assert result.returncode == 0, result.stderr.decode()
     assert hashlib.sha256(result.stdout).hexdigest() == DEMO_OUTPUT_SHA256[demo.name]
+
+
+def test_readme_library_tour_runs():
+    # The README's "Library tour" block runs as written in a fresh interpreter,
+    # so a renamed or removed name cannot leave it stale.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("\n## Library tour\n", 1)[1].split("```python\n", 1)[1]
+    result = _run("-c", tour.split("\n```", 1)[0])
+    assert (result.returncode, result.stderr.decode()) == (0, "")

@@ -1,8 +1,9 @@
 """The record contract: every record the audit builds is an immutable slotted
-value with dataclass-style equality, hashing and repr."""
+value with dataclass-style equality, hashing and repr, built from its inputs."""
 
 import copy
 import importlib
+import inspect
 import pickle
 import pkgutil
 
@@ -70,6 +71,10 @@ def test_record_contract(audit_records, name):
     cls = type(record)
     assert cls.__name__ == name and type(other) is cls
     fields = {field: getattr(record, field) for field in cls.__slots__}
+    # The constructor takes the leading slots, its inputs, and derives the rest.
+    params = tuple(inspect.signature(cls).parameters)
+    assert params == cls.__slots__[:len(params)] == cls._inputs
+    inputs = [fields[field] for field in params]
 
     for field, value in fields.items():
         with pytest.raises(AttributeError):
@@ -80,23 +85,41 @@ def test_record_contract(audit_records, name):
         record.extra = None
     assert not hasattr(record, "__dict__")
 
-    twin = cls(**fields)
+    twin = cls(*inputs)
     assert twin is not record
     assert twin == record and hash(twin) == hash(record)
     assert record != other
-    assert copy.copy(record) == record == pickle.loads(pickle.dumps(record))
+    for rebuilt in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record)),
+                    cls(**dict(zip(params, inputs)))):
+        assert rebuilt is not record and rebuilt == record
+    assert record.__reduce__() == (cls, tuple(inputs))
 
     assert record != tuple(fields.values())
     assert tuple(fields.values()) != record
     sibling = type(f"Other{name}", (Record,), {"__slots__": cls.__slots__,
                                                 "__init__": cls.__init__})
-    assert sibling(**fields)._fields() == twin._fields()
-    assert record != sibling(**fields) and sibling(**fields) != record
+    assert sibling(*inputs)._fields() == twin._fields()
+    assert record != sibling(*inputs) and sibling(*inputs) != record
 
     shown = repr(record)
     assert shown.startswith(f"{name}(")
     for field, value in fields.items():
         assert f"{field}={value!r}" in shown
+
+
+@pytest.mark.parametrize("name, inputs, derived", [
+    ("FamilyRecord", ("number", "d", "weights"), "a_cube"),
+    ("TestClassCertificate", ("record", "curve", "b", "deg_c", "p_a"), "value"),
+    ("SurfaceCertificate", ("row", "record"), "valid"),
+], ids=["FamilyRecord", "TestClassCertificate", "SurfaceCertificate"])
+def test_a_derived_field_is_not_a_constructor_argument(audit_records, name, inputs, derived):
+    record = audit_records[name][0]
+    cls = type(record)
+    assert cls._inputs == inputs
+    args = [getattr(record, field) for field in inputs]
+    with pytest.raises(TypeError, match=f"^{name}.__init__\\(\\) got an unexpected keyword "
+                                        f"argument '{derived}'"):
+        cls(*args, **{derived: getattr(record, derived)})
 
 
 class Pair(Record):
@@ -137,7 +160,31 @@ def test_record_initializer_is_compiled_per_class():
     assert bare(1).x == 1 and bare.__init__.__module__ is None  # no module to name
 
 
-@pytest.mark.parametrize("name", ["self", "_setters", "_fill"])
+@pytest.mark.parametrize("name", ["self", "_setters", "_fill", "_inputs"])
 def test_record_refuses_a_slot_its_initializer_cannot_take(name):
     with pytest.raises(TypeError, match=f"Clash cannot have a slot named '{name}'"):
         type("Clash", (Record,), {"__slots__": ("first", name)})
+
+
+@pytest.mark.parametrize("init", [
+    lambda self, second: None,
+    lambda self, second, first: None,
+    lambda self, first, third: None,
+    lambda self, first, *rest: None,
+    lambda self, first, **named: None,
+    lambda self, first, *, second: None,
+], ids=["not-leading", "reordered", "not-a-slot", "star-args", "star-kwargs", "keyword-only"])
+def test_record_refuses_an_initializer_that_does_not_take_its_leading_slots(init):
+    with pytest.raises(TypeError, match=r"^Bad\.__init__ takes \(.*\), which are not the "
+                                        r"leading slots of \('first', 'second'\), in order$"):
+        type("Bad", (Record,), {"__slots__": ("first", "second"), "__init__": init})
+
+
+@pytest.mark.parametrize("init", [
+    lambda self: None,
+    lambda self, first: None,
+    lambda self, first, second=2: None,
+], ids=["no-inputs", "first", "both-with-default"])
+def test_record_accepts_an_initializer_of_its_leading_slots(init):
+    cls = type("Good", (Record,), {"__slots__": ("first", "second"), "__init__": init})
+    assert cls._inputs == tuple(inspect.signature(init).parameters)[1:]

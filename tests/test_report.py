@@ -397,6 +397,20 @@ def test_revalidate_reports_nonpositive_companion_degree(full_document):
     assert f"{path}.valid: serialized True, recomputed False" in problems
 
 
+def test_revalidate_reports_a_quantity_too_long_to_print(full_document, digit_limit):
+    # m parses, having as many digits as int() converts, but a quantity of the
+    # certificate it rebuilds has more: the entry does not rebuild, and the
+    # problem names its path, not the number.
+    doc = json.loads(to_json(full_document))
+    victim = doc["certificates"]["surface"][9]
+    assert (victim["family"], victim["vanishing"], victim["method"]) == (15, [0, 2, 4], "42")
+    victim["m"] = 10 ** (digit_limit - 1)
+    assert revalidate_document(doc) == (
+        "certificates.surface[9]: does not rebuild (RowError: family 15: row {0,2,4} "
+        "(method 42): a quantity is too long to print)",
+    )
+
+
 def _forge_family_22_as_23(doc):
     doc["families"][21].update(
         {key: doc["families"][22][key] for key in ("d", "weights", "degree_cap", "case")}
