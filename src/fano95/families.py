@@ -57,14 +57,13 @@ class FamilyNotFoundError(FamilyTableError):
 class FamilyRecord(Record):
     """One family, built from its number in 1..95, degree d = a1+a2+a3+a4 (ints)
     and ``Weights``, which derive its degree invariant a_cube = A³ (a Fraction)
-    and A³'s ``format_rational`` text, printed once for every view of the cap."""
+    and A³'s ``format_rational`` text, printed once for every view of the cap.
+    ValidationError on bad data or an A³ too long to print; TypeError on a
+    number or degree that is not an integer, or weights that are not ``Weights``."""
 
     __slots__ = ("number", "d", "weights", "a_cube", "a_cube_text")
 
     def __init__(self, number: int, d: int, weights: Weights):
-        """Check the record and derive A³ and its text: ValidationError on bad
-        data or on an A³ too long to print, TypeError on a number or degree
-        that is not an integer or on weights that are not ``Weights``."""
         _check_integer("family number", number)
         _check_integer("degree", d)
         if not isinstance(weights, Weights):

@@ -123,7 +123,7 @@ class Record:
         for name in slots:
             if name in ("self", "_setters", "_fill", "_inputs"):
                 raise TypeError(f"{cls.__qualname__} cannot have a slot named {name!r}: "
-                                "its compiled initializer uses that name")
+                                "Record uses that name")
         cls._setters = tuple([getattr(cls, name).__set__ for name in slots])
         stores = "".join(f"\n    _setters[{i}](self, {name})" for i, name in enumerate(slots))
         namespace = {"__name__": vars(cls).get("__module__")}  # the function's __module__
@@ -133,9 +133,9 @@ class Record:
         fill.__qualname__ = f"{cls.__qualname__}.__init__"
         if "__init__" not in cls.__dict__:
             cls.__init__ = fill
-        code = cls.__init__.__code__
+        code = cls.__init__.__code__  # flags 0x0C: *args or **kwargs
         cls._inputs = code.co_varnames[1:code.co_argcount + code.co_kwonlyargcount]
-        if code.co_flags & 0x0C or cls._inputs != slots[:code.co_argcount - 1]:  # *a, **k
+        if code.co_flags & 0x0C or cls._inputs != slots[:code.co_argcount - 1]:
             raise TypeError(f"{cls.__qualname__}.__init__ takes {cls._inputs}, which are not "
                             f"the leading slots of {slots}, in order")
 
