@@ -402,8 +402,8 @@ class SurfaceCertificate(Record):
             diff_indices, r, s, c, t, chain = _stratum(w1, w2, m)
             if row.method is Method.M41:
                 v, z = _exclusion_value(m, a, b, 1, q, c, t)
-                value = _quantity("exclusion_value", Fraction(v, z))
-                return self._fill(row, record, diff_indices, chain + (value,),
+                exclusion = _quantity("exclusion_value", Fraction(v, z))
+                return self._fill(row, record, diff_indices, chain + (exclusion,),
                                   None, None, None, v < 0, v == 0)
             # Method 42: the pencil A|_T cuts out C + C', so deg C' = m*A^3 - deg C
             # and the degree sum m*A^3 beats the cap A^3 exactly when m*a > a.  C'
