@@ -12,12 +12,13 @@ Both sides run in a fresh temporary directory, and an installed ``fano95``
 that is imported from inside the checkout is refused, so the installed side
 cannot read the checkout's sources by accident.
 
-Compared by exit code, stdout bytes and stderr bytes: the ten COMMANDS,
-three of them on the seed-3 950-row table of ``perfbench/widetable.py``, and
-every demo in ``demos/``, which must also exit 0.  On the installed side
-``full --format json`` on that table must exit 1 (its JSON round-trips; its
-certificates fail) and ``validate`` must exit 0.  Exits 0 when everything agrees, else 1
-with one line per difference on stderr.
+Compared by exit code, stdout bytes and stderr bytes: the twelve COMMANDS,
+three of them on the seed-3 950-row table of ``perfbench/widetable.py`` and
+two that exit 2 (a usage error, and a table missing from the temporary
+directory), and every demo in ``demos/``, which must also exit 0.  On the
+installed side ``full --format json`` on that table must exit 1 (its JSON
+round-trips; its certificates fail) and ``validate`` must exit 0.  Exits 0
+when everything agrees, else 1 with one line per difference on stderr.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ COMMANDS = (
     "full --format json", "full", "certify --format json", "certify", "validate",
     "lists", "lists --format json", "full --format json --table WIDE",
     "full --table WIDE", "certify --table WIDE",
+    "full --bogus", "certify --table missing.tsv",
 )
 
 #: The ``perfbench/widetable.py`` seed of the wide table.

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import report
 from .certificates import (
     SURFACE_ROWS_FILENAME,
-    CertificateError,
+    RowError,
     SurfaceRowParseError,
     case3_test_class_certificates,
     load_surface_rows,
@@ -52,13 +52,14 @@ def resolve_data_path(explicit: str | None, filename: str) -> Path:
 
 
 def _load_table(explicit: str | None, flag: str, what: str, filename: str, load, error):
-    """Load one data table, raising _InputError for any input problem; an
-    explicit empty flag names no file, so it is refused by the flag's name."""
+    """Load one data table and return its path and contents, raising
+    _InputError for any input problem; an explicit empty flag names no file,
+    so it is refused by the flag's name."""
     if explicit == "":
         raise _InputError(f"{what} flag {flag} is empty: it names no file")
     path = resolve_data_path(explicit, filename)
     try:
-        return load(path)
+        return path, load(path)
     except (OSError, UnicodeDecodeError, error) as exc:
         raise _InputError(f"{what} {path}: {exc}") from exc
 
@@ -92,14 +93,17 @@ def run_command(args) -> int:
     sections.  Coverage reads the certificates, so it is only requested with
     them."""
     sections = args.sections
-    db = _load_table(args.families, "--families", "families table", FAMILIES_FILENAME,
-                     load_families, FamilyTableError)
+    _, db = _load_table(args.families, "--families", "families table", FAMILIES_FILENAME,
+                        load_families, FamilyTableError)
     ok = True
     if "certificates" in sections:
-        rows = _load_table(args.table, "--table", "surface-row table", SURFACE_ROWS_FILENAME,
-                           load_surface_rows, SurfaceRowParseError)
+        path, rows = _load_table(args.table, "--table", "surface-row table",
+                                 SURFACE_ROWS_FILENAME, load_surface_rows, SurfaceRowParseError)
         tc = case3_test_class_certificates(db)
-        verification = verify_surface_table(db, rows)
+        try:
+            verification = verify_surface_table(db, rows)
+        except RowError as exc:  # a row whose quantity is too long to print
+            raise _InputError(f"surface-row table {path}: {exc}") from exc
         ok = verification.ok and all(c.valid for c in tc)
     if "coverage" in sections:
         coverage = build_coverage(db, rows, verification=verification)
@@ -163,12 +167,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser every main() call reuses: building it costs far more than a
+#: parse, and parse_args leaves it unchanged.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return run_command(args)
-    except (_InputError, CertificateError) as exc:  # a row whose quantity is too long to print
+    except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

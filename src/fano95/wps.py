@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
+from types import FunctionType
 from typing import Iterable
 
 
@@ -104,10 +105,22 @@ def _stratum(w1: int, w2: int, m: int) -> tuple:
     return diff_indices, r, s, c, t, chain
 
 
+@lru_cache(maxsize=None)
+def _fill_template(arity: int):
+    """The code of ``def __init__(self, _0, ..., _<arity-1>)``, which stores
+    each argument through ``self._setters``: compiled once per arity, since
+    compiling is what a class creation costs, and renamed for each record."""
+    params = ", ".join(f"_{i}" for i in range(arity))
+    stores = "".join(f"\n    _setters[{i}](self, _{i})" for i in range(arity))
+    namespace = {}
+    exec(f"def __init__(self, {params}):\n    _setters = self._setters{stores}", namespace)
+    return namespace["__init__"].__code__
+
+
 class Record:
     """Base of the package's immutable records: a subclass declares its fields
     once, in ``__slots__``, and gets ``_fill``, ``def __init__(self, <slots>)``
-    compiled once for the class, which stores each argument in its slot.  A
+    made once for the class, which stores each argument in its slot.  A
     class without its own ``__init__`` is built through it; any other takes
     the record's inputs, its leading slots in order (else the class is refused
     when created), and ends with ``self._fill(...)``.  A miscounted call, or a
@@ -125,11 +138,9 @@ class Record:
                 raise TypeError(f"{cls.__qualname__} cannot have a slot named {name!r}: "
                                 "Record uses that name")
         cls._setters = tuple([getattr(cls, name).__set__ for name in slots])
-        stores = "".join(f"\n    _setters[{i}](self, {name})" for i, name in enumerate(slots))
-        namespace = {"__name__": vars(cls).get("__module__")}  # the function's __module__
-        exec(f"def __init__(self, {', '.join(slots)}):\n    _setters = self._setters{stores}",
-             namespace)
-        cls._fill = fill = namespace["__init__"]
+        code = _fill_template(len(slots)).replace(co_varnames=("self", *slots, "_setters"))
+        # The globals give the function its __module__.
+        cls._fill = fill = FunctionType(code, {"__name__": vars(cls).get("__module__")})
         fill.__qualname__ = f"{cls.__qualname__}.__init__"
         if "__init__" not in cls.__dict__:
             cls.__init__ = fill

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: subcommands, exit codes, data resolution, JSON."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -666,8 +667,8 @@ def test_a_certificate_quantity_too_long_to_print_is_an_input_error(
     capsys, tmp_path, digit_limit, command, fmt
 ):
     # m parses, having as many digits as int() converts, but family 20's
-    # C²_T = -(m+5)/5 has one more: the row is refused by family and stratum
-    # in one error line (exit 2), and neither m nor C²_T is printed.
+    # C²_T = -(m+5)/5 has one more: the row is refused by table, family and
+    # stratum in one error line (exit 2), and neither m nor C²_T is printed.
     lines = ROWS.read_text().splitlines(keepends=True)
     index = next(i for i, line in enumerate(lines) if line.startswith("20\t"))
     assert lines[index] == "20\t0,2,3\tcontracted\t41\t4\n"
@@ -676,7 +677,8 @@ def test_a_certificate_quantity_too_long_to_print_is_an_input_error(
     bad.write_text("".join(lines))
     assert run(capsys, command, "--table", str(bad), "--format", fmt) == (
         cli.EXIT_INPUT_ERROR, "",
-        "error: family 20: row {0,2,3} (method 41): a quantity is too long to print\n",
+        f"error: surface-row table {bad}: family 20: row {{0,2,3}} (method 41): "
+        "a quantity is too long to print\n",
     )
 
 
@@ -828,10 +830,16 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_unknown_subcommand_is_usage_error(capsys):
+def test_unknown_subcommand_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
-    assert exc.value.code == 2
+    assert (exc.value.code, *capsys.readouterr()) == (
+        2, "",
+        "usage: audit [-h] {validate,lists,certify,full} ...\n"
+        "audit: error: argument command: invalid choice: 'frobnicate' "
+        "(choose from 'validate', 'lists', 'certify', 'full')\n",
+    )
 
 
 @pytest.mark.parametrize(
@@ -843,6 +851,99 @@ def test_flag_the_command_does_not_take_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+_FAMILIES_HELP = (
+    "  --families PATH       family table TSV (default: $AUDIT_DATA_DIR or packaged\n"
+    "                        data)\n"
+)
+_TABLE_HELP = (
+    "  --table PATH          surface-row TSV (default: $AUDIT_DATA_DIR or packaged\n"
+    "                        data)\n"
+)
+_FORMAT_HELP = "  --format {text,json}  output format (default: text)\n"
+_OPTIONS = "\noptions:\n  -h, --help            show this help message and exit\n"
+
+#: ``audit [command] --help`` with COLUMNS=80, as the same on Python 3.10–3.13.
+HELP = {
+    "": (
+        "usage: audit [-h] {validate,lists,certify,full} ...\n"
+        "\n"
+        "Re-derive and certify every numeric step of the curve-exclusion case analysis\n"
+        "over the 95 hypersurface families.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {validate,lists,certify,full}\n"
+        "    validate            load the family table and check invariants\n"
+        "    lists               derive the membership lists and compare\n"
+        "    certify             evaluate every exclusion certificate\n"
+        "    full                validate, derive lists, certify, and audit coverage\n"
+        + _OPTIONS
+    ),
+    "validate": (
+        "usage: audit validate [-h] [--families PATH]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help       show this help message and exit\n"
+        "  --families PATH  family table TSV (default: $AUDIT_DATA_DIR or packaged\n"
+        "                   data)\n"
+    ),
+    "lists": (
+        "usage: audit lists [-h] [--families PATH] [--format {text,json}]\n"
+        + _OPTIONS + _FAMILIES_HELP + _FORMAT_HELP
+    ),
+    "certify": (
+        "usage: audit certify [-h] [--families PATH] [--table PATH]\n"
+        "                     [--format {text,json}]\n"
+        + _OPTIONS + _FAMILIES_HELP + _TABLE_HELP + _FORMAT_HELP
+    ),
+    "full": (
+        "usage: audit full [-h] [--families PATH] [--table PATH] [--format {text,json}]\n"
+        + _OPTIONS + _FAMILIES_HELP + _TABLE_HELP + _FORMAT_HELP
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help_bytes_are_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command.split(), "--help"])
+    assert (exc.value.code, *capsys.readouterr()) == (0, HELP[command], "")
+
+
+def test_main_builds_no_parser(capsys, monkeypatch):
+    # The parser is built once, at import; each call only parses with it.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "validate")[0] == cli.EXIT_OK
+    assert run(capsys, "lists", "--format", "json")[0] == cli.EXIT_OK
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "before, exit_code",
+    [(["full", "--table", "T"], 1), (["full", "--format", "json"], 0),
+     (["full", "--format", "xml"], 2)],
+    ids=["wide-table", "json", "usage-error"],
+)
+def test_a_call_leaves_no_state_for_the_next(capsys, wide_tables, before, exit_code):
+    # The shared parser keeps no flag of one call as a default of the next.
+    argv = [wide_tables[11] if a == "T" else a for a in before]
+    try:
+        assert cli.main(argv) == exit_code
+    except SystemExit as exc:  # the usage error
+        assert exc.code == exit_code
+    capsys.readouterr()
+    code, out, err = run(capsys, "full")
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == FULL_OUTPUT_SHA256["text"]
 
 
 @pytest.mark.parametrize("command", ["certify", "full"])

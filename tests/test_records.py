@@ -17,6 +17,7 @@ from fano95 import (
     extension_check,
     family_verdict,
     verify_surface_table,
+    wps,
 )
 from fano95.wps import Record
 
@@ -158,6 +159,18 @@ def test_record_initializer_is_compiled_per_class():
     assert StratumCurve._fill.__qualname__ == "StratumCurve.__init__"
     bare = eval("type('Bare', (Record,), {'__slots__': ('x',)})", {"Record": Record})
     assert bare(1).x == 1 and bare.__init__.__module__ is None  # no module to name
+
+
+def test_record_initializer_of_a_known_arity_compiles_nothing(monkeypatch):
+    # Each class renames the code compiled once for its number of slots.
+    def refuse(*args):
+        raise AssertionError("compiled an initializer again")
+
+    monkeypatch.setattr(wps, "exec", refuse, raising=False)
+    swapped = type("Swapped", (Record,), {"__slots__": ("second", "first")})
+    assert swapped(1, 2)._fields() == (1, 2) and swapped(first=2, second=1).first == 2
+    assert swapped.__init__.__code__.co_varnames == ("self", "second", "first", "_setters")
+    assert swapped.__init__.__code__.co_code == Pair.__init__.__code__.co_code
 
 
 @pytest.mark.parametrize("name", ["self", "_setters", "_fill", "_inputs"])
