@@ -42,8 +42,7 @@ from .lemmas import (
     family_verdicts,
 )
 from .wps import (_VANISHING_LABELS, Record, _check_integer, _check_rational, _check_vanishing,
-                  _different, _quantity, _self_intersection, _shown, _stratum, format_rational,
-                  stratum_weights)
+                  _different, _ratio_text, _self_intersection, _shown, _stratum, stratum_weights)
 
 SURFACE_ROWS_FILENAME = "surface_rows.tsv"
 
@@ -350,8 +349,8 @@ def load_packaged_surface_rows() -> tuple[SurfaceRow, ...]:
 # ---------------------------------------------------------------------------
 
 def _from_quantities(name: str) -> property:
-    """A read-only accessor: the value of quantity ``name``, None if the method has none."""
-    return property(lambda cert: next((v for f, v, _ in cert.quantities if f == name), None))
+    """A read-only accessor: quantity ``name`` as a Fraction, None if the method has none."""
+    return property(lambda c: next((Fraction(t) for f, t in c.quantities if f == name), None))
 
 
 class SurfaceCertificate(Record):
@@ -360,17 +359,18 @@ class SurfaceCertificate(Record):
     and ``a_cube``); RowError for a row of another family, or for a quantity
     too long to print.  The constructor evaluates the row bottom-up from the
     weights and stores each quantity and verdict once: the different's indices
-    (a tuple of ints), then ``quantities``, as (JSON field name, value,
-    ``format_rational`` text), of deg C, the different total and C²_T, then
-    method 41's exclusion value or method 42's deg C′ and C′² of the companion
-    C′ in the pencil C + C′ ~ A|_T.  Every view reads the text there, printed
-    once, and A³'s on the record; the accessors of those names (``deg_c`` ...
-    ``c_prime_sq``) read the value, None for the other method's.
+    (a tuple of ints), then ``quantities``, as (JSON field name, text), of
+    deg C, the different total and C²_T, then method 41's exclusion value or
+    method 42's deg C′ and C′² of the companion C′ in the pencil C + C′ ~ A|_T.
+    Each text is written from integers, as ``format_rational`` would print the
+    value; every view reads it there, and A³'s on the record.  The accessors of
+    those names (``deg_c`` ... ``c_prime_sq``) give the Fraction on demand,
+    None for the other method's.
 
-    Method 42 alone fills ``cap_check`` (its degree sum deg C + deg C′ as a
-    Fraction and its text; the accessor ``degree_sum`` reads the Fraction) and
-    the bools ``forces_alpha_one`` (C′² < 0) and ``degree_contradiction``
-    (degree sum > cap).  Last come the bools ``valid`` and ``boundary``, True
+    Method 42 alone fills ``cap_check`` (the text of its degree sum
+    deg C + deg C′; the accessor ``degree_sum`` gives its Fraction) and the
+    bools ``forces_alpha_one`` (C′² < 0) and ``degree_contradiction`` (degree
+    sum > cap).  Last come the bools ``valid`` and ``boundary``, True
     when some deciding quantity is exactly zero/equal — reported separately
     because validity demands strict inequalities.
 
@@ -388,7 +388,7 @@ class SurfaceCertificate(Record):
 
     deg_c, diff_total, c2t, exclusion_value, deg_c_prime, c_prime_sq = map(_from_quantities, (
         "deg_c", "diff_total", "c2t", "exclusion_value", "deg_c_prime", "c_prime_sq"))
-    degree_sum = property(lambda cert: cert.cap_check and cert.cap_check[0])
+    degree_sum = property(lambda cert: cert.cap_check and Fraction(cert.cap_check))
     family = property(lambda cert: cert.record.number)
     a_cube = property(lambda cert: cert.record.a_cube)
 
@@ -402,7 +402,7 @@ class SurfaceCertificate(Record):
             diff_indices, r, s, c, t, chain = _stratum(w1, w2, m)
             if row.method is Method.M41:
                 v, z = _exclusion_value(m, a, b, 1, q, c, t)
-                exclusion = _quantity("exclusion_value", Fraction(v, z))
+                exclusion = ("exclusion_value", _ratio_text(v, z))
                 return self._fill(row, record, diff_indices, chain + (exclusion,),
                                   None, None, None, v < 0, v == 0)
             # Method 42: the pencil A|_T cuts out C + C', so deg C' = m*A^3 - deg C
@@ -411,16 +411,14 @@ class SurfaceCertificate(Record):
             # companion of degree <= 0 is no curve, so the certificate is invalid.
             p2, q2 = m * a * q - b, b * q
             c2, t2 = _self_intersection(m, p2, q2, r, s)
-            degree_sum = Fraction(m * a, b)
-            degree_contradiction = m * a > a
             self._fill(
                 row, record, diff_indices,
-                chain + (_quantity("deg_c_prime", Fraction(p2, q2)),
-                         _quantity("c_prime_sq", Fraction(c2, t2))),
-                (degree_sum, format_rational(degree_sum)), c2 < 0, degree_contradiction,
-                p2 > 0 and c2 < 0 and degree_contradiction, p2 == 0 or c2 == 0 or m * a == a,
+                chain + (("deg_c_prime", _ratio_text(p2, q2)),
+                         ("c_prime_sq", _ratio_text(c2, t2))),
+                _ratio_text(m * a, b), c2 < 0, m * a > a,
+                p2 > 0 and c2 < 0 and m * a > a, p2 == 0 or c2 == 0 or m * a == a,
             )
-        except ValueError:  # only format_rational raises: more digits than str() converts
+        except ValueError:  # only _ratio_text raises: more digits than str() converts
             raise RowError(row.family, f"row {_VANISHING_LABELS[row.vanishing]} (method "
                            f"{row.method.value}): a quantity is too long to print") from None
 

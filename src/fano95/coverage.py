@@ -139,12 +139,12 @@ def _surface_row_values(certs: Iterable[SurfaceCertificate]) -> tuple[tuple[str,
         key = f"row {_VANISHING_LABELS[cert.row.vanishing]}"
         values.extend(
             (f"{key} {_ROW_VALUE_LABELS[field]}", text)
-            for field, _, text in cert.quantities
+            for field, text in cert.quantities
             if field in _ROW_VALUE_LABELS
         )
         if cert.cap_check:
             values.append((f"{key} degree sum vs cap",
-                           f"{cert.cap_check[1]} vs {cert.record.a_cube_text}"))
+                           f"{cert.cap_check} vs {cert.record.a_cube_text}"))
     return tuple(values)
 
 

@@ -147,7 +147,7 @@ def _surface_cert_json(cert: SurfaceCertificate) -> dict:
         "valid": cert.valid,
         "vanishing": sorted(row.vanishing),
     }
-    base.update((field, text) for field, _, text in cert.quantities)
+    base.update(cert.quantities)
     return base
 
 
@@ -454,10 +454,9 @@ def render_certificates(
     for cert in verification.certificates:
         row = cert.row
         flag = ("valid" if cert.valid else "INVALID") + (" boundary" if cert.boundary else "")
-        values = ", ".join([f"{_FIELD_NAMES[field]} {text}"
-                            for field, _, text in cert.quantities])
+        values = ", ".join([f"{_FIELD_NAMES[field]} {text}" for field, text in cert.quantities])
         if cert.cap_check:
-            values += f", degree sum {cert.cap_check[1]} vs cap {cert.record.a_cube_text}"
+            values += f", degree sum {cert.cap_check} vs cap {cert.record.a_cube_text}"
         lines.append(f"surface family {row.family} row {_VANISHING_LABELS[row.vanishing]} "
                      f"method {row.method.value} m={row.m}: {values} [{flag}]")
     lines.extend(verification.mismatch_lines)

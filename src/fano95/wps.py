@@ -1,10 +1,10 @@
 """Exact arithmetic and elementary numerical geometry of weighted projective 4-space.
 
-Every degree and intersection number in this package is an exact
-``fractions.Fraction``; nothing anywhere touches floating point, so equality
-of certificate values is bit-exact.  Conventions: a hypersurface of degree d
-lives in P(1, a1, a2, a3, a4) with the five coordinates indexed 0..4 in
-ascending weight order, and its anticanonical degree is d/(a1*a2*a3*a4).
+Every degree and intersection number in this package is exact, a ``Fraction``
+or a certificate quantity's lowest-terms "p/q" text; no floating point, so
+equality of certificate values is bit-exact.  Conventions: a hypersurface of
+degree d lives in P(1, a1, a2, a3, a4) with the five coordinates indexed 0..4
+in ascending weight order, and its anticanonical degree is d/(a1*a2*a3*a4).
 """
 
 from __future__ import annotations
@@ -86,22 +86,24 @@ def _self_intersection(m, p, q, r, s) -> tuple[int, int]:
     return (r - 2 * s) * q - (m - 1) * p * s, q * s
 
 
-def _quantity(field: str, value: Fraction) -> tuple[str, Fraction, str]:
-    """A certificate quantity as (JSON field name, value, its printed text)."""
-    return field, value, format_rational(value)
+def _ratio_text(num: int, den: int) -> str:
+    """The "p/q" text of num/den, den > 0, in lowest terms with the sign on p
+    ("4/1", "0/1"), built from the integers; ValueError if too long to print."""
+    g = gcd(num, den)
+    return "%d/%d" % (num // g, den // g)
 
 
 @lru_cache(maxsize=1024, typed=True)
 def _stratum(w1: int, w2: int, m: int) -> tuple:
     """The family-free part of every certificate on the curve P(w1, w2) on a
     surface in |m·A − C|: its singular-point indices (the weights > 1), their
-    different r/s, C²_T = c/t, and the (field, value, text) quantities of
-    deg C = 1/(w1*w2), r/s and c/t.  All immutable, so callers share results."""
+    different r/s, C²_T = c/t, and deg C = 1/(w1*w2), r/s and c/t as (field,
+    text) quantities, Fraction on demand.  All immutable, so callers share them."""
     diff_indices = tuple([w for w in (w1, w2) if w > 1])
     r, s = _different(diff_indices)
     c, t = _self_intersection(m, 1, w1 * w2, r, s)
-    chain = (_quantity("deg_c", Fraction(1, w1 * w2)),
-             _quantity("diff_total", Fraction(r, s)), _quantity("c2t", Fraction(c, t)))
+    chain = (("deg_c", _ratio_text(1, w1 * w2)), ("diff_total", _ratio_text(r, s)),
+             ("c2t", _ratio_text(c, t)))
     return diff_indices, r, s, c, t, chain
 
 
@@ -243,7 +245,7 @@ class StratumCurve(Record):
     @property
     def degree(self) -> Fraction:
         """deg C = 1/(w1*w2), as every certificate on the stratum has it."""
-        return _stratum(*self.surviving_weights, 1)[-1][0][1]  # the deg_c quantity's value
+        return Fraction(_stratum(*self.surviving_weights, 1)[-1][0][1])  # the deg_c text
 
 
 def anticanonical_cube(d: int, weights: Weights) -> Fraction:
@@ -264,7 +266,7 @@ def format_rational(q: Fraction | int) -> str:
     ``Fraction`` (a bool, float, ``Decimal`` or str) raises ``TypeError``.
     """
     _check_rational("rational", q)
-    return "%d/%d" % q.as_integer_ratio()
+    return _ratio_text(*q.as_integer_ratio())
 
 
 def coordinate_point_on_hypersurface(d: int, weights: Weights, i: int) -> bool:

@@ -31,6 +31,7 @@ from fano95 import (
     verify_surface_table,
 )
 from fano95.families import FamilyRecord, packaged_data_path
+from fano95.lemmas import family_verdicts
 
 # The closed-form and expanded evaluators are referenced through the module
 # (C.test_class_value, C.test_class_value_expanded): importing names that
@@ -465,7 +466,7 @@ def _oracle(f, vanishing, method, m):
                   diff_indices=tuple(sorted(w for w in (w1, w2) if w > 1)))
 
     def entry(field, value):
-        return field, value, f"{value.numerator}/{value.denominator}"
+        return field, f"{value.numerator}/{value.denominator}"
 
     chain = (entry("deg_c", deg), entry("diff_total", diff), entry("c2t", c2t))
     if method is Method.M41:
@@ -486,6 +487,13 @@ def _oracle(f, vanishing, method, m):
     return fields
 
 
+def _assert_prints(text, value, where):
+    """``text`` is ``value`` in lowest terms over a positive denominator, as
+    ``format_rational`` prints it."""
+    assert type(text) is str and Fraction(text) == value, where
+    assert text == format_rational(Fraction(text)), where
+
+
 def test_certify_row_matches_fraction_oracle_everywhere(db):
     # Every (family, stratum) pair, m in 1..8, both methods; a method-42 row
     # whose companion degree m*A^3 - deg C is not positive is invalid.
@@ -499,9 +507,10 @@ def test_certify_row_matches_fraction_oracle_everywhere(db):
         cert = SurfaceCertificate(row, f)
         got = {name: getattr(cert, name) for name in expected}
         assert got == expected, (f.number, sorted(vanishing), method, m)
-        for name, value, text in cert.quantities:
-            assert type(value) is Fraction, (f.number, name)
-            assert text == format_rational(value), (f.number, name)
+        for name, text in cert.quantities:
+            _assert_prints(text, expected[name], (f.number, name))
+        if cert.cap_check is not None:
+            _assert_prints(cert.cap_check, expected["degree_sum"], f.number)
         assert cert.degree_sum is None or type(cert.degree_sum) is Fraction
         for name in ("forces_alpha_one", "degree_contradiction", "valid", "boundary"):
             value = getattr(cert, name)
@@ -583,9 +592,10 @@ _METHOD_QUANTITIES = {
 
 
 def test_certificate_accessors_read_the_stored_quantities(db, wide_tables):
-    # Each quantity is stored once, in ``quantities``: no slot holds it again,
-    # its accessor returns the stored value itself, and the accessor of the
-    # other method's quantity is None.  The degree sum is read from cap_check.
+    # Each quantity is stored once, as its text in ``quantities``: no slot holds
+    # it again, its accessor returns the Fraction of the stored text, and the
+    # accessor of the other method's quantity is None.  The degree sum is read
+    # from cap_check's text the same way.
     names = set().union(*_METHOD_QUANTITIES.values())
     slots = set(C.SurfaceCertificate.__slots__)
     assert len(slots) == 9 and not (names | {"degree_sum"}) & slots
@@ -593,11 +603,15 @@ def test_certificate_accessors_read_the_stored_quantities(db, wide_tables):
     for cert in verify_surface_table(db, load_surface_rows(wide_tables[11])).certificates:
         method = cert.row.method
         methods.add(method)
-        stored = {field: value for field, value, _ in cert.quantities}
+        stored = dict(cert.quantities)
         assert tuple(stored) == _METHOD_QUANTITIES[method], cert.row
         assert not slots & set(stored)
         for name in names:
-            assert getattr(cert, name) is stored.get(name), (cert.row, name)
+            value = getattr(cert, name)
+            if name in stored:
+                assert type(value) is Fraction and value == Fraction(stored[name]), name
+            else:
+                assert value is None, (cert.row, name)
         f = db.get(cert.family)
         assert cert.record is f and cert.a_cube is f.a_cube
         assert f.a_cube_text == format_rational(f.a_cube)
@@ -605,8 +619,8 @@ def test_certificate_accessors_read_the_stored_quantities(db, wide_tables):
             assert cert.cap_check is cert.degree_sum is None
         else:
             total = cert.row.m * f.a_cube
-            assert cert.cap_check == (total, format_rational(total))
-            assert cert.degree_sum is cert.cap_check[0]
+            assert cert.cap_check == format_rational(total)
+            assert type(cert.degree_sum) is Fraction and cert.degree_sum == total
         for name in names | {"degree_sum"}:
             with pytest.raises(AttributeError):
                 setattr(cert, name, None)
@@ -627,13 +641,37 @@ def test_family_record_carries_its_degree_cap_text(db):
 
 @pytest.mark.parametrize("seed", [None, 3, 11], ids=["packaged", "wide-3", "wide-11"])
 def test_certificate_quantities_are_exact(db, rows, wide_tables, seed):
-    # Each quantity carries the text every view prints, written once.
+    # Each quantity is stored as the text every view prints, written once from
+    # integers: the oracle's value in lowest terms over a positive denominator.
     table = rows if seed is None else load_surface_rows(wide_tables[seed])
     for cert in verify_surface_table(db, table).certificates:
         assert type(cert.a_cube) is Fraction
-        for field, value, text in cert.quantities:
-            assert type(value) is Fraction, (cert.family, field, value)
-            assert text == format_rational(value), (cert.family, field, text)
+        row = cert.row
+        expected = _oracle(cert.record, row.vanishing, row.method, row.m)
+        for field, text in cert.quantities:
+            _assert_prints(text, expected[field], (cert.family, field, text))
+        if cert.cap_check is not None:
+            _assert_prints(cert.cap_check, expected["degree_sum"], cert.family)
+
+
+def test_verify_surface_table_builds_no_fraction(db, wide_tables, monkeypatch):
+    # Certifying a row writes each quantity's text from integers: with the
+    # rows loaded and the verdicts derived (and cached) first, certifying the
+    # table constructs no Fraction at all.
+    table = load_surface_rows(wide_tables[3])
+    family_verdicts(db)
+    built = []
+    fraction_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return fraction_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    verification = verify_surface_table(db, table)
+    monkeypatch.undo()
+    assert built == []
+    assert len(verification.certificates) == len(table)
 
 
 def test_verify_table_reports_tag_mismatch(db, rows):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from fano95 import wps
 from fano95 import (
     FamilyNotFoundError,
     FamilyRecord,
@@ -305,6 +306,38 @@ def test_format_rational_keeps_large_terms_exact():
     assert format_rational(Fraction(n, d)) == f"{n}/{d}"
     assert format_rational(Fraction(-n, d)) == f"-{n}/{d}"
     assert format_rational(-(10**40)) == "-1" + "0" * 40 + "/1"
+
+
+@pytest.mark.parametrize(
+    "num, den, text",
+    [
+        (0, 1, "0/1"),
+        (0, 7, "0/1"),
+        (4, 1, "4/1"),
+        (12, 3, "4/1"),
+        (-9, 5, "-9/5"),
+        (-18, 10, "-9/5"),
+        (26, 120, "13/60"),
+        (3**100 + 2, 2**80 * 5**3, f"{3**100 + 2}/{2**80 * 5**3}"),
+    ],
+    ids=["zero", "zero-unreduced", "whole", "whole-unreduced", "negative",
+         "negative-unreduced", "unreduced", "large"],
+)
+def test_ratio_text_writes_what_format_rational_writes(num, den, text):
+    # A certificate quantity's text is written from its integers, with no
+    # Fraction built: lowest terms, the sign on the numerator, "n/1" for n.
+    assert wps._ratio_text(num, den) == text == format_rational(Fraction(num, den))
+
+
+def test_ratio_text_refuses_a_value_too_long_to_print(digit_limit):
+    # The same ValueError as format_rational's, which SurfaceCertificate maps
+    # to a RowError naming the row.
+    big = 10**digit_limit + 1
+    for num, den in ((big, 1), (1, big), (-big, 3)):
+        with pytest.raises(ValueError):
+            format_rational(Fraction(num, den))
+        with pytest.raises(ValueError):
+            wps._ratio_text(num, den)
 
 
 @pytest.mark.parametrize(
