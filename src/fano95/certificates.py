@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from fractions import Fraction
+from itertools import permutations
 from math import gcd, lcm
 from typing import Iterable
 
@@ -50,6 +51,9 @@ SURFACE_ROWS_FILENAME = "surface_rows.tsv"
 SURFACE_ROW_COLUMNS = ("family", "vanishing", "fails", "method", "m")
 
 VALID_FAIL_TAGS = frozenset({"residual", "contracted"})
+#: Each ordering of each set of distinct valid fail tags, keyed to the one frozenset of it.
+_FAIL_TAG_SETS = {order: frozenset(order) for n in range(len(VALID_FAIL_TAGS) + 1)
+                  for order in permutations(VALID_FAIL_TAGS, n)}
 
 
 class CertificateError(Exception):
@@ -249,6 +253,7 @@ class Method(Enum):
 
 
 _METHODS = {m.value: m for m in Method}
+_M41 = Method.M41  # a module global reads faster than the enum member
 
 #: The integer fields of a surface row (family, vanishing, m) in ASCII digits;
 #: ``int()`` alone would also take "+1", "1_0", " 1" and other digit scripts.
@@ -258,7 +263,8 @@ _ROW_INTEGERS = re.compile(r"-?[0-9]+\t-?[0-9]+(?:,-?[0-9]+)*\t[^\t]*\t[^\t]*\t-
 class SurfaceRow(Record):
     """One row of the surface-method table: which curve of which family is
     excluded on a surface in |m·A − C|, and which coarse bounds it evaded.
-    ``vanishing`` and ``fails`` refuse a repeat and are stored as frozensets."""
+    ``vanishing`` and ``fails`` refuse a repeat and are stored as the shared
+    frozensets of ``wps._VANISHING_SETS`` and ``_FAIL_TAG_SETS``."""
 
     __slots__ = ("family", "vanishing", "fails", "method", "m")
 
@@ -266,19 +272,23 @@ class SurfaceRow(Record):
         self, family: int, vanishing: Iterable[int], fails: Iterable[str],
         method: Method, m: int,
     ):
-        _check_integer("family number", family)
+        if type(family) is not int:
+            _check_integer("family number", family)
         if not 1 <= family <= FAMILY_COUNT:
             raise ValueError(f"family number must lie in 1..{FAMILY_COUNT}, got {_shown(family)}")
-        if not isinstance(method, Method):
+        if type(method) is not Method:  # an Enum with members has no subclasses
             raise TypeError(f"method must be a Method, got {method!r}")
         vanishing = _check_vanishing(vanishing)
+        if isinstance(fails, str):
+            raise TypeError(f"fail tags must be a collection of tags, not the str {fails!r}")
         tags = tuple(fails)
-        fails = frozenset(tags)
-        if not fails <= VALID_FAIL_TAGS:
-            raise ValueError(f"unknown fail tags {sorted(fails - VALID_FAIL_TAGS)}")
-        if len(tags) != len(fails):
-            raise ValueError(f"fail tags must be distinct, got {sorted(tags)}")
-        _check_integer("surface-system multiplier", m)
+        fails = _FAIL_TAG_SETS.get(tags)
+        if fails is None:
+            unknown = sorted(set(tags) - VALID_FAIL_TAGS, key=repr)
+            raise ValueError(f"unknown fail tags {unknown}" if unknown
+                             else f"fail tags must be distinct, got {sorted(tags)}")
+        if type(m) is not int:
+            _check_integer("surface-system multiplier", m)
         if m < 1:
             raise ValueError(f"surface-system multiplier must be >= 1, got {_shown(m)}")
         self._fill(family, vanishing, fails, method, m)
@@ -304,7 +314,7 @@ def parse_surface_row(line: str, line_number: int | None = None) -> SurfaceRow:
             line_number,
         )
     try:
-        return SurfaceRow(int(raw_family), list(map(int, raw_vanishing.split(","))),
+        return SurfaceRow(int(raw_family), tuple(map(int, raw_vanishing.split(","))),
                           raw_fails.split(",") if raw_fails else (), method, int(raw_m))
     except ValueError as exc:
         raise SurfaceRowParseError(str(exc), line_number) from exc
@@ -395,12 +405,12 @@ class SurfaceCertificate(Record):
     def __init__(self, row: SurfaceRow, record: FamilyRecord):
         if row.family != record.number:
             raise RowError(row.family, f"row applied to family record {record.number}")
-        m, a, b = row.m, record.a_cube.numerator, record.a_cube.denominator
+        m, (a, b) = row.m, record.a_cube.as_integer_ratio()
         w1, w2 = stratum_weights(record.weights, row.vanishing)
         q = w1 * w2  # deg C = 1/q
         try:
             diff_indices, r, s, c, t, chain = _stratum(w1, w2, m)
-            if row.method is Method.M41:
+            if row.method is _M41:
                 v, z = _exclusion_value(m, a, b, 1, q, c, t)
                 exclusion = ("exclusion_value", _ratio_text(v, z))
                 return self._fill(row, record, diff_indices, chain + (exclusion,),

@@ -139,10 +139,10 @@ Source = Union[str, Path, IO[str], IO[bytes]]
 def _data_lines(source: Source) -> Iterator[tuple[int, str]]:
     """The numbered lines of a TSV table, skipping blank lines and '#' comments."""
     if isinstance(source, (str, Path)):
-        lines = open(source, "r", encoding="utf-8")
+        lines = open(source, "r", encoding="utf-8-sig")
     else:
         data = source.read()
-        lines = io.StringIO(data.decode("utf-8") if isinstance(data, bytes) else data)
+        lines = io.StringIO(data.decode("utf-8-sig") if isinstance(data, bytes) else data)
     with lines:
         for line_number, line in enumerate(lines, start=1):
             stripped = line.strip()

@@ -458,7 +458,7 @@ def render_certificates(
         if cert.cap_check:
             values += f", degree sum {cert.cap_check} vs cap {cert.record.a_cube_text}"
         lines.append(f"surface family {row.family} row {_VANISHING_LABELS[row.vanishing]} "
-                     f"method {row.method.value} m={row.m}: {values} [{flag}]")
+                     f"method {row.method._value_} m={row.m}: {values} [{flag}]")
     lines.extend(verification.mismatch_lines)
     return "\n".join(lines) + "\n", ok
 

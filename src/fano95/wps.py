@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 from types import FunctionType
 from typing import Iterable
@@ -44,22 +44,24 @@ def _check_rational(what: str, value) -> None:
 #: The two surviving coordinates, ascending, of each valid vanishing set.
 _SURVIVING = {frozenset(range(5)) - {i, j}: (i, j) for i, j in combinations(range(5), 2)}
 
+#: Each ordering of each valid vanishing set, keyed to the one frozenset of it.
+_VANISHING_SETS = {order: v for v in _SURVIVING for order in permutations(v)}
+
 #: The "{i,j,k}" label every view prints for each valid vanishing set.
 _VANISHING_LABELS = {v: "{%d,%d,%d}" % tuple(sorted(v)) for v in _SURVIVING}
 
 
 def _check_vanishing(vanishing) -> frozenset[int]:
-    """The vanishing set as a frozenset; rejects any entries but three distinct
-    integer indices in 0..4, counted as given, so a repeat is refused."""
-    entries = list(vanishing)
+    """The shared frozenset of ``_VANISHING_SETS`` for the vanishing set; refuses any
+    entries but three distinct integer indices in 0..4, counted as given (no repeat)."""
+    entries = tuple(vanishing)
     for i in entries:
-        if type(i) is not int:
+        if type(i) is not int:  # True and 1.0 hash like 1: refused before the lookup
             _check_integer("vanishing index", i)
-    vanishing = frozenset(entries)
-    if len(entries) != 3 or vanishing not in _SURVIVING:
-        raise ValueError(
-            f"vanishing set must be 3 distinct indices in 0..4, got {_shown(sorted(entries))}"
-        )
+    vanishing = _VANISHING_SETS.get(entries)
+    if vanishing is None:
+        raise ValueError("vanishing set must be 3 distinct indices in 0..4, got "
+                         f"{_shown(sorted(entries))}")
     return vanishing
 
 

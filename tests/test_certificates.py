@@ -348,6 +348,40 @@ def test_parse_surface_row_error_carries_line_number():
         C.parse_surface_row("7\t0,2,3\tresidual\t43\t2", 12)
 
 
+def test_fail_tags_accept_exactly_distinct_valid_tags():
+    # Written from the README's rule, not from the lookup table: the tags must
+    # be distinct members of {"residual", "contracted"}, in any order.
+    common = dict(family=20, vanishing=(2, 3, 4), method=Method.M41, m=3)
+    pool = ("residual", "contracted", "x", "")
+    for tags in (t for n in range(4) for t in product(pool, repeat=n)):
+        for given in (tags, list(tags), iter(tags)):
+            if len(set(tags)) == len(tags) and set(tags) <= {"residual", "contracted"}:
+                fails = SurfaceRow(fails=given, **common).fails
+                assert type(fails) is frozenset and fails == frozenset(tags), tags
+                continue
+            unknown = sorted(set(tags) - {"residual", "contracted"})
+            message = (f"unknown fail tags {unknown}" if unknown
+                       else f"fail tags must be distinct, got {sorted(tags)}")
+            with pytest.raises(ValueError) as caught:
+                SurfaceRow(fails=given, **common)
+            assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("fails, error, message", [
+    ("residual", TypeError,
+     "fail tags must be a collection of tags, not the str 'residual'"),
+    ("", TypeError, "fail tags must be a collection of tags, not the str ''"),
+    (["x", 1], ValueError, "unknown fail tags ['x', 1]"),
+    ([2, "residual", None], ValueError, "unknown fail tags [2, None]"),
+], ids=["str", "empty-str", "str-and-int", "int-and-none"])
+def test_fail_tag_errors_name_the_fail_tags(fails, error, message):
+    # A str would be read one character at a time, and a message that sorts
+    # tags of mixed types would raise its own TypeError from the sort.
+    with pytest.raises(error) as caught:
+        SurfaceRow(20, (2, 3, 4), fails, Method.M41, 3)
+    assert str(caught.value) == message
+
+
 def test_load_packaged_rows(rows):
     assert len(rows) == 21
     assert len({r.family for r in rows}) == 17
@@ -672,6 +706,18 @@ def test_verify_surface_table_builds_no_fraction(db, wide_tables, monkeypatch):
     monkeypatch.undo()
     assert built == []
     assert len(verification.certificates) == len(table)
+
+
+def test_loaded_rows_share_their_vanishing_and_fail_tag_sets(wide_tables):
+    # A row is validated by looking its fields up in tables of their few valid
+    # values, so rows with equal sets hold the same object, not a set each.
+    table = load_surface_rows(wide_tables[3])
+    for field in ("vanishing", "fails"):
+        shared = {}
+        for row in table:
+            value = getattr(row, field)
+            assert shared.setdefault(value, value) is value, (field, row)
+        assert len(shared) < len(table) // 10
 
 
 def test_verify_table_reports_tag_mismatch(db, rows):

@@ -1,7 +1,9 @@
 """End-to-end CLI behaviour: subcommands, exit codes, data resolution, JSON."""
 
 import argparse
+import codecs
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -61,6 +63,21 @@ def test_validate_packaged_table(capsys):
     assert code == cli.EXIT_OK
     assert out == "ok: 95 families validated (case1: 54, case2: 32, case3: 9)\n"
     assert err == ""
+
+
+@pytest.mark.parametrize("command, flag, source, load", [
+    ("validate", "--families", FAMILIES, lambda source: load_families(source).records),
+    ("certify", "--table", ROWS, load_surface_rows),
+], ids=["families", "surface-rows"])
+def test_table_with_a_byte_order_mark_loads_as_without_one(capsys, tmp_path, command, flag,
+                                                           source, load):
+    # A mark ahead of the leading comment would hide its '#' and fail line 1.
+    data = source.read_bytes()
+    assert data.startswith(b"#")
+    marked = tmp_path / source.name
+    marked.write_bytes(codecs.BOM_UTF8 + data)
+    assert load(marked) == load(io.BytesIO(marked.read_bytes())) == load(source)
+    assert run(capsys, command, flag, str(marked)) == (cli.EXIT_OK, run(capsys, command)[1], "")
 
 
 def test_validate_missing_file(capsys, tmp_path):

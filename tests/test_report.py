@@ -360,6 +360,12 @@ def test_revalidate_reports_malformed_entries(full_document):
             "certificates.surface[0]: does not rebuild "
             "(TypeError: vanishing index must be an integer, got False)",
         ),
+        (
+            ("certificates", "surface", 0, "fails"),
+            "residual",
+            "certificates.surface[0]: does not rebuild (TypeError: fail tags must be "
+            "a collection of tags, not the str 'residual')",
+        ),
         (("certificates",), "x", "certificates: is not an object"),
         (("families",), 5, "families: is not an array"),
         ((), [], "document is not an object"),
@@ -367,7 +373,7 @@ def test_revalidate_reports_malformed_entries(full_document):
     ids=["surface-m-float", "test-class-b-float", "families-number-float",
          "test-class-family-float", "surface-family-float", "coverage-family-bool",
          "families-weight-float", "families-weight-bool", "families-d-float",
-         "surface-vanishing-float", "surface-vanishing-bool",
+         "surface-vanishing-float", "surface-vanishing-bool", "surface-fails-string",
          "certificates-string",
          "families-number", "document-array"],
 )

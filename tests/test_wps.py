@@ -2,6 +2,7 @@
 
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -245,6 +246,42 @@ def test_vanishing_and_fails_are_stored_as_frozensets():
     with pytest.raises(ValueError) as curve_error:
         StratumCurve((0, 1, 1), (3, 4))
     assert str(row_error.value) == str(curve_error.value) == message
+
+
+def _vanishing_candidates():
+    """Every tuple over -1..5 of length 0..4."""
+    values = range(-1, 6)
+    return [()] + [t for n in range(1, 5) for t in product(values, repeat=n)]
+
+
+def test_check_vanishing_accepts_exactly_the_readme_rule():
+    # Written from the README's rule, not from the lookup table: exactly
+    # three distinct integer indices in 0..4, counted as given.
+    for entries in _vanishing_candidates():
+        for given in (entries, list(entries), iter(entries), set(entries)):
+            counted = tuple(given) if isinstance(given, set) else entries
+            if len(counted) == 3 == len(set(counted)) and set(counted) <= set(range(5)):
+                got = wps._check_vanishing(given)
+                assert type(got) is frozenset and got == frozenset(entries), entries
+            else:
+                with pytest.raises(ValueError) as caught:
+                    wps._check_vanishing(given)
+                assert str(caught.value) == (
+                    f"vanishing set must be 3 distinct indices in 0..4, got {sorted(counted)}")
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 0.0, "1", None, Fraction(1)],
+                         ids=repr)
+def test_check_vanishing_refuses_a_non_integer_index_anywhere(bad):
+    # True and 1.0 hash like 1, so they must be refused before any lookup.
+    for entries in ((0, 1, 2), (2, 3, 4), (0, 2)):
+        for position in range(len(entries)):
+            given = list(entries)
+            given[position] = bad
+            for form in (given, tuple(given), iter(given)):
+                with pytest.raises(TypeError) as caught:
+                    wps._check_vanishing(form)
+                assert str(caught.value) == f"vanishing index must be an integer, got {bad!r}"
 
 
 def test_stratum_degree_at_most_one_with_equality_iff_unit_weights():
