@@ -17,16 +17,11 @@ from .certificates import (
     TableVerification,
     TestClassCertificate,
     case3_test_class_certificates,
-    curve_self_intersection,
-    different_total,
     expected_fail_tags,
     extension_check,
     load_packaged_surface_rows,
     load_surface_rows,
     serialize_surface_rows,
-    surface_exclusion_value,
-    test_class_value,
-    test_class_value_expanded,
     verify_surface_table,
 )
 from .coverage import (
@@ -35,7 +30,6 @@ from .coverage import (
     FamilyCoverage,
     RouteEntry,
     build_coverage,
-    containment_annotated_families,
 )
 from .families import (
     FAMILY_COUNT,
@@ -101,15 +95,12 @@ __all__ = [
     "CertificateError", "RowError", "SurfaceRowParseError", "Method",
     "TestClassCertificate", "SurfaceRow",
     "SurfaceCertificate", "TableVerification",
-    "test_class_value", "test_class_value_expanded",
-    "case3_test_class_certificates", "different_total",
-    "curve_self_intersection", "surface_exclusion_value",
-    "expected_fail_tags",
+    "case3_test_class_certificates", "expected_fail_tags",
     "verify_surface_table", "load_surface_rows", "serialize_surface_rows",
     "load_packaged_surface_rows", "extension_check",
     # coverage
     "AnnotationKind", "Annotation", "RouteEntry", "FamilyCoverage",
-    "build_coverage", "containment_annotated_families",
+    "build_coverage",
     # report
     "GOLDEN_LISTS", "derived_lists", "build_document", "to_json",
     "revalidate_document",

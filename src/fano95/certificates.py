@@ -4,7 +4,8 @@ Two certificate kinds close out the curves that survive the coarse bounds:
 
 * *Test-class certificates*: blow up the curve C, pick the nef class
   M = b·A − E, and evaluate M·B² with B = −K.  Strict negativity excludes C.
-  The value collapses to a closed form in (b, A³, deg C, genus).
+  The value collapses to a closed form in (b, A³ of the family's record,
+  deg C, genus).
 
 * *Surface certificates*: restrict to a general surface T in |m·A − C|,
   compute the adjunction different of C in T, its self-intersection on T,
@@ -23,7 +24,7 @@ import re
 from enum import Enum
 from fractions import Fraction
 from itertools import permutations
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable
 
 from .families import (
@@ -43,7 +44,7 @@ from .lemmas import (
     family_verdicts,
 )
 from .wps import (_VANISHING_LABELS, Record, _check_integer, _check_rational, _check_vanishing,
-                  _different, _ratio_text, _self_intersection, _shown, _stratum, stratum_weights)
+                  _ratio_text, _self_intersection, _shown, _stratum, stratum_weights)
 
 SURFACE_ROWS_FILENAME = "surface_rows.tsv"
 
@@ -57,8 +58,8 @@ _FAIL_TAG_SETS = {order: frozenset(order) for n in range(len(VALID_FAIL_TAGS) + 
 
 
 class CertificateError(Exception):
-    """A certificate was asked of inputs it does not apply to.  A certificate
-    that fails to exclude its curve is not an error: it is reported invalid."""
+    """Inputs a certificate does not apply to, or a value too long to print.  A
+    certificate that fails to exclude its curve is no error: it is reported invalid."""
 
 
 class RowError(CertificateError):
@@ -95,78 +96,45 @@ def _expanded(b: int, a: int, a2e: int, ae2: int, e3: int) -> int:
     return b * a - (2 * b + 1) * a2e + (b + 2) * ae2 - e3
 
 
-def _check_test_class_args(b: int = 1, deg_c: Fraction = 1, p_a: int = 0) -> None:
-    """Refuse a multiplier, curve degree or genus no test class takes: with
-    TypeError anything but an int b and p_a and an int or Fraction deg C, with
-    ValueError b < 1, deg C <= 0 or p_a < 0.  The defaults pass."""
-    _check_integer("test-class multiplier", b)
-    _check_rational("curve degree", deg_c)
-    _check_integer("arithmetic genus", p_a)
-    if b < 1:
-        raise ValueError(f"test-class multiplier must be >= 1, got {_shown(b)}")
-    if deg_c.numerator <= 0:
-        raise ValueError(f"curve degree must be positive, got {_shown(deg_c)}")
-    if p_a < 0:
-        raise ValueError(f"arithmetic genus must be non-negative, got {_shown(p_a)}")
-
-
-def rational_curve_blowup_numbers(
-    deg_c: Fraction, p_a: int
-) -> tuple[Fraction, Fraction, Fraction]:
-    """Intersection numbers (A²E, AE², E³) of the exceptional divisor over a
-    curve of degree deg_c and arithmetic genus p_a on an index-one 3-fold."""
-    _check_test_class_args(deg_c=deg_c, p_a=p_a)
-    p, q = deg_c.as_integer_ratio()
-    return tuple(Fraction(x, q) for x in _blowup_numbers(p, q, p_a))
-
-
-def test_class_value_expanded(
-    b: int, a_cube: Fraction, a2e: Fraction, ae2: Fraction, e3: Fraction
-) -> Fraction:
-    """M·B² by multiplying out (bA − E)(A − E)²: b·A³ − (2b+1)·A²E + (b+2)·AE² − E³."""
-    _check_test_class_args(b=b)
-    for what, x in (("degree cap", a_cube), ("A²E", a2e), ("AE²", ae2), ("E³", e3)):
-        _check_rational(what, x)
-    terms = [x.as_integer_ratio() for x in (a_cube, a2e, ae2, e3)]
-    den = lcm(*(q for _, q in terms))
-    return Fraction(_expanded(b, *(p * (den // q) for p, q in terms)), den)
-
-
-def test_class_value(b: int, a_cube: Fraction, deg_c: Fraction, p_a: int) -> Fraction:
-    """M·B² for M = b·A − E over a curve of degree deg_c and genus p_a.
-
-    Closed form b·A³ − (b+1)·deg_c − 2 + 2·p_a; asserted equal to the full
-    triple-product expansion on every call, in integers over the denominator
-    e·q of A³ = a/e and deg C = p/q, so the two derivations cannot drift apart.
-    """
-    _check_test_class_args(b, deg_c, p_a)
-    _check_rational("degree cap", a_cube)
-    p, q = deg_c.as_integer_ratio()
-    a, e = a_cube.as_integer_ratio()
-    den = e * q
-    closed = b * a * q - (b + 1) * p * e + (2 * p_a - 2) * den
-    expanded = _expanded(b, a * q, *(x * e for x in _blowup_numbers(p, q, p_a)))
-    if closed != expanded:
-        raise AssertionError(f"closed form {Fraction(closed, den)} disagrees with "
-                             f"expansion {Fraction(expanded, den)}")
-    return Fraction(closed, den)
-
-
 class TestClassCertificate(Record):
     """A strict-negativity certificate M·B² < 0 excluding one curve of a family,
     built from its inputs: the ``FamilyRecord`` (read by ``family``, its number,
-    and ``a_cube``), the curve (a description), the test class b·A − E's int b,
-    the curve's degree deg C (stored as a Fraction) and its genus p_a.  The
-    constructor derives the Fraction M·B², ``value``."""
+    and ``a_cube``), the curve (a description), the test class b·A − E's int
+    b >= 1, the curve's degree deg C > 0 (an int or a Fraction, stored as a
+    Fraction) and its int genus p_a >= 0.  The constructor derives the closed
+    form b·A³ − (b+1)·deg C − 2 + 2·p_a, ``value``, in integers over e·q for
+    A³ = a/e and deg C = p/q, asserted equal to the expansion of (bA − E)(A − E)²
+    on every call, and writes its text once, ``value_text``, for every view;
+    CertificateError, naming the family, for a value too long to print."""
 
-    __slots__ = ("record", "curve", "b", "deg_c", "p_a", "value")
+    __slots__ = ("record", "curve", "b", "deg_c", "p_a", "value", "value_text")
 
     family = property(lambda c: c.record.number)
     a_cube = property(lambda c: c.record.a_cube)
 
     def __init__(self, record: FamilyRecord, curve: str, b: int, deg_c: Fraction, p_a: int = 0):
-        value = test_class_value(b, record.a_cube, deg_c, p_a)
-        self._fill(record, curve, b, Fraction(deg_c), p_a, value)
+        _check_integer("test-class multiplier", b)
+        _check_rational("curve degree", deg_c)
+        _check_integer("arithmetic genus", p_a)
+        if b < 1:
+            raise ValueError(f"test-class multiplier must be >= 1, got {_shown(b)}")
+        if deg_c.numerator <= 0:
+            raise ValueError(f"curve degree must be positive, got {_shown(deg_c)}")
+        if p_a < 0:
+            raise ValueError(f"arithmetic genus must be non-negative, got {_shown(p_a)}")
+        (p, q), (a, e) = deg_c.as_integer_ratio(), record.a_cube.as_integer_ratio()
+        den = e * q
+        closed = b * a * q - (b + 1) * p * e + (2 * p_a - 2) * den
+        expanded = _expanded(b, a * q, *(x * e for x in _blowup_numbers(p, q, p_a)))
+        if closed != expanded:
+            raise AssertionError(f"closed form {Fraction(closed, den)} disagrees with "
+                                 f"expansion {Fraction(expanded, den)}")
+        try:
+            text = _ratio_text(closed, den)
+        except ValueError:  # more digits than str() converts
+            raise CertificateError(f"family {record.number}: test-class value for the "
+                                   f"{curve} is too long to print") from None
+        self._fill(record, curve, b, Fraction(p, q), p_a, Fraction(closed, den), text)
 
     @property
     def valid(self) -> bool:
@@ -189,16 +157,13 @@ _TEST_CLASS_CURVES: tuple[tuple[int, str, int, int], ...] = (
 )
 
 
-def case3_test_class_certificates(
-    db: FamilyDatabase,
-) -> tuple[TestClassCertificate, ...]:
+def case3_test_class_certificates(db: FamilyDatabase) -> tuple[TestClassCertificate, ...]:
     """The six test-class certificates for the a1 = a2 = 1 families whose
     degree cap is >= 1, valid or not: a value that is not strictly negative
-    is reported as an invalid certificate by every caller, never raised."""
-    return tuple(
-        TestClassCertificate(db.get(number), curve, b, deg_c)
-        for number, curve, b, deg_c in _TEST_CLASS_CURVES
-    )
+    is reported as an invalid certificate by every caller, never raised; one
+    too long to print raises CertificateError."""
+    return tuple(TestClassCertificate(db.get(number), curve, b, deg_c)
+                 for number, curve, b, deg_c in _TEST_CLASS_CURVES)
 
 
 # ---------------------------------------------------------------------------
@@ -207,38 +172,11 @@ def case3_test_class_certificates(
 
 # Each formula lives once, in integers, on numerators over positive denominators
 # (A³ = a/b, deg C = p/q, the different or C²_T = r/s), and returns its value the
-# same way, unreduced; ``_self_intersection`` lives in ``wps`` with the stratum
-# memo.  The public functions take int or Fraction arguments.
+# same way, unreduced; ``_different`` and ``_self_intersection`` live in ``wps``
+# with the stratum memo.  ``SurfaceCertificate`` is their only caller.
 
 def _exclusion_value(m, a, b, p, q, r, s) -> tuple[int, int]:
     return (m * a * q - 2 * p * b) * s + r * b * q, b * q * s
-
-
-def different_total(indices: Iterable[int]) -> Fraction:
-    """Total coefficient of the adjunction different: Σ (m−1)/m over the
-    singular-point indices the curve passes through."""
-    return Fraction(*_different(indices))
-
-
-def curve_self_intersection(m: int, deg_c: Fraction, diff_total: Fraction) -> Fraction:
-    """C² on a general surface T in |m·A − C|, by adjunction:
-    deg(K_C + Diff) = (K + T)·C + C²_T with K + T ~ (m−1)·A."""
-    if m < 1:
-        raise ValueError(f"surface-system multiplier must be >= 1, got {_shown(m)}")
-    return Fraction(*_self_intersection(m, deg_c.numerator, deg_c.denominator,
-                                        diff_total.numerator, diff_total.denominator))
-
-
-def surface_exclusion_value(
-    m: int, a_cube: Fraction, deg_c: Fraction, c2t: Fraction
-) -> Fraction:
-    """Self-intersection of the restricted mobile system on T:
-    m·A³ − 2·deg_c + C²_T.  Strict negativity excludes the curve."""
-    if m < 1:
-        raise ValueError(f"surface-system multiplier must be >= 1, got {_shown(m)}")
-    return Fraction(*_exclusion_value(m, a_cube.numerator, a_cube.denominator,
-                                      deg_c.numerator, deg_c.denominator,
-                                      c2t.numerator, c2t.denominator))
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +220,14 @@ class SurfaceRow(Record):
         if isinstance(fails, str):
             raise TypeError(f"fail tags must be a collection of tags, not the str {fails!r}")
         tags = tuple(fails)
-        fails = _FAIL_TAG_SETS.get(tags)
+        try:
+            fails = _FAIL_TAG_SETS.get(tags)
+        except TypeError:  # an unhashable entry, such as a list, is no tag
+            fails = None
         if fails is None:
-            unknown = sorted(set(tags) - VALID_FAIL_TAGS, key=repr)
-            raise ValueError(f"unknown fail tags {unknown}" if unknown
+            valid = tuple(VALID_FAIL_TAGS)  # each entry that is no tag, once, found by ==
+            unknown = [t for i, t in enumerate(tags) if t not in valid + tags[:i]]
+            raise ValueError(f"unknown fail tags {sorted(unknown, key=repr)}" if unknown
                              else f"fail tags must be distinct, got {sorted(tags)}")
         if type(m) is not int:
             _check_integer("surface-system multiplier", m)

@@ -20,6 +20,7 @@ from pathlib import Path
 from . import report
 from .certificates import (
     SURFACE_ROWS_FILENAME,
+    CertificateError,
     RowError,
     SurfaceRowParseError,
     case3_test_class_certificates,
@@ -93,17 +94,19 @@ def run_command(args) -> int:
     sections.  Coverage reads the certificates, so it is only requested with
     them."""
     sections = args.sections
-    _, db = _load_table(args.families, "--families", "families table", FAMILIES_FILENAME,
-                        load_families, FamilyTableError)
+    families_path, db = _load_table(args.families, "--families", "families table",
+                                    FAMILIES_FILENAME, load_families, FamilyTableError)
     ok = True
     if "certificates" in sections:
         path, rows = _load_table(args.table, "--table", "surface-row table",
                                  SURFACE_ROWS_FILENAME, load_surface_rows, SurfaceRowParseError)
-        tc = case3_test_class_certificates(db)
-        try:
+        try:  # each error: a quantity too long to print
+            tc = case3_test_class_certificates(db)
             verification = verify_surface_table(db, rows)
-        except RowError as exc:  # a row whose quantity is too long to print
+        except RowError as exc:
             raise _InputError(f"surface-row table {path}: {exc}") from exc
+        except CertificateError as exc:  # of a test class, from the families table
+            raise _InputError(f"families table {families_path}: {exc}") from exc
         ok = verification.ok and all(c.valid for c in tc)
     if "coverage" in sections:
         coverage = build_coverage(db, rows, verification=verification)

@@ -259,7 +259,7 @@ def _residual_route(
             ("curve", cert.curve),
             ("multiplier", str(cert.b)),
             ("curve degree", format_rational(cert.deg_c)),
-            ("value", format_rational(cert.value)),
+            ("value", cert.value_text),
         ),
         annotations=(_CLASSIFICATION_NOTE,),
         gaps=() if cert.valid else ("residual (test-class value not negative)",),
@@ -355,18 +355,3 @@ def build_coverage(
             _contracted_route(f, verdict, certs),
         ))
     return tuple(out)
-
-
-def containment_annotated_families(
-    coverage: Iterable[FamilyCoverage],
-) -> tuple[int, ...]:
-    """Families whose coverage carries the out-of-scope containment
-    annotation (expected: exactly the three smallest-weight exceptions)."""
-    return tuple(
-        c.family
-        for c in coverage
-        if any(
-            a.kind is AnnotationKind.CONTAINMENT_OUT_OF_SCOPE
-            for a in c.annotations
-        )
-    )

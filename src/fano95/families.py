@@ -141,8 +141,9 @@ def _data_lines(source: Source) -> Iterator[tuple[int, str]]:
     if isinstance(source, (str, Path)):
         lines = open(source, "r", encoding="utf-8-sig")
     else:
-        data = source.read()
-        lines = io.StringIO(data.decode("utf-8-sig") if isinstance(data, bytes) else data)
+        data = source.read()  # one leading byte-order mark is dropped, from text as from bytes
+        text = data.decode("utf-8-sig") if isinstance(data, bytes) else data.removeprefix("\ufeff")
+        lines = io.StringIO(text)
     with lines:
         for line_number, line in enumerate(lines, start=1):
             stripped = line.strip()

@@ -118,7 +118,7 @@ def _test_class_json(c: TestClassCertificate) -> dict:
         "family": c.family,
         "p_a": c.p_a,
         "valid": c.valid,
-        "value": format_rational(c.value),
+        "value": c.value_text,
     }
 
 
@@ -364,8 +364,10 @@ def revalidate_document(document: Mapping) -> tuple[str, ...]:
     if db is None:
         _objects(problems, "certificates.test_class", test_class)
     elif test_class is not None:
-        _compare(test_class, test_class_section(case3_test_class_certificates(db)),
-                 "certificates.test_class", problems)
+        path = "certificates.test_class"
+        tc = _rebuilt(problems, lambda: case3_test_class_certificates(db), path)
+        if tc is not None:
+            _compare(test_class, test_class_section(tc), path, problems)
     for i, s in _objects(problems, "certificates.surface", certificates.get("surface")):
         path = f"certificates.surface[{i}]"
         row = _rebuilt(problems, lambda: SurfaceRow(
@@ -449,7 +451,7 @@ def render_certificates(
         lines.append(
             f"test-class family {c.family} ({c.curve}): multiplier {c.b}, "
             f"curve degree {format_rational(c.deg_c)}, "
-            f"blowup-class value {format_rational(c.value)} [{status}]"
+            f"blowup-class value {c.value_text} [{status}]"
         )
     for cert in verification.certificates:
         row = cert.row

@@ -3,11 +3,12 @@ the seeded wide tables of ``perfbench/widetable.py``."""
 
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from fano95 import load_packaged_families, load_packaged_surface_rows
+from fano95 import format_rational, load_packaged_families, load_packaged_surface_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -34,6 +35,20 @@ def digit_limit():
     if not limit:
         pytest.skip("this interpreter converts integers of any length")
     return limit
+
+
+@pytest.fixture
+def conic_overflow_weights(digit_limit):
+    """Weights (1, x, x+1, x+2, x+3), x = 98·10^(limit/4 − 2), d = 4x + 6: as
+    family 3, A³'s text has 4,300 digits at the default limit, so it prints,
+    but its conic's test-class value 6·A³ − 16 has one digit more."""
+    x = 98 * 10 ** (digit_limit // 4 - 2)
+    weights = (1, x, x + 1, x + 2, x + 3)
+    cap = Fraction(sum(weights) - 1, x * (x + 1) * (x + 2) * (x + 3))
+    format_rational(cap)
+    with pytest.raises(ValueError):
+        format_rational(6 * cap - 16)
+    return weights
 
 
 @pytest.fixture(scope="session")

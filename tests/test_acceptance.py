@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import gcd
 
 from fano95 import certificates as C
+from fano95 import wps
 from fano95 import (
     GOLDEN_LISTS,
     AnnotationKind,
@@ -18,10 +19,8 @@ from fano95 import (
     case3_test_class_certificates,
     cli,
     classify_case,
-    containment_annotated_families,
     derived_lists,
     shared_factor_check,
-    surface_exclusion_value,
     verify_surface_table,
 )
 
@@ -128,7 +127,9 @@ def test_acceptance_5_coverage_audit(db, rows):
     gaps = [(c.family, c.gaps) for c in coverage if c.status != "Covered"]
     assert gaps == [], f"uncovered families: {gaps}"
 
-    assert containment_annotated_families(coverage) == (2, 5, 8)
+    annotated = tuple(c.family for c in coverage if any(
+        a.kind is AnnotationKind.CONTAINMENT_OUT_OF_SCOPE for a in c.annotations))
+    assert annotated == (2, 5, 8)
     for c in coverage:
         if c.family in (2, 5, 8):
             continue
@@ -161,22 +162,33 @@ def test_acceptance_6_property_suites(db, capsys):
         assert gcd(a.numerator, a.denominator) in (0, 1)
 
     # closed form versus expanded intersection products: 1000 randomized cases
+    # over the packaged records, each certificate against the closed form and
+    # the product (bA − E)(A − E)² multiplied out with A²E = 0, AE² = −deg C
+    # and E³ = 2 − 2p_a − deg C, both in Fraction arithmetic
     for _ in range(1000):
+        f = rng.choice(db.records)
         bb = rng.randint(1, 12)
-        cap = Fraction(rng.randint(1, 500), rng.randint(1, 500))
         deg = Fraction(rng.randint(1, 500), rng.randint(1, 500))
         p_a = rng.randint(0, 6)
-        a2e, ae2, e3 = C.rational_curve_blowup_numbers(deg, p_a)
-        assert C.test_class_value(bb, cap, deg, p_a) == C.test_class_value_expanded(
-            bb, cap, a2e, ae2, e3
-        )
+        a2e, ae2, e3 = 0, -deg, 2 - 2 * p_a - deg
+        expanded = (bb * f.a_cube - 2 * bb * a2e + bb * ae2
+                    - a2e + 2 * ae2 - e3)  # bA·(A² − 2AE + E²) − E·(A² − 2AE + E²)
+        cert = C.TestClassCertificate(f, "curve", bb, deg, p_a)
+        assert cert.value == bb * f.a_cube - (bb + 1) * deg - 2 + 2 * p_a == expanded
+
+    def different(indices):
+        return Fraction(*wps._different(indices))
 
     # orbifold-correction additivity, bounded above by the index count
     for _ in range(200):
         xs = [rng.randint(2, 40) for _ in range(rng.randint(0, 6))]
         ys = [rng.randint(2, 40) for _ in range(rng.randint(0, 6))]
-        assert C.different_total(xs + ys) == C.different_total(xs) + C.different_total(ys)
-        assert C.different_total(xs) < len(xs) or not xs
+        assert different(xs + ys) == different(xs) + different(ys)
+        assert different(xs) < len(xs) or not xs
+
+    def exclusion_value(m, cap, deg, c2t):
+        return Fraction(*C._exclusion_value(m, *cap.as_integer_ratio(),
+                                            *deg.as_integer_ratio(), *c2t.as_integer_ratio()))
 
     # exclusion value: strictly increasing in m*cap, strictly decreasing in deg
     for _ in range(200):
@@ -186,12 +198,8 @@ def test_acceptance_6_property_suites(db, capsys):
         deg_lo = Fraction(rng.randint(1, 400), rng.randint(1, 400))
         deg_hi = deg_lo + Fraction(rng.randint(1, 50), rng.randint(1, 50))
         c2t = Fraction(rng.randint(-500, 500), rng.randint(1, 100))
-        assert surface_exclusion_value(m, cap_hi, deg_lo, c2t) > surface_exclusion_value(
-            m, cap_lo, deg_lo, c2t
-        )
-        assert surface_exclusion_value(m, cap_lo, deg_hi, c2t) < surface_exclusion_value(
-            m, cap_lo, deg_lo, c2t
-        )
+        assert exclusion_value(m, cap_hi, deg_lo, c2t) > exclusion_value(m, cap_lo, deg_lo, c2t)
+        assert exclusion_value(m, cap_lo, deg_hi, c2t) < exclusion_value(m, cap_lo, deg_lo, c2t)
 
     # byte-identical JSON across repeated full runs
     assert cli.main(["full", "--format", "json"]) == 0

@@ -17,36 +17,58 @@ from fano95 import (
     SurfaceCertificate,
     SurfaceRow,
     SurfaceRowParseError,
+    Weights,
     case3_test_class_certificates,
-    curve_self_intersection,
     derived_lists,
-    different_total,
     expected_fail_tags,
     extension_check,
     format_rational,
     load_families,
     load_surface_rows,
     serialize_surface_rows,
-    surface_exclusion_value,
     verify_surface_table,
 )
 from fano95.families import FamilyRecord, packaged_data_path
 from fano95.lemmas import family_verdicts
 
-# The closed-form and expanded evaluators are referenced through the module
-# (C.test_class_value, C.test_class_value_expanded): importing names that
-# start with "test_" would make pytest try to collect them.
+# TestClassCertificate is reached through the module (C.TestClassCertificate):
+# importing a name that starts with "Test" would make pytest collect it.
 
 
 # ---------------------------------------------------------------------------
 # Blow-up test class
+#
+# The oracles below are the README's formulas in Fraction arithmetic, not the
+# engine's integer helpers: M·B² for M = b·A − E and B = A − E is multiplied
+# out term by term from A³, A²E = 0, AE² = −deg C and E³ = 2 − 2p_a − deg C.
+
+
+def _triple_product(x, y, z, numbers):
+    """x·y·z for classes given as (coefficient of A, coefficient of E), from the
+    intersection numbers (A³, A²E, AE², E³), multiplied out term by term."""
+    return sum(x[i] * y[j] * z[k] * numbers[i + j + k] for i, j, k in product((0, 1), repeat=3))
+
+
+def _blowup_value(b, a_cube, deg_c, p_a):
+    numbers = (a_cube, 0, -deg_c, 2 - 2 * p_a - deg_c)
+    return _triple_product((b, -1), (1, -1), (1, -1), numbers)
 
 
 def test_blowup_intersection_numbers_for_rational_curve():
-    a2e, ae2, e3 = C.rational_curve_blowup_numbers(Fraction(3), 0)
-    assert (a2e, ae2, e3) == (0, -3, -1)
-    a2e, ae2, e3 = C.rational_curve_blowup_numbers(Fraction(2), 1)
-    assert (a2e, ae2, e3) == (0, -2, -2)
+    # (A²E, AE², E³) as numerators over q, for deg C = p/q.
+    assert C._blowup_numbers(3, 1, 0) == (0, -3, -1)
+    assert C._blowup_numbers(2, 1, 1) == (0, -2, -2)
+    for p, q, p_a in product(range(1, 8), range(1, 8), range(4)):
+        deg = Fraction(p, q)
+        got = [Fraction(x, q) for x in C._blowup_numbers(p, q, p_a)]
+        assert got == [0, -deg, 2 - 2 * p_a - deg], (p, q, p_a)
+
+
+def test_expansion_multiplies_out_the_triple_product():
+    # b·A³ − (2b+1)·A²E + (b+2)·AE² − E³ is (bA − E)(A − E)² for any numbers.
+    for b, *numbers in product(range(1, 6), (-3, 0, 7), (-2, 0, 5), (-4, 1), (-1, 0, 3)):
+        expected = _triple_product((b, -1), (1, -1), (1, -1), numbers)
+        assert C._expanded(b, *numbers) == expected, (b, numbers)
 
 
 @pytest.mark.parametrize(
@@ -60,65 +82,52 @@ def test_blowup_intersection_numbers_for_rational_curve():
         (4, Fraction(1), Fraction(1), Fraction(-3)),
     ],
 )
-def test_test_class_value_known_curves(b, a_cube, deg_c, expected):
-    assert C.test_class_value(b, a_cube, deg_c, 0) == expected
+def test_test_class_value_known_curves(db, b, a_cube, deg_c, expected):
+    # Each A³ is the degree cap of one of families 1..6, in order.
+    f = next(f for f in db if f.a_cube == a_cube)
+    cert = C.TestClassCertificate(f, "curve", b, deg_c)
+    assert f.number <= 6 and cert.value == expected
+    assert cert.value_text == format_rational(expected)
 
 
 def test_test_class_value_closed_form_matches_expansion():
-    b, a_cube, deg_c, p_a = 5, Fraction(7, 3), Fraction(4, 3), 2
-    a2e, ae2, e3 = C.rational_curve_blowup_numbers(deg_c, p_a)
-    assert C.test_class_value(b, a_cube, deg_c, p_a) == C.test_class_value_expanded(
-        b, a_cube, a2e, ae2, e3
-    )
+    # X_7 in P(1,1,1,2,3) has A³ = 7/6; a curve of degree 4/3 and genus 2.
+    f = FamilyRecord(1, 7, Weights((1, 1, 1, 2, 3)))
+    b, deg_c, p_a = 5, Fraction(4, 3), 2
+    cert = C.TestClassCertificate(f, "curve", b, deg_c, p_a)
+    assert cert.value == _blowup_value(b, Fraction(7, 6), deg_c, p_a) == Fraction(-1, 6)
+    assert cert.value_text == "-1/6"
 
 
 @pytest.mark.parametrize(
-    "call, message",
+    "args, message",
     [
-        (lambda: C.test_class_value(0, Fraction(1), Fraction(1), 0), "multiplier must be >= 1"),
-        (lambda: C.test_class_value(2, Fraction(1), Fraction(0), 0), "degree must be positive"),
-        (lambda: C.test_class_value(2, Fraction(1), Fraction(1), -1), "must be non-negative"),
-        (lambda: C.test_class_value_expanded(0, Fraction(2), 0, 0, 0),
-         "multiplier must be >= 1"),
-        (lambda: C.rational_curve_blowup_numbers(Fraction(1, 3), -1), "must be non-negative"),
-        (lambda: C.rational_curve_blowup_numbers(Fraction(-1, 3), 0),
-         "degree must be positive"),
+        ((0, Fraction(1), 0), "multiplier must be >= 1, got 0"),
+        ((2, Fraction(0), 0), "degree must be positive, got 0"),
+        ((2, Fraction(1), -1), "must be non-negative, got -1"),
+        ((2, Fraction(1, 3), -1), "must be non-negative, got -1"),
+        ((2, Fraction(-1, 3), 0), "degree must be positive, got -1/3"),
     ],
-    ids=["value-b", "value-degree", "value-genus", "expanded-b", "blowup-genus",
-         "blowup-degree"],
+    ids=["value-b", "value-degree", "value-genus", "blowup-genus", "blowup-degree"],
 )
-def test_test_class_value_validates_inputs(call, message):
-    # The expansion and the blow-up numbers refuse what test_class_value refuses.
+def test_test_class_value_validates_inputs(db, args, message):
     with pytest.raises(ValueError, match=message):
-        call()
+        C.TestClassCertificate(db.get(1), "curve", *args)
 
 
 @pytest.mark.parametrize("bad", ["1/2", 0.1, True], ids=["str", "float", "bool"])
 def test_test_class_value_refuses_non_rationals(db, bad):
     # Fraction("1/2") and Fraction(0.1) would parse or convert inexactly, so
-    # A^3 and deg C take an int or a Fraction only, like b and p_a take an int.
+    # deg C takes an int or a Fraction only, like b and p_a take an int.
     f = db.get(1)
-    for a_cube, deg_c in ((bad, Fraction(1)), (Fraction(4), bad)):
-        with pytest.raises(TypeError, match="must be an int or a Fraction"):
-            C.test_class_value(2, a_cube, deg_c, 0)
     with pytest.raises(TypeError, match="curve degree must be an int or a Fraction"):
         C.TestClassCertificate(f, "curve", 2, bad)
     assert C.TestClassCertificate(f, "curve", 2, 3).deg_c == Fraction(3)
-    # The expansion and its blow-up numbers refuse the same inputs.
-    for i in range(4):
-        numbers = [Fraction(2), 0, 0, 0]
-        numbers[i] = bad
-        with pytest.raises(TypeError, match="must be an int or a Fraction"):
-            C.test_class_value_expanded(2, *numbers)
-    with pytest.raises(TypeError, match="curve degree must be an int or a Fraction"):
-        C.rational_curve_blowup_numbers(bad, 0)
-    assert C.rational_curve_blowup_numbers(1, 0) == (0, -1, 1)
-    # The multiplier and the genus take an int only, in every entry point.
     for b in (bad, 2.0):
         with pytest.raises(TypeError, match="test-class multiplier must be an integer"):
-            C.test_class_value_expanded(b, Fraction(2), 0, 0, 0)
+            C.TestClassCertificate(f, "curve", b, 3)
     with pytest.raises(TypeError, match="arithmetic genus must be an integer"):
-        C.rational_curve_blowup_numbers(1, bad)
+        C.TestClassCertificate(f, "curve", 2, 3, bad)
 
 
 def test_test_class_certificate_derives_its_value(db):
@@ -127,7 +136,7 @@ def test_test_class_certificate_derives_its_value(db):
     f = db.get(1)
     cert = C.TestClassCertificate(f, "twisted cubic", 2, 3)
     assert (cert.record, cert.family, cert.a_cube) == (f, 1, Fraction(4))
-    assert (cert.value, cert.valid) == (2 * 4 - 3 * 3 - 2, True)
+    assert (cert.value, cert.value_text, cert.valid) == (2 * 4 - 3 * 3 - 2, "-3/1", True)
     for twin in (copy.copy(cert), copy.deepcopy(cert), pickle.loads(pickle.dumps(cert)),
                  C.TestClassCertificate(f, "twisted cubic", 2, Fraction(3), 0)):
         assert twin == cert and twin.value == Fraction(-3)
@@ -135,17 +144,18 @@ def test_test_class_certificate_derives_its_value(db):
 
 def test_test_class_value_matches_fraction_oracle(db):
     # Every packaged A^3, b in 1..8, deg C in {1/q : q <= 12} and {1, 2, 3},
-    # p_a in 0..3: the integer evaluation against the closed form written out
-    # in Fraction arithmetic, and each certificate's verdicts against its sign.
+    # p_a in 0..3: each certificate against the closed form and the multiplied-
+    # out triple product written in Fraction arithmetic, its text against the
+    # Fraction's, and its verdicts against its sign.
     degrees = sorted({Fraction(1, q) for q in range(1, 13)} | {Fraction(n) for n in (1, 2, 3)})
     signs = {-1: 0, 0: 0, 1: 0}
     for f, b, deg_c, p_a in product(db, range(1, 9), degrees, range(4)):
         expected = b * f.a_cube - (b + 1) * deg_c - 2 + 2 * p_a
         case = (f.number, b, deg_c, p_a)
-        value = C.test_class_value(b, f.a_cube, deg_c, p_a)
-        assert type(value) is Fraction and value == expected, case
+        assert _blowup_value(b, f.a_cube, deg_c, p_a) == expected, case
         cert = C.TestClassCertificate(f, "curve", b, deg_c, p_a)
         assert type(cert.value) is Fraction and cert.value == expected, case
+        assert cert.value_text == f"{expected.numerator}/{expected.denominator}", case
         assert (cert.valid, cert.boundary) == (expected < 0, expected == 0), case
         signs[(expected > 0) - (expected < 0)] += 1
     assert signs == {-1: 23115, 0: 120, 1: 19325}
@@ -183,52 +193,49 @@ def test_test_class_certificates_report_a_nonnegative_value(db):
 # Adjunction bookkeeping
 
 
+# The surface formulas, each an integer helper on numerators over positive
+# denominators, against the README's formulas in Fraction arithmetic:
+# diff = Σ(w−1)/w, C²_T = diff − 2 − (m−1)·deg C, m·A³ − 2·deg C + C²_T.
+
 def test_different_total_values():
-    assert different_total([]) == 0
-    assert different_total([5]) == Fraction(4, 5)
-    assert different_total([2, 3]) == Fraction(1, 2) + Fraction(2, 3)
-    assert different_total(iter([4, 6, 9])) == Fraction(3, 4) + Fraction(5, 6) + Fraction(8, 9)
-    assert all(type(different_total(i)) is Fraction for i in ([], [2], [3, 3]))
+    assert Fraction(*wps._different([])) == 0
+    assert Fraction(*wps._different([5])) == Fraction(4, 5)
+    assert Fraction(*wps._different([2, 3])) == Fraction(1, 2) + Fraction(2, 3)
+    for indices in ([4, 6, 9], [2, 2, 2], [40], [3, 7, 11, 13]):
+        assert Fraction(*wps._different(iter(indices))) == sum(
+            (Fraction(w - 1, w) for w in indices), Fraction(0)), indices
     with pytest.raises(ValueError):
-        different_total([1])
+        wps._different([1])
     with pytest.raises(ValueError):
-        different_total([0, 3])
+        wps._different([0, 3])
 
 
 def test_curve_self_intersection_examples():
     # Genus-0 adjunction with no orbifold corrections: C^2 = -2 + 0 - 0*deg.
-    assert curve_self_intersection(1, Fraction(1, 5), Fraction(0)) == -2
+    assert Fraction(*wps._self_intersection(1, 1, 5, 0, 1)) == -2
     # Worked chain: m=4, deg 1/5, corrections 4/5.
-    assert curve_self_intersection(4, Fraction(1, 5), Fraction(4, 5)) == Fraction(-9, 5)
+    assert Fraction(*wps._self_intersection(4, 1, 5, 4, 5)) == Fraction(-9, 5)
 
 
-#: int and Fraction arguments, mixed freely in the helpers below.
-_MIXED_ARGUMENTS = (0, 1, -3, Fraction(1, 5), Fraction(-7, 6), Fraction(4), Fraction(13, 60))
+#: int and Fraction values, mixed freely in the formulas below.
+_MIXED_VALUES = (0, 1, -3, Fraction(1, 5), Fraction(-7, 6), Fraction(4), Fraction(13, 60))
 
 
 @pytest.mark.parametrize("m", [1, 2, 7])
-def test_formula_helpers_take_int_and_fraction_arguments(m):
-    for x, y, z in product(_MIXED_ARGUMENTS, repeat=3):
-        x_, y_, z_ = Fraction(x), Fraction(y), Fraction(z)
-        c2t = curve_self_intersection(m, x, y)
-        assert type(c2t) is Fraction and c2t == -2 + y_ - (m - 1) * x_
-        value = surface_exclusion_value(m, x, y, z)
-        assert type(value) is Fraction and value == m * x_ - 2 * y_ + z_
-
-
-def test_formula_helpers_reject_nonpositive_multiplier():
-    with pytest.raises(ValueError, match="multiplier must be >= 1, got 0"):
-        curve_self_intersection(0, Fraction(1, 5), 0)
-    with pytest.raises(ValueError, match="multiplier must be >= 1, got -1"):
-        surface_exclusion_value(-1, 1, Fraction(1, 5), -2)
+def test_formula_helpers_match_fraction_formulas(m):
+    # Each helper takes each value as numerator and positive denominator.
+    for x, y, z in product(map(Fraction, _MIXED_VALUES), repeat=3):
+        c2t = Fraction(*wps._self_intersection(m, *x.as_integer_ratio(), *y.as_integer_ratio()))
+        assert c2t == y - 2 - (m - 1) * x, (x, y)
+        value = C._exclusion_value(m, *x.as_integer_ratio(), *y.as_integer_ratio(),
+                                   *z.as_integer_ratio())
+        assert Fraction(*value) == m * x - 2 * y + z, (x, y, z)
 
 
 def test_surface_exclusion_value_examples():
-    assert surface_exclusion_value(
-        4, Fraction(13, 60), Fraction(1, 5), Fraction(-9, 5)
-    ) == Fraction(-4, 3)
+    assert Fraction(*C._exclusion_value(4, 13, 60, 1, 5, -9, 5)) == Fraction(-4, 3)
     # Exact zero at the boundary: m*cap - 2*deg + c2t = 0.
-    assert surface_exclusion_value(1, Fraction(4), Fraction(1), Fraction(-2)) == 0
+    assert Fraction(*C._exclusion_value(1, 4, 1, 1, 1, -2, 1)) == 0
 
 
 def test_two_curve_certificate_flags(db):
@@ -373,10 +380,13 @@ def test_fail_tags_accept_exactly_distinct_valid_tags():
     ("", TypeError, "fail tags must be a collection of tags, not the str ''"),
     (["x", 1], ValueError, "unknown fail tags ['x', 1]"),
     ([2, "residual", None], ValueError, "unknown fail tags [2, None]"),
-], ids=["str", "empty-str", "str-and-int", "int-and-none"])
+    (["residual", ["x"], ["x"], 1, True], ValueError, "unknown fail tags [1, ['x']]"),
+], ids=["str", "empty-str", "str-and-int", "int-and-none", "unhashable"])
 def test_fail_tag_errors_name_the_fail_tags(fails, error, message):
     # A str would be read one character at a time, and a message that sorts
-    # tags of mixed types would raise its own TypeError from the sort.
+    # tags of mixed types would raise its own TypeError from the sort, as a
+    # lookup of an unhashable entry would; each entry that is no tag is named
+    # once.
     with pytest.raises(error) as caught:
         SurfaceRow(20, (2, 3, 4), fails, Method.M41, 3)
     assert str(caught.value) == message
@@ -400,6 +410,11 @@ def test_serialize_rows_round_trip(rows):
     again = load_surface_rows(io.StringIO(text))
     assert again == rows
     assert serialize_surface_rows(again) == text
+
+
+def test_load_rows_drops_a_byte_order_mark_from_a_text_stream(rows):
+    text = serialize_surface_rows(rows)
+    assert load_surface_rows(io.StringIO("\ufeff" + text)) == rows
 
 
 def test_load_rows_accepts_crlf_streams(rows):

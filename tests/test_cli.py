@@ -555,9 +555,9 @@ def test_full_decides_each_family_once(capsys, wide_tables, seed):
 def test_views_print_no_surface_rational_again(capsys, wide_tables):
     # Every surface-certificate rational is printed once, where it is stored:
     # the text view, coverage and the JSON builders read the texts of the
-    # quantities, of method 42's degree sum and of the family's A³.  Only the
-    # test classes' deg C and value are formatted in a view, two rationals for
-    # each of the six, so no view formats A³.  The JSON builders also run once
+    # quantities, of method 42's degree sum and of the family's A³, and each
+    # test class's value text.  Only the test classes' deg C is formatted in a
+    # view, one rational for each of the six.  The JSON builders also run once
     # more in revalidation.  A call is charged to the nearest enclosing named
     # function, so a comprehension or generator inside a view counts as the
     # view on every Python version.
@@ -588,7 +588,7 @@ def test_views_print_no_surface_rational_again(capsys, wide_tables):
     assert codes == [cli.EXIT_CHECK_FAILED] * 2 and "vs cap" in out
     assert entered == {"render_certificates", "_surface_row_values",
                        "_surface_cert_json", "_test_class_json"}
-    tests = 2 * len(certificates._TEST_CLASS_CURVES)
+    tests = len(certificates._TEST_CLASS_CURVES)
     assert calls == ["render_certificates"] * tests + ["_test_class_json"] * (2 * tests)
 
 
@@ -675,6 +675,28 @@ def test_an_a_cube_too_long_to_print_is_an_input_error(capsys, tmp_path, digit_l
     assert run(capsys, "validate", "--families", str(bad)) == (
         cli.EXIT_INPUT_ERROR, "",
         f"error: families table {bad}: family 20: A³ = d/(a1*a2*a3*a4) is too long to print\n",
+    )
+
+
+@pytest.mark.parametrize("command", ["certify", "full"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_test_class_value_too_long_to_print_is_an_input_error(
+    capsys, tmp_path, conic_overflow_weights, command, fmt
+):
+    # Family 3's A³ prints, so the table validates, but the value of its
+    # conic's test class has one digit more: the family is refused by table
+    # and number in one error line (exit 2), and the value is not printed.
+    weights = conic_overflow_weights
+    lines = FAMILIES.read_text().splitlines(keepends=True)
+    index = next(i for i, line in enumerate(lines) if line.startswith("3\t"))
+    lines[index] = "\t".join(map(str, (3, sum(weights) - 1, *weights))) + "\n"
+    bad = tmp_path / "families.tsv"
+    bad.write_text("".join(lines))
+    assert run(capsys, "validate", "--families", str(bad))[0] == cli.EXIT_OK
+    assert run(capsys, command, "--families", str(bad), "--format", fmt) == (
+        cli.EXIT_INPUT_ERROR, "",
+        f"error: families table {bad}: family 3: test-class value for the conic "
+        "is too long to print\n",
     )
 
 

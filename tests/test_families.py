@@ -172,6 +172,17 @@ def test_load_accepts_byte_and_text_streams():
     assert from_text.records == from_bytes.records
 
 
+def test_load_drops_a_byte_order_mark_from_a_text_stream(db):
+    # A file opened with encoding="utf-8" keeps its mark; one leading mark is
+    # dropped, as from bytes and paths, and a second is data.
+    text = serialize_families(db)
+    assert load_families(io.StringIO("\ufeff" + text)).records == db.records
+    for twice in ("\ufeff\ufeff" + text, ("\ufeff\ufeff" + text).encode()):
+        stream = io.StringIO(twice) if isinstance(twice, str) else io.BytesIO(twice)
+        with pytest.raises(ParseError, match=r"^line 1: non-integer field in \['\\ufeff1'"):
+            load_families(stream)
+
+
 def test_load_accepts_crlf_streams():
     crlf = _packaged_text().replace("\n", "\r\n")
     expected = load_families(io.StringIO(_packaged_text())).records

@@ -366,6 +366,12 @@ def test_revalidate_reports_malformed_entries(full_document):
             "certificates.surface[0]: does not rebuild (TypeError: fail tags must be "
             "a collection of tags, not the str 'residual')",
         ),
+        (
+            ("certificates", "surface", 0, "fails"),
+            [["residual"]],
+            "certificates.surface[0]: does not rebuild "
+            "(ValueError: unknown fail tags [['residual']])",
+        ),
         (("certificates",), "x", "certificates: is not an object"),
         (("families",), 5, "families: is not an array"),
         ((), [], "document is not an object"),
@@ -374,6 +380,7 @@ def test_revalidate_reports_malformed_entries(full_document):
          "test-class-family-float", "surface-family-float", "coverage-family-bool",
          "families-weight-float", "families-weight-bool", "families-d-float",
          "surface-vanishing-float", "surface-vanishing-bool", "surface-fails-string",
+         "surface-fails-list",
          "certificates-string",
          "families-number", "document-array"],
 )
@@ -415,6 +422,21 @@ def test_revalidate_reports_a_quantity_too_long_to_print(full_document, digit_li
         "certificates.surface[9]: does not rebuild (RowError: family 15: row {0,2,4} "
         "(method 42): a quantity is too long to print)",
     )
+
+
+def test_revalidate_reports_a_test_class_value_too_long_to_print(
+    full_document, conic_overflow_weights
+):
+    # Family 3's entry rebuilds, since its A³ prints, but the value of its
+    # conic's test class has one digit more: the test classes do not rebuild,
+    # and the problem names the family, not the number.
+    doc = json.loads(to_json(full_document))
+    weights = conic_overflow_weights
+    doc["families"][2].update(d=sum(weights) - 1, weights=list(weights))
+    problems = revalidate_document(doc)
+    assert not any(p.startswith("families[2]") and "rebuild" in p for p in problems)
+    assert ("certificates.test_class: does not rebuild (CertificateError: family 3: "
+            "test-class value for the conic is too long to print)") in problems
 
 
 def _forge_family_22_as_23(doc):
