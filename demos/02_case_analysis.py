@@ -14,23 +14,22 @@ from math import gcd
 from fano95 import (
     CaseTag,
     GOLDEN_LISTS,
-    case1_verdict,
-    case2_verdict,
-    case3_integer_filter,
-    classify_case,
     contracted_divisibility_certificate,
-    contracted_verdict,
     derived_lists,
+    family_verdict,
     load_packaged_families,
     shared_factor_check,
     tangent_indices,
 )
 
 db = load_packaged_families()
+# One verdict per family: its case, the case's residual verdict (a BoundStatus
+# in Case 1, else a bool) and the reason its contracted curves are safe.
+verdicts = {f.number: family_verdict(f) for f in db}
 
 parts = {tag: [] for tag in CaseTag}
 for f in db:
-    parts[classify_case(f)].append(f.number)
+    parts[verdicts[f.number].case].append(f.number)
 print("case partition (by the two smallest nontrivial weights):")
 for tag, numbers in parts.items():
     print(f"  {tag.value}: {len(numbers)} families")
@@ -40,9 +39,9 @@ for n in (40, 23, 18):
     f = db.get(n)
     a = f.weights
     print(f"  family {n:2d}: d = {f.d:2d}, a1*a4 = {a[1] * a[4]:3d}, "
-          f"a2*a4 = {a[2] * a[4]:3d}  ->  {case1_verdict(f).value}")
-case1 = [db.get(n) for n in parts[CaseTag.CASE1]]
-counts = Counter(case1_verdict(f).value for f in case1)
+          f"a2*a4 = {a[2] * a[4]:3d}  ->  {verdicts[n].residual.value}")
+case1 = parts[CaseTag.CASE1]
+counts = Counter(verdicts[n].residual.value for n in case1)
 print(f"  verdict counts over all {len(case1)} Case-1 families: {dict(counts)}")
 
 print("\nWhen a1 and a2 share a factor h > 1 the image-point argument changes:")
@@ -57,21 +56,21 @@ for n in (43, 22, 18):
           f"1/(a3*h) = {c.lhs} vs A^3 = {c.rhs}  ->  {verdict}")
 
 print("\nCase 2 (a1 = 1 < a2): the residual bound is d < a2*a4.")
-exceptions = [n for n in parts[CaseTag.CASE2] if not case2_verdict(db.get(n))]
+exceptions = [n for n in parts[CaseTag.CASE2] if not verdicts[n].residual]
 print(f"  exceptions (bound fails): {exceptions}")
 
 print("\nCase 3 (a1 = a2 = 1): non-stratum curves have integer degree, so a")
 print("degree cap below 1 excludes them all:")
 for n in parts[CaseTag.CASE3]:
     f = db.get(n)
-    mark = "cap < 1, integral filter settles it" if case3_integer_filter(f) \
+    mark = "cap < 1, integral filter settles it" if verdicts[n].residual \
         else "cap >= 1, needs the blow-up certificates"
     print(f"  family {n:2d}: A^3 = {f.a_cube}  ({mark})")
 
 print("\nContracted classes: projecting away from the largest-weight coordinate")
 print("can contract curves only when the last coordinate point lies on X and")
 print("the product bound d < a1*a2*a3 fails:")
-unsafe = [f.number for f in db if contracted_verdict(f) is None]
+unsafe = [n for n, v in verdicts.items() if v.contracted is None]
 print(f"  families needing a separate contracted argument: {unsafe}")
 
 f20 = db.get(20)

@@ -18,7 +18,6 @@ from .certificates import (
     TestClassCertificate,
     case3_test_class_certificates,
     expected_fail_tags,
-    extension_check,
     load_packaged_surface_rows,
     load_surface_rows,
     serialize_surface_rows,
@@ -51,14 +50,10 @@ from .lemmas import (
     DivisibilityViolation,
     FamilyVerdict,
     SharedFactorPreconditionError,
-    WrongCaseError,
     binomial_fibre_degree,
-    case1_verdict,
-    case2_verdict,
-    case3_integer_filter,
     classify_case,
     contracted_divisibility_certificate,
-    contracted_verdict,
+    extension_check,
     family_verdict,
     shared_factor_check,
     tangent_indices,
@@ -85,11 +80,10 @@ __all__ = [
     "ParseError", "ValidationError", "FamilyNotFoundError",
     "load_families", "load_packaged_families", "serialize_families",
     # lemmas
-    "CaseTag", "BoundStatus", "ContractedReason", "WrongCaseError",
+    "CaseTag", "BoundStatus", "ContractedReason",
     "SharedFactorPreconditionError", "DivisibilityViolation",
-    "Comparison", "classify_case", "case1_verdict", "binomial_fibre_degree",
-    "shared_factor_check", "case2_verdict", "case3_integer_filter",
-    "contracted_verdict", "tangent_indices",
+    "Comparison", "classify_case", "binomial_fibre_degree",
+    "shared_factor_check", "extension_check", "tangent_indices",
     "contracted_divisibility_certificate", "FamilyVerdict", "family_verdict",
     # certificates
     "CertificateError", "RowError", "SurfaceRowParseError", "Method",
@@ -97,7 +91,7 @@ __all__ = [
     "SurfaceCertificate", "TableVerification",
     "case3_test_class_certificates", "expected_fail_tags",
     "verify_surface_table", "load_surface_rows", "serialize_surface_rows",
-    "load_packaged_surface_rows", "extension_check",
+    "load_packaged_surface_rows",
     # coverage
     "AnnotationKind", "Annotation", "RouteEntry", "FamilyCoverage",
     "build_coverage",

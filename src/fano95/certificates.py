@@ -24,7 +24,6 @@ import re
 from enum import Enum
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
 from typing import Iterable
 
 from .families import (
@@ -35,14 +34,7 @@ from .families import (
     _data_lines,
     packaged_data_path,
 )
-from .lemmas import (
-    BoundStatus,
-    Comparison,
-    binomial_fibre_degree,
-    case1_verdict,
-    family_verdict,
-    family_verdicts,
-)
+from .lemmas import family_verdict, family_verdicts
 from .wps import (_VANISHING_LABELS, Record, _check_integer, _check_rational, _check_vanishing,
                   _ratio_text, _self_intersection, _shown, _stratum, stratum_weights)
 
@@ -417,67 +409,3 @@ def verify_surface_table(db: FamilyDatabase, rows: Iterable[SurfaceRow]) -> Tabl
         if row.fails != expected:
             mismatches.append((row.family, row.fails, expected))
     return TableVerification(tuple(certificates), tuple(mismatches))
-
-
-# ---------------------------------------------------------------------------
-# Extension checks for the Case-1 families where the residual bound fails
-# ---------------------------------------------------------------------------
-
-def extension_check(f: FamilyRecord) -> tuple[Comparison, ...]:
-    """The double-projection comparisons for one Case-1 family whose residual
-    bound fails (d >= a2*a4).
-
-    The candidate curve projects twice; either the image is a curve (degree
-    1/(a1*a2)) or a point of the weighted plane P(1, a1, a2), whose four
-    orbits give fibres of degree 1/a3 (twice, with the binomial orbit
-    degenerating to 1/(a3*h) when h = gcd(a1, a2) > 1), 1/(a1*a3), or the
-    section of degree a1*A^3 — each compared against the degree cap A^3.
-    A strict comparison is a certificate; each non-strict one leans on the
-    geometric step its note names, which the engine cannot check.
-    """
-    status = case1_verdict(f)
-    if status is not BoundStatus.FAILS:
-        raise ValueError(
-            f"family {f.number}: extension checks apply only where the "
-            f"residual bound fails, status is {status.value}"
-        )
-    a = f.weights
-    cap = f.a_cube
-    h = gcd(a[1], a[2])
-    binomial_label = "image point on the binomial orbit"
-    if h > 1:
-        binomial_label += f" (shared factor {h} drops the fibre degree)"
-    return (
-        Comparison(
-            "image curve in the weighted plane",
-            Fraction(1, a[1] * a[2]),
-            cap,
-            "equality forces the curve onto a stratum; excluded by the "
-            "stratum-pair analysis",
-        ),
-        Comparison(
-            "image point on the first coordinate orbit",
-            Fraction(1, a[3]),
-            cap,
-            "fibre over the first coordinate point not excluded by degree",
-        ),
-        Comparison(
-            binomial_label,
-            binomial_fibre_degree(f),
-            cap,
-            "fibre over the binomial point not excluded by degree",
-        ),
-        Comparison(
-            "image point on the second coordinate orbit",
-            Fraction(1, a[1] * a[3]),
-            cap,
-            "candidate equals a stratum-pair curve; excluded by the "
-            "stratum-pair analysis",
-        ),
-        Comparison(
-            "two-form section through the last orbit",
-            a[1] * cap,
-            cap,
-            "needs irreducibility of the section curve",
-        ),
-    )

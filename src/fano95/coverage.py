@@ -24,7 +24,6 @@ from .certificates import (
     TableVerification,
     TestClassCertificate,
     case3_test_class_certificates,
-    extension_check,
     verify_surface_table,
 )
 from .families import FamilyDatabase, FamilyRecord
@@ -35,6 +34,7 @@ from .lemmas import (
     DivisibilityViolation,
     FamilyVerdict,
     contracted_divisibility_certificate,
+    extension_check,
     family_verdicts,
     shared_factor_check,
     tangent_indices,

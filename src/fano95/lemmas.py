@@ -10,22 +10,19 @@ For a curve C on a general hypersurface X, projection away from the largest-
 weight coordinate either contracts C to a point or maps it to a curve; we call
 the non-contracted classes *residual*.  Each case has a coarse inequality
 under which every low-degree residual curve is excluded outright, and a
-separate product bound handles the contracted classes.  This module evaluates
-those inequalities exactly and emits the divisibility certificates used when
-the projection genuinely contracts curves.  ``family_verdict``, the verdicts'
-one caller on the audit path (``extension_check``'s guard aside), decides
-each family's lists from its weights alone, never from stored lists.
+separate product bound handles the contracted classes.  ``family_verdict``
+evaluates those inequalities exactly, once per family, from its weights alone,
+never from stored lists, into one ``FamilyVerdict``: the case, the residual
+verdict, the contracted-curve reason and the derived lists and fail tags.
 
-Each verdict returns only the fact it decides; the weights and degree it
-compares stay on the family record the caller already holds:
+Around it sit the checks for the families those bounds leave open:
 
-* ``case1_verdict``: a ``BoundStatus``; ``case2_verdict`` and
-  ``case3_integer_filter``: a bool;
-* ``contracted_verdict``: a ``ContractedReason``, or None when neither
-  dismissal applies;
-* ``contracted_divisibility_certificate``: (weight, divisor) witness pairs;
-* ``shared_factor_check``: a ``Comparison`` (``certificates.extension_check``
-  returns a tuple of them).
+* ``shared_factor_check``: a ``Comparison`` of the binomial fibre degree
+  against the cap, where gcd(a1, a2) > 1;
+* ``extension_check``: the tuple of double-projection ``Comparison``s for a
+  Case-1 family whose residual bound fails;
+* ``contracted_divisibility_certificate``: (weight, divisor) witness pairs
+  for a tangent index of a family that can contract curves.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from functools import lru_cache
 from math import gcd
 
 from .families import FamilyDatabase, FamilyRecord
-from .wps import Record, _shown, coordinate_point_on_hypersurface
+from .wps import Record, _check_integer, _shown, coordinate_point_on_hypersurface
 
 
 class CaseTag(Enum):
@@ -60,10 +57,6 @@ class ContractedReason(Enum):
 
     NO_CONTRACTED_CURVES = "no_contracted_curves"  # last coordinate point off X
     DEGREE_BOUND = "degree_bound"                  # d < a1*a2*a3
-
-
-class WrongCaseError(ValueError):
-    """Operation applied to a family outside its case precondition."""
 
 
 class SharedFactorPreconditionError(ValueError):
@@ -104,26 +97,6 @@ class Comparison(Record):
         return self.lhs > self.rhs
 
 
-def _require_case(f: FamilyRecord, tag: CaseTag, op: str) -> None:
-    actual = classify_case(f)
-    if actual is not tag:
-        raise WrongCaseError(
-            f"{op}: family {f.number} is {actual.value}, requires {tag.value}"
-        )
-
-
-def case1_verdict(f: FamilyRecord) -> BoundStatus:
-    """Classify a Case-1 family by the residual-curve inequalities
-    d < a1*a4 and d < a2*a4."""
-    _require_case(f, CaseTag.CASE1, "case1_verdict")
-    a = f.weights
-    if f.d < a[1] * a[4]:
-        return BoundStatus.STRONG_A
-    if f.d < a[2] * a[4]:
-        return BoundStatus.WEAK_B
-    return BoundStatus.FAILS
-
-
 def binomial_fibre_degree(f: FamilyRecord) -> Fraction:
     """Degree 1/(a3*h), h = gcd(a1, a2), of the fibre over the binomial orbit
     of the weighted plane P(1, a1, a2)."""
@@ -144,35 +117,66 @@ def shared_factor_check(f: FamilyRecord) -> Comparison:
     )
 
 
-def case2_verdict(f: FamilyRecord) -> bool:
-    """Case-2 residual bound: every low-degree residual curve lies in the base
-    pencil exactly when d < a2*a4."""
-    _require_case(f, CaseTag.CASE2, "case2_verdict")
-    a = f.weights
-    return f.d < a[2] * a[4]
+def extension_check(f: FamilyRecord) -> tuple[Comparison, ...]:
+    """The double-projection comparisons for one Case-1 family whose residual
+    bound fails (d >= a2*a4); ValueError for any other family.
 
-
-def case3_integer_filter(f: FamilyRecord) -> bool:
-    """Case-3 filter: non-stratum curves have integer degree, so a cap below 1
-    excludes them all.  True iff the degree cap is < 1."""
-    _require_case(f, CaseTag.CASE3, "case3_integer_filter")
-    return f.a_cube < 1
-
-
-def contracted_verdict(f: FamilyRecord) -> ContractedReason | None:
-    """Why contracted curves are impossible or excluded by the product bound,
-    or None when neither dismissal applies (the family is unsafe).
-
-    When the last coordinate point is off X the projection has finite fibres
-    and contracts nothing; that alone settles the family, without inspecting
-    the product bound.
+    The candidate curve projects twice; either the image is a curve (degree
+    1/(a1*a2)) or a point of the weighted plane P(1, a1, a2), whose four
+    orbits give fibres of degree 1/a3 (twice, with the binomial orbit
+    degenerating to 1/(a3*h) when h = gcd(a1, a2) > 1), 1/(a1*a3), or the
+    section of degree a1*A^3 — each compared against the degree cap A^3.
+    A strict comparison is a certificate; each non-strict one leans on the
+    geometric step its note names, which the engine cannot check.
     """
+    verdict = family_verdict(f)
+    if verdict.residual is not BoundStatus.FAILS:
+        found = (f"status is {verdict.residual.value}" if verdict.case is CaseTag.CASE1
+                 else f"the family is {verdict.case.value}")
+        raise ValueError(
+            f"family {f.number}: extension checks apply only where the "
+            f"Case-1 residual bound fails, {found}"
+        )
     a = f.weights
-    if not coordinate_point_on_hypersurface(f.d, a, 4):
-        return ContractedReason.NO_CONTRACTED_CURVES
-    if f.d < a[1] * a[2] * a[3]:
-        return ContractedReason.DEGREE_BOUND
-    return None
+    cap = f.a_cube
+    h = gcd(a[1], a[2])
+    binomial_label = "image point on the binomial orbit"
+    if h > 1:
+        binomial_label += f" (shared factor {h} drops the fibre degree)"
+    return (
+        Comparison(
+            "image curve in the weighted plane",
+            Fraction(1, a[1] * a[2]),
+            cap,
+            "equality forces the curve onto a stratum; excluded by the "
+            "stratum-pair analysis",
+        ),
+        Comparison(
+            "image point on the first coordinate orbit",
+            Fraction(1, a[3]),
+            cap,
+            "fibre over the first coordinate point not excluded by degree",
+        ),
+        Comparison(
+            binomial_label,
+            binomial_fibre_degree(f),
+            cap,
+            "fibre over the binomial point not excluded by degree",
+        ),
+        Comparison(
+            "image point on the second coordinate orbit",
+            Fraction(1, a[1] * a[3]),
+            cap,
+            "candidate equals a stratum-pair curve; excluded by the "
+            "stratum-pair analysis",
+        ),
+        Comparison(
+            "two-form section through the last orbit",
+            a[1] * cap,
+            cap,
+            "needs irreducibility of the section curve",
+        ),
+    )
 
 
 def tangent_indices(f: FamilyRecord) -> tuple[int, ...]:
@@ -193,11 +197,14 @@ def contracted_divisibility_certificate(
     (weight, divisor) witness pair per reduced weight, the divisor being
     d - a4 when the weight divides it and d otherwise.
 
-    Raises ValueError if a_j + 2*a4 != d, and DivisibilityViolation if some
+    Raises TypeError if j is not an int (a bool included), ValueError if j
+    lies outside 0..3 or a_j + 2*a4 != d, and DivisibilityViolation if some
     reduced weight divides neither d - a4 nor d (impossible for valid data —
     kept as a loud failure rather than an assumption).
     """
     a = f.weights
+    if type(j) is not int:
+        _check_integer("tangent index", j)
     if not 0 <= j <= 3:
         raise ValueError(f"tangent index must lie in 0..3, got {_shown(j)}")
     if a[j] + 2 * a[4] != f.d:
@@ -232,7 +239,6 @@ def contracted_divisibility_certificate(
 LIST_NAMES = ("strong_bound", "weak_bound", "extension_required",
               "pencil_exceptions", "contracted_unsafe", "shared_factor")
 _STATUS_LIST = dict(zip(BoundStatus, LIST_NAMES))
-_CASE_VERDICT = dict(zip(CaseTag, (case1_verdict, case2_verdict, case3_integer_filter)))
 
 #: The fail tag of each list whose members' surface rows must carry it.
 _FAIL_TAGS = {"pencil_exceptions": "residual", "contracted_unsafe": "contracted"}
@@ -247,18 +253,45 @@ class FamilyVerdict(Record):
 
 
 def family_verdict(f: FamilyRecord) -> FamilyVerdict:
-    """Decide family f's case, verdicts, lists and fail tags from its weights."""
+    """Decide family f from its weights a0..a4 and degree d, in one pass.
+
+    The residual verdict is the case's coarse bound:
+
+    * Case 1: a ``BoundStatus``, STRONG_A when d < a1*a4 (no generality
+      assumption needed), WEAK_B when only d < a2*a4 holds (it needs an
+      irreducibility assumption), and FAILS otherwise (the family is left to
+      ``extension_check``);
+    * Case 2: True when d < a2*a4, so every low-degree residual curve lies in
+      the base pencil; a family where it is False is a pencil exception;
+    * Case 3: True when A^3 < 1: non-stratum curves have integer degree, so a
+      cap below 1 excludes them all.
+
+    The contracted-curve reason: the last coordinate point lies on X exactly
+    when a4 does not divide d.  When a4 | d the projection contracts nothing
+    (NO_CONTRACTED_CURVES); when a4 ∤ d but d < a1*a2*a3 the product bound
+    excludes the contracted curves (DEGREE_BOUND); otherwise it is None and
+    the family is contracted-unsafe.  A shared factor gcd(a1, a2) > 1 puts
+    the family on the shared-factor list.
+    """
+    a, d = f.weights, f.d
     case = classify_case(f)
-    residual = _CASE_VERDICT[case](f)
-    contracted = contracted_verdict(f)
-    names = set()
     if case is CaseTag.CASE1:
-        names.add(_STATUS_LIST[residual])
-    elif case is CaseTag.CASE2 and not residual:
-        names.add("pencil_exceptions")
-    if contracted is None:
+        residual = (BoundStatus.STRONG_A if d < a[1] * a[4] else
+                    BoundStatus.WEAK_B if d < a[2] * a[4] else BoundStatus.FAILS)
+        names = {_STATUS_LIST[residual]}
+    elif case is CaseTag.CASE2:
+        residual = d < a[2] * a[4]
+        names = set() if residual else {"pencil_exceptions"}
+    else:
+        residual, names = f.a_cube < 1, set()
+    if not coordinate_point_on_hypersurface(d, a, 4):
+        contracted = ContractedReason.NO_CONTRACTED_CURVES
+    elif d < a[1] * a[2] * a[3]:
+        contracted = ContractedReason.DEGREE_BOUND
+    else:
+        contracted = None
         names.add("contracted_unsafe")
-    if gcd(f.weights[1], f.weights[2]) > 1:
+    if gcd(a[1], a[2]) > 1:
         names.add("shared_factor")
     tags = frozenset([_FAIL_TAGS[name] for name in names if name in _FAIL_TAGS])
     return FamilyVerdict(case, residual, contracted, frozenset(names), tags)

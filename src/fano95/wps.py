@@ -276,8 +276,10 @@ def coordinate_point_on_hypersurface(d: int, weights: Weights, i: int) -> bool:
 
     The point is avoided exactly when a pure power of the i-th coordinate has
     degree d, i.e. when its weight divides d; for i = 0 the weight is 1 and
-    the answer is always False.
+    the answer is always False.  TypeError for an index that is not an int.
     """
+    if type(i) is not int:
+        _check_integer("coordinate index", i)
     if not 0 <= i <= 4:
         raise ValueError(f"coordinate index must lie in 0..4, got {_shown(i)}")
     return d % weights[i] != 0

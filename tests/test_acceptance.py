@@ -18,7 +18,6 @@ from fano95 import (
     build_coverage,
     case3_test_class_certificates,
     cli,
-    classify_case,
     derived_lists,
     shared_factor_check,
     verify_surface_table,

@@ -797,3 +797,7 @@ def test_extension_check_family_19_has_two_equalities(db):
 def test_extension_check_rejects_non_failing_family(db):
     with pytest.raises(ValueError, match="status is strong_a"):
         extension_check(db.get(40))
+    with pytest.raises(ValueError, match="the family is case2"):
+        extension_check(db.get(7))
+    with pytest.raises(ValueError, match="the family is case3"):
+        extension_check(db.get(1))

@@ -7,7 +7,6 @@ import pytest
 
 from fano95 import (
     AnnotationKind,
-    CaseTag,
     build_coverage,
     load_surface_rows,
     serialize_surface_rows,

@@ -13,13 +13,8 @@ from fano95 import (
     DivisibilityViolation,
     GOLDEN_LISTS,
     SharedFactorPreconditionError,
-    WrongCaseError,
-    case1_verdict,
-    case2_verdict,
-    case3_integer_filter,
     classify_case,
     contracted_divisibility_certificate,
-    contracted_verdict,
     derived_lists,
     coordinate_point_on_hypersurface,
     expected_fail_tags,
@@ -72,14 +67,7 @@ def test_classify_case_examples(db, number, tag):
     ],
 )
 def test_case1_verdict_examples(db, number, status):
-    assert case1_verdict(db.get(number)) is status
-
-
-def test_case1_verdict_rejects_other_cases(db):
-    with pytest.raises(WrongCaseError, match="case2"):
-        case1_verdict(db.get(7))
-    with pytest.raises(WrongCaseError, match="case3"):
-        case1_verdict(db.get(1))
+    assert family_verdict(db.get(number)).residual is status
 
 
 # ---------------------------------------------------------------------------
@@ -119,19 +107,15 @@ def test_shared_factor_requires_common_divisor(db):
 
 
 def test_case2_verdict_and_exceptions(db):
-    assert case2_verdict(db.get(20)) is True   # d=13 < a2*a4=15
-    assert case2_verdict(db.get(7)) is False   # d=8 >= a2*a4=6
-    with pytest.raises(WrongCaseError):
-        case2_verdict(db.get(18))
+    assert family_verdict(db.get(20)).residual is True   # d=13 < a2*a4=15
+    assert family_verdict(db.get(7)).residual is False   # d=8 >= a2*a4=6
 
 
 def test_case3_integer_filter(db):
     expected = {1: False, 2: False, 3: False, 4: False, 5: False, 6: False,
                 8: True, 10: True, 14: True}
     for n, holds in expected.items():
-        assert case3_integer_filter(db.get(n)) is holds, n
-    with pytest.raises(WrongCaseError):
-        case3_integer_filter(db.get(7))
+        assert family_verdict(db.get(n)).residual is holds, n
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +124,14 @@ def test_case3_integer_filter(db):
 
 def test_contracted_verdict_reasons(db):
     f3 = db.get(3)  # d=6 divisible by a4=3
-    assert contracted_verdict(f3) is ContractedReason.NO_CONTRACTED_CURVES
+    assert family_verdict(f3).contracted is ContractedReason.NO_CONTRACTED_CURVES
     assert coordinate_point_on_hypersurface(f3.d, f3.weights, 4) is False
 
     f47 = db.get(47)  # point on X but d=21 < a1*a2*a3 = 1*5*7
     assert coordinate_point_on_hypersurface(f47.d, f47.weights, 4) is True
-    assert contracted_verdict(f47) is ContractedReason.DEGREE_BOUND
+    assert family_verdict(f47).contracted is ContractedReason.DEGREE_BOUND
 
-    assert contracted_verdict(db.get(2)) is None
+    assert family_verdict(db.get(2)).contracted is None
 
 
 def test_tangent_indices_examples(db):
@@ -190,6 +174,13 @@ def test_divisibility_certificate_rejects_bad_tangent_index(db):
         contracted_divisibility_certificate(f, 4)
 
 
+@pytest.mark.parametrize("index", [True, 2.0, "1"], ids=["bool", "float", "str"])
+def test_divisibility_certificate_refuses_a_non_integer_index(db, index):
+    # True would answer for index 1, and a float would fail inside tuple indexing.
+    with pytest.raises(TypeError, match=f"tangent index must be an integer, got {index!r}"):
+        contracted_divisibility_certificate(db.get(2), index)
+
+
 def test_divisibility_violation_raised_loudly():
     from fano95 import FamilyRecord, Weights
 
@@ -221,15 +212,30 @@ def test_family_lists_examples(db, number, lists):
 
 
 def test_family_verdict_fields_are_the_public_verdicts(db):
-    residual = {CaseTag.CASE1: case1_verdict, CaseTag.CASE2: case2_verdict,
-                CaseTag.CASE3: case3_integer_filter}
+    # The reference is written from the weights with README's coarse bounds.
     verdicts = family_verdicts(db)
     assert len(verdicts) == 95 and family_verdicts(db) is verdicts
     for f, v in zip(db, verdicts):
+        _, a1, a2, a3, a4 = f.weights
+        d = f.d
+        if a1 > 1:
+            case = CaseTag.CASE1
+            residual = (BoundStatus.STRONG_A if d < a1 * a4 else
+                        BoundStatus.WEAK_B if d < a2 * a4 else BoundStatus.FAILS)
+        elif a2 > 1:
+            case, residual = CaseTag.CASE2, d < a2 * a4
+        else:
+            case, residual = CaseTag.CASE3, Fraction(d, a1 * a2 * a3 * a4) < 1
+        if d % a4 == 0:
+            contracted = ContractedReason.NO_CONTRACTED_CURVES
+        elif d < a1 * a2 * a3:
+            contracted = ContractedReason.DEGREE_BOUND
+        else:
+            contracted = None
         assert v == family_verdict(f)
-        assert v.case is classify_case(f)
-        assert v.residual is residual[v.case](f)
-        assert v.contracted is contracted_verdict(f)
+        assert v.case is case is classify_case(f), f.number
+        assert v.residual is residual, f.number
+        assert v.contracted is contracted, f.number
         assert v.lists == {name for name, members in GOLDEN_LISTS.items()
                            if f.number in members}
         assert v.fail_tags == expected_fail_tags(f)
@@ -248,7 +254,7 @@ def test_fail_tags_and_extension_set_follow_the_derived_lists(db):
     for f in db:
         try:
             extension_check(f)
-        except ValueError:  # WrongCaseError included
+        except ValueError:
             continue
         extended.append(f.number)
     assert tuple(extended) == derived["extension_required"]

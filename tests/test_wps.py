@@ -320,6 +320,14 @@ def test_coordinate_point_rejects_bad_index():
         coordinate_point_on_hypersurface(4, w, -1)
 
 
+@pytest.mark.parametrize("index", [True, 2.0, "1"], ids=["bool", "float", "str"])
+def test_coordinate_point_refuses_a_non_integer_index(index):
+    # True would answer for coordinate 1, and a float would fail inside tuple indexing.
+    w = Weights((1, 1, 3, 4, 5))
+    with pytest.raises(TypeError, match=f"coordinate index must be an integer, got {index!r}"):
+        coordinate_point_on_hypersurface(13, w, index)
+
+
 # ---------------------------------------------------------------------------
 # Rational formatting
 
