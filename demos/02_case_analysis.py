@@ -18,13 +18,13 @@ from fano95 import (
     derived_lists,
     family_verdict,
     load_packaged_families,
-    shared_factor_check,
     tangent_indices,
 )
 
 db = load_packaged_families()
 # One verdict per family: its case, the case's residual verdict (a BoundStatus
-# in Case 1, else a bool) and the reason its contracted curves are safe.
+# in Case 1, else a bool), the reason its contracted curves are safe and its
+# Case-1 comparisons against the degree cap.
 verdicts = {f.number: family_verdict(f) for f in db}
 
 parts = {tag: [] for tag in CaseTag}
@@ -49,7 +49,7 @@ print("the fibre degree drops to 1/(a3*h) and the bound applies only if that")
 print("still exceeds the degree cap — equality is not enough:")
 for n in (43, 22, 18):
     f = db.get(n)
-    c = shared_factor_check(f)
+    c = verdicts[n].shared_factor
     verdict = "applies" if c.contradiction else (
         "exact equality" if c.relation == "=" else "fails")
     print(f"  family {n:2d}: h = {gcd(f.weights[1], f.weights[2])}, "

@@ -13,7 +13,7 @@ from fano95 import (
     SurfaceCertificate,
     case3_test_class_certificates,
     derived_lists,
-    extension_check,
+    family_verdict,
     load_packaged_families,
     load_packaged_surface_rows,
     verify_surface_table,
@@ -63,9 +63,9 @@ print("project twice and compare every possible image against the cap; strict")
 print("inequalities are certificates, non-strict entries name the geometric")
 print("assumption they lean on:\n")
 for n in derived_lists(db)["extension_required"]:
-    comparisons = extension_check(db.get(n))
+    comparisons = family_verdict(db.get(n)).extension_checks
     strict = sum(e.contradiction for e in comparisons)
     print(f"  family {n}: {strict} strict, "
           f"{len(comparisons) - strict} assumption-backed")
-for e in extension_check(db.get(18)):
+for e in family_verdict(db.get(18)).extension_checks:
     print(f"    18: {e.label:55s} {e.lhs} {e.relation} {e.rhs}")

@@ -49,13 +49,9 @@ from .lemmas import (
     ContractedReason,
     DivisibilityViolation,
     FamilyVerdict,
-    SharedFactorPreconditionError,
-    binomial_fibre_degree,
     classify_case,
     contracted_divisibility_certificate,
-    extension_check,
     family_verdict,
-    shared_factor_check,
     tangent_indices,
 )
 from .report import GOLDEN_LISTS, build_document, derived_lists, revalidate_document, to_json
@@ -81,9 +77,7 @@ __all__ = [
     "load_families", "load_packaged_families", "serialize_families",
     # lemmas
     "CaseTag", "BoundStatus", "ContractedReason",
-    "SharedFactorPreconditionError", "DivisibilityViolation",
-    "Comparison", "classify_case", "binomial_fibre_degree",
-    "shared_factor_check", "extension_check", "tangent_indices",
+    "DivisibilityViolation", "Comparison", "classify_case", "tangent_indices",
     "contracted_divisibility_certificate", "FamilyVerdict", "family_verdict",
     # certificates
     "CertificateError", "RowError", "SurfaceRowParseError", "Method",

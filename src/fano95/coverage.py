@@ -34,9 +34,7 @@ from .lemmas import (
     DivisibilityViolation,
     FamilyVerdict,
     contracted_divisibility_certificate,
-    extension_check,
     family_verdicts,
-    shared_factor_check,
     tangent_indices,
 )
 from .wps import Record, _VANISHING_LABELS, format_rational
@@ -180,7 +178,7 @@ def _residual_route(
             ("degree cap", f.a_cube_text),
         ]
         if verdict.residual is BoundStatus.FAILS:
-            comparisons = extension_check(f)  # each rhs is the cap, whose text f holds
+            comparisons = verdict.extension_checks  # each rhs is the cap, whose text f holds
             values.extend((e.label, f"{format_rational(e.lhs)} {e.relation} {f.a_cube_text}")
                           for e in comparisons)
             return RouteEntry(
@@ -193,8 +191,8 @@ def _residual_route(
                                   for e in comparisons if not e.contradiction),
             )
         gaps = ()
-        if "shared_factor" in verdict.lists:
-            chk = shared_factor_check(f)  # its rhs is the cap too
+        chk = verdict.shared_factor  # its rhs is the cap too
+        if chk is not None:
             values.append((chk.label, f"{format_rational(chk.lhs)} vs {f.a_cube_text}"))
             if not chk.contradiction:
                 gaps = ("residual (shared-factor image point uncovered)",)

@@ -13,16 +13,13 @@ under which every low-degree residual curve is excluded outright, and a
 separate product bound handles the contracted classes.  ``family_verdict``
 evaluates those inequalities exactly, once per family, from its weights alone,
 never from stored lists, into one ``FamilyVerdict``: the case, the residual
-verdict, the contracted-curve reason and the derived lists and fail tags.
+verdict, the contracted-curve reason, the derived lists and fail tags, and
+the Case-1 comparisons against the cap A³ for the families the bounds leave
+open: the binomial fibre degree 1/(a3*h) where h = gcd(a1, a2) > 1, and the
+five double-projection comparisons where the residual bound fails.
 
-Around it sit the checks for the families those bounds leave open:
-
-* ``shared_factor_check``: a ``Comparison`` of the binomial fibre degree
-  against the cap, where gcd(a1, a2) > 1;
-* ``extension_check``: the tuple of double-projection ``Comparison``s for a
-  Case-1 family whose residual bound fails;
-* ``contracted_divisibility_certificate``: (weight, divisor) witness pairs
-  for a tangent index of a family that can contract curves.
+``contracted_divisibility_certificate`` gives the (weight, divisor) witness
+pairs for a tangent index of a family that can contract curves.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from functools import lru_cache
 from math import gcd
 
 from .families import FamilyDatabase, FamilyRecord
-from .wps import Record, _check_integer, _shown, coordinate_point_on_hypersurface
+from .wps import Record, Weights, _check_integer, _shown, coordinate_point_on_hypersurface
 
 
 class CaseTag(Enum):
@@ -57,10 +54,6 @@ class ContractedReason(Enum):
 
     NO_CONTRACTED_CURVES = "no_contracted_curves"  # last coordinate point off X
     DEGREE_BOUND = "degree_bound"                  # d < a1*a2*a3
-
-
-class SharedFactorPreconditionError(ValueError):
-    """Shared-factor check applied where gcd(a1, a2) = 1."""
 
 
 class DivisibilityViolation(ArithmeticError):
@@ -97,29 +90,11 @@ class Comparison(Record):
         return self.lhs > self.rhs
 
 
-def binomial_fibre_degree(f: FamilyRecord) -> Fraction:
-    """Degree 1/(a3*h), h = gcd(a1, a2), of the fibre over the binomial orbit
-    of the weighted plane P(1, a1, a2)."""
-    a = f.weights
-    return Fraction(1, a[3] * gcd(a[1], a[2]))
-
-
-def shared_factor_check(f: FamilyRecord) -> Comparison:
-    """When a1 and a2 share a factor h > 1 the binomial image point becomes a
-    curve of degree 1/(a3*h); the argument applies exactly when that degree
-    exceeds the cap (a contradiction).  Requires gcd(a1, a2) > 1."""
-    if gcd(f.weights[1], f.weights[2]) == 1:
-        raise SharedFactorPreconditionError(
-            f"family {f.number}: gcd(a1, a2) = 1, shared-factor check does not apply"
-        )
-    return Comparison(
-        "shared-factor image degree vs cap", binomial_fibre_degree(f), f.a_cube, None
-    )
-
-
-def extension_check(f: FamilyRecord) -> tuple[Comparison, ...]:
+def _extension_checks(a: Weights, h: int, binomial: Fraction,
+                      cap: Fraction) -> tuple[Comparison, ...]:
     """The double-projection comparisons for one Case-1 family whose residual
-    bound fails (d >= a2*a4); ValueError for any other family.
+    bound fails (d >= a2*a4), from its weights a, h = gcd(a1, a2), the
+    binomial fibre degree 1/(a3*h) and the cap.
 
     The candidate curve projects twice; either the image is a curve (degree
     1/(a1*a2)) or a point of the weighted plane P(1, a1, a2), whose four
@@ -129,17 +104,6 @@ def extension_check(f: FamilyRecord) -> tuple[Comparison, ...]:
     A strict comparison is a certificate; each non-strict one leans on the
     geometric step its note names, which the engine cannot check.
     """
-    verdict = family_verdict(f)
-    if verdict.residual is not BoundStatus.FAILS:
-        found = (f"status is {verdict.residual.value}" if verdict.case is CaseTag.CASE1
-                 else f"the family is {verdict.case.value}")
-        raise ValueError(
-            f"family {f.number}: extension checks apply only where the "
-            f"Case-1 residual bound fails, {found}"
-        )
-    a = f.weights
-    cap = f.a_cube
-    h = gcd(a[1], a[2])
     binomial_label = "image point on the binomial orbit"
     if h > 1:
         binomial_label += f" (shared factor {h} drops the fibre degree)"
@@ -159,7 +123,7 @@ def extension_check(f: FamilyRecord) -> tuple[Comparison, ...]:
         ),
         Comparison(
             binomial_label,
-            binomial_fibre_degree(f),
+            binomial,
             cap,
             "fibre over the binomial point not excluded by degree",
         ),
@@ -247,9 +211,12 @@ _FAIL_TAGS = {"pencil_exceptions": "residual", "contracted_unsafe": "contracted"
 class FamilyVerdict(Record):
     """What the weights decide about one family: its ``CaseTag``, the residual
     verdict (a ``BoundStatus`` in Case 1, else a bool), its ``ContractedReason``
-    or None, and the frozensets of its derived lists and its rows' fail tags."""
+    or None, the frozensets of its derived lists and its rows' fail tags, the
+    shared-factor ``Comparison`` (where gcd(a1, a2) > 1) or None, and the tuple
+    of double-projection ``Comparison``s (where the residual is FAILS) or ()."""
 
-    __slots__ = ("case", "residual", "contracted", "lists", "fail_tags")
+    __slots__ = ("case", "residual", "contracted", "lists", "fail_tags",
+                 "shared_factor", "extension_checks")
 
 
 def family_verdict(f: FamilyRecord) -> FamilyVerdict:
@@ -260,7 +227,7 @@ def family_verdict(f: FamilyRecord) -> FamilyVerdict:
     * Case 1: a ``BoundStatus``, STRONG_A when d < a1*a4 (no generality
       assumption needed), WEAK_B when only d < a2*a4 holds (it needs an
       irreducibility assumption), and FAILS otherwise (the family is left to
-      ``extension_check``);
+      the five double-projection comparisons of ``extension_checks``);
     * Case 2: True when d < a2*a4, so every low-degree residual curve lies in
       the base pencil; a family where it is False is a pencil exception;
     * Case 3: True when A^3 < 1: non-stratum curves have integer degree, so a
@@ -270,8 +237,10 @@ def family_verdict(f: FamilyRecord) -> FamilyVerdict:
     when a4 does not divide d.  When a4 | d the projection contracts nothing
     (NO_CONTRACTED_CURVES); when a4 ∤ d but d < a1*a2*a3 the product bound
     excludes the contracted curves (DEGREE_BOUND); otherwise it is None and
-    the family is contracted-unsafe.  A shared factor gcd(a1, a2) > 1 puts
-    the family on the shared-factor list.
+    the family is contracted-unsafe.  A shared factor h = gcd(a1, a2) > 1
+    puts the family on the shared-factor list, and ``shared_factor`` compares
+    its binomial fibre degree 1/(a3*h) with the cap: the argument applies
+    exactly when that degree exceeds the cap.
     """
     a, d = f.weights, f.d
     case = classify_case(f)
@@ -291,10 +260,17 @@ def family_verdict(f: FamilyRecord) -> FamilyVerdict:
     else:
         contracted = None
         names.add("contracted_unsafe")
-    if gcd(a[1], a[2]) > 1:
-        names.add("shared_factor")
+    h, shared, extensions = gcd(a[1], a[2]), None, ()
+    if h > 1 or residual is BoundStatus.FAILS:
+        binomial = Fraction(1, a[3] * h)  # the fibre degree over the binomial orbit
+        if h > 1:
+            names.add("shared_factor")
+            shared = Comparison("shared-factor image degree vs cap", binomial, f.a_cube, None)
+        if residual is BoundStatus.FAILS:
+            extensions = _extension_checks(a, h, binomial, f.a_cube)
     tags = frozenset([_FAIL_TAGS[name] for name in names if name in _FAIL_TAGS])
-    return FamilyVerdict(case, residual, contracted, frozenset(names), tags)
+    return FamilyVerdict(case, residual, contracted, frozenset(names), tags,
+                         shared, extensions)
 
 
 @lru_cache(maxsize=1)

@@ -25,10 +25,10 @@ def _check_integer(what: str, value) -> None:
         raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
-def _shown(value, show=str) -> str:
-    """``show(value)`` for an error message; an integer too long to print is stated by size."""
+def _shown(value) -> str:
+    """``str(value)`` for an error message; an integer too long to print is stated by size."""
     try:
-        return show(value)
+        return str(value)
     except ValueError:
         if isinstance(value, int):
             return f"<{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits>"
@@ -253,8 +253,11 @@ class StratumCurve(Record):
 def anticanonical_cube(d: int, weights: Weights) -> Fraction:
     """Anticanonical degree d/(a1*a2*a3*a4) of a degree-d hypersurface.
 
-    Homogeneous of degree 1 in d, so scaling d scales the result.
+    Homogeneous of degree 1 in d, so scaling d scales the result.  TypeError
+    for a degree that is not an int.
     """
+    if type(d) is not int:
+        _check_integer("degree", d)
     if d < 1:
         raise ValueError(f"degree must be positive, got {_shown(d)}")
     return Fraction(d, weights.tail_product)
@@ -276,8 +279,11 @@ def coordinate_point_on_hypersurface(d: int, weights: Weights, i: int) -> bool:
 
     The point is avoided exactly when a pure power of the i-th coordinate has
     degree d, i.e. when its weight divides d; for i = 0 the weight is 1 and
-    the answer is always False.  TypeError for an index that is not an int.
+    the answer is always False.  TypeError for a degree or an index that is
+    not an int.
     """
+    if type(d) is not int:
+        _check_integer("degree", d)
     if type(i) is not int:
         _check_integer("coordinate index", i)
     if not 0 <= i <= 4:

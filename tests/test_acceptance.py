@@ -19,7 +19,7 @@ from fano95 import (
     case3_test_class_certificates,
     cli,
     derived_lists,
-    shared_factor_check,
+    family_verdict,
     verify_surface_table,
 )
 
@@ -57,11 +57,11 @@ def test_acceptance_2_worked_examples_are_exact(db, rows):
     assert pair.degree_contradiction is True
 
     # shared-factor comparisons: strict for family 43, equalities for 22 and 28
-    c43 = shared_factor_check(db.get(43))
+    c43 = family_verdict(db.get(43)).shared_factor
     assert (c43.lhs, c43.rhs) == (Fraction(1, 10), Fraction(1, 18))
     assert c43.contradiction is True
     for n in (22, 28):
-        assert shared_factor_check(db.get(n)).relation == "="
+        assert family_verdict(db.get(n)).shared_factor.relation == "="
 
 
 def test_acceptance_3_certificates_complete(db, rows):

@@ -21,7 +21,7 @@ from fano95 import (
     case3_test_class_certificates,
     derived_lists,
     expected_fail_tags,
-    extension_check,
+    family_verdict,
     format_rational,
     load_families,
     load_surface_rows,
@@ -768,7 +768,7 @@ def test_extension_checks_cover_derived_set(db):
     derived = derived_lists(db)["extension_required"]
     assert derived == (18, 19, 22, 27, 28)
     for number in derived:
-        comparisons = extension_check(db.get(number))
+        comparisons = family_verdict(db.get(number)).extension_checks
         assert len(comparisons) == 5
         # every non-strict entry must name its fallback assumption
         for entry in comparisons:
@@ -777,7 +777,7 @@ def test_extension_checks_cover_derived_set(db):
 
 
 def test_extension_check_family_18_values(db):
-    comparisons = extension_check(db.get(18))
+    comparisons = family_verdict(db.get(18)).extension_checks
     assert [e.relation for e in comparisons] == [">", ">", "<", "<", ">"]
     assert [e.lhs for e in comparisons] == [
         Fraction(1, 4),
@@ -790,14 +790,5 @@ def test_extension_check_family_18_values(db):
 
 
 def test_extension_check_family_19_has_two_equalities(db):
-    comparisons = extension_check(db.get(19))
+    comparisons = family_verdict(db.get(19)).extension_checks
     assert [e.relation for e in comparisons] == ["=", ">", ">", "=", ">"]
-
-
-def test_extension_check_rejects_non_failing_family(db):
-    with pytest.raises(ValueError, match="status is strong_a"):
-        extension_check(db.get(40))
-    with pytest.raises(ValueError, match="the family is case2"):
-        extension_check(db.get(7))
-    with pytest.raises(ValueError, match="the family is case3"):
-        extension_check(db.get(1))

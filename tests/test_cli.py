@@ -515,29 +515,52 @@ def test_full_derives_the_lists_once(
     assert len(calls) == 1
 
 
+def _callers_during_full(capsys, table, fmt, watched):
+    """The exit code of ``full`` on ``table`` in ``fmt``, and the (function,
+    module) names of the caller of each call of the code ``watched`` in it."""
+    callers = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is watched:
+            caller = frame.f_back
+            callers.append((caller.f_code.co_name, caller.f_globals["__name__"]))
+
+    sys.setprofile(profile)
+    try:
+        code = cli.main(["full", "--table", str(table), "--format", fmt])
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    return code, callers
+
+
 @pytest.mark.parametrize("seed", [None, 11], ids=["packaged", "wide-11"])
 def test_full_decides_each_family_once(capsys, wide_tables, seed):
     # Text then JSON on one table: each audit loads its own database, so each
-    # builds its 95 verdicts once, and every section reads them; only the
-    # guard of ``extension_check`` asks ``family_verdict`` again.
+    # builds its 95 verdicts once, and every section reads them.
     table = ROWS if seed is None else wide_tables[seed]
-    watched = lemmas.family_verdict.__code__
     for fmt in ("text", "json"):
-        callers = []
-
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code is watched:
-                callers.append(frame.f_back.f_code.co_name)
-
-        sys.setprofile(profile)
-        try:
-            code = cli.main(["full", "--table", str(table), "--format", fmt])
-        finally:
-            sys.setprofile(None)
-        capsys.readouterr()
+        code, callers = _callers_during_full(capsys, table, fmt,
+                                             lemmas.family_verdict.__code__)
         assert code == (cli.EXIT_OK if seed is None else cli.EXIT_CHECK_FAILED)
-        assert callers.count("family_verdicts") == 95
-        assert set(callers) <= {"family_verdicts", "extension_check"}
+        names = [name for name, _ in callers]
+        assert names.count("family_verdicts") == 95
+        assert set(names) == {"family_verdicts"}
+
+
+@pytest.mark.parametrize("seed", [None, 11], ids=["packaged", "wide-11"])
+def test_full_builds_each_comparison_in_lemmas(capsys, wide_tables, seed):
+    # The Case-1 comparisons are built with the verdicts, once per audit: five
+    # for each extension family and one for each shared-factor family.
+    table = ROWS if seed is None else wide_tables[seed]
+    lists = report.GOLDEN_LISTS
+    expected = 5 * len(lists["extension_required"]) + len(lists["shared_factor"])
+    for fmt in ("text", "json"):
+        code, callers = _callers_during_full(capsys, table, fmt,
+                                             lemmas.Comparison.__init__.__code__)
+        assert code == (cli.EXIT_OK if seed is None else cli.EXIT_CHECK_FAILED)
+        assert {module for _, module in callers} == {"fano95.lemmas"}
+        assert len(callers) == expected
 
 
 def test_views_print_no_surface_rational_again(capsys, wide_tables):

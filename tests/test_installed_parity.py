@@ -1,7 +1,9 @@
 """The installed package audits as the checkout does: ``ci/installed_parity.py``
-run against a real, offline install of a copy of the checkout."""
+run against a real, offline install of a copy of the checkout; and it carries
+the version the package states."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,6 +12,14 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_package_version_is_the_pyproject_version():
+    # Read with a regex: tomllib is new in Python 3.11, and 3.10 is supported.
+    import fano95
+
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^version = "([^"]*)"$', text, re.M) == [fano95.__version__]
 
 
 def test_installed_package_matches_the_checkout(tmp_path):

@@ -12,15 +12,12 @@ from fano95 import (
     ContractedReason,
     DivisibilityViolation,
     GOLDEN_LISTS,
-    SharedFactorPreconditionError,
     classify_case,
     contracted_divisibility_certificate,
     derived_lists,
     coordinate_point_on_hypersurface,
     expected_fail_tags,
-    extension_check,
     family_verdict,
-    shared_factor_check,
     tangent_indices,
 )
 from fano95.lemmas import family_verdicts
@@ -71,35 +68,44 @@ def test_case1_verdict_examples(db, number, status):
 
 
 # ---------------------------------------------------------------------------
-# Shared-factor check
+# Shared-factor comparison
 
 
 def test_shared_factor_values(db):
     def h(n):
         return gcd(*db.get(n).weights[1:3])
 
-    c18 = shared_factor_check(db.get(18))
+    c18 = family_verdict(db.get(18)).shared_factor
     assert (h(18), c18.lhs, c18.rhs) == (2, Fraction(1, 6), Fraction(1, 5))
     assert c18.contradiction is False and c18.relation == "<"
 
-    c43 = shared_factor_check(db.get(43))
+    c43 = family_verdict(db.get(43)).shared_factor
     assert (h(43), c43.lhs, c43.rhs) == (2, Fraction(1, 10), Fraction(1, 18))
     assert c43.contradiction is True
 
     for n in (22, 28):
-        c = shared_factor_check(db.get(n))
+        c = family_verdict(db.get(n)).shared_factor
         assert c.relation == "=" and c.contradiction is False
 
 
 def test_shared_factor_strict_on_remaining_families(db):
     for n in (52, 59, 69, 73, 81):
-        c = shared_factor_check(db.get(n))
+        c = family_verdict(db.get(n)).shared_factor
         assert c.contradiction is True and c.relation == ">"
 
 
-def test_shared_factor_requires_common_divisor(db):
-    with pytest.raises(SharedFactorPreconditionError):
-        shared_factor_check(db.get(40))  # weights 3,4: coprime
+def test_verdict_comparisons_are_set_exactly_for_their_lists(db):
+    # The shared-factor comparison exists exactly for the shared-factor list,
+    # the double-projection ones exactly for the extension list, and every
+    # comparison is against the family's cap A³.
+    for f in db:
+        v = family_verdict(f)
+        shared = f.number in GOLDEN_LISTS["shared_factor"]
+        extended = f.number in GOLDEN_LISTS["extension_required"]
+        assert (v.shared_factor is not None) is shared, f.number
+        assert len(v.extension_checks) == (5 if extended else 0), f.number
+        comparisons = v.extension_checks + ((v.shared_factor,) if shared else ())
+        assert all(c.rhs == f.a_cube for c in comparisons), f.number
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +256,5 @@ def test_fail_tags_and_extension_set_follow_the_derived_lists(db):
         if f.number in derived["contracted_unsafe"]:
             expected.add("contracted")
         assert expected_fail_tags(f) == expected, f.number
-    extended = []
-    for f in db:
-        try:
-            extension_check(f)
-        except ValueError:
-            continue
-        extended.append(f.number)
-    assert tuple(extended) == derived["extension_required"]
+    extended = tuple(f.number for f in db if family_verdict(f).extension_checks)
+    assert extended == derived["extension_required"]

@@ -14,7 +14,6 @@ from fano95 import (
     StratumCurve,
     build_coverage,
     case3_test_class_certificates,
-    extension_check,
     family_verdict,
     verify_surface_table,
     wps,
@@ -54,7 +53,7 @@ def audit_records(db, rows):
             for r in rows[:2]
         ],
         "FamilyRecord": [db.get(20), db.get(21)],
-        "Comparison": list(extension_check(db.get(18))[:2]),
+        "Comparison": list(family_verdict(db.get(18)).extension_checks[:2]),
         "TestClassCertificate": list(case3_test_class_certificates(db)[:2]),
         "SurfaceRow": list(rows[:2]),
         "SurfaceCertificate": list(verification.certificates[:2]),

@@ -1,5 +1,6 @@
 """Weighted-projective-space primitives: weights, stratum curves, degrees."""
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
@@ -133,6 +134,19 @@ def test_anticanonical_cube_is_homogeneous_in_degree():
     base = anticanonical_cube(18, w)
     assert anticanonical_cube(36, w) == 2 * base
     assert anticanonical_cube(54, w) == 3 * base
+
+
+@pytest.mark.parametrize(
+    "call", [anticanonical_cube, lambda d, w: coordinate_point_on_hypersurface(d, w, 4)],
+    ids=["anticanonical_cube", "coordinate_point"],
+)
+@pytest.mark.parametrize("degree", [True, 13.0, 13.5, "13", Fraction(13)],
+                         ids=["bool", "float", "half", "str", "fraction"])
+def test_degree_must_be_an_integer(call, degree):
+    # True read as 1, 13.5 gave an answer, and 13.0 failed inside Fraction.
+    message = f"^degree must be an integer, got {re.escape(repr(degree))}$"
+    with pytest.raises(TypeError, match=message):
+        call(degree, Weights((1, 1, 3, 4, 5)))
 
 
 def test_anticanonical_cube_rejects_nonpositive_degree():
