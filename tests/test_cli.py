@@ -37,10 +37,13 @@ def isolated_env(monkeypatch):
 
 #: Family tables with one line replaced: family 5 as X_7 in P(1,1,1,1,4),
 #: whose test class fails but whose verdict stays; family 11 as X_13 in
-#: P(1,1,2,3,7), which moves it from pencil_exceptions to contracted_unsafe.
+#: P(1,1,2,3,7), which moves it from pencil_exceptions to contracted_unsafe;
+#: family 47 as X_17 in P(1,1,3,6,7), whose lists stay but whose divisibility
+#: witness for tangent index 2 fails.
 ALTERED_LINES = {
     "x7": ("5\t7\t1\t1\t1\t2\t3\n", "5\t7\t1\t1\t1\t1\t4\n"),
     "drift": ("11\t10\t1\t1\t2\t2\t5\n", "11\t13\t1\t1\t2\t3\t7\n"),
+    "indivisible": ("47\t21\t1\t1\t5\t7\t8\n", "47\t17\t1\t1\t3\t6\t7\n"),
 }
 
 
@@ -791,6 +794,30 @@ def test_full_is_the_other_commands_then_coverage(capsys, wide_tables, seed):
     assert full["families"] == docs["lists"]["families"] == docs["certify"]["families"]
     assert full["lists"] == docs["lists"]["lists"]
     assert full["certificates"] == docs["certify"]["certificates"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_failing_divisibility_witness_is_a_contracted_gap(capsys, tmp_path, fmt):
+    # a4 = 7 does not divide d = 17 and 17 < a1*a2*a3 = 18, so the product
+    # bound covers the contracted classes; but for the tangent index 2
+    # (3 + 2*7 = 17) the reduced weight 6 divides neither 10 nor 17.  The
+    # failure is the route's gap, never raised, and nothing else fails.
+    bad = altered_families(tmp_path, "indivisible")
+    gap = ("contracted (divisibility certificate fails: family 47: reduced weight 6 "
+           "(index 3) divides neither d - a4 = 10 nor d = 17)")
+    code, out, err = run(capsys, "full", "--families", bad, "--format", fmt)
+    assert (code, err) == (cli.EXIT_CHECK_FAILED, "")
+    if fmt == "text":
+        lines = out.splitlines()
+        at = lines.index("family 47 case2: residual via pencil-bound, "
+                         "contracted via contracted-degree-bound [Gap]")
+        assert lines[at + 1] == f"  GAP: {gap}"
+        assert lines[-1] == "coverage: 94 Covered, 1 Gap"
+        return
+    doc = json.loads(out)
+    assert revalidate_document(doc) == ()
+    assert [(c["family"], c["status"], c["gaps"]) for c in doc["coverage"]
+            if c["status"] != "Covered"] == [(47, "Gap", [gap])]
 
 
 def test_full_reports_coverage_gap(capsys, tmp_path):
