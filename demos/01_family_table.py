@@ -13,7 +13,6 @@ from fano95 import (
     StratumCurve,
     ValidationError,
     anticanonical_cube,
-    coordinate_point_on_hypersurface,
     load_families,
     load_packaged_families,
     serialize_families,
@@ -51,7 +50,7 @@ for vanishing in [(0, 2, 3), (0, 1, 2)]:
 print("\nCoordinate points lie on a general member exactly when their weight")
 print("does not divide d; for family 20 (d = 13):")
 for i in range(5):
-    on_x = coordinate_point_on_hypersurface(f20.d, f20.weights, i)
+    on_x = f20.d % f20.weights[i] != 0
     print(f"  P_{i} (weight {f20.weights[i]}): {'on X' if on_x else 'off X'}")
 
 print("\nThe degree-cap scaling law (A^3 is linear in d at fixed weights):")

@@ -14,17 +14,16 @@ from math import gcd
 from fano95 import (
     CaseTag,
     GOLDEN_LISTS,
-    contracted_divisibility_certificate,
     derived_lists,
     family_verdict,
     load_packaged_families,
-    tangent_indices,
 )
 
 db = load_packaged_families()
 # One verdict per family: its case, the case's residual verdict (a BoundStatus
 # in Case 1, else a bool), the reason its contracted curves are safe and its
-# Case-1 comparisons against the degree cap.
+# Case-1 comparisons against the degree cap, and its tangent indices with
+# their divisibility witnesses where the projection can contract curves.
 verdicts = {f.number: family_verdict(f) for f in db}
 
 parts = {tag: [] for tag in CaseTag}
@@ -74,11 +73,10 @@ unsafe = [n for n, v in verdicts.items() if v.contracted is None]
 print(f"  families needing a separate contracted argument: {unsafe}")
 
 f20 = db.get(20)
-j = tangent_indices(f20)[0]
-witnesses = contracted_divisibility_certificate(f20, j)
+j, witnesses = verdicts[20].tangents[0]
 print(f"\n  e.g. family 20, tangent index {j}: each reduced weight divides")
 print(f"  d - a4 = {f20.d - f20.weights[4]} or d = {f20.d}: "
-      + ", ".join(f"{w} | {divisor}" for w, divisor in witnesses))
+      + ", ".join(f"{w} | {divisor}" for _, w, divisor in witnesses))
 
 derived = derived_lists(db)
 agree = derived == {k: tuple(v) for k, v in GOLDEN_LISTS.items()}

@@ -47,38 +47,26 @@ from .lemmas import (
     CaseTag,
     Comparison,
     ContractedReason,
-    DivisibilityViolation,
     FamilyVerdict,
     classify_case,
-    contracted_divisibility_certificate,
     family_verdict,
-    tangent_indices,
 )
 from .report import GOLDEN_LISTS, build_document, derived_lists, revalidate_document, to_json
-from .wps import (
-    StratumCurve,
-    Weights,
-    anticanonical_cube,
-    coordinate_point_on_hypersurface,
-    format_rational,
-)
+from .wps import StratumCurve, Weights, anticanonical_cube, format_rational
 
 __version__ = "1.0.0"
 
 __all__ = [
     "__version__",
     # wps
-    "Weights", "StratumCurve", "anticanonical_cube",
-    "coordinate_point_on_hypersurface",
-    "format_rational",
+    "Weights", "StratumCurve", "anticanonical_cube", "format_rational",
     # families
     "FAMILY_COUNT", "FamilyRecord", "FamilyDatabase", "FamilyTableError",
     "ParseError", "ValidationError", "FamilyNotFoundError",
     "load_families", "load_packaged_families", "serialize_families",
     # lemmas
-    "CaseTag", "BoundStatus", "ContractedReason",
-    "DivisibilityViolation", "Comparison", "classify_case", "tangent_indices",
-    "contracted_divisibility_certificate", "FamilyVerdict", "family_verdict",
+    "CaseTag", "BoundStatus", "ContractedReason", "Comparison", "classify_case",
+    "FamilyVerdict", "family_verdict",
     # certificates
     "CertificateError", "RowError", "SurfaceRowParseError", "Method",
     "TestClassCertificate", "SurfaceRow",

@@ -27,16 +27,7 @@ from .certificates import (
     verify_surface_table,
 )
 from .families import FamilyDatabase, FamilyRecord
-from .lemmas import (
-    BoundStatus,
-    CaseTag,
-    ContractedReason,
-    DivisibilityViolation,
-    FamilyVerdict,
-    contracted_divisibility_certificate,
-    family_verdicts,
-    tangent_indices,
-)
+from .lemmas import BoundStatus, CaseTag, ContractedReason, FamilyVerdict, family_verdicts
 from .wps import Record, _VANISHING_LABELS, format_rational
 
 
@@ -270,7 +261,9 @@ def _contracted_route(
     certs: tuple[SurfaceCertificate, ...],
 ) -> RouteEntry:
     """Route for the curve classes contracted by the projection away from
-    the largest-weight coordinate."""
+    the largest-weight coordinate.  Under the product bound the route shows
+    each tangent index's divisibility witnesses from ``verdict.tangents``,
+    and a failing witness is its gap."""
     reason = verdict.contracted
     a = f.weights
 
@@ -290,16 +283,20 @@ def _contracted_route(
             ("a1*a2*a3", str(a[1] * a[2] * a[3])),
             ("degree cap", f.a_cube_text),
         ]
-        for j in tangent_indices(f):
-            try:
-                witnesses = contracted_divisibility_certificate(f, j)
-            except DivisibilityViolation as exc:
-                gaps.append(f"contracted (divisibility certificate fails: {exc})")
-                continue
-            witness = ", ".join(
-                f"{w} | {divisor}" for w, divisor in witnesses
-            ) or "no reduced weights above 1"
-            values.append((f"tangent index {j} divisibility", witness))
+        for j, witnesses in verdict.tangents:
+            for i, w, divisor in witnesses:
+                if divisor is None:
+                    gaps.append(
+                        f"contracted (divisibility certificate fails: family {f.number}: "
+                        f"reduced weight {w} (index {i}) divides neither "
+                        f"d - a4 = {f.d - a[4]} nor d = {f.d})"
+                    )
+                    break
+            else:
+                witness = ", ".join(
+                    f"{w} | {divisor}" for _, w, divisor in witnesses
+                ) or "no reduced weights above 1"
+                values.append((f"tangent index {j} divisibility", witness))
         return RouteEntry(
             route="contracted-degree-bound",
             detail="d < a1*a2*a3: a contracted curve would pass through "

@@ -13,13 +13,12 @@ under which every low-degree residual curve is excluded outright, and a
 separate product bound handles the contracted classes.  ``family_verdict``
 evaluates those inequalities exactly, once per family, from its weights alone,
 never from stored lists, into one ``FamilyVerdict``: the case, the residual
-verdict, the contracted-curve reason, the derived lists and fail tags, and
-the Case-1 comparisons against the cap A³ for the families the bounds leave
-open: the binomial fibre degree 1/(a3*h) where h = gcd(a1, a2) > 1, and the
-five double-projection comparisons where the residual bound fails.
-
-``contracted_divisibility_certificate`` gives the (weight, divisor) witness
-pairs for a tangent index of a family that can contract curves.
+verdict, the contracted-curve reason, the derived lists and fail tags, the
+Case-1 comparisons against the cap A³ for the families the bounds leave open
+(the binomial fibre degree 1/(a3*h) where h = gcd(a1, a2) > 1, and the five
+double-projection comparisons where the residual bound fails), and, where
+the projection can contract curves, each tangent index with its
+divisibility witnesses.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from functools import lru_cache
 from math import gcd
 
 from .families import FamilyDatabase, FamilyRecord
-from .wps import Record, Weights, _check_integer, _shown, coordinate_point_on_hypersurface
+from .wps import Record, Weights
 
 
 class CaseTag(Enum):
@@ -54,10 +53,6 @@ class ContractedReason(Enum):
 
     NO_CONTRACTED_CURVES = "no_contracted_curves"  # last coordinate point off X
     DEGREE_BOUND = "degree_bound"                  # d < a1*a2*a3
-
-
-class DivisibilityViolation(ArithmeticError):
-    """A reduced weight divides neither d - a4 nor d (unreachable on valid data)."""
 
 
 def classify_case(f: FamilyRecord) -> CaseTag:
@@ -143,53 +138,30 @@ def _extension_checks(a: Weights, h: int, binomial: Fraction,
     )
 
 
-def tangent_indices(f: FamilyRecord) -> tuple[int, ...]:
-    """Indices j with a_j + 2*a4 = d: the possible tangent coordinates when the
-    defining equation has the curve-contracting shape x_j*x4^2 + a*x4 + b."""
-    a = f.weights
-    return tuple(j for j in range(4) if a[j] + 2 * a[4] == f.d)
+def _tangents(a: Weights,
+              d: int) -> tuple[tuple[int, tuple[tuple[int, int, int | None], ...]], ...]:
+    """The tangent indices of a family whose last coordinate point lies on X,
+    each with the divisibility witnesses that the base points of its
+    contracting pencil avoid the singular points of the residual plane.
 
-
-def contracted_divisibility_certificate(
-    f: FamilyRecord, j: int
-) -> tuple[tuple[int, int], ...]:
-    """Certify that the base points of the contracting pencil for tangent
-    index j avoid the singular points of the residual weighted plane.
-
-    Given the tangent relation a_j + 2*a4 = d, each reduced weight a > 1 (the
-    weights away from j and 4) must divide d - a4 or d.  Returns one
-    (weight, divisor) witness pair per reduced weight, the divisor being
-    d - a4 when the weight divides it and d otherwise.
-
-    Raises TypeError if j is not an int (a bool included), ValueError if j
-    lies outside 0..3 or a_j + 2*a4 != d, and DivisibilityViolation if some
-    reduced weight divides neither d - a4 nor d (impossible for valid data —
-    kept as a loud failure rather than an assumption).
+    A tangent index j has a_j + 2*a4 = d: the defining equation can take the
+    curve-contracting shape x_j*x4^2 + a*x4 + b.  Each reduced weight w > 1 at
+    an index i away from j and 4 must divide d - a4 or d; its witness is
+    (i, w, divisor), the divisor being d - a4 when w divides it and d
+    otherwise.  A weight dividing neither (impossible for valid data) is
+    recorded with the divisor None, and ends the witnesses of its index.
     """
-    a = f.weights
-    if type(j) is not int:
-        _check_integer("tangent index", j)
-    if not 0 <= j <= 3:
-        raise ValueError(f"tangent index must lie in 0..3, got {_shown(j)}")
-    if a[j] + 2 * a[4] != f.d:
-        raise ValueError(
-            f"family {f.number}: a_{j} + 2*a4 = {a[j] + 2 * a[4]} != d = {f.d}; "
-            "not a valid tangent index"
-        )
-    witnesses = []
-    for i in range(4):
-        w = a[i]
-        if i == j or w == 1:
-            continue
-        divisor = next((n for n in (f.d - a[4], f.d) if n % w == 0), None)
-        if divisor is None:
-            raise DivisibilityViolation(
-                f"family {f.number}: reduced weight {w} (index {i}) divides neither "
-                f"d - a4 = {f.d - a[4]} nor d = {f.d}"
-            )
-        witnesses.append((w, divisor))
-    return tuple(witnesses)
-
+    tangents = []
+    for j in (j for j in range(4) if a[j] + 2 * a[4] == d):
+        witnesses = []
+        for i in range(4):
+            if i != j and a[i] > 1:
+                divisor = next((n for n in (d - a[4], d) if n % a[i] == 0), None)
+                witnesses.append((i, a[i], divisor))
+                if divisor is None:
+                    break
+        tangents.append((j, tuple(witnesses)))
+    return tuple(tangents)
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +184,14 @@ class FamilyVerdict(Record):
     """What the weights decide about one family: its ``CaseTag``, the residual
     verdict (a ``BoundStatus`` in Case 1, else a bool), its ``ContractedReason``
     or None, the frozensets of its derived lists and its rows' fail tags, the
-    shared-factor ``Comparison`` (where gcd(a1, a2) > 1) or None, and the tuple
-    of double-projection ``Comparison``s (where the residual is FAILS) or ()."""
+    shared-factor ``Comparison`` (where gcd(a1, a2) > 1) or None, the tuple
+    of double-projection ``Comparison``s (where the residual is FAILS) or (),
+    and, where the last coordinate point lies on X (a4 ∤ d), its tangents:
+    one (j, witnesses) pair per tangent index j in ascending order, each
+    witness an (i, w, divisor) triple and a failing one's divisor None; else ()."""
 
     __slots__ = ("case", "residual", "contracted", "lists", "fail_tags",
-                 "shared_factor", "extension_checks")
+                 "shared_factor", "extension_checks", "tangents")
 
 
 def family_verdict(f: FamilyRecord) -> FamilyVerdict:
@@ -237,7 +212,9 @@ def family_verdict(f: FamilyRecord) -> FamilyVerdict:
     when a4 does not divide d.  When a4 | d the projection contracts nothing
     (NO_CONTRACTED_CURVES); when a4 ∤ d but d < a1*a2*a3 the product bound
     excludes the contracted curves (DEGREE_BOUND); otherwise it is None and
-    the family is contracted-unsafe.  A shared factor h = gcd(a1, a2) > 1
+    the family is contracted-unsafe.  Wherever the point lies on X,
+    ``tangents`` holds each tangent index with its divisibility witnesses,
+    a weight that fails recorded, never raised.  A shared factor h = gcd(a1, a2) > 1
     puts the family on the shared-factor list, and ``shared_factor`` compares
     its binomial fibre degree 1/(a3*h) with the cap: the argument applies
     exactly when that degree exceeds the cap.
@@ -253,13 +230,13 @@ def family_verdict(f: FamilyRecord) -> FamilyVerdict:
         names = set() if residual else {"pencil_exceptions"}
     else:
         residual, names = f.a_cube < 1, set()
-    if not coordinate_point_on_hypersurface(d, a, 4):
-        contracted = ContractedReason.NO_CONTRACTED_CURVES
-    elif d < a[1] * a[2] * a[3]:
-        contracted = ContractedReason.DEGREE_BOUND
+    if d % a[4] == 0:  # a pure power of x4 has degree d: the point misses X
+        contracted, tangents = ContractedReason.NO_CONTRACTED_CURVES, ()
     else:
-        contracted = None
-        names.add("contracted_unsafe")
+        contracted = ContractedReason.DEGREE_BOUND if d < a[1] * a[2] * a[3] else None
+        if contracted is None:
+            names.add("contracted_unsafe")
+        tangents = _tangents(a, d)
     h, shared, extensions = gcd(a[1], a[2]), None, ()
     if h > 1 or residual is BoundStatus.FAILS:
         binomial = Fraction(1, a[3] * h)  # the fibre degree over the binomial orbit
@@ -270,7 +247,7 @@ def family_verdict(f: FamilyRecord) -> FamilyVerdict:
             extensions = _extension_checks(a, h, binomial, f.a_cube)
     tags = frozenset([_FAIL_TAGS[name] for name in names if name in _FAIL_TAGS])
     return FamilyVerdict(case, residual, contracted, frozenset(names), tags,
-                         shared, extensions)
+                         shared, extensions, tangents)
 
 
 @lru_cache(maxsize=1)

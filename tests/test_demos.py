@@ -35,6 +35,7 @@ def _run(*args):
 def test_demo_exits_zero(demo):
     result = _run(str(demo))
     assert result.returncode == 0, result.stderr.decode()
+    assert result.stderr == b""  # a warning under PYTHONDEVMODE=1 would show here
     assert hashlib.sha256(result.stdout).hexdigest() == DEMO_OUTPUT_SHA256[demo.name]
 
 

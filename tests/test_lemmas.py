@@ -10,15 +10,11 @@ from fano95 import (
     BoundStatus,
     CaseTag,
     ContractedReason,
-    DivisibilityViolation,
     GOLDEN_LISTS,
     classify_case,
-    contracted_divisibility_certificate,
     derived_lists,
-    coordinate_point_on_hypersurface,
     expected_fail_tags,
     family_verdict,
-    tangent_indices,
 )
 from fano95.lemmas import family_verdicts
 
@@ -128,40 +124,44 @@ def test_case3_integer_filter(db):
 # Contracted curves
 
 
-def test_contracted_verdict_reasons(db):
-    f3 = db.get(3)  # d=6 divisible by a4=3
-    assert family_verdict(f3).contracted is ContractedReason.NO_CONTRACTED_CURVES
-    assert coordinate_point_on_hypersurface(f3.d, f3.weights, 4) is False
+def tangent_indices_of(f):
+    """The tangent indices on the verdict of family f, in order."""
+    return tuple(j for j, _ in family_verdict(f).tangents)
 
-    f47 = db.get(47)  # point on X but d=21 < a1*a2*a3 = 1*5*7
-    assert coordinate_point_on_hypersurface(f47.d, f47.weights, 4) is True
-    assert family_verdict(f47).contracted is ContractedReason.DEGREE_BOUND
+
+def test_contracted_verdict_reasons(db):
+    v3 = family_verdict(db.get(3))  # d=6 divisible by a4=3
+    assert v3.contracted is ContractedReason.NO_CONTRACTED_CURVES
+    assert v3.tangents == ()
+
+    v47 = family_verdict(db.get(47))  # point on X but d=21 < a1*a2*a3 = 1*5*7
+    assert v47.contracted is ContractedReason.DEGREE_BOUND
+    assert v47.tangents == ((2, ((3, 7, 21),)),)  # 5 + 2*8 = 21; 7 divides d only
 
     assert family_verdict(db.get(2)).contracted is None
 
 
 def test_tangent_indices_examples(db):
-    assert tangent_indices(db.get(2)) == (0, 1, 2, 3)   # all weights 1
-    assert tangent_indices(db.get(18)) == (1, 2)        # weight-2 coordinates
-    assert tangent_indices(db.get(20)) == (2,)          # 3 + 2*5 = 13
-    assert tangent_indices(db.get(46)) == (0, 1)
+    assert tangent_indices_of(db.get(2)) == (0, 1, 2, 3)  # all weights 1
+    assert tangent_indices_of(db.get(18)) == (1, 2)       # weight-2 coordinates
+    assert tangent_indices_of(db.get(20)) == (2,)         # 3 + 2*5 = 13
+    assert tangent_indices_of(db.get(46)) == (0, 1)
 
 
 def test_unsafe_families_admit_a_tangent_index(db):
     # The contracting equation shape x_j*x4^2 + ... requires some a_j = d - 2*a4.
     for n in derived_lists(db)["contracted_unsafe"]:
-        assert tangent_indices(db.get(n)), n
+        assert tangent_indices_of(db.get(n)), n
 
 
 def test_divisibility_certificates_hold_for_all_unsafe_tangents(db):
     for n in derived_lists(db)["contracted_unsafe"]:
         f = db.get(n)
-        for j in tangent_indices(f):
-            witnesses = contracted_divisibility_certificate(f, j)
-            reduced = [f.weights[i] for i in range(4) if i != j and f.weights[i] > 1]
-            assert [w for w, _ in witnesses] == reduced, (n, j)
+        for j, witnesses in family_verdict(f).tangents:
+            reduced = [(i, f.weights[i]) for i in range(4) if i != j and f.weights[i] > 1]
+            assert [(i, w) for i, w, _ in witnesses] == reduced, (n, j)
             d_minus_a4 = f.d - f.weights[4]
-            for w, divisor in witnesses:
+            for _, w, divisor in witnesses:
                 # d - a4 is the witness whenever the weight divides it
                 assert divisor == (d_minus_a4 if d_minus_a4 % w == 0 else f.d), (n, j)
                 assert divisor % w == 0, (n, j)
@@ -169,35 +169,43 @@ def test_divisibility_certificates_hold_for_all_unsafe_tangents(db):
 
 def test_divisibility_certificate_witness_values(db):
     # family 20, d = 13, a4 = 5: the one reduced weight 4 divides 8 = 13 - 5
-    assert contracted_divisibility_certificate(db.get(20), 2) == ((4, 8),)
+    assert family_verdict(db.get(20)).tangents == ((2, ((3, 4, 8),)),)
 
 
-def test_divisibility_certificate_rejects_bad_tangent_index(db):
-    f = db.get(20)
-    with pytest.raises(ValueError, match="not a valid tangent index"):
-        contracted_divisibility_certificate(f, 0)  # 1 + 10 != 13
-    with pytest.raises(ValueError):
-        contracted_divisibility_certificate(f, 4)
+def test_tangents_are_listed_exactly_where_the_last_point_lies_on_x(db):
+    reasons = []
+    for f in db:
+        verdict, a = family_verdict(f), f.weights
+        on_x = f.d % a[4] != 0
+        expected = [j for j in range(4) if a[j] + 2 * a[4] == f.d] if on_x else []
+        assert [j for j, _ in verdict.tangents] == expected, f.number
+        assert bool(verdict.tangents) is on_x, f.number
+        if verdict.contracted is ContractedReason.DEGREE_BOUND:
+            assert len(verdict.tangents) == 1, f.number
+        for j, witnesses in verdict.tangents:
+            for i, w, divisor in witnesses:
+                assert w == a[i] > 1 and i not in (j, 4), (f.number, j)
+                assert divisor in (f.d - a[4], f.d) and divisor % w == 0, (f.number, j)
+        if on_x:
+            reasons.append(verdict.contracted)
+    # 35 families have a4 ∤ d: 22 under the product bound, 13 contracted-unsafe.
+    assert len(reasons) == 35
+    assert reasons.count(ContractedReason.DEGREE_BOUND) == 22
+    assert reasons.count(None) == 13
 
 
-@pytest.mark.parametrize("index", [True, 2.0, "1"], ids=["bool", "float", "str"])
-def test_divisibility_certificate_refuses_a_non_integer_index(db, index):
-    # True would answer for index 1, and a float would fail inside tuple indexing.
-    with pytest.raises(TypeError, match=f"tangent index must be an integer, got {index!r}"):
-        contracted_divisibility_certificate(db.get(2), index)
-
-
-def test_divisibility_violation_raised_loudly():
+def test_divisibility_violation_is_recorded():
     from fano95 import FamilyRecord, Weights
 
     f = FamilyRecord(number=13, d=11, weights=Weights((1, 1, 2, 3, 5)))
-    # j=0: 1 + 10 = 11 = d; reduced weights 2 and 3 both divide d - a4 = 6.
-    assert contracted_divisibility_certificate(f, 0) == ((2, 6), (3, 6))
+    # j=0, 1: 1 + 10 = 11 = d; reduced weights 2 and 3 both divide d - a4 = 6.
+    assert family_verdict(f).tangents == ((0, ((2, 2, 6), (3, 3, 6))),
+                                          (1, ((2, 2, 6), (3, 3, 6))))
     # Synthetic system outside the real table: weights (1,1,3,5,8), d=17,
-    # j=0 is tangent (1 + 16 = 17) but 5 divides neither d - a4 = 9 nor d = 17.
+    # j=0 is tangent (1 + 16 = 17) but 5 divides neither d - a4 = 9 nor d = 17:
+    # it is recorded with no divisor, and ends the witnesses.
     bad = FamilyRecord(number=24, d=17, weights=Weights((1, 1, 3, 5, 8)))
-    with pytest.raises(DivisibilityViolation, match="weight 5"):
-        contracted_divisibility_certificate(bad, 0)
+    assert family_verdict(bad).tangents[0] == (0, ((2, 3, 9), (3, 5, None)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from fano95 import (
     ValidationError,
     Weights,
     anticanonical_cube,
-    coordinate_point_on_hypersurface,
     format_rational,
 )
 
@@ -137,8 +136,7 @@ def test_anticanonical_cube_is_homogeneous_in_degree():
 
 
 @pytest.mark.parametrize(
-    "call", [anticanonical_cube, lambda d, w: coordinate_point_on_hypersurface(d, w, 4)],
-    ids=["anticanonical_cube", "coordinate_point"],
+    "call", [anticanonical_cube], ids=["anticanonical_cube"],
 )
 @pytest.mark.parametrize("degree", [True, 13.0, 13.5, "13", Fraction(13)],
                          ids=["bool", "float", "half", "str", "fraction"])
@@ -304,42 +302,6 @@ def test_stratum_degree_at_most_one_with_equality_iff_unit_weights():
     mixed = StratumCurve.from_vanishing(Weights((1, 1, 1, 3, 4)), (0, 1, 2))
     assert mixed.degree == Fraction(1, 12)
     assert mixed.degree < 1
-
-
-# ---------------------------------------------------------------------------
-# Coordinate points
-
-
-def test_coordinate_point_membership():
-    w = Weights((1, 1, 3, 4, 5))
-    # d = 13: the last three weights do not divide 13, so those points lie on
-    # a general hypersurface; the weight-1 coordinates never do.
-    assert coordinate_point_on_hypersurface(13, w, 4) is True
-    assert coordinate_point_on_hypersurface(13, w, 3) is True
-    assert coordinate_point_on_hypersurface(13, w, 0) is False
-    w3 = Weights((1, 1, 1, 1, 3))
-    assert coordinate_point_on_hypersurface(6, w3, 4) is False
-
-
-def test_coordinate_point_index_zero_always_false():
-    for d, weights in [(4, (1, 1, 1, 1, 1)), (66, (1, 5, 6, 22, 33))]:
-        assert coordinate_point_on_hypersurface(d, Weights(weights), 0) is False
-
-
-def test_coordinate_point_rejects_bad_index():
-    w = Weights((1, 1, 1, 1, 1))
-    with pytest.raises(ValueError):
-        coordinate_point_on_hypersurface(4, w, 5)
-    with pytest.raises(ValueError):
-        coordinate_point_on_hypersurface(4, w, -1)
-
-
-@pytest.mark.parametrize("index", [True, 2.0, "1"], ids=["bool", "float", "str"])
-def test_coordinate_point_refuses_a_non_integer_index(index):
-    # True would answer for coordinate 1, and a float would fail inside tuple indexing.
-    w = Weights((1, 1, 3, 4, 5))
-    with pytest.raises(TypeError, match=f"coordinate index must be an integer, got {index!r}"):
-        coordinate_point_on_hypersurface(13, w, index)
 
 
 # ---------------------------------------------------------------------------
