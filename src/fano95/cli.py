@@ -28,7 +28,13 @@ from .certificates import (
     verify_surface_table,
 )
 from .coverage import build_coverage
-from .families import FAMILIES_FILENAME, FamilyTableError, load_families, packaged_data_path
+from .families import (
+    FAMILIES_FILENAME,
+    FamilyDatabase,
+    FamilyTableError,
+    load_families,
+    packaged_data_path,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -65,10 +71,11 @@ def _load_table(explicit: str | None, flag: str, what: str, filename: str, load,
         raise _InputError(f"{what} {path}: {exc}") from exc
 
 
-def _emit_json(document: dict) -> int:
-    """Print the canonical JSON after checking it re-validates from itself."""
+def _emit_json(document: dict, db: FamilyDatabase) -> int:
+    """Print the canonical JSON after checking it re-validates from itself;
+    ``db``, the database it was written from, spares rebuilding its families."""
     text = report.to_json(document)
-    problems = report.revalidate_document(json.loads(text))
+    problems = report.revalidate_document(json.loads(text), db=db)
     sys.stdout.write(text)
     if problems:
         for p in problems:
@@ -125,7 +132,7 @@ def run_command(args) -> int:
             surface=report.surface_section(db, verification, rows) if certified else None,
             coverage=report.coverage_section(coverage) if "coverage" in sections else None,
         )
-        rc = _emit_json(document)
+        rc = _emit_json(document, db)
         for line in verification.mismatch_lines if certified else ():
             print(line, file=sys.stderr)
         return rc if ok else EXIT_CHECK_FAILED

@@ -64,8 +64,10 @@ class FamilyRecord(Record):
     __slots__ = ("number", "d", "weights", "a_cube", "a_cube_text")
 
     def __init__(self, number: int, d: int, weights: Weights):
-        _check_integer("family number", number)
-        _check_integer("degree", d)
+        if type(number) is not int:
+            _check_integer("family number", number)
+        if type(d) is not int:
+            _check_integer("degree", d)
         if not isinstance(weights, Weights):
             raise TypeError(f"weights must be Weights, got {weights!r}")
         if not 1 <= number <= FAMILY_COUNT:

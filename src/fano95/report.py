@@ -36,7 +36,7 @@ from .certificates import (
 from .coverage import FamilyCoverage
 from .families import FAMILY_COUNT, FamilyDatabase, FamilyRecord
 from .lemmas import LIST_NAMES, classify_case, family_verdicts
-from .wps import Weights, _VANISHING_LABELS, format_rational
+from .wps import Weights, _VANISHING_LABELS, _shown, format_rational
 
 #: Expected membership lists, used only to cross-check the derived ones.
 GOLDEN_LISTS: dict[str, tuple[int, ...]] = {
@@ -285,16 +285,30 @@ _ABSENT = object()
 _SHOWN = {dict: "an object", list: "an array", object: "<absent>"}
 
 
+def _identical(got, want) -> bool:
+    """Whether ``got`` and ``want`` have equal marshal bytes, which means equal
+    types, values and key order, so ``1``, ``1.0`` and ``true`` differ."""
+    try:
+        return marshal.dumps(got, 0) == marshal.dumps(want, 0)
+    except ValueError:  # outside the marshal model, such as _ABSENT
+        return False
+
+
+def _repr(value) -> str:
+    """``repr(value)`` for a problem line; an integer too long to print is
+    stated by its size, as ``wps._shown`` does."""
+    try:
+        return repr(value)
+    except ValueError:
+        return _shown(value)
+
+
 def _compare(got, want, path: str, problems: list[str]) -> None:
     """Report each leaf where ``got`` differs from ``want``, led by its JSON path.
-    Types must match exactly, so ``1``, ``1.0`` and ``true`` never compare
-    equal.  Equal marshal bytes mean equal types, values and key order, so
-    only what differs is walked, and only its paths are built."""
-    try:
-        if marshal.dumps(got, 0) == marshal.dumps(want, 0):
-            return
-    except ValueError:  # outside the marshal model, such as _ABSENT
-        pass
+    Types must match exactly (see ``_identical``), so only what differs is
+    walked, and only its paths are built."""
+    if _identical(got, want):
+        return
     kind = type(want)
     if kind is dict and type(got) is dict:
         for key in {**want, **got}:
@@ -303,7 +317,7 @@ def _compare(got, want, path: str, problems: list[str]) -> None:
         for i, (g, w) in enumerate(zip_longest(got, want, fillvalue=_ABSENT)):
             _compare(g, w, f"{path}[{i}]", problems)
     elif type(got) is not kind or got != want:
-        shown = [_SHOWN.get(type(v)) or repr(v) for v in (got, want)]
+        shown = [_SHOWN.get(type(v)) or _repr(v) for v in (got, want)]
         problems.append(f"{path}: serialized {shown[0]}, recomputed {shown[1]}")
 
 
@@ -329,7 +343,9 @@ def _objects(problems: list[str], path: str, section) -> list[tuple[int, dict]]:
     return [(i, entry) for i, entry in enumerate(section) if isinstance(entry, dict)]
 
 
-def revalidate_document(document: Mapping) -> tuple[str, ...]:
+def revalidate_document(
+    document: Mapping, *, db: FamilyDatabase | None = None
+) -> tuple[str, ...]:
     """Rebuild each section with the builders that wrote it and compare.
 
     The families entries rebuild a ``FamilyDatabase`` (with the loader's count,
@@ -339,22 +355,33 @@ def revalidate_document(document: Mapping) -> tuple[str, ...]:
     document states.  Coverage is checked only for its structure.  Returns
     every problem at once, each led by its JSON path, and raises nothing; an
     empty tuple means the document re-derives from its own inputs.
+
+    ``db`` is a database the caller loaded, such as the one the document was
+    written from.  When the families section has the same marshal bytes as
+    ``families_section(db)`` (same types, values and key order), its rebuild
+    would give ``db``'s records, so ``db`` is used and no entry is rebuilt;
+    otherwise the entries are rebuilt as without ``db``.  Every other section
+    is still rebuilt from its own entries, so the problems are the same
+    either way.
     """
     if not isinstance(document, Mapping):
         return ("document is not an object",)
     problems: list[str] = []
-    families, db = document.get("families"), None
-    if families is None:
-        problems.append("families: is not an array")
-    records = [_rebuilt(problems, lambda: FamilyRecord(
-                   f["number"], f["d"], Weights(f["weights"])), "families[{}]", i)
-               for i, f in _objects(problems, "families", families)]
-    if not problems:
-        db = _rebuilt(problems, lambda: FamilyDatabase(records), "families")
-    # number, d and weights reached the database through the loader's integer
-    # checks, and the other leaves are strings, so here == is already exact.
-    if db is not None and families != (expected := families_section(db)):
-        _compare(families, expected, "families", problems)
+    families = document.get("families")
+    if db is None or not _identical(families, families_section(db)):
+        db = None
+        if families is None:
+            problems.append("families: is not an array")
+        records = [_rebuilt(problems, lambda: FamilyRecord(
+                       f["number"], f["d"], Weights(f["weights"])), "families[{}]", i)
+                   for i, f in _objects(problems, "families", families)]
+        if not problems:
+            db = _rebuilt(problems, lambda: FamilyDatabase(records), "families")
+        # number, d and weights reached the database through the loader's
+        # integer checks, and the other leaves are strings, so here == is
+        # already exact.
+        if db is not None and families != (expected := families_section(db)):
+            _compare(families, expected, "families", problems)
 
     certificates = document.get("certificates")
     if not isinstance(certificates, dict):

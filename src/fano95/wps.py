@@ -193,7 +193,8 @@ class Weights(tuple):
     def __new__(cls, a: Iterable[int]) -> "Weights":
         a = tuple(a)
         for x in a:
-            _check_integer("weight", x)
+            if type(x) is not int:
+                _check_integer("weight", x)
         if len(a) != 5:
             raise ValueError(f"need exactly five weights, got {len(a)}: {_shown(a)}")
         if min(a) < 1:
@@ -203,7 +204,8 @@ class Weights(tuple):
             raise ValueError(f"first weight must be 1, got {_shown(a0)}")
         if not a0 <= a1 <= a2 <= a3 <= a4:
             raise ValueError(f"weights must be ascending: {_shown(a)}")
-        for triple in combinations(a[1:], 3):
+        # In the order of combinations(a[1:], 3): the first failing triple is reported.
+        for triple in ((a1, a2, a3), (a1, a2, a4), (a1, a3, a4), (a2, a3, a4)):
             g = gcd(*triple)
             if g != 1:
                 raise ValueError(

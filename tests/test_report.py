@@ -1,13 +1,17 @@
 """Report assembly: derived lists, JSON document, text rendering, revalidation."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 from fano95 import cli, report
 from fano95 import (
+    FAMILY_COUNT,
     GOLDEN_LISTS,
+    FamilyDatabase,
+    FamilyRecord,
     build_coverage,
     case3_test_class_certificates,
     derived_lists,
@@ -207,6 +211,52 @@ def test_to_json_refuses_values_outside_the_json_model(value):
 
 def test_revalidate_accepts_clean_document(full_document):
     assert revalidate_document(json.loads(to_json(full_document))) == ()
+
+
+def _records_built(call):
+    """``call()`` and the number of ``FamilyRecord`` constructions it made."""
+    init, built = FamilyRecord.__init__.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is init:
+            built.append(1)
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, len(built)
+
+
+def test_revalidate_reuses_the_database_of_its_families(db, full_document):
+    doc = json.loads(to_json(full_document))
+    assert _records_built(lambda: revalidate_document(doc, db=db)) == ((), 0)
+    assert _records_built(lambda: revalidate_document(doc)) == ((), FAMILY_COUNT)
+
+
+def test_revalidate_rebuilds_forged_families_despite_a_database(db, full_document):
+    doc = json.loads(to_json(full_document))
+    doc["families"][6]["d"] += 1
+    problems = revalidate_document(doc)
+    assert problems == ("families[6]: does not rebuild (ValidationError: family 7: "
+                        "d = 9 but a1+a2+a3+a4 = 8 (invariant d = a1+a2+a3+a4 violated))",)
+    assert _records_built(lambda: revalidate_document(doc, db=db)) == (
+        problems, FAMILY_COUNT)
+
+
+def test_revalidate_rebuilds_families_a_database_does_not_match(db, full_document):
+    # Families 3 and 4 both have degree 6: with their weights swapped the
+    # database loads, but its families section is not the document's, and
+    # its test classes would not match the document's either.
+    records = list(db)
+    three, four = records[2], records[3]
+    records[2:4] = (FamilyRecord(3, three.d, four.weights),
+                    FamilyRecord(4, four.d, three.weights))
+    swapped = FamilyDatabase(records)
+    doc = json.loads(to_json(full_document))
+    assert _records_built(lambda: revalidate_document(doc, db=swapped)) == (
+        (), FAMILY_COUNT)
 
 
 def test_builders_write_keys_in_sorted_order(full_document):
