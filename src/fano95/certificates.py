@@ -34,7 +34,7 @@ from .families import (
     _data_lines,
     packaged_data_path,
 )
-from .lemmas import family_verdict, family_verdicts
+from .lemmas import family_verdict
 from .wps import (_VANISHING_LABELS, Record, _check_integer, _check_rational, _check_vanishing,
                   _ratio_text, _self_intersection, _shown, _stratum, stratum_weights)
 
@@ -402,7 +402,7 @@ def verify_surface_table(db: FamilyDatabase, rows: Iterable[SurfaceRow]) -> Tabl
     failure at once."""
     certificates = []
     mismatches = []
-    verdicts = family_verdicts(db)
+    verdicts = db.verdicts
     for row in rows:
         certificates.append(SurfaceCertificate(row, db.get(row.family)))
         expected = verdicts[row.family - 1].fail_tags

@@ -27,7 +27,7 @@ from .certificates import (
     verify_surface_table,
 )
 from .families import FamilyDatabase, FamilyRecord
-from .lemmas import BoundStatus, CaseTag, ContractedReason, FamilyVerdict, family_verdicts
+from .lemmas import BoundStatus, CaseTag, ContractedReason, FamilyVerdict
 from .wps import Record, _VANISHING_LABELS, format_rational
 
 
@@ -181,19 +181,17 @@ def _residual_route(
                 annotations=tuple(Annotation(AnnotationKind.GENERALITY, e.note)
                                   for e in comparisons if not e.contradiction),
             )
-        gaps = ()
+        # d < a2*a4 here and h = gcd(a1, a2) <= a1, so d*h < a1*a2*a4 and the
+        # shared-factor degree 1/(a3*h) always exceeds the cap d/(a1*a2*a3*a4).
         chk = verdict.shared_factor  # its rhs is the cap too
         if chk is not None:
             values.append((chk.label, f"{format_rational(chk.lhs)} vs {f.a_cube_text}"))
-            if not chk.contradiction:
-                gaps = ("residual (shared-factor image point uncovered)",)
         if verdict.residual is BoundStatus.STRONG_A:
             return RouteEntry(
                 route="strong-bound",
                 detail="d < a1*a4, so every residual curve class exceeds the "
                 "degree cap with no extra assumptions",
                 values=tuple(values),
-                gaps=gaps,
             )
         return RouteEntry(
             route="weak-bound",
@@ -201,7 +199,6 @@ def _residual_route(
             "except the two-form section class, closed by irreducibility",
             values=tuple(values),
             annotations=(_WEAK_BOUND_NOTE,),
-            gaps=gaps,
         )
 
     if verdict.case is CaseTag.CASE2:
@@ -342,7 +339,7 @@ def build_coverage(
     }
 
     out = []
-    for f, verdict in zip(db, family_verdicts(db)):
+    for f, verdict in zip(db, db.verdicts):
         certs = tuple(by_family.get(f.number, ()))
         out.append(FamilyCoverage(
             f.number, verdict.case,

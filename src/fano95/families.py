@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import io
 import re
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
+from .lemmas import FamilyVerdict, family_verdict
 from .wps import Record, Weights, _check_integer, _shown, anticanonical_cube, format_rational
 
 #: Number of families in the classification.
@@ -133,6 +135,12 @@ class FamilyDatabase:
     @property
     def records(self) -> tuple[FamilyRecord, ...]:
         return self._records
+
+    @cached_property
+    def verdicts(self) -> tuple[FamilyVerdict, ...]:
+        """Each record's ``family_verdict``, in order, decided on first read and
+        kept with the database: every section of an audit reads these."""
+        return tuple(map(family_verdict, self._records))
 
 
 Source = Union[str, Path, IO[str], IO[bytes]]

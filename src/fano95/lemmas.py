@@ -25,11 +25,13 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
+from typing import TYPE_CHECKING
 
-from .families import FamilyDatabase, FamilyRecord
 from .wps import Record, Weights
+
+if TYPE_CHECKING:
+    from .families import FamilyRecord
 
 
 class CaseTag(Enum):
@@ -148,8 +150,9 @@ def _tangents(a: Weights,
     curve-contracting shape x_j*x4^2 + a*x4 + b.  Each reduced weight w > 1 at
     an index i away from j and 4 must divide d - a4 or d; its witness is
     (i, w, divisor), the divisor being d - a4 when w divides it and d
-    otherwise.  A weight dividing neither (impossible for valid data) is
-    recorded with the divisor None, and ends the witnesses of its index.
+    otherwise.  A weight dividing neither (which never happens for the 95
+    packaged families, though a loadable table can reach it) is recorded with
+    the divisor None, and ends the witnesses of its index.
     """
     tangents = []
     for j in (j for j in range(4) if a[j] + 2 * a[4] == d):
@@ -248,10 +251,3 @@ def family_verdict(f: FamilyRecord) -> FamilyVerdict:
     tags = frozenset([_FAIL_TAGS[name] for name in names if name in _FAIL_TAGS])
     return FamilyVerdict(case, residual, contracted, frozenset(names), tags,
                          shared, extensions, tangents)
-
-
-@lru_cache(maxsize=1)
-def family_verdicts(db: FamilyDatabase) -> tuple[FamilyVerdict, ...]:
-    """Each family's verdict, in order, cached on the identity of the immutable
-    ``db``: the sections of one audit share them, another audit builds its own."""
-    return tuple(map(family_verdict, db))

@@ -21,7 +21,6 @@ from __future__ import annotations
 import marshal
 from itertools import zip_longest
 from json.encoder import encode_basestring_ascii as _escape
-from operator import index
 from typing import Iterable, Mapping
 
 from .certificates import (
@@ -35,7 +34,7 @@ from .certificates import (
 )
 from .coverage import FamilyCoverage
 from .families import FAMILY_COUNT, FamilyDatabase, FamilyRecord
-from .lemmas import LIST_NAMES, classify_case, family_verdicts
+from .lemmas import LIST_NAMES, classify_case
 from .wps import Weights, _VANISHING_LABELS, _shown, format_rational
 
 #: Expected membership lists, used only to cross-check the derived ones.
@@ -57,7 +56,7 @@ GOLDEN_LISTS: dict[str, tuple[int, ...]] = {
 
 def derived_lists(db: FamilyDatabase) -> dict[str, tuple[int, ...]]:
     """Recompute every membership list from the weights alone."""
-    verdicts = family_verdicts(db)
+    verdicts = db.verdicts
     return {name: tuple([f.number for f, v in zip(db, verdicts) if name in v.lists])
             for name in LIST_NAMES}
 
@@ -161,8 +160,7 @@ def lists_section(
 ) -> dict:
     """The lists entry: each list's members in ``derived`` (none when it lacks
     the list), its expected members and whether the two match.  ``derived`` is
-    ``derived_lists(db)`` when None; the audit passes the lists it derived, the
-    revalidator the memberships a document states."""
+    ``derived_lists(db)`` when None; the audit passes the lists it derived."""
     if derived is None:
         derived = derived_lists(db)
     mismatches = list_mismatches(derived)
@@ -349,20 +347,19 @@ def revalidate_document(
     """Rebuild each section with the builders that wrote it and compare.
 
     The families entries rebuild a ``FamilyDatabase`` (with the loader's count,
-    order and repeat checks), which alone gives the families section and the
-    test classes; each surface entry is certified again from its row; the
-    lists' ``expected`` and ``match`` are recomputed from the memberships the
-    document states.  Coverage is checked only for its structure.  Returns
-    every problem at once, each led by its JSON path, and raises nothing; an
-    empty tuple means the document re-derives from its own inputs.
+    order and repeat checks), which alone gives the families section, the test
+    classes and the lists; each surface entry is certified again from its row.
+    Coverage is checked only for its structure, as are the test classes and
+    lists when the families do not rebuild.  Returns every problem at once,
+    each led by its JSON path, and raises nothing; an empty tuple means the
+    document re-derives from its own inputs.
 
     ``db`` is a database the caller loaded, such as the one the document was
     written from.  When the families section has the same marshal bytes as
     ``families_section(db)`` (same types, values and key order), its rebuild
     would give ``db``'s records, so ``db`` is used and no entry is rebuilt;
     otherwise the entries are rebuilt as without ``db``.  Every other section
-    is still rebuilt from its own entries, so the problems are the same
-    either way.
+    is checked as without ``db``, so the problems are the same either way.
     """
     if not isinstance(document, Mapping):
         return ("document is not an object",)
@@ -407,12 +404,8 @@ def revalidate_document(
     lists = document.get("lists")
     if lists is not None and not isinstance(lists, dict):
         problems.append("lists: is not an object")
-    elif lists is not None:
-        derived = {name: _rebuilt(problems, lambda: tuple(map(index, entry["families"])),
-                                  "lists.{}.families", name)
-                   for name, entry in lists.items()}
-        if db is not None and None not in derived.values():
-            _compare(lists, lists_section(db, derived=derived), "lists", problems)
+    elif lists is not None and db is not None:
+        _compare(lists, lists_section(db), "lists", problems)
 
     coverage = document.get("coverage")
     if coverage is not None:

@@ -29,7 +29,6 @@ from fano95 import (
     verify_surface_table,
 )
 from fano95.families import FamilyRecord, packaged_data_path
-from fano95.lemmas import family_verdicts
 
 # TestClassCertificate is reached through the module (C.TestClassCertificate):
 # importing a name that starts with "Test" would make pytest collect it.
@@ -705,10 +704,10 @@ def test_certificate_quantities_are_exact(db, rows, wide_tables, seed):
 
 def test_verify_surface_table_builds_no_fraction(db, wide_tables, monkeypatch):
     # Certifying a row writes each quantity's text from integers: with the
-    # rows loaded and the verdicts derived (and cached) first, certifying the
+    # rows loaded and the database's verdicts decided first, certifying the
     # table constructs no Fraction at all.
     table = load_surface_rows(wide_tables[3])
-    family_verdicts(db)
+    db.verdicts
     built = []
     fraction_new = Fraction.__new__
 

@@ -396,6 +396,19 @@ def test_full_json_byte_deterministic(capsys):
     assert first.encode() == second.encode()
 
 
+def test_full_json_reports_a_round_trip_failure(capsys, monkeypatch):
+    # An encoder that misprints family 1's test-class value: the document is
+    # still printed whole, and the problem revalidation finds goes to stderr.
+    encode = report.to_json
+    monkeypatch.setattr(report, "to_json", lambda document: encode(document).replace(
+        '"value": "-3/1"', '"value": "-4/1"', 1))
+    code, out, err = run(capsys, "full", "--format", "json")
+    assert (code, len(out.encode())) == (cli.EXIT_CHECK_FAILED, 158_632)
+    assert json.loads(out)["certificates"]["test_class"][0]["value"] == "-4/1"
+    assert err == ("round-trip failure: certificates.test_class[0].value: "
+                   "serialized '-4/1', recomputed '-3/1'\n")
+
+
 #: SHA-256 of the stdout of ``full`` on the packaged tables.  A change that
 #: alters the output on purpose updates these digests and says so.
 FULL_OUTPUT_SHA256 = {
@@ -499,14 +512,20 @@ def test_full_certifies_each_row_once(
 def test_full_derives_the_lists_once(
     capsys, monkeypatch, wide_tables, command, seed, fmt
 ):
-    # Each command derives the lists once; full's cases keep their bare seed ids.
+    # Each command derives the lists once for its output, and in JSON the
+    # round trip derives them once more, from the audit's database, to check
+    # the document's lists; full's cases keep their bare seed ids.
     table = ROWS if seed is None else wide_tables[seed]
     flags = ["--table", str(table)] if command == "full" else []
     calls = []
     derive = report.derived_lists
 
     def counted(db):
-        calls.append(db)
+        frame, callers = sys._getframe(1), []
+        while frame is not None:
+            callers.append(frame.f_code.co_name)
+            frame = frame.f_back
+        calls.append((db, "revalidate_document" in callers))
         return derive(db)
 
     monkeypatch.setattr(report, "derived_lists", counted)
@@ -515,7 +534,9 @@ def test_full_derives_the_lists_once(
         cli.EXIT_OK if seed is None else cli.EXIT_CHECK_FAILED,
         "",
     )
-    assert len(calls) == 1
+    assert [revalidating for _, revalidating in calls] == (
+        [False] if fmt == "text" else [False, True])
+    assert len({id(db) for db, _ in calls}) == 1
 
 
 def _callers_during_full(capsys, table, fmt, watched):
@@ -540,15 +561,14 @@ def _callers_during_full(capsys, table, fmt, watched):
 @pytest.mark.parametrize("seed", [None, 11], ids=["packaged", "wide-11"])
 def test_full_decides_each_family_once(capsys, wide_tables, seed):
     # Text then JSON on one table: each audit loads its own database, so each
-    # builds its 95 verdicts once, and every section reads them.
+    # builds its 95 verdicts once, on first read, and every section, the JSON
+    # round trip's lists included, reads them.
     table = ROWS if seed is None else wide_tables[seed]
     for fmt in ("text", "json"):
         code, callers = _callers_during_full(capsys, table, fmt,
                                              lemmas.family_verdict.__code__)
         assert code == (cli.EXIT_OK if seed is None else cli.EXIT_CHECK_FAILED)
-        names = [name for name, _ in callers]
-        assert names.count("family_verdicts") == 95
-        assert set(names) == {"family_verdicts"}
+        assert callers == [("verdicts", "fano95.families")] * 95
 
 
 @pytest.mark.parametrize("seed", [None, 11], ids=["packaged", "wide-11"])
@@ -738,8 +758,8 @@ def test_a_certificate_quantity_too_long_to_print_is_an_input_error(
 
 @pytest.mark.parametrize("table", sorted(ALTERED_LINES))
 def test_an_audit_reads_only_its_own_verdicts(capsys, tmp_path, rows, table):
-    # The verdicts are kept for the last database audited; an audit of the
-    # packaged table first must leave nothing the next audit reads.
+    # The verdicts are kept on the database they were decided for; an audit
+    # of the packaged table first must leave nothing the next audit reads.
     run(capsys, "full", "--format", "json")
     db = load_families(altered_families(tmp_path, table))
     verification = verify_surface_table(db, rows)
@@ -755,7 +775,6 @@ def test_an_audit_reads_only_its_own_verdicts(capsys, tmp_path, rows, table):
         for row in rows if row.fails != fresh[row.family - 1].fail_tags
     )
     assert [c.case for c in coverage] == [v.case for v in fresh]
-    lemmas.family_verdicts.cache_clear()
     assert build_coverage(db, rows, verification=verification) == coverage
 
 
@@ -819,6 +838,25 @@ def test_a_failing_divisibility_witness_is_a_contracted_gap(capsys, tmp_path, fm
     assert revalidate_document(doc) == ()
     assert [(c["family"], c["status"], c["gaps"]) for c in doc["coverage"]
             if c["status"] != "Covered"] == [(47, "Gap", [gap])]
+
+
+def test_a_case3_family_without_a_test_class_is_a_residual_gap(capsys, tmp_path):
+    # Families 6 and 8 trade degree and weights: family 8 is then X_8 in
+    # P(1,1,1,2,4), whose cap A^3 = 1 no integer filter clears, and no test
+    # class is written for it.  Its residual route is a gap, never raised.
+    text = FAMILIES.read_text(encoding="utf-8")
+    six, eight = "6\t8\t1\t1\t1\t2\t4\n", "8\t9\t1\t1\t1\t3\t4\n"
+    assert text.count(six) == text.count(eight) == 1
+    swapped = tmp_path / "swapped.tsv"
+    swapped.write_text(text.replace(six, "6" + eight[1:]).replace(eight, "8" + six[1:]),
+                       encoding="utf-8")
+    code, out, err = run(capsys, "full", "--families", str(swapped))
+    assert (code, err) == (cli.EXIT_CHECK_FAILED, "")
+    lines = out.splitlines()
+    at = lines.index("family  8 case3: residual via test-class, "
+                     "contracted via no-contracted-curves [Gap]")
+    assert lines[at + 1] == "  GAP: residual (degree cap >= 1 and no test-class certificate)"
+    assert lines[-1] == "coverage: 94 Covered, 1 Gap"
 
 
 def test_full_reports_coverage_gap(capsys, tmp_path):

@@ -111,7 +111,7 @@ _SURFACE_INPUTS = {"family", "vanishing", "fails", "method", "m"}
 def _derived(shape: tuple) -> bool:
     """Whether a path shape is a derived leaf, or lies below one: families
     ``degree_cap`` and ``case``, every test-class field, the surface fields but
-    the row's own, and lists ``expected`` and ``match``."""
+    the row's own, and lists ``expected``, ``families`` and ``match``."""
     if shape[:1] == ("families",):
         return shape[2:3] in (("degree_cap",), ("case",))
     if shape[:2] == ("certificates", "test_class"):
@@ -119,7 +119,7 @@ def _derived(shape: tuple) -> bool:
     if shape[:2] == ("certificates", "surface"):
         return len(shape) > 3 and shape[3] not in _SURFACE_INPUTS
     if shape[:1] == ("lists",):
-        return shape[2:3] in (("expected",), ("match",))
+        return shape[2:3] in (("expected",), ("families",), ("match",))
     return False
 
 

@@ -1,6 +1,7 @@
 """Imports: importing the CLI must not pull in ``dataclasses``,
-``importlib.resources`` or the source-introspection modules they import, and
-no module of the repository imports a name it never uses.
+``importlib.resources`` or the source-introspection modules they import, no
+module of the repository imports a name it never uses, and each package module
+imports only the modules above it in the README's module table.
 
 The cold-start import runs in a fresh ``python -S`` process, so only the
 package's own imports count, not the environment's ``.pth`` files.
@@ -8,6 +9,7 @@ package's own imports count, not the environment's ``.pth`` files.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,3 +71,31 @@ def test_star_import_binds_each_public_name_once():
     exec("from fano95 import *", namespace)
     assert sorted(namespace.keys() - {"__builtins__"}) == sorted(fano95.__all__)
     assert len(fano95.__all__) == len(set(fano95.__all__))
+
+
+def _runtime_relative_imports(tree):
+    """The package modules that a module's module-level relative imports name,
+    in ``if`` and ``try`` blocks too, but not under ``if TYPE_CHECKING:``."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            stack.extend(node.orelse)
+        elif isinstance(node, (ast.If, ast.Try)):
+            stack.extend(ast.iter_child_nodes(node))
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            yield from [node.module] if node.module else (a.name for a in node.names)
+
+
+def test_modules_import_only_the_rows_above_them_in_the_readme_table():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    order = re.findall(r"^\| `fano95\.(\w+)` ", readme, re.MULTILINE)
+    package = SRC / "fano95"
+    modules = sorted(p.stem for p in package.glob("*.py"))
+    assert sorted(order) == [m for m in modules if m not in ("__init__", "__main__")]
+    wrong = []
+    for row, name in enumerate(order):
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        wrong += [f"{name} imports {target}" for target in _runtime_relative_imports(tree)
+                  if target not in order[:row]]
+    assert wrong == []

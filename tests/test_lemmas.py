@@ -2,6 +2,7 @@
 certificates."""
 
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -10,13 +11,14 @@ from fano95 import (
     BoundStatus,
     CaseTag,
     ContractedReason,
+    FamilyRecord,
     GOLDEN_LISTS,
+    Weights,
     classify_case,
     derived_lists,
     expected_fail_tags,
     family_verdict,
 )
-from fano95.lemmas import family_verdicts
 
 CASE3_FAMILIES = (1, 2, 3, 4, 5, 6, 8, 10, 14)
 
@@ -88,6 +90,24 @@ def test_shared_factor_strict_on_remaining_families(db):
     for n in (52, 59, 69, 73, 81):
         c = family_verdict(db.get(n)).shared_factor
         assert c.contradiction is True and c.relation == ">"
+
+
+def test_shared_factor_always_excludes_under_a_residual_bound():
+    # Under the strong or weak bound d < a2*a4, and h = gcd(a1, a2) <= a1, so
+    # d*h < a1*a2*a4: the fibre degree 1/(a3*h) exceeds A^3 = d/(a1*a2*a3*a4).
+    # Every well-formed weight system with a4 <= 20 is checked, none sampled.
+    well_formed = checked = 0
+    for tail in combinations_with_replacement(range(1, 21), 4):
+        if any(gcd(*triple) > 1 for triple in combinations(tail, 3)):
+            continue
+        well_formed += 1
+        f = FamilyRecord(1, sum(tail), Weights((1, *tail)))
+        verdict = family_verdict(f)
+        if gcd(tail[0], tail[1]) > 1 and verdict.residual in (BoundStatus.STRONG_A,
+                                                              BoundStatus.WEAK_B):
+            assert verdict.shared_factor.contradiction, f.weights
+            checked += 1
+    assert (well_formed, checked) == (5018, 1005)
 
 
 def test_verdict_comparisons_are_set_exactly_for_their_lists(db):
@@ -195,8 +215,6 @@ def test_tangents_are_listed_exactly_where_the_last_point_lies_on_x(db):
 
 
 def test_divisibility_violation_is_recorded():
-    from fano95 import FamilyRecord, Weights
-
     f = FamilyRecord(number=13, d=11, weights=Weights((1, 1, 2, 3, 5)))
     # j=0, 1: 1 + 10 = 11 = d; reduced weights 2 and 3 both divide d - a4 = 6.
     assert family_verdict(f).tangents == ((0, ((2, 2, 6), (3, 3, 6))),
@@ -227,8 +245,8 @@ def test_family_lists_examples(db, number, lists):
 
 def test_family_verdict_fields_are_the_public_verdicts(db):
     # The reference is written from the weights with README's coarse bounds.
-    verdicts = family_verdicts(db)
-    assert len(verdicts) == 95 and family_verdicts(db) is verdicts
+    verdicts = db.verdicts
+    assert len(verdicts) == 95 and db.verdicts is verdicts
     for f, v in zip(db, verdicts):
         _, a1, a2, a3, a4 = f.weights
         d = f.d

@@ -500,6 +500,14 @@ def _forge_test_class_b(doc):
     doc["certificates"]["test_class"][0].update(b=1, value="-4/1")
 
 
+def _forge_shared_factor_without_18(doc):
+    # A list whose members and match agree with each other and the expected
+    # members, but not with the families.
+    entry = doc["lists"]["shared_factor"]
+    entry["families"].remove(18)
+    entry["match"] = False
+
+
 @pytest.mark.parametrize(
     "command, forge, problem",
     [
@@ -509,29 +517,33 @@ def _forge_test_class_b(doc):
         ("full", _forge_test_class_b,
          "certificates.test_class[0].b: serialized 1, recomputed 2"),
         ("full", lambda doc: doc["lists"]["strong_bound"].update(families=[1, 2, 3]),
-         "lists.strong_bound.match: serialized True, recomputed False"),
+         "lists.strong_bound.families[0]: serialized 1, recomputed 40"),
         ("full", lambda doc: doc["lists"]["strong_bound"].update(
             families=[40, *GOLDEN_LISTS["strong_bound"][::-1]]),
-         "lists.strong_bound.match: serialized True, recomputed False"),
+         "lists.strong_bound.families[1]: serialized 95, recomputed 45"),
+        ("full", _forge_shared_factor_without_18,
+         "lists.shared_factor.families[0]: serialized 22, recomputed 18"),
         ("full", lambda doc: doc["certificates"]["surface"][3].update(valid=1),
          "certificates.surface[3].valid: serialized 1, recomputed True"),
         ("lists", lambda doc: doc.update(families=None), "families: is not an array"),
         ("lists", lambda doc: doc["lists"]["weak_bound"].update(families=None),
-         "lists.weak_bound.families: does not rebuild "
-         "(TypeError: 'NoneType' object is not iterable)"),
+         "lists.weak_bound.families: serialized None, recomputed an array"),
     ],
     ids=["family-22-as-23", "test-class-b", "list-members", "list-order-repeat",
-         "surface-valid-int", "lists-families-null", "list-members-null"],
+         "list-without-member", "surface-valid-int", "lists-families-null",
+         "list-members-null"],
 )
-def test_revalidate_refuses_forged_documents(capsys, command, forge, problem):
+def test_revalidate_refuses_forged_documents(capsys, db, command, forge, problem):
     # Each forgery agrees with itself entry by entry: only whole sections
     # rebuilt from the families entries, with the builders that wrote them,
-    # show it.
+    # show it, whether or not the audit's database is reused.
     assert cli.main([command, "--format", "json"]) == cli.EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert revalidate_document(doc) == ()
     forge(doc)
-    assert problem in revalidate_document(doc)
+    problems = revalidate_document(doc)
+    assert problem in problems
+    assert revalidate_document(doc, db=db) == problems
 
 
 # ---------------------------------------------------------------------------
