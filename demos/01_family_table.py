@@ -59,4 +59,4 @@ print(f"  A^3(13) = {anticanonical_cube(13, w)},  A^3(26) = {anticanonical_cube(
 
 round_trip = load_families(io.StringIO(serialize_families(db)))
 print(f"\nserialize -> load round-trip preserves all records: "
-      f"{round_trip.records == db.records}")
+      f"{round_trip == db}")

@@ -119,15 +119,14 @@ def run_command(args) -> int:
         coverage = build_coverage(db, rows, verification=verification)
         ok = all(c.status == "Covered" for c in coverage) and ok
     if "lists" in sections:
-        derived = report.derived_lists(db)
         # Compared even after a failed check: perfbench/stages.py replays
         # these calls unconditionally and its self-test matches them.
-        ok = not report.list_mismatches(derived) and ok
+        ok = not report.list_mismatches(report.derived_lists(db)) and ok
     if args.format == "json":
         certified = "certificates" in sections
         document = report.build_document(
             db,
-            lists=report.lists_section(db, derived=derived) if "lists" in sections else None,
+            lists=report.lists_section(db) if "lists" in sections else None,
             test_class=report.test_class_section(tc) if certified else None,
             surface=report.surface_section(db, verification, rows) if certified else None,
             coverage=report.coverage_section(coverage) if "coverage" in sections else None,
@@ -138,7 +137,7 @@ def run_command(args) -> int:
         return rc if ok else EXIT_CHECK_FAILED
     render = {
         "validate": lambda: report.render_validate(db),
-        "lists": lambda: report.render_lists(db, derived=derived)[0],
+        "lists": lambda: report.render_lists(db)[0],
         "certificates": lambda: report.render_certificates(tc, verification)[0],
         "coverage": lambda: report.render_coverage(coverage)[0],
     }

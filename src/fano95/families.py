@@ -13,9 +13,10 @@ import io
 import re
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Union
+from types import MappingProxyType
+from typing import IO, Iterable, Iterator, Mapping, Union
 
-from .lemmas import FamilyVerdict, family_verdict
+from .lemmas import LIST_NAMES, FamilyVerdict, family_verdict
 from .wps import Record, Weights, _check_integer, _shown, anticanonical_cube, format_rational
 
 #: Number of families in the classification.
@@ -89,18 +90,20 @@ class FamilyRecord(Record):
         self._fill(number, d, weights, cube, text)
 
 
-class FamilyDatabase:
-    """Immutable, number-indexed collection of exactly 95 validated records,
-    numbered 1..95 in order, no two with the same degree and weights."""
+class FamilyDatabase(tuple):
+    """The 95 validated records as an immutable tuple, numbered 1..95 in order,
+    no two with the same degree and weights.  A copy or pickle is rebuilt
+    through these checks, and keeps none of the verdicts or lists derived on
+    the original."""
 
-    def __init__(self, records: Iterable[FamilyRecord]):
-        self._records: tuple[FamilyRecord, ...] = tuple(records)
-        if len(self._records) != FAMILY_COUNT:
+    def __new__(cls, records: Iterable[FamilyRecord]) -> "FamilyDatabase":
+        records = tuple(records)
+        if len(records) != FAMILY_COUNT:
             raise ValidationError(
                 None,
-                f"expected exactly {FAMILY_COUNT} family records, got {len(self._records)}",
+                f"expected exactly {FAMILY_COUNT} family records, got {len(records)}",
             )
-        numbers = [r.number for r in self._records]
+        numbers = [r.number for r in records]
         if numbers != list(range(1, FAMILY_COUNT + 1)):
             raise ValidationError(
                 None,
@@ -108,18 +111,16 @@ class FamilyDatabase:
                 f"(got {numbers[:5]}...{numbers[-3:]})",
             )
         first: dict[tuple[int, Weights], int] = {}
-        for r in self._records:
+        for r in records:
             other = first.setdefault((r.d, r.weights), r.number)
             if other != r.number:
                 raise ValidationError(
                     r.number, f"degree {r.d} and weights {r.weights} repeat family {other}"
                 )
+        return tuple.__new__(cls, records)
 
-    def __iter__(self) -> Iterator[FamilyRecord]:
-        return iter(self._records)
-
-    def __len__(self) -> int:
-        return len(self._records)
+    def __reduce__(self):
+        return type(self), (tuple(self),)
 
     def get(self, number: int) -> FamilyRecord:
         """The record numbered ``number``: TypeError for a non-integer (a bool or
@@ -130,17 +131,23 @@ class FamilyDatabase:
             raise FamilyNotFoundError(
                 f"no family numbered {_shown(number)}; valid numbers are 1..{FAMILY_COUNT}"
             )
-        return self._records[number - 1]
-
-    @property
-    def records(self) -> tuple[FamilyRecord, ...]:
-        return self._records
+        return self[number - 1]
 
     @cached_property
     def verdicts(self) -> tuple[FamilyVerdict, ...]:
         """Each record's ``family_verdict``, in order, decided on first read and
         kept with the database: every section of an audit reads these."""
-        return tuple(map(family_verdict, self._records))
+        return tuple(map(family_verdict, self))
+
+    @cached_property
+    def lists(self) -> Mapping[str, tuple[int, ...]]:
+        """Each name in ``LIST_NAMES`` with its members' numbers in order, read
+        off the verdicts on first read; read-only, so every view shows the same."""
+        verdicts = self.verdicts
+        return MappingProxyType({
+            name: tuple([f.number for f, v in zip(self, verdicts) if name in v.lists])
+            for name in LIST_NAMES
+        })
 
 
 Source = Union[str, Path, IO[str], IO[bytes]]

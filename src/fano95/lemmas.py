@@ -208,8 +208,10 @@ def family_verdict(f: FamilyRecord) -> FamilyVerdict:
       the five double-projection comparisons of ``extension_checks``);
     * Case 2: True when d < a2*a4, so every low-degree residual curve lies in
       the base pencil; a family where it is False is a pencil exception;
-    * Case 3: True when A^3 < 1: non-stratum curves have integer degree, so a
-      cap below 1 excludes them all.
+    * Case 3: True when A^3 < 1: off every two-form section, the three
+      weight-one coordinates map a curve C onto a plane curve, so
+      A·C >= 1 > A^3, and lying in a two-form section is the permitted
+      conclusion.
 
     The contracted-curve reason: the last coordinate point lies on X exactly
     when a4 does not divide d.  When a4 | d the projection contracts nothing

@@ -34,7 +34,7 @@ from .certificates import (
 )
 from .coverage import FamilyCoverage
 from .families import FAMILY_COUNT, FamilyDatabase, FamilyRecord
-from .lemmas import LIST_NAMES, classify_case
+from .lemmas import classify_case
 from .wps import Weights, _VANISHING_LABELS, _shown, format_rational
 
 #: Expected membership lists, used only to cross-check the derived ones.
@@ -54,11 +54,9 @@ GOLDEN_LISTS: dict[str, tuple[int, ...]] = {
 }
 
 
-def derived_lists(db: FamilyDatabase) -> dict[str, tuple[int, ...]]:
-    """Recompute every membership list from the weights alone."""
-    verdicts = db.verdicts
-    return {name: tuple([f.number for f, v in zip(db, verdicts) if name in v.lists])
-            for name in LIST_NAMES}
+def derived_lists(db: FamilyDatabase) -> Mapping[str, tuple[int, ...]]:
+    """Every membership list, re-derived from the weights: ``db.lists``."""
+    return db.lists
 
 
 def list_mismatches(
@@ -155,14 +153,10 @@ def surface_section(db: FamilyDatabase, verification: TableVerification, rows) -
     return [_surface_cert_json(cert) for cert in verification.certificates]
 
 
-def lists_section(
-    db: FamilyDatabase, *, derived: Mapping[str, tuple[int, ...]] | None = None
-) -> dict:
-    """The lists entry: each list's members in ``derived`` (none when it lacks
-    the list), its expected members and whether the two match.  ``derived`` is
-    ``derived_lists(db)`` when None; the audit passes the lists it derived."""
-    if derived is None:
-        derived = derived_lists(db)
+def lists_section(db: FamilyDatabase) -> dict:
+    """The lists entry: each list's members in ``derived_lists(db)`` (none when
+    it lacks the list), its expected members and whether the two match."""
+    derived = derived_lists(db)
     mismatches = list_mismatches(derived)
     return {
         name: {
@@ -177,22 +171,22 @@ def lists_section(
 def coverage_section(coverage: Iterable[FamilyCoverage]) -> list[dict]:
     def route_json(entry):
         return {
-            "route": entry.route,
-            "detail": entry.detail,
-            "values": [[label, value] for label, value in entry.values],
             "annotations": [
                 {"kind": a.kind.value, "text": a.text} for a in entry.annotations
             ],
+            "detail": entry.detail,
+            "route": entry.route,
+            "values": [[label, value] for label, value in entry.values],
         }
 
     return [
         {
-            "family": c.family,
             "case": c.case.value,
-            "status": c.status,
+            "contracted": route_json(c.contracted),
+            "family": c.family,
             "gaps": list(c.gaps),
             "residual": route_json(c.residual),
-            "contracted": route_json(c.contracted),
+            "status": c.status,
         }
         for c in coverage
     ]
@@ -436,12 +430,9 @@ def render_validate(db: FamilyDatabase) -> str:
     )
 
 
-def render_lists(
-    db: FamilyDatabase, *, derived: Mapping[str, tuple[int, ...]] | None = None
-) -> tuple[str, bool]:
-    """The lists as text lines; ``derived`` as in ``lists_section``."""
-    if derived is None:
-        derived = derived_lists(db)
+def render_lists(db: FamilyDatabase) -> tuple[str, bool]:
+    """The lists as text lines, read as in ``lists_section``."""
+    derived = derived_lists(db)
     mismatches = list_mismatches(derived)
     lines = []
     for name in sorted(derived):

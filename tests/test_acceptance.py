@@ -165,7 +165,7 @@ def test_acceptance_6_property_suites(db, capsys):
     # the product (bA − E)(A − E)² multiplied out with A²E = 0, AE² = −deg C
     # and E³ = 2 − 2p_a − deg C, both in Fraction arithmetic
     for _ in range(1000):
-        f = rng.choice(db.records)
+        f = rng.choice(db)
         bb = rng.randint(1, 12)
         deg = Fraction(rng.randint(1, 500), rng.randint(1, 500))
         p_a = rng.randint(0, 6)

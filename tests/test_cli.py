@@ -16,7 +16,9 @@ import pytest
 from fano95 import certificates, cli, lemmas, report, revalidate_document
 from fano95.certificates import SURFACE_ROWS_FILENAME, load_surface_rows, verify_surface_table
 from fano95.coverage import _surface_row_values, build_coverage
-from fano95.families import FAMILY_COUNT, FamilyRecord, load_families, packaged_data_path
+from fano95.families import (
+    FAMILY_COUNT, FamilyDatabase, FamilyRecord, load_families, packaged_data_path,
+)
 from fano95.wps import format_rational
 
 FAMILIES = packaged_data_path("families.tsv")
@@ -69,7 +71,7 @@ def test_validate_packaged_table(capsys):
 
 
 @pytest.mark.parametrize("command, flag, source, load", [
-    ("validate", "--families", FAMILIES, lambda source: load_families(source).records),
+    ("validate", "--families", FAMILIES, load_families),
     ("certify", "--table", ROWS, load_surface_rows),
 ], ids=["families", "surface-rows"])
 def test_table_with_a_byte_order_mark_loads_as_without_one(capsys, tmp_path, command, flag,
@@ -512,31 +514,25 @@ def test_full_certifies_each_row_once(
 def test_full_derives_the_lists_once(
     capsys, monkeypatch, wide_tables, command, seed, fmt
 ):
-    # Each command derives the lists once for its output, and in JSON the
-    # round trip derives them once more, from the audit's database, to check
-    # the document's lists; full's cases keep their bare seed ids.
+    # Each command derives the lists once, on first read of its database's
+    # lists; every view, and in JSON the round trip's lists section, reads
+    # them from there.  full's cases keep their bare seed ids.
     table = ROWS if seed is None else wide_tables[seed]
     flags = ["--table", str(table)] if command == "full" else []
-    calls = []
-    derive = report.derived_lists
+    derived = []
+    derive = FamilyDatabase.lists.func
 
     def counted(db):
-        frame, callers = sys._getframe(1), []
-        while frame is not None:
-            callers.append(frame.f_code.co_name)
-            frame = frame.f_back
-        calls.append((db, "revalidate_document" in callers))
+        derived.append(db)
         return derive(db)
 
-    monkeypatch.setattr(report, "derived_lists", counted)
+    monkeypatch.setattr(FamilyDatabase.lists, "func", counted)
     code, _, err = run(capsys, command, *flags, "--format", fmt)
     assert (code, err) == (
         cli.EXIT_OK if seed is None else cli.EXIT_CHECK_FAILED,
         "",
     )
-    assert [revalidating for _, revalidating in calls] == (
-        [False] if fmt == "text" else [False, True])
-    assert len({id(db) for db, _ in calls}) == 1
+    assert len(derived) == 1
 
 
 def _callers_during_full(capsys, table, fmt, watched):
@@ -1076,13 +1072,19 @@ def test_certificate_commands_take_every_flag(capsys, command):
 # python -m
 
 
-def run_module(*argv):
+def _module_env() -> dict:
+    """This environment, with the checkout's ``src`` first on the import path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def run_module(*argv):
     return subprocess.run(
-        [sys.executable, "-m", *argv], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-m", *argv], env=_module_env(), capture_output=True, text=True,
+        timeout=120,
     )
 
 
@@ -1099,3 +1101,19 @@ def test_python_m_package_runs_the_command():
     assert result.returncode == cli.EXIT_OK, result.stderr
     assert result.stdout.startswith("ok: 95 families validated")
     assert result.stderr == ""
+
+
+def test_a_closed_pipe_exits_with_the_sigpipe_status():
+    # The JSON document is larger than a pipe holds, so closing the read end
+    # after ten bytes breaks the pipe mid-write: the audit exits 128 + SIGPIPE
+    # (13) with no traceback.  With PYTHONUNBUFFERED set, the broken write
+    # raises nothing and the audit exits 0, so the child runs buffered.
+    env = _module_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with subprocess.Popen([sys.executable, "-m", "fano95", "full", "--format", "json"],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert child.stdout.read(10) == b'{\n  "certi'
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=120)
+    assert (code, err) == (128 + 13, b"")

@@ -9,6 +9,7 @@ import pytest
 
 from fano95 import (
     FAMILY_COUNT,
+    FamilyDatabase,
     FamilyNotFoundError,
     FamilyRecord,
     FamilyTableError,
@@ -16,6 +17,7 @@ from fano95 import (
     ValidationError,
     Weights,
     load_families,
+    load_packaged_families,
     serialize_families,
 )
 from fano95.families import packaged_data_path, parse_family_line
@@ -23,16 +25,16 @@ from fano95.families import packaged_data_path, parse_family_line
 
 def test_packaged_table_has_95_records(db):
     assert len(db) == FAMILY_COUNT == 95
-    assert [f.number for f in db.records] == list(range(1, 96))
+    assert [f.number for f in db] == list(range(1, 96))
 
 
 def test_every_record_satisfies_degree_sum(db):
-    for f in db.records:
+    for f in db:
         assert f.d == sum(f.weights[1:]), f.number
 
 
 def test_every_record_caches_degree_cap(db):
-    for f in db.records:
+    for f in db:
         assert f.a_cube == Fraction(f.d, f.weights.tail_product)
 
 
@@ -62,6 +64,30 @@ def test_get_refuses_a_non_integer_or_out_of_range_number(db, number, error):
 def test_database_is_iterable_in_order(db):
     numbers = [f.number for f in db]
     assert numbers == sorted(numbers)
+
+
+def test_two_loads_of_the_packaged_table_compare_equal(db):
+    again = load_packaged_families()
+    assert isinstance(again, tuple) and again is not db
+    assert again == db and hash(again) == hash(db)
+
+
+def test_a_copied_or_pickled_database_is_rebuilt_through_its_checks(db):
+    # Each twin is a new database with the same records; none carries the
+    # verdicts or lists derived on the original.
+    db.lists
+    assert {"verdicts", "lists"} <= set(vars(db))
+    for twin in (copy.copy(db), copy.deepcopy(db), pickle.loads(pickle.dumps(db))):
+        assert type(twin) is FamilyDatabase and twin is not db
+        assert twin == db and vars(twin) == {}
+        assert twin.lists == db.lists
+
+    class Forged:  # pickles as a database of the records in reverse order
+        def __reduce__(self):
+            return FamilyDatabase, (tuple(db)[::-1],)
+
+    with pytest.raises(ValidationError, match="must be exactly 1..95 in ascending order"):
+        pickle.loads(pickle.dumps(Forged()))
 
 
 #: Family 20's weights, for records built by hand.
@@ -169,14 +195,14 @@ def test_load_accepts_byte_and_text_streams():
     text = _packaged_text()
     from_text = load_families(io.StringIO(text))
     from_bytes = load_families(io.BytesIO(text.encode()))
-    assert from_text.records == from_bytes.records
+    assert from_text == from_bytes
 
 
 def test_load_drops_a_byte_order_mark_from_a_text_stream(db):
     # A file opened with encoding="utf-8" keeps its mark; one leading mark is
     # dropped, as from bytes and paths, and a second is data.
     text = serialize_families(db)
-    assert load_families(io.StringIO("\ufeff" + text)).records == db.records
+    assert load_families(io.StringIO("\ufeff" + text)) == db
     for twice in ("\ufeff\ufeff" + text, ("\ufeff\ufeff" + text).encode()):
         stream = io.StringIO(twice) if isinstance(twice, str) else io.BytesIO(twice)
         with pytest.raises(ParseError, match=r"^line 1: non-integer field in \['\\ufeff1'"):
@@ -185,9 +211,9 @@ def test_load_drops_a_byte_order_mark_from_a_text_stream(db):
 
 def test_load_accepts_crlf_streams():
     crlf = _packaged_text().replace("\n", "\r\n")
-    expected = load_families(io.StringIO(_packaged_text())).records
-    assert load_families(io.StringIO(crlf)).records == expected
-    assert load_families(io.BytesIO(crlf.encode())).records == expected
+    expected = load_families(io.StringIO(_packaged_text()))
+    assert load_families(io.StringIO(crlf)) == expected
+    assert load_families(io.BytesIO(crlf.encode())) == expected
 
 
 def test_load_skips_comments_and_blank_lines():
@@ -250,7 +276,7 @@ def test_parse_error_carries_line_number_from_stream():
 def test_serialize_load_round_trip(db):
     text = serialize_families(db)
     again = load_families(io.StringIO(text))
-    assert again.records == db.records
+    assert again == db
     assert serialize_families(again) == text
 
 

@@ -77,6 +77,22 @@ def test_derived_lists_match_goldens(db):
     assert report.list_mismatches(derived) == {}
 
 
+def test_the_derived_lists_cannot_be_changed_under_the_views(db):
+    # derived_lists(db) is the database's own read-only mapping of tuples, so
+    # no caller can change what lists_section or render_lists report.
+    section, text = report.lists_section(db), report.render_lists(db)
+    derived = derived_lists(db)
+    assert derived is derived_lists(db)
+    assert all(type(members) is tuple for members in derived.values())
+    with pytest.raises(TypeError):
+        derived["shared_factor"] = ()
+    with pytest.raises(TypeError):
+        del derived["shared_factor"]
+    with pytest.raises(AttributeError):
+        derived.clear()
+    assert (report.lists_section(db), report.render_lists(db)) == (section, text)
+
+
 @pytest.mark.parametrize(
     "members",
     [GOLDEN_LISTS["strong_bound"][::-1], (40,) + GOLDEN_LISTS["strong_bound"]],
@@ -265,6 +281,9 @@ def test_builders_write_keys_in_sorted_order(full_document):
     doc = full_document
     entries = [*doc["families"], *doc["certificates"]["test_class"],
                *doc["certificates"]["surface"], doc["lists"], *doc["lists"].values()]
+    for c in doc["coverage"]:
+        entries += [c, c["residual"], c["contracted"],
+                    *c["residual"]["annotations"], *c["contracted"]["annotations"]]
     assert all(list(entry) == sorted(entry) for entry in entries)
 
 
