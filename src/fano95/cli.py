@@ -12,6 +12,7 @@ is set; an empty value counts as unset); otherwise the packaged tables.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -42,6 +43,23 @@ EXIT_INPUT_ERROR = 2
 
 #: Environment variable naming a directory holding the two data files.
 DATA_DIR_ENV = "AUDIT_DATA_DIR"
+
+
+def _write(text: str) -> None:
+    """Write ``text`` to stdout in full.  Under PYTHONUNBUFFERED the text
+    layer takes a short write to a closed pipe as success, so the encoded
+    bytes go to the binary buffer until it has taken all of them, or a
+    write raises BrokenPipeError; a stream without a buffer (an
+    ``io.StringIO``) takes the text itself."""
+    out = sys.stdout
+    buffer = getattr(out, "buffer", None)
+    if buffer is None:
+        out.write(text)
+        return
+    data = memoryview(text.encode(out.encoding, out.errors))
+    out.flush()
+    while data:
+        data = data[buffer.write(data):]
 
 
 class _InputError(Exception):
@@ -76,7 +94,7 @@ def _emit_json(document: dict, db: FamilyDatabase) -> int:
     ``db``, the database it was written from, spares rebuilding its families."""
     text = report.to_json(document)
     problems = report.revalidate_document(json.loads(text), db=db)
-    sys.stdout.write(text)
+    _write(text)
     if problems:
         for p in problems:
             print(f"round-trip failure: {p}", file=sys.stderr)
@@ -141,7 +159,7 @@ def run_command(args) -> int:
         "certificates": lambda: report.render_certificates(tc, verification)[0],
         "coverage": lambda: report.render_coverage(coverage)[0],
     }
-    sys.stdout.write("".join(render[s]() for s in SECTIONS if s in sections))
+    _write("".join(render[s]() for s in SECTIONS if s in sections))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -191,6 +209,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    # This process runs one audit and exits, and nothing the imports built
+    # can become garbage before then: frozen, it is left out of the audit's
+    # collections and of the full ones at exit.  What the audit allocates
+    # stays collectable.  main() is the library call and leaves the
+    # caller's collector alone.
+    gc.freeze()
     try:
         code = main()
         sys.stdout.flush()

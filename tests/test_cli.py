@@ -2,10 +2,12 @@
 
 import argparse
 import codecs
+import gc
 import hashlib
 import io
 import json
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -411,37 +413,39 @@ def test_full_json_reports_a_round_trip_failure(capsys, monkeypatch):
                    "serialized '-4/1', recomputed '-3/1'\n")
 
 
-#: SHA-256 of the stdout of ``full`` on the packaged tables.  A change that
-#: alters the output on purpose updates these digests and says so.
-FULL_OUTPUT_SHA256 = {
-    "json": "543201ddcd546e09d4440027b526d171927f8a14887c8f4e6e84c20b44f1f7ad",
-    "text": "a876c50b02c1cf85d44cbec72d37480a75a14eea86a623491779e156a03276fd",
-}
+#: ``ci/golden.py``, which keeps the stdout of each audit command on the
+#: packaged tables in a file under ``tests/golden/``.  A change that alters
+#: that output on purpose rewrites the files with it and says so.
+GOLDEN = runpy.run_path(str(ROOT / "ci" / "golden.py"))
 
 
-@pytest.mark.parametrize("fmt", sorted(FULL_OUTPUT_SHA256))
+def assert_golden(command: str, out: str) -> None:
+    """Assert that ``out`` is the golden output of ``command``, byte for byte."""
+    diff = GOLDEN["mismatch"](GOLDEN["command_file"](command), out.encode())
+    assert diff is None, f"{command}: the output differs from its golden file\n{diff}"
+
+
+def test_every_golden_file_is_compared():
+    # A golden file no run writes would linger unchecked after its command went.
+    written = {path for path, _ in GOLDEN["runs"]()}
+    assert {p for p in GOLDEN["GOLDEN"].rglob("*") if p.is_file()} == written
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
 def test_full_output_bytes_are_pinned(capsys, fmt):
     code, out, err = run(capsys, "full", "--format", fmt)
     assert (code, err) == (cli.EXIT_OK, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == FULL_OUTPUT_SHA256[fmt]
+    assert_golden("full --format json" if fmt == "json" else "full", out)
 
 
-#: Exit code and stdout SHA-256 of the other commands.  "T" and "T3" stand
+#: Exit code and stdout SHA-256 of the audits of the wide tables, whose output
+#: is too large to keep three times as golden files.  "T" and "T3" stand
 #: for the seed-11 and seed-3 ``perfbench/widetable.py`` tables, whose
 #: method-42 rows, INVALID rows and gaps reach every surface view; two seeds,
 #: so the pins do not rest on one draw.  No seeded table has a tag mismatch,
 #: so no pinned command writes to stderr.  "T1" is the seed-1
 #: table, whose ``full`` text is the exact output the wide-text benchmark times.
 OUTPUT_SHA256 = {
-    "certify": (0, "1f07e25638f4f3c8e18849af7db5d1b18335918c8df16041b59a5359068b58f3"),
-    "certify --format json": (
-        0, "cdb81f31c263273f0e6c7457697028306ed55234fa1b8531f4ede0b502335bf6"
-    ),
-    "lists": (0, "6d1dd7a8bcf1db01809ac38b4dd84b2b5bbb90f44e3c120e42dd1addc29e1338"),
-    "lists --format json": (
-        0, "a4dcbc1d36eac870a60ebd7f734b62da90eda891e7b76f321df2eff5f2229bfe"
-    ),
-    "validate": (0, "70e861dcd7a17b0470400447801e0f1e7101129da6250641fdc0399f76a9ff28"),
     "full --table T": (
         1, "574e4c1fe6af33daf58edcd450e53ce5eeff37f8c92556e3afd07a0e1e235332"
     ),
@@ -463,7 +467,11 @@ OUTPUT_SHA256 = {
 _WIDE_PLACEHOLDERS = {"T": 11, "T3": 3, "T1": 1}
 
 
-@pytest.mark.parametrize("command", sorted(OUTPUT_SHA256))
+#: The commands of the packaged tables pinned by their golden files, besides ``full``.
+_GOLDEN_OTHERS = [c for c in GOLDEN["COMMANDS"] if c.split()[0] != "full"]
+
+
+@pytest.mark.parametrize("command", sorted([*_GOLDEN_OTHERS, *OUTPUT_SHA256]))
 def test_output_bytes_are_pinned(capsys, wide_tables, command):
     argv = [
         wide_tables[_WIDE_PLACEHOLDERS[a]] if a in _WIDE_PLACEHOLDERS else a
@@ -471,7 +479,11 @@ def test_output_bytes_are_pinned(capsys, wide_tables, command):
     ]
     code, out, err = run(capsys, *argv)
     assert err == ""
-    assert (code, hashlib.sha256(out.encode()).hexdigest()) == OUTPUT_SHA256[command]
+    if command in OUTPUT_SHA256:
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == OUTPUT_SHA256[command]
+    else:
+        assert code == cli.EXIT_OK
+        assert_golden(command, out)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -1055,7 +1067,7 @@ def test_a_call_leaves_no_state_for_the_next(capsys, wide_tables, before, exit_c
     capsys.readouterr()
     code, out, err = run(capsys, "full")
     assert (code, err) == (cli.EXIT_OK, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == FULL_OUTPUT_SHA256["text"]
+    assert_golden("full", out)
 
 
 @pytest.mark.parametrize("command", ["certify", "full"])
@@ -1103,13 +1115,17 @@ def test_python_m_package_runs_the_command():
     assert result.stderr == ""
 
 
-def test_a_closed_pipe_exits_with_the_sigpipe_status():
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_a_closed_pipe_exits_with_the_sigpipe_status(unbuffered):
     # The JSON document is larger than a pipe holds, so closing the read end
     # after ten bytes breaks the pipe mid-write: the audit exits 128 + SIGPIPE
-    # (13) with no traceback.  With PYTHONUNBUFFERED set, the broken write
-    # raises nothing and the audit exits 0, so the child runs buffered.
+    # (13) with no traceback.  Under PYTHONUNBUFFERED the text layer takes the
+    # short write to the broken pipe as success; the audit's output does not
+    # go through it, so the exit is the same.
     env = _module_env()
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
     with subprocess.Popen([sys.executable, "-m", "fano95", "full", "--format", "json"],
                           env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
         assert child.stdout.read(10) == b'{\n  "certi'
@@ -1117,3 +1133,32 @@ def test_a_closed_pipe_exits_with_the_sigpipe_status():
         err = child.stderr.read()
         code = child.wait(timeout=120)
     assert (code, err) == (128 + 13, b"")
+
+
+def test_the_audit_process_freezes_its_import_time_heap():
+    # Run in a child, so that this process's heap is never frozen.
+    script = (
+        "import gc, sys\n"
+        "from fano95 import cli\n"
+        "before = gc.get_freeze_count()\n"
+        "sys.argv = ['audit', 'validate']\n"
+        "try:\n"
+        "    cli.entrypoint()\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(code, before, gc.get_freeze_count())\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], env=_module_env(),
+                            capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+    audit, counts = result.stdout.splitlines()
+    assert audit.startswith("ok: 95 families validated")
+    code, before, after = map(int, counts.split())
+    assert (code, before) == (cli.EXIT_OK, 0)
+    assert after > 0
+
+
+def test_main_leaves_the_callers_collector_alone(capsys):
+    before = gc.get_freeze_count()
+    assert run(capsys, "validate")[0] == cli.EXIT_OK
+    assert gc.get_freeze_count() == before
