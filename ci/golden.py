@@ -4,12 +4,12 @@
 
 Each file holds the exact stdout of one audit on the packaged tables
 (``python -m fano95 COMMAND``) or of one demo in ``demos/``, each run in a
-fresh interpreter with the checkout's ``src`` on PYTHONPATH.  The tests
-compare those outputs with the files byte for byte; no test writes them.  A
-change that alters an output on purpose runs this script, and the diff of
-the files shows what moved.  Nothing is written unless every run exits 0
-with empty stderr; otherwise each failed run is named on stderr and the
-script exits 1.
+fresh interpreter with the checkout's ``src`` on PYTHONPATH and
+PYTHONIOENCODING=utf-8.  The tests compare those outputs with the files
+byte for byte; no test writes them.  A change that alters an output on
+purpose runs this script, and the diff of the files shows what moved.
+Nothing is written unless every run exits 0 with empty stderr; otherwise
+each failed run is named on stderr and the script exits 1.
 """
 
 from __future__ import annotations
@@ -76,7 +76,9 @@ def mismatch(path: Path, actual: bytes) -> str | None:
 
 
 def main() -> int:
-    env = dict(os.environ, PYTHONPATH=str(CHECKOUT / "src"))
+    # The demos print through the locale's encoding: fixed to UTF-8, the
+    # bytes written do not depend on the locale this script runs in.
+    env = dict(os.environ, PYTHONPATH=str(CHECKOUT / "src"), PYTHONIOENCODING="utf-8")
     env.pop("AUDIT_DATA_DIR", None)
     outputs, failed = {}, []
     for path, args in runs():

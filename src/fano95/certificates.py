@@ -32,6 +32,7 @@ from .families import (
     FamilyRecord,
     Source,
     _data_lines,
+    _fields,
     packaged_data_path,
 )
 from .lemmas import family_verdict
@@ -230,24 +231,12 @@ class SurfaceRow(Record):
 
 def parse_surface_row(line: str, line_number: int | None = None) -> SurfaceRow:
     """Parse one TSV data line: family, vanishing indices, fail tags, method, m."""
-    line = line.rstrip("\r\n")
-    fields = line.split("\t")
-    if len(fields) != len(SURFACE_ROW_COLUMNS):
-        raise SurfaceRowParseError(
-            f"expected {len(SURFACE_ROW_COLUMNS)} tab-separated fields, got "
-            f"{len(fields)}",
-            line_number,
-        )
-    if not _ROW_INTEGERS.fullmatch(line):
-        raise SurfaceRowParseError(f"non-integer field in {fields!r}", line_number)
-    raw_family, raw_vanishing, raw_fails, raw_method, raw_m = fields
-    method = _METHODS.get(raw_method)
-    if method is None:
-        raise SurfaceRowParseError(
-            f"method must be one of {list(_METHODS)}, got {raw_method!r}",
-            line_number,
-        )
     try:
+        raw_family, raw_vanishing, raw_fails, raw_method, raw_m = _fields(
+            line, SURFACE_ROW_COLUMNS, _ROW_INTEGERS)
+        method = _METHODS.get(raw_method)
+        if method is None:
+            raise ValueError(f"method must be one of {list(_METHODS)}, got {raw_method!r}")
         return SurfaceRow(int(raw_family), tuple(map(int, raw_vanishing.split(","))),
                           raw_fails.split(",") if raw_fails else (), method, int(raw_m))
     except ValueError as exc:

@@ -46,17 +46,17 @@ DATA_DIR_ENV = "AUDIT_DATA_DIR"
 
 
 def _write(text: str) -> None:
-    """Write ``text`` to stdout in full.  Under PYTHONUNBUFFERED the text
-    layer takes a short write to a closed pipe as success, so the encoded
-    bytes go to the binary buffer until it has taken all of them, or a
-    write raises BrokenPipeError; a stream without a buffer (an
+    """Write ``text`` to stdout in full as UTF-8, whatever the locale.  Under
+    PYTHONUNBUFFERED the text layer takes a short write to a closed pipe as
+    success, so the bytes go to the binary buffer until it has taken all of
+    them, or a write raises BrokenPipeError; a stream without a buffer (an
     ``io.StringIO``) takes the text itself."""
     out = sys.stdout
     buffer = getattr(out, "buffer", None)
     if buffer is None:
         out.write(text)
         return
-    data = memoryview(text.encode(out.encoding, out.errors))
+    data = memoryview(text.encode())
     out.flush()
     while data:
         data = data[buffer.write(data):]

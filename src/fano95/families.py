@@ -154,35 +154,37 @@ Source = Union[str, Path, IO[str], IO[bytes]]
 
 
 def _data_lines(source: Source) -> Iterator[tuple[int, str]]:
-    """The numbered lines of a TSV table, skipping blank lines and '#' comments."""
-    if isinstance(source, (str, Path)):
-        lines = open(source, "r", encoding="utf-8-sig")
-    else:
-        data = source.read()  # one leading byte-order mark is dropped, from text as from bytes
-        text = data.decode("utf-8-sig") if isinstance(data, bytes) else data.removeprefix("\ufeff")
-        lines = io.StringIO(text)
-    with lines:
-        for line_number, line in enumerate(lines, start=1):
-            stripped = line.strip()
-            if stripped and not stripped.startswith("#"):
-                yield line_number, line
+    """The numbered lines of a TSV table, skipping blank lines and '#' comments.
+    A path reads as a stream of its bytes.  Bytes decode as UTF-8, so an error
+    gives the byte's offset in the file; one leading byte-order mark is dropped;
+    and CR, LF and CRLF each end a line, as in ``open()``'s text mode."""
+    data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
+    text = (data.decode() if isinstance(data, bytes) else data).removeprefix("\ufeff")
+    for line_number, line in enumerate(io.StringIO(text, newline=None), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield line_number, line
+
+
+def _fields(line: str, columns: tuple[str, ...], integers: re.Pattern) -> list[str]:
+    """The tab-separated fields of a data line, one for each of ``columns``;
+    ValueError unless ``integers`` matches the line, so that its integer
+    fields are in ASCII digits."""
+    line = line.rstrip("\r\n")
+    fields = line.split("\t")
+    if len(fields) != len(columns):
+        raise ValueError(f"expected {len(columns)} tab-separated fields "
+                         f"({' '.join(columns)}), got {len(fields)}")
+    if not integers.fullmatch(line):
+        raise ValueError(f"non-integer field in {fields!r}")
+    return fields
 
 
 def parse_family_line(line_number: int, line: str) -> FamilyRecord:
     """Parse one TSV data line into a validated record."""
-    line = line.rstrip("\r\n")
-    fields = line.split("\t")
-    if len(fields) != len(TSV_COLUMNS):
-        raise ParseError(
-            line_number,
-            f"expected {len(TSV_COLUMNS)} tab-separated fields "
-            f"({' '.join(TSV_COLUMNS)}), got {len(fields)}",
-        )
-    if not _INTEGER_FIELDS.fullmatch(line):
-        raise ParseError(line_number, f"non-integer field in {fields!r}")
     try:
-        number, d, *ws = [int(f) for f in fields]
-    except ValueError as exc:  # more digits than int() converts
+        number, d, *ws = map(int, _fields(line, TSV_COLUMNS, _INTEGER_FIELDS))
+    except ValueError as exc:  # also more digits than int() converts
         raise ParseError(line_number, str(exc)) from None
     try:
         weights = Weights(ws)

@@ -410,7 +410,13 @@ def revalidate_document(
             family = c.get("family")
             if type(family) is not int:
                 problems.append(f"coverage[{i}].family: {family!r} is not an integer")
-            if (c.get("status") == "Covered") == bool(c.get("gaps")):
+            status, gaps = c.get("status", _ABSENT), c.get("gaps")
+            if type(gaps) is not list:
+                problems.append(f"coverage[{i}].gaps: is not an array")
+            if status not in ("Covered", "Gap"):
+                shown = _SHOWN.get(type(status)) or _repr(status)
+                problems.append(f"coverage[{i}].status: {shown} is not 'Covered' or 'Gap'")
+            elif type(gaps) is list and (status == "Covered") == bool(gaps):
                 problems.append(f"coverage[{i}].status: does not match gap list")
     return tuple(problems)
 

@@ -1,7 +1,9 @@
-"""Shared fixtures: the packaged family database and surface-row table, and
-the seeded wide tables of ``perfbench/widetable.py``."""
+"""Shared fixtures: the packaged family database and surface-row table, the
+kinds of source a table loads from, and the seeded wide tables of
+``perfbench/widetable.py``."""
 
 import importlib.util
+import io
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -25,6 +27,25 @@ def db():
 @pytest.fixture(scope="session")
 def rows():
     return load_packaged_surface_rows()
+
+
+@pytest.fixture(params=["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def line_end(request):
+    """Each line end a table may use."""
+    return request.param
+
+
+@pytest.fixture(params=["path", "bytes", "text"])
+def table_source(request, tmp_path):
+    """A function from a table's text to a source of it of each kind the
+    loaders take: a file, a byte stream and a text stream."""
+    def source(text: str):
+        if request.param == "path":
+            path = tmp_path / "table.tsv"
+            path.write_bytes(text.encode())
+            return path
+        return io.BytesIO(text.encode()) if request.param == "bytes" else io.StringIO(text)
+    return source
 
 
 @pytest.fixture

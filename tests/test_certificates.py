@@ -416,10 +416,11 @@ def test_load_rows_drops_a_byte_order_mark_from_a_text_stream(rows):
     assert load_surface_rows(io.StringIO("\ufeff" + text)) == rows
 
 
-def test_load_rows_accepts_crlf_streams(rows):
-    crlf = serialize_surface_rows(rows).replace("\n", "\r\n")
-    assert load_surface_rows(io.StringIO(crlf)) == rows
-    assert load_surface_rows(io.BytesIO(crlf.encode())) == rows
+def test_load_rows_accepts_crlf_streams(rows, line_end, table_source):
+    # The packaged table, comments and all, loads the same with each line end
+    # from each kind of source.
+    text = packaged_data_path(C.SURFACE_ROWS_FILENAME).read_text(encoding="utf-8")
+    assert load_surface_rows(table_source(text.replace("\n", line_end))) == rows
 
 
 def test_serialize_rows_matches_packaged_data(rows):

@@ -293,20 +293,25 @@ def test_certify_rejects_stray_fail_tag(capsys, tmp_path, fails, message):
 
 
 @pytest.mark.parametrize(
-    "argv, table",
+    "argv, table, data",
     [
-        (["validate", "--families"], "families table"),
-        (["certify", "--table"], "surface-row table"),
+        (["validate", "--families"], "families table", b"\xff\xfe\x00bad\n"),
+        (["certify", "--table"], "surface-row table", b"\xff\xfe\x00bad\n"),
+        # Past the first 8 KiB, the size a text-mode file decodes at a time.
+        (["validate", "--families"], "families table",
+         FAMILIES.read_bytes() + b"# " + b"-" * 8192 + b" \xff\n"),
     ],
-    ids=["validate", "certify"],
+    ids=["validate", "certify", "validate-past-8KiB"],
 )
-def test_table_that_is_not_utf8_is_an_input_error(capsys, tmp_path, argv, table):
+def test_table_that_is_not_utf8_is_an_input_error(capsys, tmp_path, argv, table, data):
+    # The error gives the bad byte's offset in the file.
     bad = tmp_path / "bad.tsv"
-    bad.write_bytes(b"\xff\xfe\x00bad\n")
+    bad.write_bytes(data)
     code, out, err = run(capsys, *argv, str(bad))
     assert code == cli.EXIT_INPUT_ERROR
     assert out == ""
     assert err.startswith(f"error: {table} {bad}: ")
+    assert f"can't decode byte 0xff in position {data.index(0xff)}: " in err
     assert "Traceback" not in err
 
 
@@ -1106,6 +1111,20 @@ def test_python_m_cli_runs_the_command(capsys):
     assert result.returncode == cli.EXIT_OK, result.stderr
     assert result.stdout == expected
     assert result.stderr == ""
+
+
+@pytest.mark.parametrize("command", ["full", "full --format json"])
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1", "cp1252", "utf-16"])
+def test_stdout_is_utf8_whatever_its_encoding(encoding, command):
+    # The text report's em dashes have no ascii or latin-1 byte, cp1252 has
+    # one of its own, and utf-16 has two bytes for every character: the audit
+    # writes UTF-8 all the same, so its bytes are the golden file's.
+    result = subprocess.run([sys.executable, "-m", "fano95", *command.split()],
+                            env=dict(_module_env(), PYTHONIOENCODING=encoding),
+                            capture_output=True, timeout=120)
+    assert (result.returncode, result.stderr) == (cli.EXIT_OK, b"")
+    diff = GOLDEN["mismatch"](GOLDEN["command_file"](command), result.stdout)
+    assert diff is None, f"{command}: the output differs from its golden file\n{diff}"
 
 
 def test_python_m_package_runs_the_command():

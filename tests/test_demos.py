@@ -19,8 +19,9 @@ GOLDEN = runpy.run_path(str(ROOT / "ci" / "golden.py"))
 
 
 def _run(*args):
-    """Run the interpreter on ``args`` with the checkout's ``src`` on PYTHONPATH."""
-    env = dict(os.environ)
+    """Run the interpreter on ``args`` with the checkout's ``src`` on PYTHONPATH
+    and stdout in UTF-8, as ``ci/golden.py`` writes the demos' golden files."""
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )

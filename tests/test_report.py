@@ -527,6 +527,16 @@ def _forge_shared_factor_without_18(doc):
     entry["match"] = False
 
 
+#: A gap as the coverage builder writes it.
+_GAP = "residual (invalid surface certificate)"
+
+
+def _forge_coverage_without_status(doc):
+    # A gap list the status would contradict, with no status to compare.
+    del doc["coverage"][0]["status"]
+    doc["coverage"][0]["gaps"] = [_GAP]
+
+
 @pytest.mark.parametrize(
     "command, forge, problem",
     [
@@ -547,10 +557,17 @@ def _forge_shared_factor_without_18(doc):
         ("lists", lambda doc: doc.update(families=None), "families: is not an array"),
         ("lists", lambda doc: doc["lists"]["weak_bound"].update(families=None),
          "lists.weak_bound.families: serialized None, recomputed an array"),
+        ("full", lambda doc: doc["coverage"][0].update(status="Bogus", gaps=[_GAP]),
+         "coverage[0].status: 'Bogus' is not 'Covered' or 'Gap'"),
+        ("full", _forge_coverage_without_status,
+         "coverage[0].status: <absent> is not 'Covered' or 'Gap'"),
+        ("full", lambda doc: doc["coverage"][0].update(status="Gap", gaps=5),
+         "coverage[0].gaps: is not an array"),
     ],
     ids=["family-22-as-23", "test-class-b", "list-members", "list-order-repeat",
          "list-without-member", "surface-valid-int", "lists-families-null",
-         "list-members-null"],
+         "list-members-null", "coverage-status-bogus", "coverage-status-absent",
+         "coverage-gaps-int"],
 )
 def test_revalidate_refuses_forged_documents(capsys, db, command, forge, problem):
     # Each forgery agrees with itself entry by entry: only whole sections
