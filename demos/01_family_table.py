@@ -23,7 +23,7 @@ print(f"loaded {len(db)} families\n")
 
 print("A record carries the family number, the hypersurface degree d, the")
 print("five weights (always starting with 1), and the cached degree cap")
-print("A^3 = d / (a1*a2*a3*a4) — the anticanonical degree of the threefold:\n")
+print("A^3 = d / (a1*a2*a3*a4) -- the anticanonical degree of the threefold:\n")
 for number in (1, 20, 29, 75, 95):
     f = db.get(number)
     print(

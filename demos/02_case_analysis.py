@@ -45,7 +45,7 @@ print(f"  verdict counts over all {len(case1)} Case-1 families: {dict(counts)}")
 
 print("\nWhen a1 and a2 share a factor h > 1 the image-point argument changes:")
 print("the fibre degree drops to 1/(a3*h) and the bound applies only if that")
-print("still exceeds the degree cap — equality is not enough:")
+print("still exceeds the degree cap -- equality is not enough:")
 for n in (43, 22, 18):
     f = db.get(n)
     c = verdicts[n].shared_factor

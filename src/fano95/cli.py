@@ -11,12 +11,13 @@ is set; an empty value counts as unset); otherwise the packaged tables.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import report
 from .certificates import (
@@ -163,44 +164,62 @@ def run_command(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="audit",
-        description=(
-            "Re-derive and certify every numeric step of the curve-exclusion "
-            "case analysis over the 95 hypersurface families."
-        ),
-    )
+_DEFAULT_PATH = "(default: $AUDIT_DATA_DIR or packaged data)"
+
+#: Each flag's argparse settings, read by build_parser() and read_command_line().
+FLAGS = {
+    "--families": dict(metavar="PATH", help=f"family table TSV {_DEFAULT_PATH}"),
+    "--table": dict(metavar="PATH", help=f"surface-row TSV {_DEFAULT_PATH}"),
+    "--format": dict(choices=("text", "json"), default="text",
+                     help="output format (default: text)"),
+}
+
+
+def command_flags(name: str) -> list[str]:
+    """The flags a command takes: ``--families``, ``--table`` where the
+    certificates are printed, and ``--format`` but for ``validate``."""
+    return (["--families"] + ["--table"] * ("certificates" in COMMANDS[name][1])
+            + ["--format"] * (name != "validate"))
+
+
+@cache
+def build_parser():
+    """The argparse parser, built on the first command line that
+    read_command_line() declines; it alone prints help and usage errors."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="audit", description=(
+        "Re-derive and certify every numeric step of the curve-exclusion "
+        "case analysis over the 95 hypersurface families."))
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, sections) in COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         p.set_defaults(sections=sections, format="text")
-        p.add_argument(
-            "--families",
-            metavar="PATH",
-            help="family table TSV (default: $AUDIT_DATA_DIR or packaged data)",
-        )
-        if "certificates" in sections:
-            p.add_argument(
-                "--table",
-                metavar="PATH",
-                help="surface-row TSV (default: $AUDIT_DATA_DIR or packaged data)",
-            )
-        if name != "validate":
-            p.add_argument(
-                "--format", choices=("text", "json"), default="text",
-                help="output format (default: text)",
-            )
+        for flag in command_flags(name):
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
-#: The parser every main() call reuses: building it costs far more than a
-#: parse, and parse_args leaves it unchanged.
-_PARSER = build_parser()
+def read_command_line(argv: list[str] | None = None) -> SimpleNamespace | None:
+    """build_parser()'s namespace for a command then ``--flag value`` pairs, each
+    flag one the command takes, in full and once, each value a str not starting
+    with "-"; None for any other argv, which main() leaves to argparse."""
+    words = sys.argv[1:] if argv is None else argv
+    if not (isinstance(words, (list, tuple)) and len(words) % 2
+            and all(isinstance(w, str) for w in words) and words[0] in COMMANDS):
+        return None
+    command, flags = words[0], dict(zip(words[1::2], words[2::2]))
+    if (2 * len(flags) + 1 < len(words) or not flags.keys() <= {*command_flags(command)}
+            or any(v.startswith("-") for v in flags.values())
+            or flags.get("--format", "text") not in FLAGS["--format"]["choices"]):
+        return None
+    return SimpleNamespace(command=command, sections=COMMANDS[command][1],
+                           families=flags.get("--families"), table=flags.get("--table"),
+                           format=flags.get("--format", "text"))
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = read_command_line(argv) or build_parser().parse_args(argv)
     try:
         return run_command(args)
     except _InputError as exc:

@@ -5,6 +5,7 @@ import codecs
 import gc
 import hashlib
 import io
+import itertools
 import json
 import os
 import runpy
@@ -959,16 +960,19 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+#: ``audit frobnicate``'s stderr.
+USAGE_ERROR = (
+    "usage: audit [-h] {validate,lists,certify,full} ...\n"
+    "audit: error: argument command: invalid choice: 'frobnicate' "
+    "(choose from 'validate', 'lists', 'certify', 'full')\n"
+)
+
+
 def test_unknown_subcommand_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
-    assert (exc.value.code, *capsys.readouterr()) == (
-        2, "",
-        "usage: audit [-h] {validate,lists,certify,full} ...\n"
-        "audit: error: argument command: invalid choice: 'frobnicate' "
-        "(choose from 'validate', 'lists', 'certify', 'full')\n",
-    )
+    assert (exc.value.code, *capsys.readouterr()) == (2, "", USAGE_ERROR)
 
 
 @pytest.mark.parametrize(
@@ -1042,7 +1046,9 @@ def test_help_bytes_are_pinned(capsys, monkeypatch, command):
 
 
 def test_main_builds_no_parser(capsys, monkeypatch):
-    # The parser is built once, at import; each call only parses with it.
+    # A well-formed command line is read from the command table and builds
+    # no parser; the first one the table declines, a --help or a usage
+    # error, builds the parser and its four subparsers, and later ones reuse it.
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -1051,9 +1057,88 @@ def test_main_builds_no_parser(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
     assert run(capsys, "validate")[0] == cli.EXIT_OK
     assert run(capsys, "lists", "--format", "json")[0] == cli.EXIT_OK
     assert built == []
+    for argv in (["--help"], ["frobnicate"], ["full", "--help"]):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert built == ["audit", *(f"audit {command}" for command in cli.COMMANDS)]
+    assert run(capsys, "full", "--format", "json")[0] == cli.EXIT_OK
+    assert len(built) == 1 + len(cli.COMMANDS)
+
+
+#: The words the reader's enumeration puts after a command: each flag, each
+#: format and one it lacks, a plain value, a command name, and spellings that
+#: only argparse reads or refuses.
+_WORDS = ("--families", "--table", "--format", "text", "json", "xml", "PATH", "full",
+          "", "-", "--", "-h", "--fam", "--format=json", "-1")
+
+#: The fields run_command reads; argparse gives no ``table`` to a command
+#: without certificates, and the reader gives None.
+_FIELDS = ("command", "sections", "families", "table", "format")
+
+
+def _fields(namespace) -> tuple:
+    return tuple(getattr(namespace, name, None) for name in _FIELDS)
+
+
+def test_the_reader_agrees_with_argparse():
+    # Each command then up to 4 words of _WORDS: 216,964 command lines.
+    parser = cli.build_parser()
+    accepted = 0
+    for command in cli.COMMANDS:
+        for count in range(5):
+            for words in itertools.product(_WORDS, repeat=count):
+                argv = [command, *words]
+                namespace = cli.read_command_line(argv)
+                if namespace is not None:
+                    accepted += 1
+                    assert _fields(namespace) == _fields(parser.parse_args(argv)), argv
+    assert accepted == 310
+
+
+@pytest.mark.parametrize("argv, fields", [
+    (["full", "--format", "text", "--format", "json"], ("full", cli.SECTIONS, None, None, "json")),
+    (["certify", "--table", "-"], ("certify", ("certificates",), None, "-", "text")),
+    (["full", "--families", "-1"], ("full", cli.SECTIONS, "-1", None, "text")),
+    (["full", "--format=json"], ("full", cli.SECTIONS, None, None, "json")),
+    (["lists", "--fam", "F"], ("lists", ("lists",), "F", None, "text")),
+], ids=["repeated", "dash-value", "negative-value", "equals", "abbreviated"])
+def test_the_reader_leaves_other_spellings_to_argparse(argv, fields):
+    assert cli.read_command_line(argv) is None
+    assert _fields(cli.build_parser().parse_args(argv)) == fields
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["full", "--format"], "audit full: error: argument --format: expected one argument"),
+    (["certify", "--table", "T", "--families"],
+     "audit certify: error: argument --families: expected one argument"),
+    (["lists", "json"], "audit: error: unrecognized arguments: json"),
+], ids=["missing-value", "odd-count", "stray-value"])
+def test_a_declined_command_line_fails_through_argparse(capsys, argv, error):
+    assert cli.read_command_line(argv) is None
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out, err.splitlines()[-1]) == (2, "", error)
+
+
+def test_the_reader_takes_sys_argv_and_declines_what_it_cannot_read(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["audit", "full", "--format", "json"])
+    assert _fields(cli.read_command_line()) == ("full", cli.SECTIONS, None, None, "json")
+    assert _fields(cli.read_command_line(("lists",))) == ("lists", ("lists",), None, None, "text")
+    # An iterator is left to argparse unread, and so is a word that is not a str.
+    assert cli.read_command_line(iter(["validate"])) is None
+    assert cli.read_command_line(["full", "--families", Path("F")]) is None
+    assert cli.read_command_line([b"full"]) is None
+
+
+def test_main_reads_an_iterator_through_argparse(capsys):
+    _, expected, _ = run(capsys, "validate")
+    assert cli.main(iter(["validate"])) == cli.EXIT_OK
+    assert capsys.readouterr() == (expected, "")
 
 
 @pytest.mark.parametrize(
@@ -1132,6 +1217,42 @@ def test_python_m_package_runs_the_command():
     assert result.returncode == cli.EXIT_OK, result.stderr
     assert result.stdout.startswith("ok: 95 families validated")
     assert result.stderr == ""
+
+
+def test_a_well_formed_audit_process_imports_no_argparse():
+    # In a fresh process, as pytest has imported argparse in this one; -S
+    # keeps the environment's .pth files out.
+    script = (
+        "import sys\n"
+        "from fano95 import cli\n"
+        "sys.argv = ['audit', 'full', '--format', 'json']\n"
+        "try:\n"
+        "    cli.entrypoint()\n"
+        "finally:\n"
+        "    sys.stderr.write(' '.join(sys.modules))\n"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", script], env=_module_env(),
+                            capture_output=True, timeout=120)
+    assert result.returncode == cli.EXIT_OK, result.stderr
+    assert GOLDEN["mismatch"](GOLDEN["command_file"]("full --format json"), result.stdout) is None
+    loaded = set(result.stderr.decode().split())
+    assert "fano95.cli" in loaded
+    assert sorted(loaded & {"argparse", "gettext", "locale"}) == []
+
+
+@pytest.mark.parametrize("command", ["", "full"])
+def test_python_m_prints_the_pinned_help(command):
+    result = subprocess.run([sys.executable, "-m", "fano95", *command.split(), "--help"],
+                            env=dict(_module_env(), COLUMNS="80"),
+                            capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stdout, result.stderr) == (0, HELP[command], "")
+
+
+def test_python_m_prints_the_pinned_usage_error():
+    result = subprocess.run([sys.executable, "-m", "fano95", "frobnicate"],
+                            env=dict(_module_env(), COLUMNS="80"),
+                            capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", USAGE_ERROR)
 
 
 @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])

@@ -18,10 +18,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 GOLDEN = runpy.run_path(str(ROOT / "ci" / "golden.py"))
 
 
-def _run(*args):
+def _run(*args, encoding="utf-8"):
     """Run the interpreter on ``args`` with the checkout's ``src`` on PYTHONPATH
-    and stdout in UTF-8, as ``ci/golden.py`` writes the demos' golden files."""
-    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    and stdout in ``encoding``, UTF-8 as ``ci/golden.py`` writes the demos'
+    golden files unless given."""
+    env = dict(os.environ, PYTHONIOENCODING=encoding)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
@@ -35,6 +36,16 @@ def test_demo_exits_zero(demo):
     assert result.stderr == b""  # a warning under PYTHONDEVMODE=1 would show here
     diff = GOLDEN["mismatch"](GOLDEN["demo_file"](demo), result.stdout)
     assert diff is None, f"{demo.name}: the output differs from its golden file\n{diff}"
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1", "cp1252"])
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_bytes_do_not_follow_the_locale(demo, encoding):
+    # The demos print ASCII, so any stdout encoding writes the golden bytes.
+    result = _run(str(demo), encoding=encoding)
+    assert (result.returncode, result.stderr.decode()) == (0, "")
+    diff = GOLDEN["mismatch"](GOLDEN["demo_file"](demo), result.stdout)
+    assert diff is None, f"{demo.name} under {encoding}: the output differs\n{diff}"
 
 
 def test_readme_library_tour_runs():

@@ -1,7 +1,9 @@
 """Imports: importing the CLI must not pull in ``dataclasses``,
-``importlib.resources`` or the source-introspection modules they import, no
-module of the repository imports a name it never uses, and each package module
-imports only the modules above it in the README's module table.
+``importlib.resources`` or the source-introspection modules they import, nor
+``argparse`` with its ``gettext`` and ``locale``, which only help and usage
+errors need; no module of the repository imports a name it never uses, and
+each package module imports only the modules above it in the README's module
+table.
 
 The cold-start import runs in a fresh ``python -S`` process, so only the
 package's own imports count, not the environment's ``.pth`` files.
@@ -18,7 +20,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 #: Modules a cold start of the CLI leaves out on every supported Python.
-SKIPPED = ("dataclasses", "importlib.resources", "inspect", "ast", "dis", "tokenize")
+SKIPPED = ("dataclasses", "importlib.resources", "inspect", "ast", "dis", "tokenize",
+           "argparse", "gettext", "locale")
 
 
 def test_cli_import_skips_dataclasses_and_introspection():
