@@ -58,11 +58,13 @@ print("\nCase 2 (a1 = 1 < a2): the residual bound is d < a2*a4.")
 exceptions = [n for n in parts[CaseTag.CASE2] if not verdicts[n].residual]
 print(f"  exceptions (bound fails): {exceptions}")
 
-print("\nCase 3 (a1 = a2 = 1): non-stratum curves have integer degree, so a")
-print("degree cap below 1 excludes them all:")
+print("\nCase 3 (a1 = a2 = 1): the three weight-one coordinates map a curve off")
+print("every two-form section onto a plane curve, so its degree is at least 1,")
+print("and a degree cap below 1 excludes it; a curve inside a two-form section")
+print("is the permitted conclusion:")
 for n in parts[CaseTag.CASE3]:
     f = db.get(n)
-    mark = "cap < 1, integral filter settles it" if verdicts[n].residual \
+    mark = "cap < 1, degree >= 1 settles it" if verdicts[n].residual \
         else "cap >= 1, needs the blow-up certificates"
     print(f"  family {n:2d}: A^3 = {f.a_cube}  ({mark})")
 

@@ -2,11 +2,12 @@
 
 Exit codes: 0 when every requested check passes; 1 when a derived list, a
 certificate or a coverage entry fails, with the full report printed; 2 for
-input problems (unreadable, unparsable, or invalid data files).  Data files
-resolve in three steps: an explicit ``--families`` / ``--table`` flag wins,
-and an empty one is an input error that names the flag; otherwise a file of
-the standard name inside ``$AUDIT_DATA_DIR`` (authoritative when the variable
-is set; an empty value counts as unset); otherwise the packaged tables.
+input problems (unreadable, unparsable, or invalid data files) and for a
+report that cannot be written.  Data files resolve in three steps: an
+explicit ``--families`` / ``--table`` flag wins, and an empty one is an
+input error that names the flag; otherwise a file of the standard name
+inside ``$AUDIT_DATA_DIR`` (authoritative when the variable is set; an empty
+value counts as unset); otherwise the packaged tables.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .certificates import (
     SURFACE_ROWS_FILENAME,
     CertificateError,
     RowError,
-    SurfaceRowParseError,
     case3_test_class_certificates,
     load_surface_rows,
     verify_surface_table,
@@ -33,7 +33,6 @@ from .coverage import build_coverage
 from .families import (
     FAMILIES_FILENAME,
     FamilyDatabase,
-    FamilyTableError,
     load_families,
     packaged_data_path,
 )
@@ -77,7 +76,7 @@ def resolve_data_path(explicit: str | None, filename: str) -> Path:
     return packaged_data_path(filename)
 
 
-def _load_table(explicit: str | None, flag: str, what: str, filename: str, load, error):
+def _load_table(explicit: str | None, flag: str, what: str, filename: str, load):
     """Load one data table and return its path and contents, raising
     _InputError for any input problem; an explicit empty flag names no file,
     so it is refused by the flag's name."""
@@ -86,7 +85,7 @@ def _load_table(explicit: str | None, flag: str, what: str, filename: str, load,
     path = resolve_data_path(explicit, filename)
     try:
         return path, load(path)
-    except (OSError, UnicodeDecodeError, error) as exc:
+    except (OSError, ValueError) as exc:  # every table error the loaders raise
         raise _InputError(f"{what} {path}: {exc}") from exc
 
 
@@ -121,11 +120,11 @@ def run_command(args) -> int:
     them."""
     sections = args.sections
     families_path, db = _load_table(args.families, "--families", "families table",
-                                    FAMILIES_FILENAME, load_families, FamilyTableError)
+                                    FAMILIES_FILENAME, load_families)
     ok = True
     if "certificates" in sections:
         path, rows = _load_table(args.table, "--table", "surface-row table",
-                                 SURFACE_ROWS_FILENAME, load_surface_rows, SurfaceRowParseError)
+                                 SURFACE_ROWS_FILENAME, load_surface_rows)
         try:  # each error: a quantity too long to print
             tc = case3_test_class_certificates(db)
             verification = verify_surface_table(db, rows)
@@ -237,12 +236,17 @@ def entrypoint() -> None:
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # Downstream consumer (e.g. `head`) closed the pipe; exit with the
-        # conventional SIGPIPE status instead of a traceback.
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # Downstream consumer (e.g. `head`) closed the pipe; exit with the
+            # conventional SIGPIPE status instead of a traceback.
+            code = 128 + 13
+        else:  # such as a full disk: no report was written, no check failed
+            print(f"error: writing the report: {exc}", file=sys.stderr)
+            code = EXIT_INPUT_ERROR
+        # The unwritten bytes go to devnull, so the flush at exit cannot fail.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
-        code = 128 + 13
     raise SystemExit(code)
 
 

@@ -224,9 +224,9 @@ def _residual_route(
     if verdict.residual:
         return RouteEntry(
             route="integer-filter",
-            detail="degree cap below 1: residual classes have integer "
-            "degree, so all exceed the cap; doubly-contracted classes "
-            "land inside two-form sections, the permitted conclusion",
+            detail="degree cap below 1: the three weight-one coordinates map a curve off every "
+            "two-form section onto a plane curve, so its degree is at least 1 and exceeds "
+            "the cap; a curve inside a two-form section is the permitted conclusion",
             values=(("degree cap", f.a_cube_text),),
         )
     cert = test_class_by_family.get(f.number)
@@ -289,10 +289,10 @@ def _contracted_route(
                         f"d - a4 = {f.d - a[4]} nor d = {f.d})"
                     )
                     break
-            else:
+            else:  # d < a1*a2*a3 leaves each tangent a reduced weight above 1
                 witness = ", ".join(
                     f"{w} | {divisor}" for _, w, divisor in witnesses
-                ) or "no reduced weights above 1"
+                )
                 values.append((f"tangent index {j} divisibility", witness))
         return RouteEntry(
             route="contracted-degree-bound",

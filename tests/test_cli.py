@@ -413,7 +413,7 @@ def test_full_json_reports_a_round_trip_failure(capsys, monkeypatch):
     monkeypatch.setattr(report, "to_json", lambda document: encode(document).replace(
         '"value": "-3/1"', '"value": "-4/1"', 1))
     code, out, err = run(capsys, "full", "--format", "json")
-    assert (code, len(out.encode())) == (cli.EXIT_CHECK_FAILED, 158_632)
+    assert (code, len(out.encode())) == (cli.EXIT_CHECK_FAILED, 158_812)
     assert json.loads(out)["certificates"]["test_class"][0]["value"] == "-4/1"
     assert err == ("round-trip failure: certificates.test_class[0].value: "
                    "serialized '-4/1', recomputed '-3/1'\n")
@@ -456,13 +456,13 @@ OUTPUT_SHA256 = {
         1, "574e4c1fe6af33daf58edcd450e53ce5eeff37f8c92556e3afd07a0e1e235332"
     ),
     "full --table T --format json": (
-        1, "2bee361b52b23a7d12adfe4ea06a898f723cb1d4f9a71cc6a6b539f2b3d45de9"
+        1, "e0ce9de619c5cb568300073ee2c6f87281938840c5065021db86a982536d0f7a"
     ),
     "full --table T3": (
         1, "44fb66a83c961b5282b51d302250227f2d6be720f82ba213c6916a99e6551ea1"
     ),
     "full --table T3 --format json": (
-        1, "9d5b498b9c24567de8e6f7635eb5fcddaac34f342f60ab2377d6e9973bd55d6e"
+        1, "4721188c2472f8706a420b05774da25f206b3a531ab2b56eea22586c1587953a"
     ),
     "full --table T1": (
         1, "f048d2a3f61c05596347a2bc75d776b31c7f08cb06062f05ce49b918291d1a27"
@@ -1255,6 +1255,15 @@ def test_python_m_prints_the_pinned_usage_error():
     assert (result.returncode, result.stdout, result.stderr) == (2, "", USAGE_ERROR)
 
 
+def _stdout_env(unbuffered: str | None) -> dict:
+    """_module_env() with PYTHONUNBUFFERED set to ``unbuffered``, or unset for None."""
+    env = _module_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    return env
+
+
 @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
 def test_a_closed_pipe_exits_with_the_sigpipe_status(unbuffered):
     # The JSON document is larger than a pipe holds, so closing the read end
@@ -1262,17 +1271,29 @@ def test_a_closed_pipe_exits_with_the_sigpipe_status(unbuffered):
     # (13) with no traceback.  Under PYTHONUNBUFFERED the text layer takes the
     # short write to the broken pipe as success; the audit's output does not
     # go through it, so the exit is the same.
-    env = _module_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = unbuffered
     with subprocess.Popen([sys.executable, "-m", "fano95", "full", "--format", "json"],
-                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+                          env=_stdout_env(unbuffered), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as child:
         assert child.stdout.read(10) == b'{\n  "certi'
         child.stdout.close()
         err = child.stderr.read()
         code = child.wait(timeout=120)
     assert (code, err) == (128 + 13, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["validate", "full", "full --format json"])
+def test_a_report_that_cannot_be_written_is_an_input_error(command, unbuffered):
+    # Every write to /dev/full fails with ENOSPC.  No report was written and no
+    # check failed, so the audit exits 2 with one line, not 1 with a traceback.
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run([sys.executable, "-m", "fano95", *command.split()],
+                                env=_stdout_env(unbuffered), stdout=full,
+                                stderr=subprocess.PIPE, text=True, timeout=120)
+    assert result.returncode == cli.EXIT_INPUT_ERROR, result.stderr
+    assert result.stderr.startswith("error: writing the report: ")
+    assert result.stderr.count("\n") == 1, result.stderr
 
 
 def test_the_audit_process_freezes_its_import_time_heap():

@@ -3,8 +3,9 @@ emitter.
 
 Each case mutates one line of a packaged table, replaces one value of the
 ``full --format json`` document, or draws a random JSON tree.  A table must
-load or raise its parser's own error; revalidation must return a tuple of
-problems and raise nothing, and at least one problem when a derived value
+load or raise its parser's own error, and a table its loader refuses must make
+the command line exit 2 with one error line; revalidation must return a tuple
+of problems and raise nothing, and at least one problem when a derived value
 changed; ``to_json`` must write the bytes of the stdlib's
 ``json.dumps(tree, sort_keys=True, indent=2)`` plus a newline.
 """
@@ -68,15 +69,19 @@ def _mutated_table(filename: str, seed: int) -> io.StringIO:
     return io.StringIO("\n".join(lines))
 
 
-@pytest.mark.parametrize(
-    "filename, load, error",
-    [
-        ("families.tsv", load_families, FamilyTableError),
-        (SURFACE_ROWS_FILENAME, load_surface_rows, SurfaceRowParseError),
-    ],
-    ids=["families", "surface-rows"],
-)
-def test_fuzzed_table_loads_or_raises_its_parse_error(filename, load, error):
+#: Each table's file name, loader, the error its loader raises, the command
+#: that loads it from the path given last, and the name its errors print.
+_TABLES = {
+    "families": ("families.tsv", load_families, FamilyTableError,
+                 ["validate", "--families"], "families table"),
+    "surface-rows": (SURFACE_ROWS_FILENAME, load_surface_rows, SurfaceRowParseError,
+                     ["certify", "--table"], "surface-row table"),
+}
+
+
+@pytest.mark.parametrize("table", _TABLES)
+def test_fuzzed_table_loads_or_raises_its_parse_error(table):
+    filename, load, error, _, _ = _TABLES[table]
     for seed in SEEDS:
         try:
             load(_mutated_table(filename, seed))
@@ -84,6 +89,28 @@ def test_fuzzed_table_loads_or_raises_its_parse_error(filename, load, error):
             pass
         except Exception as exc:  # any other exception is an escape
             pytest.fail(f"seed {seed}: {type(exc).__name__}: {exc}")
+
+
+@pytest.mark.parametrize("table", _TABLES)
+def test_fuzzed_table_the_loader_refuses_is_one_input_error_line(tmp_path, capsys, table):
+    # The command line catches a table error by its base, OSError or
+    # ValueError; each refused table must still exit 2 with one line naming it.
+    filename, load, error, command, what = _TABLES[table]
+    refused = 0
+    for seed in SEEDS:
+        text = _mutated_table(filename, seed).getvalue()
+        try:
+            load(io.StringIO(text))
+            continue
+        except error:
+            refused += 1
+        path = tmp_path / f"{seed}.tsv"
+        path.write_text(text, encoding="utf-8")
+        code = cli.main([*command, str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (cli.EXIT_INPUT_ERROR, ""), seed
+        assert err.startswith(f"error: {what} {path}: ") and err.count("\n") == 1, (seed, err)
+    assert refused >= 100, refused
 
 
 @pytest.fixture(scope="module")

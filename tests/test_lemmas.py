@@ -110,6 +110,26 @@ def test_shared_factor_always_excludes_under_a_residual_bound():
     assert (well_formed, checked) == (5018, 1005)
 
 
+def test_every_tangent_under_the_product_bound_has_a_witness():
+    # A tangent index j has d = aj + 2*a4.  With no witness, every other ai
+    # (1 <= i <= 3) is 1, so a1*a2*a3 is aj < d (j >= 1) or 1 < d (j = 0)
+    # and the product bound d < a1*a2*a3 fails; coverage prints the witnesses
+    # with no text for an empty list.  Every well-formed weight system with
+    # a4 <= 20 is checked, none sampled.
+    well_formed = bounded = tangents = 0
+    for tail in combinations_with_replacement(range(1, 21), 4):
+        if any(gcd(*triple) > 1 for triple in combinations(tail, 3)):
+            continue
+        well_formed += 1
+        verdict = family_verdict(FamilyRecord(1, sum(tail), Weights((1, *tail))))
+        if verdict.contracted is ContractedReason.DEGREE_BOUND:
+            bounded += 1
+            for j, witnesses in verdict.tangents:
+                assert witnesses, (tail, j)
+                tangents += 1
+    assert (well_formed, bounded, tangents) == (5018, 4147, 950)
+
+
 def test_verdict_comparisons_are_set_exactly_for_their_lists(db):
     # The shared-factor comparison exists exactly for the shared-factor list,
     # the double-projection ones exactly for the extension list, and every
