@@ -12,6 +12,7 @@ value counts as unset); otherwise the packaged tables.
 
 from __future__ import annotations
 
+import errno
 import gc
 import json
 import os
@@ -50,8 +51,11 @@ def _write(text: str) -> None:
     PYTHONUNBUFFERED the text layer takes a short write to a closed pipe as
     success, so the bytes go to the binary buffer until it has taken all of
     them, or a write raises BrokenPipeError; a stream without a buffer (an
-    ``io.StringIO``) takes the text itself."""
+    ``io.StringIO``) takes the text itself.  No stream at all (Python's
+    stdout when fd 1 was closed at start) is an OSError, as a failed write is."""
     out = sys.stdout
+    if out is None:
+        raise OSError(errno.EBADF, "standard output is closed")
     buffer = getattr(out, "buffer", None)
     if buffer is None:
         out.write(text)
@@ -235,7 +239,8 @@ def entrypoint() -> None:
     gc.freeze()
     try:
         code = main()
-        sys.stdout.flush()
+        if sys.stdout is not None:  # None when fd 1 was closed at start
+            sys.stdout.flush()
     except OSError as exc:
         if isinstance(exc, BrokenPipeError):
             # Downstream consumer (e.g. `head`) closed the pipe; exit with the
@@ -245,8 +250,9 @@ def entrypoint() -> None:
             print(f"error: writing the report: {exc}", file=sys.stderr)
             code = EXIT_INPUT_ERROR
         # The unwritten bytes go to devnull, so the flush at exit cannot fail.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        if sys.stdout is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
     raise SystemExit(code)
 
 

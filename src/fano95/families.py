@@ -135,8 +135,10 @@ class FamilyDatabase(tuple):
 
     @cached_property
     def verdicts(self) -> tuple[FamilyVerdict, ...]:
-        """Each record's ``family_verdict``, in order, decided on first read and
-        kept with the database: every section of an audit reads these."""
+        """Each record's ``family_verdict``, in order, read on first use and
+        kept with the database: every section of an audit reads these.  A
+        verdict is decided once per (d, weights) in a process, so a second
+        database of the same families decides none again."""
         return tuple(map(family_verdict, self))
 
     @cached_property

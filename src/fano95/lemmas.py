@@ -11,24 +11,25 @@ weight coordinate either contracts C to a point or maps it to a curve; we call
 the non-contracted classes *residual*.  Each case has a coarse inequality
 under which every low-degree residual curve is excluded outright, and a
 separate product bound handles the contracted classes.  ``family_verdict``
-evaluates those inequalities exactly, once per family, from its weights alone,
-never from stored lists, into one ``FamilyVerdict``: the case, the residual
-verdict, the contracted-curve reason, the derived lists and fail tags, the
-Case-1 comparisons against the cap A³ for the families the bounds leave open
-(the binomial fibre degree 1/(a3*h) where h = gcd(a1, a2) > 1, and the five
-double-projection comparisons where the residual bound fails), and, where
-the projection can contract curves, each tangent index with its
-divisibility witnesses.
+evaluates those inequalities exactly from the degree and weights alone, never
+from stored lists, once per (d, weights) in a process, into one
+``FamilyVerdict``: the case, the residual verdict, the contracted-curve
+reason, the derived lists and fail tags, the Case-1 comparisons against the
+cap A³ for the families the bounds leave open (the binomial fibre degree
+1/(a3*h) where h = gcd(a1, a2) > 1, and the five double-projection
+comparisons where the residual bound fails), and, where the projection can
+contract curves, each tangent index with its divisibility witnesses.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import TYPE_CHECKING
 
-from .wps import Record, Weights
+from .wps import Record, Weights, anticanonical_cube
 
 if TYPE_CHECKING:
     from .families import FamilyRecord
@@ -59,7 +60,10 @@ class ContractedReason(Enum):
 
 def classify_case(f: FamilyRecord) -> CaseTag:
     """The case tag of a family, read off its weights."""
-    a = f.weights
+    return _case(f.weights)
+
+
+def _case(a: Weights) -> CaseTag:
     if a[1] > 1:
         return CaseTag.CASE1
     if a[2] > 1:
@@ -198,7 +202,10 @@ class FamilyVerdict(Record):
 
 
 def family_verdict(f: FamilyRecord) -> FamilyVerdict:
-    """Decide family f from its weights a0..a4 and degree d, in one pass.
+    """Decide family f from its weights a0..a4 and degree d, in one pass, once
+    per (d, weights) in a process: the verdict reads nothing else (the cap is
+    f.a_cube = d/(a1*a2*a3*a4)), so records with equal degree and weights share
+    one immutable verdict, whatever their numbers.
 
     The residual verdict is the case's coarse bound:
 
@@ -224,8 +231,14 @@ def family_verdict(f: FamilyRecord) -> FamilyVerdict:
     its binomial fibre degree 1/(a3*h) with the cap: the argument applies
     exactly when that degree exceeds the cap.
     """
-    a, d = f.weights, f.d
-    case = classify_case(f)
+    return _decide(f.d, f.weights)
+
+
+@lru_cache(maxsize=1024, typed=True)
+def _decide(d: int, a: Weights) -> FamilyVerdict:
+    """``family_verdict``'s body, keyed on the degree and weights; the cap
+    A^3 is derived here only where a comparison reads it."""
+    case = _case(a)
     if case is CaseTag.CASE1:
         residual = (BoundStatus.STRONG_A if d < a[1] * a[4] else
                     BoundStatus.WEAK_B if d < a[2] * a[4] else BoundStatus.FAILS)
@@ -234,7 +247,7 @@ def family_verdict(f: FamilyRecord) -> FamilyVerdict:
         residual = d < a[2] * a[4]
         names = set() if residual else {"pencil_exceptions"}
     else:
-        residual, names = f.a_cube < 1, set()
+        residual, names = anticanonical_cube(d, a) < 1, set()
     if d % a[4] == 0:  # a pure power of x4 has degree d: the point misses X
         contracted, tangents = ContractedReason.NO_CONTRACTED_CURVES, ()
     else:
@@ -245,11 +258,12 @@ def family_verdict(f: FamilyRecord) -> FamilyVerdict:
     h, shared, extensions = gcd(a[1], a[2]), None, ()
     if h > 1 or residual is BoundStatus.FAILS:
         binomial = Fraction(1, a[3] * h)  # the fibre degree over the binomial orbit
+        cap = anticanonical_cube(d, a)
         if h > 1:
             names.add("shared_factor")
-            shared = Comparison("shared-factor image degree vs cap", binomial, f.a_cube, None)
+            shared = Comparison("shared-factor image degree vs cap", binomial, cap, None)
         if residual is BoundStatus.FAILS:
-            extensions = _extension_checks(a, h, binomial, f.a_cube)
+            extensions = _extension_checks(a, h, binomial, cap)
     tags = frozenset([_FAIL_TAGS[name] for name in names if name in _FAIL_TAGS])
     return FamilyVerdict(case, residual, contracted, frozenset(names), tags,
                          shared, extensions, tangents)

@@ -313,6 +313,27 @@ def _compare(got, want, path: str, problems: list[str]) -> None:
         problems.append(f"{path}: serialized {shown[0]}, recomputed {shown[1]}")
 
 
+#: The keys of the document, of its certificates object and of a coverage
+#: entry: each always present, and no other.
+_DOCUMENT_KEYS = frozenset({"certificates", "coverage", "families", "lists"})
+_CERTIFICATES_KEYS = frozenset({"surface", "test_class"})
+_COVERAGE_KEYS = frozenset({"case", "contracted", "family", "gaps", "residual", "status"})
+#: The coverage keys reported when absent; the status check names an absent status.
+_COVERAGE_REQUIRED = _COVERAGE_KEYS - {"status"}
+
+
+def _shape(problems: list[str], prefix: str, entry: Mapping, keys: frozenset[str],
+           required: frozenset[str] | None = None) -> None:
+    """Report each key of ``required`` (all of ``keys`` when None) that the
+    object ``entry`` lacks as <absent>, in sorted order, and each key it has
+    beyond ``keys`` as unknown, each led by its path, ``prefix`` then the key."""
+    if entry.keys() == keys:
+        return
+    absent = (keys if required is None else required) - entry.keys()
+    problems.extend(f"{prefix}{key}: <absent>" for key in sorted(absent))
+    problems.extend(f"{prefix}{key}: unknown key" for key in entry if key not in keys)
+
+
 def _rebuilt(problems: list[str], build, path: str):
     """``build()``, or None after reporting that ``path`` does not rebuild."""
     try:
@@ -338,9 +359,12 @@ def revalidate_document(
 ) -> tuple[str, ...]:
     """Rebuild each section with the builders that wrote it and compare.
 
-    The families entries rebuild a ``FamilyDatabase`` (with the loader's count,
-    order and repeat checks), which alone gives the families section, the test
-    classes and the lists; each surface entry is certified again from its row.
+    The document, its certificates object and each coverage entry must have
+    exactly their keys: each absent one is reported as <absent>, and each
+    other one as unknown.  The families entries rebuild a ``FamilyDatabase``
+    (with the loader's count, order and repeat checks), which alone gives the
+    families section, the test classes and the lists; each surface entry is
+    certified again from its row.
     Coverage is checked only for its structure, as are the test classes and
     lists when the families do not rebuild.  Returns every problem at once,
     each led by its JSON path, and raises nothing; an empty tuple means the
@@ -356,22 +380,26 @@ def revalidate_document(
     if not isinstance(document, Mapping):
         return ("document is not an object",)
     problems: list[str] = []
+    _shape(problems, "", document, _DOCUMENT_KEYS)
     families = document.get("families")
     if db is None or not _identical(families, families_section(db)):
-        db = None
-        if families is None:
+        db, before = None, len(problems)
+        if families is None and "families" in document:
             problems.append("families: is not an array")
         records = [_rebuilt(problems, lambda: FamilyRecord(
                        f["number"], f["d"], Weights(f["weights"])), f"families[{i}]")
                    for i, f in _objects(problems, "families", families)]
-        if not problems:
+        if families is not None and len(problems) == before:
             db = _rebuilt(problems, lambda: FamilyDatabase(records), "families")
         if db is not None:
             _compare(families, families_section(db), "families", problems)
 
     certificates = document.get("certificates")
-    if not isinstance(certificates, dict):
-        problems.append("certificates: is not an object")
+    if isinstance(certificates, dict):
+        _shape(problems, "certificates.", certificates, _CERTIFICATES_KEYS)
+    else:
+        if "certificates" in document:
+            problems.append("certificates: is not an object")
         certificates = {}
     test_class = certificates.get("test_class")
     if db is None:
@@ -402,11 +430,12 @@ def revalidate_document(
         if [c.get("family") for _, c in entries] != list(range(1, FAMILY_COUNT + 1)):
             problems.append(f"coverage: does not list families 1..{FAMILY_COUNT} in order")
         for i, c in entries:
+            _shape(problems, f"coverage[{i}].", c, _COVERAGE_KEYS, _COVERAGE_REQUIRED)
             family = c.get("family")
-            if type(family) is not int:
+            if "family" in c and type(family) is not int:
                 problems.append(f"coverage[{i}].family: {family!r} is not an integer")
             status, gaps = c.get("status", _ABSENT), c.get("gaps")
-            if type(gaps) is not list:
+            if "gaps" in c and type(gaps) is not list:
                 problems.append(f"coverage[{i}].gaps: is not an array")
             if status not in ("Covered", "Gap"):
                 shown = _SHOWN.get(type(status)) or _repr(status)

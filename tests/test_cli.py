@@ -575,8 +575,10 @@ def _callers_during_full(capsys, table, fmt, watched):
 @pytest.mark.parametrize("seed", [None, 11], ids=["packaged", "wide-11"])
 def test_full_decides_each_family_once(capsys, wide_tables, seed):
     # Text then JSON on one table: each audit loads its own database, so each
-    # builds its 95 verdicts once, on first read, and every section, the JSON
-    # round trip's lists included, reads them.
+    # asks for its 95 verdicts once, on first read, and every section, the
+    # JSON round trip's lists included, reads them.  Only the first audit in
+    # the process decides them: family_verdict returns the verdict kept for
+    # each (d, weights), as test_full_builds_each_comparison_in_lemmas counts.
     table = ROWS if seed is None else wide_tables[seed]
     for fmt in ("text", "json"):
         code, callers = _callers_during_full(capsys, table, fmt,
@@ -587,17 +589,22 @@ def test_full_decides_each_family_once(capsys, wide_tables, seed):
 
 @pytest.mark.parametrize("seed", [None, 11], ids=["packaged", "wide-11"])
 def test_full_builds_each_comparison_in_lemmas(capsys, wide_tables, seed):
-    # The Case-1 comparisons are built with the verdicts, once per audit: five
-    # for each extension family and one for each shared-factor family.
+    # The Case-1 comparisons are built with the verdicts, which are decided
+    # once per (d, weights) in a process: after the memo is cleared, an audit
+    # builds five for each extension family and one for each shared-factor
+    # family, and a second audit of the same table builds none.
     table = ROWS if seed is None else wide_tables[seed]
     lists = report.GOLDEN_LISTS
     expected = 5 * len(lists["extension_required"]) + len(lists["shared_factor"])
     for fmt in ("text", "json"):
+        lemmas._decide.cache_clear()
         code, callers = _callers_during_full(capsys, table, fmt,
                                              lemmas.Comparison.__init__.__code__)
         assert code == (cli.EXIT_OK if seed is None else cli.EXIT_CHECK_FAILED)
         assert {module for _, module in callers} == {"fano95.lemmas"}
         assert len(callers) == expected
+        assert _callers_during_full(capsys, table, fmt,
+                                    lemmas.Comparison.__init__.__code__) == (code, [])
 
 
 def test_views_print_no_surface_rational_again(capsys, wide_tables):
@@ -1281,19 +1288,29 @@ def test_a_closed_pipe_exits_with_the_sigpipe_status(unbuffered):
     assert (code, err) == (128 + 13, b"")
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+#: Runs the Python command line it is given with fd 1 closed, so that
+#: Python starts it with no stdout (sys.stdout is None).
+_CLOSED_STDOUT = ("import os, sys; os.close(1); "
+                  "os.execv(sys.executable, [sys.executable, *sys.argv[1:]])")
+
+
 @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("command", ["validate", "full", "full --format json"])
 def test_a_report_that_cannot_be_written_is_an_input_error(command, unbuffered):
-    # Every write to /dev/full fails with ENOSPC.  No report was written and no
-    # check failed, so the audit exits 2 with one line, not 1 with a traceback.
-    with open("/dev/full", "wb") as full:
-        result = subprocess.run([sys.executable, "-m", "fano95", *command.split()],
-                                env=_stdout_env(unbuffered), stdout=full,
-                                stderr=subprocess.PIPE, text=True, timeout=120)
-    assert result.returncode == cli.EXIT_INPUT_ERROR, result.stderr
-    assert result.stderr.startswith("error: writing the report: ")
-    assert result.stderr.count("\n") == 1, result.stderr
+    # Every write to /dev/full fails with ENOSPC, and an audit started with
+    # fd 1 closed has no stdout.  No report was written and no check failed,
+    # so the audit exits 2 with one line, not 1 with a traceback.
+    audit = ["-m", "fano95", *command.split()]
+    children = [(os.devnull, [sys.executable, "-c", _CLOSED_STDOUT, *audit])]
+    if os.path.exists("/dev/full"):
+        children.append(("/dev/full", [sys.executable, *audit]))
+    for sink, argv in children:
+        with open(sink, "wb") as out:
+            result = subprocess.run(argv, env=_stdout_env(unbuffered), stdout=out,
+                                    stderr=subprocess.PIPE, text=True, timeout=120)
+        assert result.returncode == cli.EXIT_INPUT_ERROR, (sink, result.stderr)
+        assert result.stderr.startswith("error: writing the report: "), sink
+        assert result.stderr.count("\n") == 1, (sink, result.stderr)
 
 
 def test_the_audit_process_freezes_its_import_time_heap():

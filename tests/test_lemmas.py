@@ -19,6 +19,7 @@ from fano95 import (
     expected_fail_tags,
     family_verdict,
 )
+from fano95 import cli, lemmas
 
 CASE3_FAMILIES = (1, 2, 3, 4, 5, 6, 8, 10, 14)
 
@@ -291,6 +292,32 @@ def test_family_verdict_fields_are_the_public_verdicts(db):
         assert v.lists == {name for name, members in GOLDEN_LISTS.items()
                            if f.number in members}
         assert v.fail_tags == expected_fail_tags(f)
+
+
+def test_memoized_verdicts_are_the_decided_ones(db):
+    # A verdict read from the memo equals the one its body decides afresh.
+    lemmas._decide.cache_clear()
+    for f in db:
+        assert family_verdict(f) == lemmas._decide.__wrapped__(f.d, f.weights), f.number
+    assert lemmas._decide.cache_info().currsize == 95
+
+
+def test_records_with_equal_degree_and_weights_share_one_verdict(db):
+    # The family number is not part of the key: the verdict reads only the
+    # degree and weights, so records that differ in number alone share it.
+    f = db.get(18)
+    other = FamilyRecord(40, f.d, Weights(f.weights))
+    assert family_verdict(other) is family_verdict(f)
+
+
+def test_a_second_audit_decides_no_family_again(capsys):
+    assert cli.main(["full"]) == cli.EXIT_OK
+    before = lemmas._decide.cache_info()
+    assert cli.main(["full"]) == cli.EXIT_OK
+    after = lemmas._decide.cache_info()
+    capsys.readouterr()
+    assert (after.hits - before.hits, after.misses - before.misses) == (95, 0)
+    assert after.maxsize == 1024
 
 
 def test_fail_tags_and_extension_set_follow_the_derived_lists(db):

@@ -563,16 +563,30 @@ def _forge_coverage_without_status(doc):
          "coverage[0].status: <absent> is not 'Covered' or 'Gap'"),
         ("full", lambda doc: doc["coverage"][0].update(status="Gap", gaps=5),
          "coverage[0].gaps: is not an array"),
+        ("full", lambda doc: doc.update(extra=1), "extra: unknown key"),
+        ("full", lambda doc: doc.pop("lists"), "lists: <absent>"),
+        ("lists", lambda doc: doc.pop("families"), "families: <absent>"),
+        ("full", lambda doc: doc["certificates"].update(extra=1),
+         "certificates.extra: unknown key"),
+        ("full", lambda doc: doc["certificates"].pop("surface"),
+         "certificates.surface: <absent>"),
+        ("full", lambda doc: doc["coverage"][0].update(extra=1),
+         "coverage[0].extra: unknown key"),
+        ("full", lambda doc: doc["coverage"][0].pop("residual"),
+         "coverage[0].residual: <absent>"),
     ],
     ids=["family-22-as-23", "test-class-b", "list-members", "list-order-repeat",
          "list-without-member", "surface-valid-int", "lists-families-null",
          "list-members-null", "coverage-status-bogus", "coverage-status-absent",
-         "coverage-gaps-int"],
+         "coverage-gaps-int", "document-extra-key", "lists-absent", "families-absent",
+         "certificates-extra-key", "certificates-surface-absent",
+         "coverage-extra-field", "coverage-route-absent"],
 )
 def test_revalidate_refuses_forged_documents(capsys, db, command, forge, problem):
     # Each forgery agrees with itself entry by entry: only whole sections
     # rebuilt from the families entries, with the builders that wrote them,
-    # show it, whether or not the audit's database is reused.
+    # or the fixed keys of the document, its certificates and each coverage
+    # entry show it, whether or not the audit's database is reused.
     assert cli.main([command, "--format", "json"]) == cli.EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert revalidate_document(doc) == ()
