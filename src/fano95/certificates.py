@@ -379,7 +379,7 @@ class TableVerification(Record):
 
     @property
     def mismatch_lines(self) -> list[str]:
-        """Each tag mismatch as the text view, and stderr in JSON format, print it."""
+        """Each tag mismatch as a line of the text report, or of stderr in JSON format."""
         return [f"TAG MISMATCH family {n}: row file says {sorted(got)}, derived verdicts "
                 f"say {sorted(want)}" for n, got, want in self.tag_mismatches]
 

@@ -3,7 +3,10 @@
 Exit codes: 0 when every requested check passes; 1 when a derived list, a
 certificate or a coverage entry fails, with the full report printed; 2 for
 input problems (unreadable, unparsable, or invalid data files) and for a
-report that cannot be written.  Data files resolve in three steps: an
+report that cannot be written; 141 when stdout is a closed pipe.  Only
+main() writes: the report to stdout, each diagnostic line to stderr, or
+nowhere where stderr cannot take it, so a stderr fault changes neither the
+report nor the exit code.  Data files resolve in three steps: an
 explicit ``--families`` / ``--table`` flag wins, and an empty one is an
 input error that names the flag; otherwise a file of the standard name
 inside ``$AUDIT_DATA_DIR`` (authoritative when the variable is set; an empty
@@ -33,7 +36,6 @@ from .certificates import (
 from .coverage import build_coverage
 from .families import (
     FAMILIES_FILENAME,
-    FamilyDatabase,
     load_families,
     packaged_data_path,
 )
@@ -50,8 +52,8 @@ def _write(text: str) -> None:
     """Write ``text`` to stdout in full as UTF-8, whatever the locale.  Under
     PYTHONUNBUFFERED the text layer takes a short write to a closed pipe as
     success, so the bytes go to the binary buffer until it has taken all of
-    them, or a write raises BrokenPipeError; a stream without a buffer (an
-    ``io.StringIO``) takes the text itself.  No stream at all (Python's
+    them and is flushed, or a write raises BrokenPipeError; a stream without a
+    buffer (an ``io.StringIO``) takes the text itself.  No stream at all (Python's
     stdout when fd 1 was closed at start) is an OSError, as a failed write is."""
     out = sys.stdout
     if out is None:
@@ -64,6 +66,16 @@ def _write(text: str) -> None:
     out.flush()
     while data:
         data = data[buffer.write(data):]
+    buffer.flush()
+
+
+def _diagnose(lines: list[str]) -> None:
+    """Write ``lines`` to stderr, never to stdout; drop them, and leave the exit
+    code as it is, where stderr is None (fd 2 closed at start) or a write fails."""
+    try:
+        sys.stderr.write("".join(f"{line}\n" for line in lines))
+    except (AttributeError, OSError):  # AttributeError: stderr is None
+        pass
 
 
 class _InputError(Exception):
@@ -93,19 +105,6 @@ def _load_table(explicit: str | None, flag: str, what: str, filename: str, load)
         raise _InputError(f"{what} {path}: {exc}") from exc
 
 
-def _emit_json(document: dict, db: FamilyDatabase) -> int:
-    """Print the canonical JSON after checking it re-validates from itself;
-    ``db``, the database it was written from, spares rebuilding its families."""
-    text = report.to_json(document)
-    problems = report.revalidate_document(json.loads(text), db=db)
-    _write(text)
-    if problems:
-        for p in problems:
-            print(f"round-trip failure: {p}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
-
-
 #: The sections of the full audit, in the order they are printed.
 SECTIONS = ("validate", "lists", "certificates", "coverage")
 
@@ -118,10 +117,10 @@ COMMANDS = {
 }
 
 
-def run_command(args) -> int:
-    """Compute each fact the requested sections need once, then print those
-    sections.  Coverage reads the certificates, so it is only requested with
-    them."""
+def run_command(args) -> tuple[int, str, list[str]]:
+    """Compute each fact the requested sections need once and return the exit
+    code, the report and the lines for stderr; nothing is written here.
+    Coverage reads the certificates, so it is only requested with them."""
     sections = args.sections
     families_path, db = _load_table(args.families, "--families", "families table",
                                     FAMILIES_FILENAME, load_families)
@@ -153,18 +152,20 @@ def run_command(args) -> int:
             surface=report.surface_section(db, verification, rows) if certified else None,
             coverage=report.coverage_section(coverage) if "coverage" in sections else None,
         )
-        rc = _emit_json(document, db)
-        for line in verification.mismatch_lines if certified else ():
-            print(line, file=sys.stderr)
-        return rc if ok else EXIT_CHECK_FAILED
+        # The document must re-validate from itself; db spares rebuilding its families.
+        text = report.to_json(document)
+        problems = report.revalidate_document(json.loads(text), db=db)
+        lines = [f"round-trip failure: {p}" for p in problems]
+        lines += verification.mismatch_lines if certified else ()
+        return (EXIT_OK if ok and not problems else EXIT_CHECK_FAILED), text, lines
     render = {
         "validate": lambda: report.render_validate(db),
         "lists": lambda: report.render_lists(db)[0],
         "certificates": lambda: report.render_certificates(tc, verification)[0],
         "coverage": lambda: report.render_coverage(coverage)[0],
     }
-    _write("".join(render[s]() for s in SECTIONS if s in sections))
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    text = "".join(render[s]() for s in SECTIONS if s in sections)
+    return (EXIT_OK if ok else EXIT_CHECK_FAILED), text, []
 
 
 _DEFAULT_PATH = "(default: $AUDIT_DATA_DIR or packaged data)"
@@ -224,10 +225,13 @@ def read_command_line(argv: list[str] | None = None) -> SimpleNamespace | None:
 def main(argv: list[str] | None = None) -> int:
     args = read_command_line(argv) or build_parser().parse_args(argv)
     try:
-        return run_command(args)
+        code, text, lines = run_command(args)
     except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _diagnose([f"error: {exc}"])
         return EXIT_INPUT_ERROR
+    _write(text)
+    _diagnose(lines)
+    return code
 
 
 def entrypoint() -> None:
@@ -239,20 +243,21 @@ def entrypoint() -> None:
     gc.freeze()
     try:
         code = main()
-        if sys.stdout is not None:  # None when fd 1 was closed at start
-            sys.stdout.flush()
-    except OSError as exc:
-        if isinstance(exc, BrokenPipeError):
-            # Downstream consumer (e.g. `head`) closed the pipe; exit with the
-            # conventional SIGPIPE status instead of a traceback.
-            code = 128 + 13
-        else:  # such as a full disk: no report was written, no check failed
-            print(f"error: writing the report: {exc}", file=sys.stderr)
-            code = EXIT_INPUT_ERROR
-        # The unwritten bytes go to devnull, so the flush at exit cannot fail.
-        if sys.stdout is not None:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
+    except BrokenPipeError:  # of stdout: _diagnose lets no stderr fault out
+        # Downstream consumer (e.g. `head`) closed the pipe; exit with the
+        # conventional SIGPIPE status instead of a traceback.
+        code = 128 + 13
+    except OSError as exc:  # such as a full disk: no report was written, no check failed
+        _diagnose([f"error: writing the report: {exc}"])
+        code = EXIT_INPUT_ERROR
+    finally:  # also after argparse's SystemExit, for --help and usage errors
+        # A std stream whose flush fails sends its unwritten bytes to devnull,
+        # so the flush at exit can neither fail nor change the exit code.
+        for stream in filter(None, (sys.stdout, sys.stderr)):  # None: closed at start
+            try:
+                stream.flush()
+            except OSError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     raise SystemExit(code)
 
 

@@ -318,19 +318,15 @@ def _compare(got, want, path: str, problems: list[str]) -> None:
 _DOCUMENT_KEYS = frozenset({"certificates", "coverage", "families", "lists"})
 _CERTIFICATES_KEYS = frozenset({"surface", "test_class"})
 _COVERAGE_KEYS = frozenset({"case", "contracted", "family", "gaps", "residual", "status"})
-#: The coverage keys reported when absent; the status check names an absent status.
-_COVERAGE_REQUIRED = _COVERAGE_KEYS - {"status"}
 
 
-def _shape(problems: list[str], prefix: str, entry: Mapping, keys: frozenset[str],
-           required: frozenset[str] | None = None) -> None:
-    """Report each key of ``required`` (all of ``keys`` when None) that the
-    object ``entry`` lacks as <absent>, in sorted order, and each key it has
-    beyond ``keys`` as unknown, each led by its path, ``prefix`` then the key."""
+def _shape(problems: list[str], prefix: str, entry: Mapping, keys: frozenset[str]) -> None:
+    """Report each key of ``keys`` that the object ``entry`` lacks as <absent>,
+    in sorted order, and each key it has beyond ``keys`` as unknown, each led
+    by its path, ``prefix`` then the key."""
     if entry.keys() == keys:
         return
-    absent = (keys if required is None else required) - entry.keys()
-    problems.extend(f"{prefix}{key}: <absent>" for key in sorted(absent))
+    problems.extend(f"{prefix}{key}: <absent>" for key in sorted(keys - entry.keys()))
     problems.extend(f"{prefix}{key}: unknown key" for key in entry if key not in keys)
 
 
@@ -430,17 +426,17 @@ def revalidate_document(
         if [c.get("family") for _, c in entries] != list(range(1, FAMILY_COUNT + 1)):
             problems.append(f"coverage: does not list families 1..{FAMILY_COUNT} in order")
         for i, c in entries:
-            _shape(problems, f"coverage[{i}].", c, _COVERAGE_KEYS, _COVERAGE_REQUIRED)
+            _shape(problems, f"coverage[{i}].", c, _COVERAGE_KEYS)
             family = c.get("family")
             if "family" in c and type(family) is not int:
                 problems.append(f"coverage[{i}].family: {family!r} is not an integer")
             status, gaps = c.get("status", _ABSENT), c.get("gaps")
             if "gaps" in c and type(gaps) is not list:
                 problems.append(f"coverage[{i}].gaps: is not an array")
-            if status not in ("Covered", "Gap"):
+            if status not in ("Covered", "Gap", _ABSENT):  # _shape reports it absent
                 shown = _SHOWN.get(type(status)) or _repr(status)
                 problems.append(f"coverage[{i}].status: {shown} is not 'Covered' or 'Gap'")
-            elif type(gaps) is list and (status == "Covered") == bool(gaps):
+            elif type(gaps) is list and status == ("Covered" if gaps else "Gap"):
                 problems.append(f"coverage[{i}].status: does not match gap list")
     return tuple(problems)
 

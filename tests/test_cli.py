@@ -1288,31 +1288,6 @@ def test_a_closed_pipe_exits_with_the_sigpipe_status(unbuffered):
     assert (code, err) == (128 + 13, b"")
 
 
-#: Runs the Python command line it is given with fd 1 closed, so that
-#: Python starts it with no stdout (sys.stdout is None).
-_CLOSED_STDOUT = ("import os, sys; os.close(1); "
-                  "os.execv(sys.executable, [sys.executable, *sys.argv[1:]])")
-
-
-@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("command", ["validate", "full", "full --format json"])
-def test_a_report_that_cannot_be_written_is_an_input_error(command, unbuffered):
-    # Every write to /dev/full fails with ENOSPC, and an audit started with
-    # fd 1 closed has no stdout.  No report was written and no check failed,
-    # so the audit exits 2 with one line, not 1 with a traceback.
-    audit = ["-m", "fano95", *command.split()]
-    children = [(os.devnull, [sys.executable, "-c", _CLOSED_STDOUT, *audit])]
-    if os.path.exists("/dev/full"):
-        children.append(("/dev/full", [sys.executable, *audit]))
-    for sink, argv in children:
-        with open(sink, "wb") as out:
-            result = subprocess.run(argv, env=_stdout_env(unbuffered), stdout=out,
-                                    stderr=subprocess.PIPE, text=True, timeout=120)
-        assert result.returncode == cli.EXIT_INPUT_ERROR, (sink, result.stderr)
-        assert result.stderr.startswith("error: writing the report: "), sink
-        assert result.stderr.count("\n") == 1, (sink, result.stderr)
-
-
 def test_the_audit_process_freezes_its_import_time_heap():
     # Run in a child, so that this process's heap is never frozen.
     script = (

@@ -559,8 +559,7 @@ def _forge_coverage_without_status(doc):
          "lists.weak_bound.families: serialized None, recomputed an array"),
         ("full", lambda doc: doc["coverage"][0].update(status="Bogus", gaps=[_GAP]),
          "coverage[0].status: 'Bogus' is not 'Covered' or 'Gap'"),
-        ("full", _forge_coverage_without_status,
-         "coverage[0].status: <absent> is not 'Covered' or 'Gap'"),
+        ("full", _forge_coverage_without_status, "coverage[0].status: <absent>"),
         ("full", lambda doc: doc["coverage"][0].update(status="Gap", gaps=5),
          "coverage[0].gaps: is not an array"),
         ("full", lambda doc: doc.update(extra=1), "extra: unknown key"),
