@@ -15,11 +15,12 @@ cannot read the checkout's sources by accident.
 Compared by exit code, stdout bytes and stderr bytes: the fourteen COMMANDS,
 three of them on the seed-3 950-row table of ``perfbench/widetable.py``, two
 that exit 2 (a usage error, and a table missing from the temporary
-directory) and two help texts, which argparse prints in the same width on
-both sides, and every demo in ``demos/``, which must also exit 0.  On the
-installed side ``full --format json`` on that table must exit 1 (its JSON
-round-trips; its certificates fail) and ``validate`` must exit 0.  Exits 0
-when everything agrees, else 1 with one line per difference on stderr.
+directory) and two help texts, which argparse formats in the same width on
+both sides and ``cli._write`` prints, and every demo in ``demos/``, which
+must also exit 0.  On the installed side ``full --format json`` on that
+table must exit 1 (its JSON round-trips; its certificates fail) and
+``validate`` must exit 0.  Exits 0 when everything agrees, else 1 with one
+line per difference on stderr.
 """
 
 from __future__ import annotations

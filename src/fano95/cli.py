@@ -3,7 +3,7 @@
 Exit codes: 0 when every requested check passes; 1 when a derived list, a
 certificate or a coverage entry fails, with the full report printed; 2 for
 input problems (unreadable, unparsable, or invalid data files) and for a
-report that cannot be written; 141 when stdout is a closed pipe.  Only
+report or a help that cannot be written; 141 when stdout is a closed pipe.  Only
 main() writes: the report to stdout, each diagnostic line to stderr, or
 nowhere where stderr cannot take it, so a stderr fault changes neither the
 report nor the exit code.  Data files resolve in three steps: an
@@ -20,7 +20,6 @@ import gc
 import json
 import os
 import sys
-from functools import cache
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -186,13 +185,16 @@ def command_flags(name: str) -> list[str]:
             + ["--format"] * (name != "validate"))
 
 
-@cache
 def build_parser():
-    """The argparse parser, built on the first command line that
-    read_command_line() declines; it alone prints help and usage errors."""
+    """The argparse parser, built per command line that read_command_line() declines.
+    Its help goes out by _write(), so an unwritten help exits 2 or 141 as a report does."""
     import argparse
 
-    parser = argparse.ArgumentParser(prog="audit", description=(
+    class Parser(argparse.ArgumentParser):  # add_subparsers() gives its parsers this class
+        def print_help(self):
+            _write(self.format_help())
+
+    parser = Parser(prog="audit", description=(
         "Re-derive and certify every numeric step of the curve-exclusion "
         "case analysis over the 95 hypersurface families."))
     sub = parser.add_subparsers(dest="command", required=True)

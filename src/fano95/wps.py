@@ -126,8 +126,8 @@ class Record:
     once, in ``__slots__``, and gets ``_fill``, ``def __init__(self, <slots>)``
     made once for the class, which stores each argument in its slot.  A
     class without its own ``__init__`` is built through it; any other takes
-    the record's inputs, its leading slots in order (else the class is refused
-    when created), and ends with ``self._fill(...)``.  A miscounted call, or a
+    the record's inputs, its leading slots in order, and ends with
+    ``self._fill(...)``.  A miscounted call, or a
     derived field passed in, is Python's own TypeError naming the class.
     Records of one class are equal, and hash alike, when their fields are;
     copy and pickle pass the inputs back to ``__init__``, which derives the rest."""
@@ -148,11 +148,8 @@ class Record:
         fill.__qualname__ = f"{cls.__qualname__}.__init__"
         if "__init__" not in cls.__dict__:
             cls.__init__ = fill
-        code = cls.__init__.__code__  # flags 0x0C: *args or **kwargs
-        cls._inputs = code.co_varnames[1:code.co_argcount + code.co_kwonlyargcount]
-        if code.co_flags & 0x0C or cls._inputs != slots[:code.co_argcount - 1]:
-            raise TypeError(f"{cls.__qualname__}.__init__ takes {cls._inputs}, which are not "
-                            f"the leading slots of {slots}, in order")
+        code = cls.__init__.__code__
+        cls._inputs = code.co_varnames[1:code.co_argcount]
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

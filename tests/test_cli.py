@@ -1054,8 +1054,8 @@ def test_help_bytes_are_pinned(capsys, monkeypatch, command):
 
 def test_main_builds_no_parser(capsys, monkeypatch):
     # A well-formed command line is read from the command table and builds
-    # no parser; the first one the table declines, a --help or a usage
-    # error, builds the parser and its four subparsers, and later ones reuse it.
+    # no parser; each one the table declines, a --help or a usage error,
+    # builds a parser and its four subparsers, which no later call reuses.
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -1064,16 +1064,15 @@ def test_main_builds_no_parser(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    cli.build_parser.cache_clear()
     assert run(capsys, "validate")[0] == cli.EXIT_OK
     assert run(capsys, "lists", "--format", "json")[0] == cli.EXIT_OK
     assert built == []
-    for argv in (["--help"], ["frobnicate"], ["full", "--help"]):
+    for calls, argv in enumerate((["--help"], ["frobnicate"], ["full", "--help"]), 1):
         with pytest.raises(SystemExit):
             cli.main(argv)
-        assert built == ["audit", *(f"audit {command}" for command in cli.COMMANDS)]
+        assert built == ["audit", *(f"audit {command}" for command in cli.COMMANDS)] * calls
     assert run(capsys, "full", "--format", "json")[0] == cli.EXIT_OK
-    assert len(built) == 1 + len(cli.COMMANDS)
+    assert len(built) == 3 * (1 + len(cli.COMMANDS))
 
 
 #: The words the reader's enumeration puts after a command: each flag, each
@@ -1155,7 +1154,7 @@ def test_main_reads_an_iterator_through_argparse(capsys):
     ids=["wide-table", "json", "usage-error"],
 )
 def test_a_call_leaves_no_state_for_the_next(capsys, wide_tables, before, exit_code):
-    # The shared parser keeps no flag of one call as a default of the next.
+    # No flag of one call becomes a default of the next.
     argv = [wide_tables[11] if a == "T" else a for a in before]
     try:
         assert cli.main(argv) == exit_code

@@ -4,10 +4,10 @@ Each child audit starts with one fault on one of its std streams: the
 descriptor closed, open read-only, on ``/dev/full``, or a pipe whose read end
 is closed.  A ``python -c`` prelude makes the fault on its own descriptor and
 execs ``python -m fano95``, so Python starts the audit with it.  A stdout
-fault ends the audit as a report that cannot be written; a stderr fault
-changes neither stdout nor the exit code, because diagnostics never go to
-stdout and are dropped where stderr cannot take them.  (A reader that closes
-the pipe mid-write is ``tests/test_cli.py``'s sigpipe test.)
+fault ends the audit, or its ``--help``, as a report that cannot be written;
+a stderr fault changes neither stdout nor the exit code, because diagnostics
+never go to stdout and are dropped where stderr cannot take them.  (A reader
+that closes the pipe mid-write is ``tests/test_cli.py``'s sigpipe test.)
 """
 
 import errno
@@ -44,6 +44,7 @@ COMMANDS = {
     "full-json": "full --format json",
     "mismatch-json": "certify --table MISMATCH --format json",
     "input-error": "validate --families MISSING",
+    "help": "--help",
 }
 
 
@@ -51,7 +52,8 @@ COMMANDS = {
 def audits(tmp_path_factory):
     """Each command of COMMANDS as argv, with its exit code, stdout bytes and
     stderr text when both streams are healthy (from ``cli.main`` in this
-    process, which writes the bytes a child does)."""
+    process, which writes the bytes a child does; for help, argparse's
+    SystemExit code), at the 80 columns a child's help is formatted in."""
     tmp = tmp_path_factory.mktemp("io")
     # Family 20's row {0,2,3} loses its contracted tag: every certificate
     # stays valid, so the audit fails on the mismatch alone, which the JSON
@@ -65,24 +67,30 @@ def audits(tmp_path_factory):
     for name, command in COMMANDS.items():
         argv = [paths.get(word, word) for word in command.split()]
         out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(argv)
+        with redirect_stdout(out), redirect_stderr(err), pytest.MonkeyPatch.context() as mp:
+            mp.setenv("COLUMNS", "80")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # the help
+                code = exc.code
         result[name] = argv, code, out.getvalue().encode(), err.getvalue()
-    assert [r[1] for r in result.values()] == [0, 0, 0, 1, 2]
-    assert [bool(r[2]) for r in result.values()] == [True] * 4 + [False]
-    assert [r[3].count("\n") for r in result.values()] == [0, 0, 0, 1, 1]
+    assert [r[1] for r in result.values()] == [0, 0, 0, 1, 2, 0]
+    assert [bool(r[2]) for r in result.values()] == [True] * 4 + [False, True]
+    assert [r[3].count("\n") for r in result.values()] == [0, 0, 0, 1, 1, 0]
     return result
 
 
 def _audit(channel: str, fault: str, buffering: str, argv: list[str]):
     """Exit code, stdout bytes and stderr text of ``python -m fano95 *argv``
     started with ``fault`` on ``channel``, and with PYTHONUNBUFFERED set for
-    "unbuffered" and unset for "buffered"; ``src`` leads the import path."""
+    "unbuffered" and unset for "buffered"; ``src`` leads the import path, and
+    COLUMNS=80 sets the width of a help."""
     if fault == "dev-full" and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full here")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env["COLUMNS"] = "80"
     env.pop("PYTHONUNBUFFERED", None)
     if buffering == "unbuffered":
         env["PYTHONUNBUFFERED"] = "1"
