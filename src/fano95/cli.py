@@ -151,9 +151,9 @@ def run_command(args) -> tuple[int, str, list[str]]:
             surface=report.surface_section(db, verification, rows) if certified else None,
             coverage=report.coverage_section(coverage) if "coverage" in sections else None,
         )
-        # The document must re-validate from itself; db spares rebuilding its families.
+        # The document must re-validate from itself; db and written spare rebuilding them.
         text = report.to_json(document)
-        problems = report.revalidate_document(json.loads(text), db=db)
+        problems = report.revalidate_document(json.loads(text), db=db, written=document)
         lines = [f"round-trip failure: {p}" for p in problems]
         lines += verification.mismatch_lines if certified else ()
         return (EXIT_OK if ok and not problems else EXIT_CHECK_FAILED), text, lines

@@ -32,7 +32,7 @@ from .certificates import (
     TestClassCertificate,
     case3_test_class_certificates,
 )
-from .coverage import FamilyCoverage
+from .coverage import FamilyCoverage, build_coverage
 from .families import FAMILY_COUNT, FamilyDatabase, FamilyRecord
 from .lemmas import classify_case
 from .wps import Weights, _VANISHING_LABELS, _shown, format_rational
@@ -298,13 +298,12 @@ def _repr(value) -> str:
 def _compare(got, want, path: str, problems: list[str]) -> None:
     """Report each leaf where ``got`` differs from ``want``, led by its JSON path.
     Types must match exactly (see ``_identical``), so only what differs is
-    walked, and only its paths are built."""
-    if _identical(got, want):
+    walked, and only its paths are built; ``want`` may be ``got`` itself."""
+    if got is want or _identical(got, want):
         return
     kind = type(want)
     if kind is dict and type(got) is dict:
-        for key in {**want, **got}:
-            _compare(got.get(key, _ABSENT), want.get(key, _ABSENT), f"{path}.{key}", problems)
+        _compare_keys(got, want, f"{path}.", problems)
     elif kind is list and type(got) is list:
         for i, (g, w) in enumerate(zip_longest(got, want, fillvalue=_ABSENT)):
             _compare(g, w, f"{path}[{i}]", problems)
@@ -313,21 +312,15 @@ def _compare(got, want, path: str, problems: list[str]) -> None:
         problems.append(f"{path}: serialized {shown[0]}, recomputed {shown[1]}")
 
 
-#: The keys of the document, of its certificates object and of a coverage
-#: entry: each always present, and no other.
-_DOCUMENT_KEYS = frozenset({"certificates", "coverage", "families", "lists"})
-_CERTIFICATES_KEYS = frozenset({"surface", "test_class"})
-_COVERAGE_KEYS = frozenset({"case", "contracted", "family", "gaps", "residual", "status"})
-
-
-def _shape(problems: list[str], prefix: str, entry: Mapping, keys: frozenset[str]) -> None:
-    """Report each key of ``keys`` that the object ``entry`` lacks as <absent>,
-    in sorted order, and each key it has beyond ``keys`` as unknown, each led
-    by its path, ``prefix`` then the key."""
-    if entry.keys() == keys:
-        return
-    problems.extend(f"{prefix}{key}: <absent>" for key in sorted(keys - entry.keys()))
-    problems.extend(f"{prefix}{key}: unknown key" for key in entry if key not in keys)
+def _compare_keys(got: dict, want: dict, prefix: str, problems: list[str]) -> None:
+    """``_compare`` of each key's values, a key only one object has as <absent> or unknown."""
+    for key in {**want, **got}:
+        if key not in got:
+            problems.append(f"{prefix}{key}: <absent>")
+        elif key not in want:
+            problems.append(f"{prefix}{key}: unknown key")
+        else:
+            _compare(got[key], want[key], f"{prefix}{key}", problems)
 
 
 def _rebuilt(problems: list[str], build, path: str):
@@ -350,94 +343,99 @@ def _objects(problems: list[str], path: str, section) -> list[tuple[int, dict]]:
     return [(i, entry) for i, entry in enumerate(section) if isinstance(entry, dict)]
 
 
-def revalidate_document(
-    document: Mapping, *, db: FamilyDatabase | None = None
-) -> tuple[str, ...]:
-    """Rebuild each section with the builders that wrote it and compare.
+def revalidate_document(document: Mapping, *, db: FamilyDatabase | None = None,
+                        written: Mapping | None = None) -> tuple[str, ...]:
+    """Rebuild the document from its own inputs, the families entries and the
+    surface rows, with the builders that wrote it, and compare the two.
 
-    The document, its certificates object and each coverage entry must have
-    exactly their keys: each absent one is reported as <absent>, and each
-    other one as unknown.  The families entries rebuild a ``FamilyDatabase``
-    (with the loader's count, order and repeat checks), which alone gives the
-    families section, the test classes and the lists; each surface entry is
-    certified again from its row.
-    Coverage is checked only for its structure, as are the test classes and
-    lists when the families do not rebuild.  Returns every problem at once,
-    each led by its JSON path, and raises nothing; an empty tuple means the
-    document re-derives from its own inputs.
+    The families entries rebuild a ``FamilyDatabase`` (with the loader's
+    count, order and repeat checks), which gives the families section, the
+    test classes and the lists; each surface entry is certified again from
+    its row, and coverage is built from both.  A null section was not
+    computed, and coverage is computed only with the surface rows, as the CLI
+    does.  A section that cannot be rebuilt, since its families or rows do
+    not rebuild, is compared with itself, as is a coverage section that does
+    not list families 1..95 in order, which is one problem.  Returns every
+    problem at once, rebuild failures first, each led by its JSON path, and
+    raises nothing; an empty tuple means the document re-derives.
 
-    ``db`` is a database the caller loaded, such as the one the document was
-    written from.  When the families section has the same marshal bytes as
-    ``families_section(db)`` (same types, values and key order), its rebuild
-    would give ``db``'s records, so ``db`` is used and no entry is rebuilt;
-    otherwise the entries are rebuilt as without ``db``.  Every other section
-    is checked as without ``db``, so the problems are the same either way.
+    ``db`` and ``written`` are what an audit loaded and encoded.  When the
+    families section has the same marshal bytes as ``families_section(db)``
+    (same types, values and key order), its rebuild would give ``db``'s
+    records, so ``db`` is used.  When the surface section then also has
+    ``written``'s marshal bytes, a rebuild would give ``written``'s test
+    classes, lists and coverage, so those it has are compared instead.  The
+    problems are the same either way.
     """
     if not isinstance(document, Mapping):
         return ("document is not an object",)
     problems: list[str] = []
-    _shape(problems, "", document, _DOCUMENT_KEYS)
     families = document.get("families")
-    if db is None or not _identical(families, families_section(db)):
-        db, before = None, len(problems)
+    reused = db is not None and _identical(families, families_section(db))
+    if not reused:
+        db = written = None
         if families is None and "families" in document:
             problems.append("families: is not an array")
         records = [_rebuilt(problems, lambda: FamilyRecord(
                        f["number"], f["d"], Weights(f["weights"])), f"families[{i}]")
                    for i, f in _objects(problems, "families", families)]
-        if families is not None and len(problems) == before:
+        if families is not None and not problems:
             db = _rebuilt(problems, lambda: FamilyDatabase(records), "families")
-        if db is not None:
-            _compare(families, families_section(db), "families", problems)
 
     certificates = document.get("certificates")
-    if isinstance(certificates, dict):
-        _shape(problems, "certificates.", certificates, _CERTIFICATES_KEYS)
-    else:
-        if "certificates" in document:
-            problems.append("certificates: is not an object")
+    if not isinstance(certificates, dict):
         certificates = {}
-    test_class = certificates.get("test_class")
-    if db is None:
-        _objects(problems, "certificates.test_class", test_class)
-    elif test_class is not None:
-        path = "certificates.test_class"
-        tc = _rebuilt(problems, lambda: case3_test_class_certificates(db), path)
-        if tc is not None:
-            _compare(test_class, test_class_section(tc), path, problems)
-    for i, s in _objects(problems, "certificates.surface", certificates.get("surface")):
+    test_class, surface = certificates.get("test_class"), certificates.get("surface")
+    want_surface = list(surface) if type(surface) is list else surface
+    rows = []
+    for i, s in _objects(problems, "certificates.surface", surface):
         path = f"certificates.surface[{i}]"
         row = _rebuilt(problems, lambda: SurfaceRow(
             s["family"], s["vanishing"], s["fails"], Method(s["method"]), s["m"]), path)
         if row is not None and db is not None:
             cert = _rebuilt(problems, lambda: SurfaceCertificate(row, db.get(row.family)), path)
             if cert is not None:
-                _compare(s, _surface_cert_json(cert), path, problems)
+                want_surface[i] = _surface_cert_json(cert)
+                rows.append(row)
 
-    lists = document.get("lists")
-    if lists is not None and not isinstance(lists, dict):
-        problems.append("lists: is not an object")
-    elif lists is not None and db is not None:
-        _compare(lists, lists_section(db), "lists", problems)
+    held = {}
+    if written is not None and _identical(surface, written["certificates"]["surface"]):
+        held = {"certificates.test_class": written["certificates"]["test_class"],
+                "lists": written["lists"], "coverage": written["coverage"]}
+
+    def wanted(path: str, got, build):
+        """What the section ``got`` at ``path`` rebuilds to, ``written``'s where
+        held: ``got`` itself where it is null or cannot be rebuilt."""
+        if got is None or db is None:
+            return got
+        want = held.get(path)
+        if want is None:
+            want = _rebuilt(problems, build, path)
+        return got if want is None else want
 
     coverage = document.get("coverage")
-    if coverage is not None:
-        entries = _objects(problems, "coverage", coverage)
-        if [c.get("family") for _, c in entries] != list(range(1, FAMILY_COUNT + 1)):
-            problems.append(f"coverage: does not list families 1..{FAMILY_COUNT} in order")
-        for i, c in entries:
-            _shape(problems, f"coverage[{i}].", c, _COVERAGE_KEYS)
-            family = c.get("family")
-            if "family" in c and type(family) is not int:
-                problems.append(f"coverage[{i}].family: {family!r} is not an integer")
-            status, gaps = c.get("status", _ABSENT), c.get("gaps")
-            if "gaps" in c and type(gaps) is not list:
-                problems.append(f"coverage[{i}].gaps: is not an array")
-            if status not in ("Covered", "Gap", _ABSENT):  # _shape reports it absent
-                shown = _SHOWN.get(type(status)) or _repr(status)
-                problems.append(f"coverage[{i}].status: {shown} is not 'Covered' or 'Gap'")
-            elif type(gaps) is list and status == ("Covered" if gaps else "Gap"):
-                problems.append(f"coverage[{i}].status: does not match gap list")
+    if type(coverage) is list and [c.get("family") if type(c) is dict else None
+                                   for c in coverage] != list(range(1, FAMILY_COUNT + 1)):
+        problems.append(f"coverage: does not list families 1..{FAMILY_COUNT} in order")
+        want_coverage = coverage
+    elif type(surface) is not list:  # no rows to build coverage from
+        want_coverage = None
+    elif len(rows) < len(surface):  # some row does not rebuild
+        want_coverage = coverage
+    else:
+        want_coverage = wanted("coverage", coverage,
+                               lambda: coverage_section(build_coverage(db, rows)))
+
+    _compare_keys(document, {
+        "families": families if reused or db is None else families_section(db),
+        "certificates": {  # in sorted key order, as to_json writes it
+            "surface": want_surface,
+            "test_class": wanted("certificates.test_class", test_class, lambda:
+                                 test_class_section(case3_test_class_certificates(db))),
+        },
+        "lists": wanted("lists", document.get("lists"), lambda: lists_section(db)),
+        "coverage": want_coverage,
+    }, "", problems)
     return tuple(problems)
 
 

@@ -612,10 +612,10 @@ def test_views_print_no_surface_rational_again(capsys, wide_tables):
     # the text view, coverage and the JSON builders read the texts of the
     # quantities, of method 42's degree sum and of the family's A³, and each
     # test class's value text.  Only the test classes' deg C is formatted in a
-    # view, one rational for each of the six.  The JSON builders also run once
-    # more in revalidation.  A call is charged to the nearest enclosing named
-    # function, so a comprehension or generator inside a view counts as the
-    # view on every Python version.
+    # view, one rational for each of the six.  Revalidation runs the surface
+    # builder once more, but reuses the written test classes.  A call is
+    # charged to the nearest enclosing named function, so a comprehension or
+    # generator inside a view counts as the view on every Python version.
     views = {report.render_certificates.__code__, _surface_row_values.__code__,
              report._surface_cert_json.__code__, report._test_class_json.__code__}
     target = format_rational.__code__
@@ -644,7 +644,7 @@ def test_views_print_no_surface_rational_again(capsys, wide_tables):
     assert entered == {"render_certificates", "_surface_row_values",
                        "_surface_cert_json", "_test_class_json"}
     tests = len(certificates._TEST_CLASS_CURVES)
-    assert calls == ["render_certificates"] * tests + ["_test_class_json"] * (2 * tests)
+    assert calls == ["render_certificates"] * tests + ["_test_class_json"] * tests
 
 
 def test_a_cube_is_formatted_only_by_its_record(capsys, wide_tables):

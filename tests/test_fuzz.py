@@ -138,7 +138,10 @@ _SURFACE_INPUTS = {"family", "vanishing", "fails", "method", "m"}
 def _derived(shape: tuple) -> bool:
     """Whether a path shape is a derived leaf, or lies below one: families
     ``degree_cap`` and ``case``, every test-class field, the surface fields but
-    the row's own, and lists ``expected``, ``families`` and ``match``."""
+    the row's own, lists ``expected``, ``families`` and ``match``, and
+    everything in coverage."""
+    if shape[:1] == ("coverage",):
+        return len(shape) > 1
     if shape[:1] == ("families",):
         return shape[2:3] in (("degree_cap",), ("case",))
     if shape[:2] == ("certificates", "test_class"):
@@ -155,15 +158,16 @@ def test_fuzzed_document_revalidates_to_problems(full_json):
     # ~100 kinds of field is as likely as any other, however many it has.
     # Every mutation must give a tuple and raise nothing; one that changes a
     # derived leaf's type or value must give at least one problem.  Given the
-    # packaged database the audit loaded, revalidation must give the same
-    # problems, so reusing it can hide none; 10**5000 is too long to print.
+    # packaged database the audit loaded, and with it the document the audit
+    # wrote, revalidation must give the same problems, so reusing them can
+    # hide none; 10**5000 is too long to print.
     by_shape: dict[tuple, list[tuple]] = {}
     for path in _paths(json.loads(full_json)):
         shape = tuple("*" if isinstance(k, int) else k for k in path)
         by_shape.setdefault(shape, []).append(path)
     shapes = sorted(by_shape, key=repr)
     replacements = (None, True, False, 7, 10**5000, 1.0, 1.5, "x", [], {})
-    db = load_packaged_families()
+    db, written = load_packaged_families(), json.loads(full_json)
     derived_changes = 0
     for seed in SEEDS:
         rng = random.Random(seed)
@@ -178,10 +182,11 @@ def test_fuzzed_document_revalidates_to_problems(full_json):
         try:
             problems = revalidate_document(doc)
             reused = revalidate_document(doc, db=db)
+            held = revalidate_document(doc, db=db, written=written)
         except Exception as exc:  # any exception is an escape
             pytest.fail(f"seed {seed}: {type(exc).__name__}: {exc}")
         assert isinstance(problems, tuple)
-        assert reused == problems, f"seed {seed}: {shape}"
+        assert reused == held == problems, f"seed {seed}: {shape}"
         if _derived(shape) and (type(old) is not type(new) or old != new):
             derived_changes += 1
             assert problems, f"seed {seed}: {shape} {old!r} -> {new!r} revalidates clean"

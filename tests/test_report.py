@@ -1,8 +1,10 @@
 """Report assembly: derived lists, JSON document, text rendering, revalidation."""
 
 import json
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,8 @@ from fano95 import (
     to_json,
     verify_surface_table,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _full_document(db, rows):
@@ -229,12 +233,12 @@ def test_revalidate_accepts_clean_document(full_document):
     assert revalidate_document(json.loads(to_json(full_document))) == ()
 
 
-def _records_built(call):
-    """``call()`` and the number of ``FamilyRecord`` constructions it made."""
-    init, built = FamilyRecord.__init__.__code__, []
+def _calls(code, call):
+    """``call()`` and the number of calls of the function of ``code`` it made."""
+    built = []
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code is init:
+        if event == "call" and frame.f_code is code:
             built.append(1)
 
     sys.setprofile(profile)
@@ -245,10 +249,31 @@ def _records_built(call):
     return result, len(built)
 
 
+def _records_built(call):
+    """``call()`` and the number of ``FamilyRecord`` constructions it made."""
+    return _calls(FamilyRecord.__init__.__code__, call)
+
+
 def test_revalidate_reuses_the_database_of_its_families(db, full_document):
     doc = json.loads(to_json(full_document))
     assert _records_built(lambda: revalidate_document(doc, db=db)) == ((), 0)
     assert _records_built(lambda: revalidate_document(doc)) == ((), FAMILY_COUNT)
+
+
+def test_revalidate_reuses_the_sections_of_the_written_document(db, full_document):
+    # With its families reused and its surface rows the written ones, a
+    # document rebuilds to the written test classes, lists and coverage, so
+    # coverage is not built again; a changed row is a new input, and is.
+    doc = json.loads(to_json(full_document))
+
+    def coverage_built(**reuse):
+        return _calls(build_coverage.__code__, lambda: revalidate_document(doc, **reuse))
+
+    assert coverage_built(db=db, written=full_document) == ((), 0)
+    assert coverage_built(db=db) == ((), 1)
+    doc["certificates"]["surface"][0]["m"] += 1
+    problems, built = coverage_built(db=db, written=full_document)
+    assert built == 1 and problems and problems == revalidate_document(doc)
 
 
 def test_revalidate_rebuilds_forged_families_despite_a_database(db, full_document):
@@ -336,7 +361,9 @@ def test_revalidate_detects_truncated_sections(full_document):
 def test_revalidate_detects_status_gap_disagreement(full_document):
     doc = json.loads(to_json(full_document))
     doc["coverage"][4]["status"] = "Gap"
-    assert revalidate_document(doc) == ("coverage[4].status: does not match gap list",)
+    assert revalidate_document(doc) == (
+        "coverage[4].status: serialized 'Gap', recomputed 'Covered'",
+    )
 
 
 @pytest.mark.parametrize("field, forged", [("degree_cap", "1/1"), ("case", "case1")])
@@ -350,15 +377,15 @@ def test_revalidate_rebuilds_family_entries(full_document, field, forged):
 
 
 def test_revalidate_reports_malformed_entries(full_document):
-    # A families entry that does not rebuild leaves no database to certify
-    # against, but the other sections' malformed entries are still reported.
+    # A families entry that does not rebuild leaves no database to rebuild
+    # the test classes from or certify against, but each surface row is still
+    # rebuilt, and a malformed one reported.
     doc = json.loads(to_json(full_document))
     del doc["certificates"]["surface"][0]["m"]
     doc["families"][0]["weights"] = 7
     doc["certificates"]["test_class"][1] = "conic"
     assert revalidate_document(doc) == (
         "families[0]: does not rebuild (TypeError: 'int' object is not iterable)",
-        "certificates.test_class[1]: is not an object",
         "certificates.surface[0]: does not rebuild (KeyError: 'm')",
     )
 
@@ -397,7 +424,7 @@ def test_revalidate_reports_malformed_entries(full_document):
         (
             ("coverage", 0, "family"),
             True,
-            "coverage[0].family: True is not an integer",
+            "coverage[0].family: serialized True, recomputed 1",
         ),
         (
             ("families", 0, "weights", 1),
@@ -441,7 +468,7 @@ def test_revalidate_reports_malformed_entries(full_document):
             "certificates.surface[0]: does not rebuild "
             "(ValueError: unknown fail tags [['residual']])",
         ),
-        (("certificates",), "x", "certificates: is not an object"),
+        (("certificates",), "x", "certificates: serialized 'x', recomputed an object"),
         (("families",), 5, "families: is not an array"),
         ((), [], "document is not an object"),
     ],
@@ -531,6 +558,12 @@ def _forge_shared_factor_without_18(doc):
 _GAP = "residual (invalid surface certificate)"
 
 
+def _forge_coverage_without_annotations(doc):
+    # No family would rest on any step taken on trust.
+    for c in doc["coverage"]:
+        c["residual"]["annotations"] = c["contracted"]["annotations"] = []
+
+
 def _forge_coverage_without_status(doc):
     # A gap list the status would contradict, with no status to compare.
     del doc["coverage"][0]["status"]
@@ -558,10 +591,10 @@ def _forge_coverage_without_status(doc):
         ("lists", lambda doc: doc["lists"]["weak_bound"].update(families=None),
          "lists.weak_bound.families: serialized None, recomputed an array"),
         ("full", lambda doc: doc["coverage"][0].update(status="Bogus", gaps=[_GAP]),
-         "coverage[0].status: 'Bogus' is not 'Covered' or 'Gap'"),
+         "coverage[0].status: serialized 'Bogus', recomputed 'Covered'"),
         ("full", _forge_coverage_without_status, "coverage[0].status: <absent>"),
         ("full", lambda doc: doc["coverage"][0].update(status="Gap", gaps=5),
-         "coverage[0].gaps: is not an array"),
+         "coverage[0].gaps: serialized 5, recomputed an array"),
         ("full", lambda doc: doc.update(extra=1), "extra: unknown key"),
         ("full", lambda doc: doc.pop("lists"), "lists: <absent>"),
         ("lists", lambda doc: doc.pop("families"), "families: <absent>"),
@@ -573,26 +606,49 @@ def _forge_coverage_without_status(doc):
          "coverage[0].extra: unknown key"),
         ("full", lambda doc: doc["coverage"][0].pop("residual"),
          "coverage[0].residual: <absent>"),
+        ("full", lambda doc: doc["certificates"].update(surface=None),
+         "coverage: serialized an array, recomputed None"),
+        ("full", lambda doc: doc["certificates"].update(surface=[]),
+         "coverage[6].gaps[0]: serialized <absent>, "
+         "recomputed 'residual (pencil bound fails and no surface rows)'"),
+        ("full", _forge_coverage_without_annotations,
+         "coverage[0].residual.annotations[0]: serialized <absent>, recomputed an object"),
+        ("full", lambda doc: doc["coverage"][6].update(status="Gap", gaps=[_GAP]),
+         "coverage[6].status: serialized 'Gap', recomputed 'Covered'"),
     ],
     ids=["family-22-as-23", "test-class-b", "list-members", "list-order-repeat",
          "list-without-member", "surface-valid-int", "lists-families-null",
          "list-members-null", "coverage-status-bogus", "coverage-status-absent",
          "coverage-gaps-int", "document-extra-key", "lists-absent", "families-absent",
          "certificates-extra-key", "certificates-surface-absent",
-         "coverage-extra-field", "coverage-route-absent"],
+         "coverage-extra-field", "coverage-route-absent", "surface-null",
+         "surface-empty", "annotations-deleted", "family-7-made-up-gap"],
 )
 def test_revalidate_refuses_forged_documents(capsys, db, command, forge, problem):
     # Each forgery agrees with itself entry by entry: only whole sections
-    # rebuilt from the families entries, with the builders that wrote them,
-    # or the fixed keys of the document, its certificates and each coverage
-    # entry show it, whether or not the audit's database is reused.
+    # rebuilt from the families entries and the surface rows, with the
+    # builders that wrote them, show it, as a differing leaf or an absent or
+    # unknown key, whether or not the audit's database and its written
+    # document are reused.
     assert cli.main([command, "--format", "json"]) == cli.EXIT_OK
-    doc = json.loads(capsys.readouterr().out)
+    written = json.loads(capsys.readouterr().out)
+    doc = json.loads(to_json(written))
     assert revalidate_document(doc) == ()
     forge(doc)
     problems = revalidate_document(doc)
     assert problem in problems
     assert revalidate_document(doc, db=db) == problems
+    assert revalidate_document(doc, db=db, written=written) == problems
+
+
+def test_no_single_leaf_forgery_of_the_full_document_revalidates_clean():
+    # ci/docmutations.py forges each leaf of the packaged full document by
+    # its fixed rule and revalidates it as the audit does; every forgery must
+    # be refused.  One that a later change lets through is a test change.
+    done = subprocess.run([sys.executable, str(ROOT / "ci" / "docmutations.py")],
+                          capture_output=True, text=True, timeout=600)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == "total: 0 of 3777 mutants survive"
 
 
 # ---------------------------------------------------------------------------
